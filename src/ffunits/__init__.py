@@ -10,7 +10,6 @@ from .ratfunc import (
     RatFunc,
     divisor_vector,
     reduce_mod,
-    rf_normalize,
     valuation,
 )
 from .hasse import TaylorJet, hasse_derivative, in_power_subfield, taylor_jet
@@ -69,7 +68,6 @@ __all__ = [
     "Place",
     "Divisor",
     "Modulus",
-    "rf_normalize",
     "valuation",
     "divisor_vector",
     "reduce_mod",

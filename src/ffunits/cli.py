@@ -2,14 +2,17 @@
 
 Subcommands: factor, hasse, indep, repset, solve, skolem, probe.  Every
 run writes one JSON report to stdout and diagnostics to stderr.  Exit
-codes: 0 success or certified answer, 2 sound non-answer (inapplicable or
-nothing found), 3 input error, 4 resource limit.
+codes: 0 success or certified answer, 1 internal fault, 2 sound non-answer
+(inapplicable or nothing found), 3 input error, 4 resource limit.  Input
+errors are raised only while parsing and validating, so any other
+exception reaching run_cli is a fault in this package.
 """
 
 import argparse
 import json
 import sys
 import time
+import traceback
 
 from . import hasse as hassemod
 from . import localprobe, solver, unitgroup, wronskian
@@ -17,9 +20,10 @@ from .errors import InputError, InternalCheckError, ResourceLimitError
 from .exprio import parse_element, poly_text, print_expr, split_exprs
 from .field import GF
 from .poly import DEFAULT_SEED, factor
-from .ratfunc import Modulus, RatFunc
+from .ratfunc import Modulus, RatFunc, valuation
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_NEGATIVE = 2
 EXIT_INPUT = 3
 EXIT_RESOURCE = 4
@@ -62,7 +66,7 @@ def _load_instance(args) -> dict:
     try:
         with open(args.instance, "r", encoding="utf-8") as handle:
             return parse_instance_text(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read instance file: {exc}") from None
 
 
@@ -74,6 +78,12 @@ def _setting(args, cfg, key, default=None, required=False):
         if required:
             raise InputError(f"missing required setting {key!r}")
         value = default
+    return value
+
+
+def _at_least(name: str, value, low: int):
+    if value is not None and int(value) < low:
+        raise InputError(f"{name} must be >= {low}")
     return value
 
 
@@ -206,8 +216,8 @@ def _cmd_solve(args) -> tuple[dict, int]:
     seed = int(_setting(args, cfg, "seed", default=DEFAULT_SEED))
     group = _group(args, cfg, field, seed)
     eq = _equation(args, cfg, field)
-    m = _setting(args, cfg, "m")
-    m_max = _setting(args, cfg, "m_max")
+    m = _at_least("m", _setting(args, cfg, "m"), 1)
+    m_max = _at_least("m_max", _setting(args, cfg, "m_max"), 1)
     start = time.perf_counter()
     if m is not None:
         report = solver.decide(eq, group, int(m), exhaustive=args.verbose)
@@ -226,8 +236,8 @@ def _cmd_skolem(args) -> tuple[dict, int]:
     seed = int(_setting(args, cfg, "seed", default=DEFAULT_SEED))
     group = _group(args, cfg, field, seed)
     eq = _equation(args, cfg, field)
-    deg_bound = int(_setting(args, cfg, "deg_bound", default=2))
-    e_bound = int(_setting(args, cfg, "e_bound", default=2))
+    deg_bound = int(_at_least("deg_bound", _setting(args, cfg, "deg_bound", default=2), 1))
+    e_bound = int(_at_least("e_bound", _setting(args, cfg, "e_bound", default=2), 1))
     start = time.perf_counter()
     witness = localprobe.find_local_obstruction(eq, group, deg_bound, e_bound, seed)
     timing = int((time.perf_counter() - start) * 1000) if args.timing else None
@@ -257,11 +267,14 @@ def _cmd_probe(args) -> tuple[dict, int]:
     base = parse_element(args.base, field)
     if not base.den.is_one:
         raise InputError("the modulus base must be a polynomial")
+    _at_least("n_max", args.n_max, 1)
     try:
         modulus = Modulus(base.num.monic()[0], args.e)
-        report = localprobe.closure_probe(g, modulus, args.n_max)
     except ValueError as exc:
         raise InputError(str(exc)) from None
+    if g.is_zero or valuation(g, modulus.place) != 0:
+        raise InputError("probe element is not a unit at the modulus place")
+    report = localprobe.closure_probe(g, modulus, args.n_max)
     doc = {
         "outcome": "stabilized" if report.settled else "undetermined",
         "field": _field_json(field),
@@ -306,6 +319,8 @@ def _cmd_hasse(args) -> tuple[dict, int]:
     if args.x is None:
         raise InputError("hasse requires --x")
     x = parse_element(args.x, field)
+    _at_least("order", args.order, 0)
+    _at_least("i", args.i, 0)
     if args.order is not None:
         jet = hassemod.taylor_jet(x, args.order)
         doc = {
@@ -334,7 +349,7 @@ def _cmd_indep(args) -> tuple[dict, int]:
     field = _build_field(args, cfg)
     b_text = _setting(args, cfg, "b", required=True)
     vector = _elements(b_text, field, "component")
-    m = _setting(args, cfg, "m", required=True)
+    m = _at_least("m", _setting(args, cfg, "m", required=True), 0)
     cert = wronskian.independence_test(vector, int(m))
     doc = {
         "outcome": cert.verdict,
@@ -355,7 +370,7 @@ def _cmd_repset(args) -> tuple[dict, int]:
     field = _build_field(args, cfg)
     seed = int(_setting(args, cfg, "seed", default=DEFAULT_SEED))
     group = _group(args, cfg, field, seed)
-    m = _setting(args, cfg, "m", required=True)
+    m = _at_least("m", _setting(args, cfg, "m", required=True), 1)
     reps = unitgroup.representatives(group, int(m))
     doc = {
         "outcome": "ok",
@@ -451,12 +466,13 @@ def run_cli(argv=None, stdout=None, stderr=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=stderr)
         return EXIT_RESOURCE
-    except (ZeroDivisionError, ValueError) as exc:
-        print(f"error: {exc}", file=stderr)
-        return EXIT_INPUT
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=stderr)
-        return 1
+        return EXIT_INTERNAL
+    except Exception as exc:  # not an input error, so a fault in this package
+        traceback.print_exc(file=stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=stderr)
+        return EXIT_INTERNAL
     json.dump(doc, stdout, indent=2)
     stdout.write("\n")
     return code

@@ -11,6 +11,7 @@ finite precision.
 """
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -93,9 +94,9 @@ def residue_group(
         steps.append((res, i, 1))
         steps.append((inv, i, -1))
     found: dict[Poly, tuple[int, ...]] = {one: (0,) * len(gen_res)}
-    queue = [one]
+    queue = deque([one])
     while queue:
-        cur = queue.pop(0)
+        cur = queue.popleft()
         word = found[cur]
         for res, i, delta in steps:
             nxt = (cur * res) % modpoly

@@ -124,11 +124,6 @@ class RatFunc:
         return RatFunc(base.num ** abs(e), base.den ** abs(e))
 
 
-def rf_normalize(num: Poly, den: Poly) -> RatFunc:
-    """Reduced fraction with monic denominator and the unit in the numerator."""
-    return RatFunc.make(num, den)
-
-
 # -- places and divisors --
 
 

@@ -17,6 +17,7 @@ residue key, so the listing is deterministic.
 """
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -129,10 +130,10 @@ def _constant_combo(group: SubgroupPresentation, kernel, need: int):
     """Integer combination of kernel words whose constant equals ``need``."""
     f = group.field
     reached = {1: [0] * len(kernel)}
-    queue = [1]
+    queue = deque([1])
     kernel_constants = [group.word_constant(w) for w in kernel]
     while queue:
-        val = queue.pop(0)
+        val = queue.popleft()
         for idx, kc in enumerate(kernel_constants):
             nv = f.mul(val, kc)
             if nv not in reached:
@@ -205,10 +206,7 @@ def representatives(
         )
     found: dict[tuple[int, ...], tuple[int, ...]] = {}
     for word in itertools.product(range(pm), repeat=n):
-        key = tuple(
-            sum(w * group.exponent_matrix[g][c] for g, w in enumerate(word)) % pm
-            for c in range(len(group.support))
-        )
+        key = residue_key(group, word, m)
         if key not in found:
             found[key] = word
             if len(found) > limit:

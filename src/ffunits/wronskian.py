@@ -1,17 +1,18 @@
 """Linear independence over F_q(t**(p**m)) with two-sided certificates.
 
-The decision itself is made by ordinary Gaussian elimination on the
-coordinate matrix of the vector in the basis 1, t, ..., t**(p**m - 1):
-exact, polynomial work, and it directly yields a relation vector in the
-dependent case.  When the verdict is independent, a witness index set
-I = {0 = i_1 < ... < i_M < p**m} is then produced greedily so that the
-matrix of higher derivatives D(i_l) applied to the vector has nonzero
-determinant; that determinant is the checkable certificate, and the same
-matrix drives the unique-candidate solve for b . x = 1.
+Every linear-algebra question here goes through one fraction-free echelon
+kernel over F_q[t] (Bareiss elimination, one row at a time): a row has its
+denominators cleared and its content stripped, then is reduced against the
+stored pivot rows with every division checked for exactness.
 
-Determinants and adjugates are computed exactly over F_q[t] by
-fraction-free Bareiss elimination after clearing row denominators and
-stripping row content.
+The decision eliminates the coordinate matrix of the vector in the basis
+1, t, ..., t**(p**m - 1); a row that adds no rank yields the exact
+relation vector of the dependent case.  When the verdict is independent, a
+witness index set I = {0 = i_1 < ... < i_M < p**m} is then produced
+greedily so that the matrix of higher derivatives D(i_l) applied to the
+vector has nonzero determinant; that determinant is the checkable
+certificate, and the same matrix drives the unique-candidate solve for
+b . x = 1.
 """
 
 from dataclasses import dataclass
@@ -48,36 +49,89 @@ def coordinate_matrix(b, m: int) -> list[list[RatFunc]]:
     return [list(subfield_coordinates(x, m)) for x in b]
 
 
-def _row_reduce(rows):
-    """Rank of the stack plus one left-kernel vector (None when full rank).
+class _Echelon:
+    """Fraction-free row echelon form over F_q[t], grown one row at a time.
 
-    rows are lists of RatFunc; the kernel vector w satisfies
-    sum(w[i] * rows[i]) = 0 and is the first one met scanning top-down.
+    A pushed RatFunc row is multiplied by num/den (the lcm of its distinct
+    denominators over its content) and reduced against the stored pivot
+    rows.  After the step with pivot k every entry is the (k+1)-minor on the
+    pivot columns so far plus its own column, so the division by the
+    previous pivot is exact (Sylvester's identity).  With slots > 0, row i
+    carries trailing combination slots starting as the unit vector e_i;
+    they are never pivots, and a row that adds no rank ends up holding there
+    a left-kernel vector of the rows pushed so far.
     """
-    if not rows:
-        return 0, None
-    f = rows[0][0].field
-    n = len(rows[0])
-    one, zero = RatFunc.one(f), RatFunc.zero(f)
-    pivots: list[tuple[int, list[RatFunc], list[RatFunc]]] = []
-    for i, row in enumerate(rows):
-        cur = list(row)
-        aug = [one if k == i else zero for k in range(len(rows))]
-        for col, prow, paug in pivots:
-            c = cur[col]
-            if not c.is_zero:
-                cur = [a - c * p for a, p in zip(cur, prow)]
-                aug = [a - c * p for a, p in zip(aug, paug)]
-        for col in range(n):
-            if not cur[col].is_zero:
-                inv = cur[col].inverse()
-                cur = [a * inv for a in cur]
-                aug = [a * inv for a in aug]
-                pivots.append((col, cur, aug))
-                break
-        else:
-            return len(pivots), tuple(aug[: i + 1]) + (zero,) * (len(rows) - i - 1)
-    return len(pivots), None
+
+    def __init__(self, field, slots: int = 0):
+        self.field = field
+        self.slots = slots
+        self.pivots: list[tuple[int, list[Poly]]] = []
+        self.scales: list[tuple[Poly, Poly]] = []
+        self.kernel: list[Poly] | None = None
+
+    def push(self, row) -> bool:
+        """Reduce row; store it and return True when it grows the rank."""
+        zero, one = Poly.zero(self.field), Poly.one(self.field)
+        lcm = one
+        for d in dict.fromkeys(x.den for x in row):
+            if not d.is_one:
+                lcm = lcm * (d // poly_gcd(lcm, d))
+        x = [a.num if a.den == lcm else a.num * (lcm // a.den) for a in row]
+        content = zero
+        for a in x:
+            if not (a.is_zero or content.is_one):
+                content = poly_gcd(content, a)
+        if content.degree() > 0:
+            x = [a // content for a in x]
+        self.scales.append((lcm, content if content.degree() > 0 else one))
+        width = len(x)
+        x += [one if k == len(self.scales) - 1 else zero for k in range(self.slots)]
+        prev = one
+        for col, prow in self.pivots:
+            p, c = prow[col], x[col]
+            reduced = []
+            for a, r in zip(x, prow):
+                num = p * a if c.is_zero else p * a - c * r
+                if not (num.is_zero or prev.is_one):
+                    num, rem = poly_divmod(num, prev)
+                    if not rem.is_zero:
+                        raise InternalCheckError("non-exact division in Bareiss elimination")
+                reduced.append(num)
+            x, prev = reduced, p
+        for col in range(width):
+            if not x[col].is_zero:
+                self.pivots.append((col, x))
+                return True
+        self.kernel = x[width:]
+        return False
+
+    def relation(self) -> tuple[RatFunc, ...]:
+        """The last pushed row's left-kernel vector over the RatFunc rows.
+
+        Its weight on that row is 1; rows never pushed get weight 0.
+        """
+        w, (n_i, d_i) = self.kernel, self.scales[-1]
+        w_i = w[len(self.scales) - 1]
+        out = [
+            RatFunc.make(w_j * n_j * d_i, d_j * w_i * n_i)
+            for w_j, (n_j, d_j) in zip(w, self.scales)
+        ]
+        return tuple(out) + (RatFunc.zero(self.field),) * (self.slots - len(out))
+
+
+def _det(rows) -> RatFunc:
+    """Exact determinant of a square RatFunc matrix."""
+    echelon = _Echelon(rows[0][0].field)
+    if not all(echelon.push(row) for row in rows):
+        return RatFunc.zero(echelon.field)
+    # the last pivot is the determinant of the scaled rows with the columns
+    # taken in pivot order
+    cols = [col for col, _ in echelon.pivots]
+    inversions = sum(a > b for k, a in enumerate(cols) for b in cols[k + 1 :])
+    num, den = echelon.pivots[-1][1][cols[-1]], Poly.one(echelon.field)
+    for n_k, d_k in echelon.scales:
+        num, den = num * d_k, den * n_k
+    return RatFunc.make(-num if inversions % 2 else num, den)
 
 
 def independence_test(b, m: int) -> IndependenceCertificate:
@@ -90,82 +144,22 @@ def independence_test(b, m: int) -> IndependenceCertificate:
     _check_components(b)
     field = b[0].field
     pm = prime_power(field, m)
-    rank, kernel = _row_reduce(coordinate_matrix(b, m))
-    if kernel is not None:
-        relation = tuple(inflate(c, pm) for c in kernel)
-        return IndependenceCertificate(False, None, relation)
-    if rank != len(b):
-        raise InternalCheckError("row reduction returned neither full rank nor a kernel vector")
+    coordinates = _Echelon(field, slots=len(b))
+    for row in coordinate_matrix(b, m):
+        if not coordinates.push(row):
+            relation = tuple(inflate(c, pm) for c in coordinates.relation())
+            return IndependenceCertificate(False, None, relation)
     # greedy witness: keep every derivative row that grows the rank
-    chosen_rows: list[list[RatFunc]] = []
+    witness = _Echelon(field)
     indices: list[int] = []
     for i in range(pm):
-        row = [hasse_derivative(x, i) for x in b]
-        r, _ = _row_reduce(chosen_rows + [row])
-        if r > len(chosen_rows):
-            chosen_rows.append(row)
+        if witness.push([hasse_derivative(x, i) for x in b]):
             indices.append(i)
             if len(indices) == len(b):
                 return IndependenceCertificate(True, tuple(indices), None)
     raise InternalCheckError(
         "coordinate rank is full but no nonsingular derivative index set was found"
     )
-
-
-def _poly_det_bareiss(rows) -> Poly:
-    """Exact determinant of a square Poly matrix (fraction-free elimination)."""
-    n = len(rows)
-    f = rows[0][0].field
-    a = [list(r) for r in rows]
-    negate = False
-    prev = Poly.one(f)
-    for k in range(n - 1):
-        if a[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero:
-                    a[k], a[i] = a[i], a[k]
-                    negate = not negate
-                    break
-            else:
-                return Poly.zero(f)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                q, r = poly_divmod(num, prev)
-                if not r.is_zero:
-                    raise InternalCheckError("non-exact division in Bareiss elimination")
-                a[i][j] = q
-            a[i][k] = Poly.zero(f)
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return -det if negate else det
-
-
-def _ratfunc_det(rows) -> RatFunc:
-    """Exact determinant of a square RatFunc matrix."""
-    f = rows[0][0].field
-    one = Poly.one(f)
-    scale = one
-    content = one
-    poly_rows = []
-    for row in rows:
-        lcm = one
-        for x in row:
-            g = poly_gcd(lcm, x.den)
-            lcm = lcm * (x.den // g)
-        prow = [x.num * (lcm // x.den) for x in row]
-        nonzero = [p for p in prow if not p.is_zero]
-        if not nonzero:
-            return RatFunc.zero(f)
-        g = nonzero[0]
-        for p in nonzero[1:]:
-            g = poly_gcd(g, p)
-        if g.degree() > 0:
-            prow = [p // g for p in prow]
-            content = content * g
-        scale = scale * lcm
-        poly_rows.append(prow)
-    return RatFunc.make(_poly_det_bareiss(poly_rows) * content, scale)
 
 
 def _validate_index_set(index_set, size: int, pm: int):
@@ -190,7 +184,7 @@ def wronskian_det_adj(b, index_set, m: int) -> tuple[RatFunc, tuple[tuple[RatFun
     I = _validate_index_set(index_set, len(b), pm)
     T = wronskian_matrix(b, I)
     n = len(T)
-    det = _ratfunc_det(T)
+    det = _det(T)
     if n == 1:
         return det, ((RatFunc.one(b[0].field),),)
     adj = []
@@ -200,7 +194,7 @@ def wronskian_det_adj(b, index_set, m: int) -> tuple[RatFunc, tuple[tuple[RatFun
             minor = [
                 [T[r][c] for c in range(n) if c != i] for r in range(n) if r != j
             ]
-            d = _ratfunc_det(minor)
+            d = _det(minor)
             adj_row.append(d if (i + j) % 2 == 0 else -d)
         adj.append(tuple(adj_row))
     return det, tuple(adj)
@@ -210,7 +204,8 @@ def candidate_solution(b, m: int, certificate: IndependenceCertificate | None = 
     """The unique candidate c with b . c = 1 compatible with every derivative row.
 
     Requires b independent over the subfield.  Solves the witness system
-    T c = (1, 0, ..., 0) exactly, then discards the candidate (returns
+    T c = (1, 0, ..., 0) exactly, as the left-kernel vector (c, -1) of the
+    columns of T stacked over e_1, then discards the candidate (returns
     None) when any coordinate is zero or when c fails one of the
     derivative-row identities D(i)(b) . c = D(i)(1) for 0 <= i < p**m;
     surviving candidates are therefore independent of the witness chosen.
@@ -220,14 +215,17 @@ def candidate_solution(b, m: int, certificate: IndependenceCertificate | None = 
         raise ValueError("candidate solve requires independent components")
     field = b[0].field
     pm = prime_power(field, m)
-    det, adj = wronskian_det_adj(b, cert.index_set, m)
-    if det.is_zero:
-        raise InternalCheckError("witness index set evaluated to a singular matrix")
-    inv_det = det.inverse()
-    c = tuple(adj[j][0] * inv_det for j in range(len(b)))
+    I = _validate_index_set(cert.index_set, len(b), pm)
+    one, zero = RatFunc.one(field), RatFunc.zero(field)
+    echelon = _Echelon(field, slots=len(b) + 1)
+    for x in b:
+        if not echelon.push([hasse_derivative(x, i) for i in I]):
+            raise InternalCheckError("witness index set evaluated to a singular matrix")
+    if echelon.push([one] + [zero] * (len(b) - 1)):
+        raise InternalCheckError("e_1 is independent of the columns of a square matrix")
+    c = tuple(-w for w in echelon.relation()[:-1])
     if any(cj.is_zero for cj in c):
         return None
-    one, zero = RatFunc.one(field), RatFunc.zero(field)
     for i in range(pm):
         acc = zero
         for x, cj in zip(b, c):
@@ -242,8 +240,8 @@ def verify_certificate(b, m: int, cert: IndependenceCertificate) -> bool:
     field = b[0].field
     pm = prime_power(field, m)
     if cert.independent:
-        det, _ = wronskian_det_adj(b, cert.index_set, m)
-        return not det.is_zero
+        I = _validate_index_set(cert.index_set, len(b), pm)
+        return not _det(wronskian_matrix(b, I)).is_zero
     rel = cert.relation
     if rel is None or all(r.is_zero for r in rel):
         return False

@@ -45,3 +45,29 @@ def rand_ratfunc(rng: random.Random, field: GF, max_deg: int, nonzero: bool = Fa
         x = RatFunc.make(rand_poly(rng, field, max_deg), rand_poly(rng, field, max_deg, nonzero=True))
         if not nonzero or not x.is_zero:
             return x
+
+
+def sympy_element(x: RatFunc):
+    """x as an element of sympy's GF(p)(T): an oracle sharing no code with ffunits.
+
+    Prime fields only.
+    """
+    from sympy import FF, Integer, Symbol
+
+    T = Symbol("T")
+    K = FF(x.field.p).frac_field(T)
+
+    def expr(p: Poly):
+        return sum((c * T**k for k, c in enumerate(p.coeffs)), Integer(0))
+
+    return K.from_sympy(expr(x.num)) / K.from_sympy(expr(x.den))
+
+
+def sympy_matrix(rows):
+    """A RatFunc matrix as a sympy DomainMatrix over GF(p)(T)."""
+    from sympy import FF, Symbol
+    from sympy.polys.matrices import DomainMatrix
+
+    K = FF(rows[0][0].field.p).frac_field(Symbol("T"))
+    entries = [[sympy_element(x) for x in row] for row in rows]
+    return DomainMatrix(entries, (len(rows), len(rows[0])), K)

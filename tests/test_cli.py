@@ -136,6 +136,20 @@ def test_input_errors():
     assert code == 3 and "position" in err
     code, out, err = run(["solve", "--instance", "/nonexistent.toy"])
     assert code == 3
+    code, out, err = run(["solve", "--p", "2", "--gens", "1+T", "--b", "T, 1", "--m", "0"])
+    assert code == 3 and "m must be >= 1" in err
+
+
+def test_internal_fault_exit_code(monkeypatch):
+    # a ValueError from inside the solver is a fault, not bad input
+    from ffunits import solver
+
+    def broken(*args, **kwargs):
+        raise ValueError("simulated fault")
+
+    monkeypatch.setattr(solver, "decide", broken)
+    code, out, err = run(["solve", "--p", "2", "--gens", "1+T", "--b", "T, 1", "--m", "1"])
+    assert code == 1 and out == "" and "simulated fault" in err
 
 
 def test_resource_limit_exit_code():

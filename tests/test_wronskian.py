@@ -11,9 +11,9 @@ from ffunits import (
     independence_test,
     wronskian_det_adj,
 )
-from ffunits.wronskian import _row_reduce, verify_certificate, wronskian_matrix
+from ffunits.wronskian import verify_certificate, wronskian_matrix
 
-from conftest import el, rand_ratfunc
+from conftest import el, rand_ratfunc, sympy_element, sympy_matrix
 
 
 def test_coordinate_matrix_examples(F2):
@@ -80,7 +80,7 @@ def test_oracle_equivalence_sample(F2, F3):
         M = rng.choice((2, 3))
         b = tuple(rand_ratfunc(rng, field, 4, True) for _ in range(M))
         cert = independence_test(b, m)
-        rank, _ = _row_reduce(coordinate_matrix(b, m))
+        rank = sympy_matrix(coordinate_matrix(b, m)).rank()
         assert cert.independent == (rank == M)
         assert verify_certificate(b, m, cert)
 
@@ -91,6 +91,10 @@ def test_det_adj_examples(F2):
     assert det == one
     det, adj = wronskian_det_adj((el(F2, "T+T^2"), el(F2, "1+T")), (0, 1), 1)
     assert det == el(F2, "1+T^2")
+    # singular: rows (1, 1) and (0, 0); the adjugate is still the true one
+    det, adj = wronskian_det_adj((one, one), (0, 1), 1)
+    assert det == RatFunc.zero(F2)
+    assert adj == ((RatFunc.zero(F2), one), (RatFunc.zero(F2), one))
 
 
 def test_adjugate_identity(F2, F3):
@@ -106,6 +110,8 @@ def test_adjugate_identity(F2, F3):
         index_set = (0,) + tuple(sorted(rng.sample(range(1, pm), M - 1)))
         det, adj = wronskian_det_adj(b, index_set, m)
         T = wronskian_matrix(b, index_set)
+        # sympy keeps a unit factor in num and den, so compare the difference
+        assert sympy_matrix(T).det() - sympy_element(det) == 0
         for i in range(M):
             for j in range(M):
                 acc = RatFunc.zero(field)
@@ -190,6 +196,7 @@ def test_candidate_is_witness_independent(F2, F3):
             continue
         witnesses = _all_witnesses(b, m)
         assert cert.index_set in witnesses
+        assert cert.index_set == witnesses[0]  # greedy = lexicographically first
         baseline = candidate_solution(b, m, cert)
         from ffunits.wronskian import IndependenceCertificate
 
