@@ -89,7 +89,7 @@ def _at_least(name: str, value, low: int):
 
 def _build_field(args, cfg) -> GF:
     p = _setting(args, cfg, "p", required=True)
-    s = _setting(args, cfg, "s", default=1)
+    s = int(_at_least("s", _setting(args, cfg, "s", default=1), 1))
     modulus_text = _setting(args, cfg, "modulus")
     try:
         if s == 1:
@@ -100,7 +100,7 @@ def _build_field(args, cfg) -> GF:
         modulus = parse_element(str(modulus_text), base)
         if not modulus.den.is_one:
             raise InputError("the field modulus must be a polynomial")
-        return GF(int(p), int(s), modulus.num.coeffs)
+        return GF(int(p), s, modulus.num.coeffs)
     except ValueError as exc:
         raise InputError(str(exc)) from None
 

@@ -60,14 +60,18 @@ def binom_mod(n: int, k: int, p: int) -> int:
 def poly_jet(a: Poly, order: int) -> list[Poly]:
     """Coefficients in u of a(t+u) up to u**order; entry i is D(i) of a."""
     f = a.field
+    exp, log, p = f.exp_table, f.log_table, f.p
+    la = [log[c] for c in a.coeffs]
     out = []
     for i in range(order + 1):
-        coeffs = [0] * max(a.degree() - i + 1, 0)
-        for k in range(i, a.degree() + 1):
-            bc = binom_mod(k, i, f.p)
-            if bc:
-                coeffs[k - i] = f.mul(a.coeffs[k], bc)
-        out.append(Poly.from_coeffs(f, coeffs))
+        coeffs = []
+        for k in range(i, len(la)):
+            lk = la[k]
+            bc = binom_mod(k, i, p) if lk is not None else 0
+            coeffs.append(exp[lk + log[bc]] if bc else 0)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        out.append(Poly(f, tuple(coeffs)))
     return out
 
 

@@ -6,6 +6,13 @@ tuple.  The canonical sort key is (degree, coefficient tuple), which is
 the order used for factor lists, place enumeration and every other
 deterministic listing in the package.
 
+The arithmetic kernels (``+``, unary ``-``, ``*``, ``scale`` and
+``poly_divmod``) read the field's tables once per call and make no method
+call per coefficient.  Over a prime field they accumulate plain ints and
+reduce mod p once per output coefficient; over GF(2**s) they multiply
+through the log/exp tables and accumulate with XOR; over other extension
+fields they add through the Zech table (see ``field``).
+
 Factorization runs the classical pipeline: squarefree split, then
 distinct-degree, then equal-degree (Cantor-Zassenhaus) splitting.  The
 equal-degree stage draws from a seeded generator, so a fixed seed makes
@@ -17,7 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .field import GF
+from .field import GF, prime_factors
 
 DEFAULT_SEED = 0
 
@@ -102,16 +109,30 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        while out and out[-1] == 0:
-            out.pop()
-        return Poly(f, tuple(out))
+        p = f.p
+        if p == 2:
+            out = [x ^ y for x, y in zip(a, b)]
+        elif f.s == 1:
+            out = [(x + y) % p for x, y in zip(a, b)]
+        else:
+            exp, log, zech = f.exp_table, f.log_table, f.zech_table
+            out = []
+            for x, y in zip(a, b):
+                if x and y:
+                    lx = log[x]
+                    z = zech[log[y] - lx]
+                    out.append(0 if z < 0 else exp[lx + z])
+                else:
+                    out.append(x or y)
+        out += a[len(b):]
+        return _trimmed(f, out)
 
     def __neg__(self) -> "Poly":
         f = self.field
-        return Poly(f, tuple(f.neg(c) for c in self.coeffs))
+        if f.p == 2:
+            return self
+        exp, log, half = f.exp_table, f.log_table, (f.q - 1) // 2
+        return Poly(f, tuple(exp[log[c] + half] if c else 0 for c in self.coeffs))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -123,14 +144,35 @@ class Poly:
         if not a or not b:
             return Poly.zero(f)
         out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = f.add(out[i + j], f.mul(ai, bj))
-        while out and out[-1] == 0:
-            out.pop()
-        return Poly(f, tuple(out))
+        if f.s == 1:
+            for i, x in enumerate(a):
+                if x:
+                    for k, y in enumerate(b, i):
+                        out[k] += x * y
+            p = f.p
+            return _trimmed(f, [c % p for c in out])
+        exp, log, zech = f.exp_table, f.log_table, f.zech_table
+        lb = [log[y] for y in b]
+        for i, x in enumerate(a):
+            if not x:
+                continue
+            lx = log[x]
+            if zech is None:  # p == 2
+                for k, ly in enumerate(lb, i):
+                    if ly is not None:
+                        out[k] ^= exp[lx + ly]
+                continue
+            for k, ly in enumerate(lb, i):
+                if ly is not None:
+                    t = lx + ly
+                    c = out[k]
+                    if c:
+                        lc = log[c]
+                        z = zech[t - lc]
+                        out[k] = 0 if z < 0 else exp[lc + z]
+                    else:
+                        out[k] = exp[t]
+        return _trimmed(f, out)
 
     def scale(self, c: int) -> "Poly":
         f = self.field
@@ -138,7 +180,9 @@ class Poly:
             return Poly.zero(f)
         if c == 1:
             return self
-        return Poly(f, tuple(f.mul(a, c) for a in self.coeffs))
+        exp, log = f.exp_table, f.log_table
+        lc = log[c]
+        return Poly(f, tuple(exp[log[a] + lc] if a else 0 for a in self.coeffs))
 
     def shift(self, k: int) -> "Poly":
         """Multiply by t**k."""
@@ -188,9 +232,14 @@ class Poly:
         out = []
         for k in range(1, len(self.coeffs)):
             out.append(f.mul(self.coeffs[k], k % f.p))
-        while out and out[-1] == 0:
-            out.pop()
-        return Poly(f, tuple(out))
+        return _trimmed(f, out)
+
+
+def _trimmed(f: GF, out: list) -> Poly:
+    """The polynomial with coefficient list out, trailing zeros dropped (out is consumed)."""
+    while out and out[-1] == 0:
+        out.pop()
+    return Poly(f, tuple(out))
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -201,22 +250,49 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         raise ZeroDivisionError("division by zero polynomial")
     if a.degree() < b.degree():
         return Poly.zero(f), a
-    inv_lead = f.inv(b.leading)
+    *low, lead = b.coeffs
+    db = len(low)
     rem = list(a.coeffs)
-    db = b.degree()
     quot = [0] * (len(rem) - db)
-    for i in range(len(rem) - db - 1, -1, -1):
+    if f.s == 1:
+        # rem holds unreduced ints; each is reduced when it becomes a leading term
+        p = f.p
+        inv_lead = f.inv(lead)
+        for i in range(len(quot) - 1, -1, -1):
+            c = rem[i + db] % p
+            if c:
+                q_i = c * inv_lead % p
+                quot[i] = q_i
+                for k, y in enumerate(low, i):
+                    rem[k] -= q_i * y
+        return _trimmed(f, quot), _trimmed(f, [c % p for c in rem[:db]])
+    exp, log, zech = f.exp_table, f.log_table, f.zech_table
+    n = f.q - 1
+    lb = [log[y] for y in low]
+    linv = n - log[lead]
+    for i in range(len(quot) - 1, -1, -1):
         c = rem[i + db]
-        if c:
-            q_i = f.mul(c, inv_lead)
-            quot[i] = q_i
-            for j, bc in enumerate(b.coeffs):
-                rem[i + j] = f.sub(rem[i + j], f.mul(q_i, bc))
-    while rem and rem[-1] == 0:
-        rem.pop()
-    while quot and quot[-1] == 0:
-        quot.pop()
-    return Poly(f, tuple(quot)), Poly(f, tuple(rem))
+        if not c:
+            continue
+        lq = (log[c] + linv) % n
+        quot[i] = exp[lq]
+        if zech is None:  # p == 2, where subtracting is adding
+            for k, ly in enumerate(lb, i):
+                if ly is not None:
+                    rem[k] ^= exp[lq + ly]
+            continue
+        lq = (lq + n // 2) % n  # the log of -q_i
+        for k, ly in enumerate(lb, i):
+            if ly is not None:
+                t = lq + ly
+                r = rem[k]
+                if r:
+                    lr = log[r]
+                    z = zech[t - lr]
+                    rem[k] = 0 if z < 0 else exp[lr + z]
+                else:
+                    rem[k] = exp[t]
+    return _trimmed(f, quot), _trimmed(f, rem[:db])
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -293,20 +369,6 @@ class Factorization:
         return out
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(a: Poly) -> bool:
     """Rabin irreducibility test over F_q."""
     if a.is_zero or a.degree() < 1:
@@ -323,7 +385,7 @@ def is_irreducible(a: Poly) -> bool:
         frob.append(poly_powmod(frob[-1], field.q, f))
     if frob[n] != x % f:
         return False
-    for r in _prime_factors(n):
+    for r in prime_factors(n):
         g = poly_gcd(frob[n // r] - x, f)
         if g.degree() != 0:
             return False

@@ -138,6 +138,9 @@ def test_input_errors():
     assert code == 3
     code, out, err = run(["solve", "--p", "2", "--gens", "1+T", "--b", "T, 1", "--m", "0"])
     assert code == 3 and "m must be >= 1" in err
+    for s in ("0", "-1"):
+        code, out, err = run(["solve", "--p", "2", "--s", s, "--gens", "1+T", "--b", "T, 1"])
+        assert code == 3 and "s must be >= 1" in err
 
 
 def test_internal_fault_exit_code(monkeypatch):
@@ -155,6 +158,10 @@ def test_internal_fault_exit_code(monkeypatch):
 def test_resource_limit_exit_code():
     code, out, err = run(["repset", "--p", "2", "--gens", "1+T", "--m", "17"])
     assert code == 4
+    # GF(2^17) is past the field-order bound of the arithmetic tables
+    code, out, err = run(["solve", "--p", "2", "--s", "17", "--modulus", "T^17+T^3+1",
+                          "--gens", "1+T", "--b", "T, 1"])
+    assert code == 4 and "field order" in err
 
 
 def test_flag_overrides_instance(tmp_path):
