@@ -9,6 +9,7 @@ exception reaching run_cli is a fault in this package.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -453,12 +454,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # building the parser costs about 30 parse_args calls; reuse it per process
+    return build_parser()
+
+
 def run_cli(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         doc, code = args.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=stderr)

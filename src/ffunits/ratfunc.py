@@ -233,7 +233,8 @@ def divisor_vector(x: RatFunc, seed: int = DEFAULT_SEED) -> tuple[Divisor, int]:
         exps[Place.finite(g)] = e
     fd = factor(x.den, seed)
     for g, e in fd.factors:
-        exps[Place.finite(g)] = exps.get(Place.finite(g), 0) - e
+        pl = Place.finite(g)
+        exps[pl] = exps.get(pl, 0) - e
     inf = x.den.degree() - x.num.degree()
     if inf:
         exps[Place.at_infinity()] = inf
@@ -274,7 +275,7 @@ class Modulus:
     def poly(self) -> Poly:
         return self.base**self.exponent
 
-    @property
+    @cached_property
     def place(self) -> Place:
         return Place.finite(self.base)
 

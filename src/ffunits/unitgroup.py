@@ -11,12 +11,14 @@ reconstruct the queried element exactly.  Radical membership is lattice
 saturation; the torsion part is automatic because F_q* is finite.
 
 Representative sets of the quotient by the subgroup of elements lying in
-F_q(t**(p**m)) are enumerated from the exponent lattice mod p**m, choosing
-the lexicographically smallest nonnegative generator word for every
-residue key, so the listing is deterministic.
+F_q(t**(p**m)) are read off the Hermite form of the lattice of words whose
+exponents vanish mod p**m, with no scan over words: each residue class is
+listed once, by its lexicographically smallest nonnegative generator word,
+so the listing is deterministic.
 """
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,7 +26,7 @@ from functools import cached_property
 from .errors import InternalCheckError, ResourceLimitError
 from .field import GF
 from .hasse import in_power_subfield, prime_power
-from .intlattice import in_rational_rowspan, solve_left
+from .intlattice import hnf_with_transform, in_rational_rowspan, solve_left
 from .poly import DEFAULT_SEED
 from .ratfunc import Place, RatFunc, divisor_vector
 
@@ -193,32 +195,27 @@ def representatives(
 ) -> RepSet:
     """Deterministic representatives of the quotient mod F_q(t**(p**m))-members.
 
-    Enumerates the image of the exponent lattice in (Z/p**m)**support and
-    keeps, per image key, the lexicographically smallest nonnegative word.
+    The words of residue key 0 form a lattice L containing p**m * Z**n; the
+    Hermite form of [A | I] over [p**m * I | 0] gives L an upper-triangular
+    basis with pivots d_1..d_n.  Each class of Z**n / L then holds exactly one
+    word with 0 <= w_i < d_i, its lexicographically smallest nonnegative word.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     pm = prime_power(group.field, m)
-    n = len(group.generators)
-    if pm**n > max(limit, 2_000_000):
-        raise ResourceLimitError(
-            f"representative enumeration needs {pm**n} words, over the configured bound"
-        )
-    found: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for word in itertools.product(range(pm), repeat=n):
-        key = residue_key(group, word, m)
-        if key not in found:
-            found[key] = word
-            if len(found) > limit:
-                raise ResourceLimitError(
-                    f"representative set exceeds the configured bound {limit}"
-                )
-    words = tuple(found.values())
+    k, n = len(group.support), len(group.generators)
+    rows = [list(a) + [int(i == j) for j in range(n)] for i, a in enumerate(group.exponent_matrix)]
+    rows += [[pm * (i == j) for j in range(k + n)] for i in range(k)]
+    H, _, pivots = hnf_with_transform(rows, k + n)
+    sizes = [H[i][c] for i, c in enumerate(pivots) if c >= k]
+    if math.prod(sizes) > limit:
+        raise ResourceLimitError(f"representative set exceeds the configured bound {limit}")
+    words = tuple(itertools.product(*map(range, sizes)))
     return RepSet(
         m=m,
         elements=tuple(group.word_product(w) for w in words),
         words=words,
-        keys=tuple(found.keys()),
+        keys=tuple(residue_key(group, w, m) for w in words),
     )
 
 

@@ -290,11 +290,18 @@ def _run_report_battery(instance_dir):
     return "".join(chunks)
 
 
+# sha256 of the report battery; a change that alters reports on purpose
+# updates it and says why
+REPORT_BATTERY_SHA256 = "231158441d93956e6f6f98b89ed2f59d6da87deeb3f98923774e4a79cc593a3b"
+
+
 def test_criterion_8_determinism():
+    import hashlib
     import os
 
     instance_dir = os.path.join(os.path.dirname(__file__), "..", "instances")
     first = _run_report_battery(instance_dir)
     second = _run_report_battery(instance_dir)
     assert first and first == second
+    assert hashlib.sha256(first.encode()).hexdigest() == REPORT_BATTERY_SHA256
     _report(8, f"two full report batteries are byte-identical ({len(first)} bytes)")

@@ -123,6 +123,10 @@ def test_repset_subcommand():
     assert doc["size"] == 9
     assert doc["elements"][0] == "1"
     assert doc["words"][0] == [0, 0, 0]
+    # 27**5 words but 27 classes: the bound counts representatives, not words
+    code, doc = run_json(["repset", "--p", "3", "--gens", "T, T^2, T^3, T^4, T^5", "--m", "3"])
+    assert code == 0
+    assert doc["size"] == 27
 
 
 def test_input_errors():
@@ -141,6 +145,13 @@ def test_input_errors():
     for s in ("0", "-1"):
         code, out, err = run(["solve", "--p", "2", "--s", s, "--gens", "1+T", "--b", "T, 1"])
         assert code == 3 and "s must be >= 1" in err
+    # the parser is shared across calls, and a rejected call leaves no trace in it
+    indep = ["indep", "--b", "T, 1+T", "--m", "1", "--p", "2"]
+    code, before, _ = run(indep)
+    assert code == 0
+    code, out, err = run(indep + ["--no-such-flag"])
+    assert code == 3 and "no-such-flag" in err
+    assert run(indep) == (0, before, "")
 
 
 def test_internal_fault_exit_code(monkeypatch):

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from ffunits import (
+    GF,
     Place,
     RatFunc,
     build_presentation,
@@ -12,10 +14,12 @@ from ffunits import (
     radical_member,
     representatives,
 )
+from ffunits import unitgroup
 from ffunits.errors import ResourceLimitError
-from ffunits.unitgroup import residue_key
+from ffunits.hasse import prime_power
+from ffunits.unitgroup import RepSet, residue_key
 
-from conftest import el, pl
+from conftest import el, pl, rand_ratfunc
 
 
 def test_build_presentation_examples(F2, F3):
@@ -162,6 +166,70 @@ def test_representatives_resource_guard(F2):
     g = build_presentation((el(F2, "1+T"), el(F2, "T")))
     with pytest.raises(ResourceLimitError):
         representatives(g, 2, limit=2)
+
+
+def test_representatives_bound_counts_classes_not_words(F3):
+    # 27**5 words in the box, but only 27 classes: the key is sum(i * w_i) mod 27,
+    # and T^5 alone reaches every class since 5 is a unit mod 27
+    g = build_presentation(tuple(el(F3, f"T^{i}") for i in range(1, 6)))
+    reps = representatives(g, 3, limit=27)
+    assert reps.words == tuple((0, 0, 0, 0, j) for j in range(27))
+    assert reps.keys == tuple((5 * j % 27,) for j in range(27))
+    with pytest.raises(ResourceLimitError, match="exceeds the configured bound 26"):
+        representatives(g, 3, limit=26)
+
+
+def _scan_representatives(group, m):
+    """Reference listing: scan all p**(m*n) words in lex order, keep the first per key."""
+    pm = prime_power(group.field, m)
+    found = {}
+    for word in itertools.product(range(pm), repeat=len(group.generators)):
+        key = residue_key(group, word, m)
+        if key not in found:
+            found[key] = word
+    words = tuple(found.values())
+    return RepSet(m, tuple(group.word_product(w) for w in words), words, tuple(found))
+
+
+def _random_generators(rng, field, n):
+    gens = []
+    while len(gens) < n:
+        kind = rng.randrange(6)
+        if kind == 0:
+            gens.append(RatFunc.constant(field, rng.randrange(1, field.q)))
+        elif kind == 1 and gens:
+            gens.append(rng.choice(gens))
+        elif kind == 2 and gens:
+            gens.append(RatFunc.one(field) / rng.choice(gens))
+        else:
+            gens.append(rand_ratfunc(rng, field, 2, nonzero=True))
+    return tuple(gens)
+
+
+def test_representatives_match_word_scan(monkeypatch):
+    fields = (GF(2), GF(3), GF(2, 2, (1, 1, 1)), GF(3, 2, (1, 0, 1)))
+    calls = []
+
+    def counted(group, word, m):
+        calls.append(word)
+        return residue_key(group, word, m)
+
+    monkeypatch.setattr(unitgroup, "residue_key", counted)
+    rng = random.Random(113)
+    compared = 0
+    for _ in range(60):
+        field = rng.choice(fields)
+        n = rng.randint(1, 4)
+        group = build_presentation(_random_generators(rng, field, n))
+        for m in (1, 2, 3):
+            if field.p ** (m * n) > 1500:
+                break
+            calls.clear()
+            reps = representatives(group, m)
+            assert len(calls) == len(reps)
+            assert reps == _scan_representatives(group, m)
+            compared += 1
+    assert compared >= 100
 
 
 def test_kernel_element_examples(F2, F3):
