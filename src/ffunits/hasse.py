@@ -109,17 +109,25 @@ def _jet_coeffs(x: RatFunc, order: int) -> tuple[RatFunc, ...]:
     return tuple(out)
 
 
+def _check_order(order: int, what: str):
+    # the solver never needs a jet past p**m - 1 <= MAX_PRIME_POWER - 1
+    if order < 0:
+        raise ValueError(f"{what} must be nonnegative")
+    if order >= MAX_PRIME_POWER:
+        raise ResourceLimitError(
+            f"{what} {order} exceeds the supported bound {MAX_PRIME_POWER - 1}"
+        )
+
+
 def taylor_jet(x: RatFunc, order: int) -> TaylorJet:
     """All derivatives D(0..order)(x) from one truncated expansion."""
-    if order < 0:
-        raise ValueError("jet order must be nonnegative")
+    _check_order(order, "jet order")
     return TaylorJet(x, order, _jet_coeffs(x, order))
 
 
 def hasse_derivative(x: RatFunc, i: int) -> RatFunc:
     """The i-th higher derivative of x."""
-    if i < 0:
-        raise ValueError("derivative index must be nonnegative")
+    _check_order(i, "derivative index")
     return _jet_coeffs(x, i)[i]
 
 

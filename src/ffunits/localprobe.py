@@ -121,9 +121,14 @@ def sl_search(eq: Equation, group: SubgroupPresentation, m: Modulus) -> SLWitnes
     """
     for x in eq.b:
         _require_unit(x, m, "equation coefficient")
-    rg = residue_group(group, m)
+    return _search_residues(eq, residue_group(group, m))
+
+
+def _search_residues(eq: Equation, rg: ResidueGroup) -> SLWitness | None:
+    """The box search of sl_search over an already built residue group."""
+    m = rg.modulus
     modpoly = m.poly
-    field = group.field
+    field = m.base.field
     b_res = [reduce_mod(x, m) for x in eq.b]
     inv_last = reduce_mod(eq.b[-1].inverse(), m)
     target = Poly.constant(field, eq.rhs) % modpoly
@@ -186,9 +191,11 @@ def find_local_obstruction(
                 candidates.append((d * e, d, base.sort_key(), e, base))
     candidates.sort(key=lambda c: c[:4])
     for _, _, _, e, base in candidates:
+        # bases outside the support keep every coefficient a unit
         m = Modulus(base, e)
-        if sl_search(eq, group, m) is None:
-            return ObstructionWitness(m, len(residue_group(group, m)))
+        rg = residue_group(group, m)
+        if _search_residues(eq, rg) is None:
+            return ObstructionWitness(m, len(rg))
     return None
 
 

@@ -8,7 +8,7 @@ local completions are never materialized, only the finite-precision
 residue rings F_q[t]/(base**e) described by Modulus.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .field import GF
@@ -264,20 +264,21 @@ class Modulus:
 
     base: Poly
     exponent: int
+    place: Place = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.exponent < 1:
             raise ValueError("modulus exponent must be >= 1")
-        if not self.base.is_monic or not is_irreducible(self.base):
-            raise ValueError("modulus base must be monic irreducible")
+        # the place checks its polynomial, so the base is tested only once
+        try:
+            place = Place.finite(self.base)
+        except ValueError:
+            raise ValueError("modulus base must be monic irreducible") from None
+        object.__setattr__(self, "place", place)
 
     @cached_property
     def poly(self) -> Poly:
         return self.base**self.exponent
-
-    @cached_property
-    def place(self) -> Place:
-        return Place.finite(self.base)
 
     def __repr__(self):
         return f"Modulus(base={list(self.base.coeffs)}, e={self.exponent})"

@@ -14,9 +14,10 @@ subfield:
 * inhomogeneous (rhs 1): the criterion requires, for every tuple, some
   unit-substituted variant to be independent.  When it applies, each tuple
   whose products and all unit-substituted variants are independent yields
-  at most one candidate point; candidates surviving exact substitution and
-  coordinatewise membership form the complete solution set over both the
-  group and its closure, bounded in size by the number of such tuples.
+  at most one candidate point, read off the subfield relation of
+  (b*r, 1); candidates surviving exact substitution and coordinatewise
+  membership form the complete solution set over both the group and its
+  closure, bounded in size by the number of such tuples.
 
 Inapplicable is a first-class outcome: the criterion is sufficient, not
 necessary, and nothing is escalated silently.  A failing tuple is retried
@@ -249,7 +250,7 @@ def decide_inhomogeneous(
         witnesses = None
         if in_bound_set:
             bound += 1
-            candidate = candidate_solution(br, m, cert)
+            candidate = candidate_solution(br, m)
             if candidate is not None:
                 point = tuple(x * y for x, y in zip(r, candidate))
                 acc = RatFunc.zero(field)

@@ -11,8 +11,8 @@ relation vector of the dependent case.  When the verdict is independent, a
 witness index set I = {0 = i_1 < ... < i_M < p**m} is then produced
 greedily so that the matrix of higher derivatives D(i_l) applied to the
 vector has nonzero determinant; that determinant is the checkable
-certificate, and the same matrix drives the unique-candidate solve for
-b . x = 1.
+certificate.  The unique candidate for b . x = 1 is read off the same
+coordinate elimination, run on the stack (b, 1).
 """
 
 from dataclasses import dataclass
@@ -134,6 +134,19 @@ def _det(rows) -> RatFunc:
     return RatFunc.make(-num if inversions % 2 else num, den)
 
 
+def _relation(b, m: int) -> tuple[RatFunc, ...] | None:
+    """The relation, inflated into F_q(t**(p**m)), of the first component of b
+    that adds no rank (weight 1 there, 0 after it); None when b is independent.
+    """
+    field = _check_components(b).field
+    coordinates = _Echelon(field, slots=len(b))
+    for row in coordinate_matrix(b, m):
+        if not coordinates.push(row):
+            pm = prime_power(field, m)
+            return tuple(inflate(c, pm) for c in coordinates.relation())
+    return None
+
+
 def independence_test(b, m: int) -> IndependenceCertificate:
     """Decide linear independence of b over F_q(t**(p**m)), with certificate.
 
@@ -141,14 +154,11 @@ def independence_test(b, m: int) -> IndependenceCertificate:
     is nonsingular; dependent verdicts carry an exact annihilating relation
     with entries in the subfield.
     """
-    _check_components(b)
+    relation = _relation(b, m)
+    if relation is not None:
+        return IndependenceCertificate(False, None, relation)
     field = b[0].field
     pm = prime_power(field, m)
-    coordinates = _Echelon(field, slots=len(b))
-    for row in coordinate_matrix(b, m):
-        if not coordinates.push(row):
-            relation = tuple(inflate(c, pm) for c in coordinates.relation())
-            return IndependenceCertificate(False, None, relation)
     # greedy witness: keep every derivative row that grows the rank
     witness = _Echelon(field)
     indices: list[int] = []
@@ -200,39 +210,25 @@ def wronskian_det_adj(b, index_set, m: int) -> tuple[RatFunc, tuple[tuple[RatFun
     return det, tuple(adj)
 
 
-def candidate_solution(b, m: int, certificate: IndependenceCertificate | None = None):
-    """The unique candidate c with b . c = 1 compatible with every derivative row.
+def candidate_solution(b, m: int):
+    """The unique c in K_m**M with b . c = 1, where K_m = F_q(t**(p**m)), or None.
 
-    Requires b independent over the subfield.  Solves the witness system
-    T c = (1, 0, ..., 0) exactly, as the left-kernel vector (c, -1) of the
-    columns of T stacked over e_1, then discards the candidate (returns
-    None) when any coordinate is zero or when c fails one of the
-    derivative-row identities D(i)(b) . c = D(i)(1) for 0 <= i < p**m;
-    surviving candidates are therefore independent of the witness chosen.
+    Requires b independent over K_m.  Then c exists iff (b, 1) is dependent,
+    and it is minus the first M weights of that relation (last weight 1);
+    None is also returned when some c_j is zero.  No other c in K**M meets
+    every derivative row D(i)(b) . c = D(i)(1), i < p**m: with
+    J(y) = sum D(i)(y) u**i, x (x) y -> x * J(y) is an isomorphism from
+    K (x)_{K_m} K onto K[u]/(u**(p**m)), so expanding c in the basis t**r
+    over K_m forces every component with r > 0 to vanish.
     """
-    cert = certificate if certificate is not None else independence_test(b, m)
-    if not cert.independent:
-        raise ValueError("candidate solve requires independent components")
-    field = b[0].field
-    pm = prime_power(field, m)
-    I = _validate_index_set(cert.index_set, len(b), pm)
-    one, zero = RatFunc.one(field), RatFunc.zero(field)
-    echelon = _Echelon(field, slots=len(b) + 1)
-    for x in b:
-        if not echelon.push([hasse_derivative(x, i) for i in I]):
-            raise InternalCheckError("witness index set evaluated to a singular matrix")
-    if echelon.push([one] + [zero] * (len(b) - 1)):
-        raise InternalCheckError("e_1 is independent of the columns of a square matrix")
-    c = tuple(-w for w in echelon.relation()[:-1])
-    if any(cj.is_zero for cj in c):
+    field = _check_components(b).field
+    rel = _relation((*b, RatFunc.one(field)), m)
+    if rel is None:
         return None
-    for i in range(pm):
-        acc = zero
-        for x, cj in zip(b, c):
-            acc = acc + hasse_derivative(x, i) * cj
-        if acc != (one if i == 0 else zero):
-            return None
-    return c
+    if not rel[-1].is_one:
+        raise ValueError("candidate solve requires independent components")
+    c = tuple(-w for w in rel[:-1])
+    return None if any(cj.is_zero for cj in c) else c
 
 
 def verify_certificate(b, m: int, cert: IndependenceCertificate) -> bool:

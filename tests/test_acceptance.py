@@ -241,7 +241,7 @@ def test_criterion_6_wronskian_oracle_equivalence(F2, F3):
         assert cert.independent == (rank == M)
         assert verify_certificate(b, m, cert)
         if cert.independent:
-            c = candidate_solution(b, m, cert)
+            c = candidate_solution(b, m)
             if c is not None:
                 produced += 1
                 acc = RatFunc.zero(field)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import time
 
 import pytest
 
@@ -136,6 +137,8 @@ def test_input_errors():
     assert code == 3
     code, out, err = run(["probe", "--p", "3", "--g", "1/(T+1)", "--base", "T+1"])
     assert code == 3
+    code, out, err = run(["probe", "--p", "2", "--g", "T", "--base", "T^2+1"])
+    assert code == 3 and "modulus base must be monic irreducible" in err
     code, out, err = run(["indep", "--b", "T^2^3", "--m", "1", "--p", "2"])
     assert code == 3 and "position" in err
     code, out, err = run(["solve", "--instance", "/nonexistent.toy"])
@@ -166,13 +169,22 @@ def test_internal_fault_exit_code(monkeypatch):
     assert code == 1 and out == "" and "simulated fault" in err
 
 
-def test_resource_limit_exit_code():
+def test_resource_limit_exit_code(monkeypatch):
     code, out, err = run(["repset", "--p", "2", "--gens", "1+T", "--m", "17"])
     assert code == 4
     # GF(2^17) is past the field-order bound of the arithmetic tables
     code, out, err = run(["solve", "--p", "2", "--s", "17", "--modulus", "T^17+T^3+1",
                           "--gens", "1+T", "--b", "T, 1"])
     assert code == 4 and "field order" in err
+    # derivative and jet orders are bounded before any expansion starts
+    from ffunits import hasse
+
+    monkeypatch.setattr(hasse, "_jet_coeffs", lambda *a: pytest.fail("jet expanded"))
+    for flag in ("--i", "--order"):
+        start = time.perf_counter()
+        code, out, err = run(["hasse", "--p", "2", "--x", "1/(1+T)", flag, "70000"])
+        assert code == 4 and "65535" in err
+        assert time.perf_counter() - start < 1.0
 
 
 def test_flag_overrides_instance(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 
 from ffunits import GF, RatFunc, hasse_derivative, in_power_subfield, taylor_jet
 from ffunits.errors import ResourceLimitError
-from ffunits.hasse import _jet_coeffs, binom_mod, inflate, prime_power, subfield_coordinates
+from ffunits.hasse import MAX_PRIME_POWER, _jet_coeffs, binom_mod, inflate, prime_power, subfield_coordinates
 
 from conftest import el, rand_ratfunc
 
@@ -154,3 +154,17 @@ def test_derivative_input_validation(F2):
         hasse_derivative(el(F2, "T"), -1)
     with pytest.raises(ValueError):
         taylor_jet(el(F2, "T"), -2)
+
+
+def test_jet_order_bound(F2, monkeypatch):
+    # every order the solver asks for is below p**m <= MAX_PRIME_POWER
+    from ffunits import hasse
+
+    x = el(F2, "1/(1+T)")
+    assert hasse_derivative(x, 3) == taylor_jet(x, 3).coefficients[3]
+    # the bound is checked before any expansion starts
+    monkeypatch.setattr(hasse, "_jet_coeffs", lambda *a: pytest.fail("jet expanded"))
+    with pytest.raises(ResourceLimitError):
+        hasse_derivative(x, MAX_PRIME_POWER)
+    with pytest.raises(ResourceLimitError):
+        taylor_jet(x, MAX_PRIME_POWER)

@@ -111,6 +111,26 @@ def test_find_local_obstruction(F2, F3):
         find_local_obstruction(eq0, g2, 0, 1)
 
 
+def test_obstruction_scan_builds_each_residue_group_once(F2, F3, monkeypatch):
+    from ffunits import localprobe
+
+    built = []
+    original = localprobe.residue_group
+    monkeypatch.setattr(
+        localprobe, "residue_group", lambda group, m, *a: built.append(m) or original(group, m, *a)
+    )
+    g2 = build_presentation((el(F2, "1+T"),))
+    eq0 = Equation((RatFunc.t(F2), RatFunc.one(F2)), 0)
+    witness = find_local_obstruction(eq0, g2, 2, 2)
+    assert len(built) > 1 and len(set(built)) == len(built)
+    assert built[-1] == witness.modulus and witness.group_size == 6
+
+    built.clear()
+    g3 = build_presentation((el(F3, "T"), el(F3, "-T"), el(F3, "1-T")))
+    assert find_local_obstruction(Equation((RatFunc.one(F3),) * 2, 0), g3, 2, 2) is None
+    assert len(built) > 1 and len(set(built)) == len(built)
+
+
 def test_sg_search_examples(F2):
     g2 = build_presentation((el(F2, "1+T"),))
     eq1 = Equation((RatFunc.t(F2), RatFunc.one(F2)), 1)

@@ -138,6 +138,20 @@ def test_modulus_validation(F2):
     assert m.poly == pl(F2, "T^2+T+1") ** 2
 
 
+def test_modulus_tests_its_base_once(F2, monkeypatch):
+    from ffunits import ratfunc
+
+    calls = []
+    original = ratfunc.is_irreducible
+    monkeypatch.setattr(ratfunc, "is_irreducible", lambda a: calls.append(a) or original(a))
+    base = pl(F2, "T^2+T+1")
+    m = Modulus(base, 2)
+    assert m.place.poly == base and m.place is m.place
+    assert calls == [base]
+    with pytest.raises(ValueError, match="modulus base must be monic irreducible"):
+        Modulus(pl(F2, "T^2+1"), 1)
+
+
 def test_ratfunc_structural_invariants(F2, F3):
     with pytest.raises(ZeroDivisionError):
         RatFunc(pl(F2, "T"), Poly.zero(F2))

@@ -4,14 +4,16 @@ import random
 import pytest
 
 from ffunits import (
+    GF,
     RatFunc,
     candidate_solution,
     coordinate_matrix,
+    hasse_derivative,
     in_power_subfield,
     independence_test,
     wronskian_det_adj,
 )
-from ffunits.wronskian import verify_certificate, wronskian_matrix
+from ffunits.wronskian import _Echelon, verify_certificate, wronskian_matrix
 
 from conftest import el, rand_ratfunc, sympy_element, sympy_matrix
 
@@ -161,7 +163,7 @@ def test_candidate_satisfies_equation(F2, F3):
         cert = independence_test(b, m)
         if not cert.independent:
             continue
-        c = candidate_solution(b, m, cert)
+        c = candidate_solution(b, m)
         if c is None:
             continue
         produced += 1
@@ -184,6 +186,32 @@ def _all_witnesses(b, m):
     return out
 
 
+def _witness_candidate(b, m, I):
+    """The witness-system route to the candidate, kept as a reference.
+
+    Solves T c = e_1 for the derivative matrix T at the index set I, as the
+    left-kernel vector (c, -1) of the columns of T stacked over e_1, and
+    keeps c only when every coordinate is nonzero and every derivative row
+    D(i)(b) . c = D(i)(1), 0 <= i < p**m, holds.
+    """
+    field = b[0].field
+    one, zero = RatFunc.one(field), RatFunc.zero(field)
+    echelon = _Echelon(field, slots=len(b) + 1)
+    for x in b:
+        assert echelon.push([hasse_derivative(x, i) for i in I])
+    assert not echelon.push([one] + [zero] * (len(b) - 1))
+    c = tuple(-w for w in echelon.relation()[:-1])
+    if any(cj.is_zero for cj in c):
+        return None
+    for i in range(field.p**m):
+        acc = zero
+        for x, cj in zip(b, c):
+            acc = acc + hasse_derivative(x, i) * cj
+        if acc != (one if i == 0 else zero):
+            return None
+    return c
+
+
 def test_candidate_is_witness_independent(F2, F3):
     rng = random.Random(83)
     checked = 0
@@ -197,14 +225,48 @@ def test_candidate_is_witness_independent(F2, F3):
         witnesses = _all_witnesses(b, m)
         assert cert.index_set in witnesses
         assert cert.index_set == witnesses[0]  # greedy = lexicographically first
-        baseline = candidate_solution(b, m, cert)
-        from ffunits.wronskian import IndependenceCertificate
-
+        baseline = candidate_solution(b, m)
         for I in witnesses:
-            other = candidate_solution(b, m, IndependenceCertificate(True, I, None))
-            assert other == baseline
+            assert _witness_candidate(b, m, I) == baseline
             checked += 1
     assert checked > 10
+
+
+def test_candidate_matches_witness_solve(F2, F3):
+    # the subfield relation of (b, 1) against the witness-system solve at
+    # every nonsingular index set; half the vectors are planted solvable
+    # (b_M solved from a subfield c), so that candidates do occur
+    fields = (F2, F3, GF(2, 2, (1, 1, 1)), GF(3, 2, (1, 0, 1)))
+    rng = random.Random(97)
+    compared = produced = planted_found = 0
+    for field, m, M in itertools.product(fields, (1, 2), (1, 2, 3)):
+        pm = field.p**m
+        one = RatFunc.one(field)
+        for trial in range(6):
+            b = [rand_ratfunc(rng, field, 2, True) for _ in range(M)]
+            planted = None
+            if trial % 2:
+                planted = tuple(rand_ratfunc(rng, field, 1, True) ** pm for _ in range(M))
+                rest = one
+                for x, cj in zip(b[:-1], planted[:-1]):
+                    rest = rest - x * cj
+                if rest.is_zero:
+                    continue
+                b[-1] = rest / planted[-1]
+            b = tuple(b)
+            if not independence_test(b, m).independent:
+                with pytest.raises(ValueError):
+                    candidate_solution(b, m)
+                continue
+            c = candidate_solution(b, m)
+            for I in _all_witnesses(b, m):
+                assert _witness_candidate(b, m, I) == c
+                compared += 1
+            if planted is not None:
+                assert c == planted
+                planted_found += 1
+            produced += c is not None
+    assert compared > 100 and produced > 20 and planted_found > 20
 
 
 def test_candidate_scaling_by_subfield_units(F2):
