@@ -20,7 +20,7 @@ from . import localprobe, solver, unitgroup, wronskian
 from .errors import InputError, InternalCheckError, ResourceLimitError
 from .exprio import parse_element, poly_text, print_expr, split_exprs
 from .field import GF
-from .poly import DEFAULT_SEED, factor
+from .poly import factor
 from .ratfunc import Modulus, RatFunc, valuation
 
 EXIT_OK = 0
@@ -29,7 +29,7 @@ EXIT_NEGATIVE = 2
 EXIT_INPUT = 3
 EXIT_RESOURCE = 4
 
-_INT_KEYS = {"p", "s", "rhs", "m", "m_max", "word_bound", "deg_bound", "e_bound", "seed"}
+_INT_KEYS = {"p", "s", "rhs", "m", "m_max", "word_bound", "deg_bound", "e_bound"}
 _STR_KEYS = {"modulus", "gens", "b"}
 
 
@@ -116,9 +116,9 @@ def _elements(text: str, field: GF, what: str) -> tuple[RatFunc, ...]:
     return tuple(out)
 
 
-def _group(args, cfg, field: GF, seed: int) -> unitgroup.SubgroupPresentation:
+def _group(args, cfg, field: GF) -> unitgroup.SubgroupPresentation:
     gens_text = _setting(args, cfg, "gens", required=True)
-    return unitgroup.build_presentation(_elements(gens_text, field, "generator"), seed)
+    return unitgroup.build_presentation(_elements(gens_text, field, "generator"))
 
 
 def _equation(args, cfg, field: GF) -> solver.Equation:
@@ -214,8 +214,7 @@ def _solve_report(report: solver.CertifiedReport, field: GF, group, timing_ms):
 def _cmd_solve(args) -> tuple[dict, int]:
     cfg = _load_instance(args)
     field = _build_field(args, cfg)
-    seed = int(_setting(args, cfg, "seed", default=DEFAULT_SEED))
-    group = _group(args, cfg, field, seed)
+    group = _group(args, cfg, field)
     eq = _equation(args, cfg, field)
     m = _at_least("m", _setting(args, cfg, "m"), 1)
     m_max = _at_least("m_max", _setting(args, cfg, "m_max"), 1)
@@ -234,13 +233,12 @@ def _cmd_solve(args) -> tuple[dict, int]:
 def _cmd_skolem(args) -> tuple[dict, int]:
     cfg = _load_instance(args)
     field = _build_field(args, cfg)
-    seed = int(_setting(args, cfg, "seed", default=DEFAULT_SEED))
-    group = _group(args, cfg, field, seed)
+    group = _group(args, cfg, field)
     eq = _equation(args, cfg, field)
     deg_bound = int(_at_least("deg_bound", _setting(args, cfg, "deg_bound", default=2), 1))
     e_bound = int(_at_least("e_bound", _setting(args, cfg, "e_bound", default=2), 1))
     start = time.perf_counter()
-    witness = localprobe.find_local_obstruction(eq, group, deg_bound, e_bound, seed)
+    witness = localprobe.find_local_obstruction(eq, group, deg_bound, e_bound)
     timing = int((time.perf_counter() - start) * 1000) if args.timing else None
     doc = {
         "outcome": "obstruction-found" if witness else "none-found",
@@ -292,7 +290,6 @@ def _cmd_probe(args) -> tuple[dict, int]:
 def _cmd_factor(args) -> tuple[dict, int]:
     cfg = _load_instance(args)
     field = _build_field(args, cfg)
-    seed = int(_setting(args, cfg, "seed", default=DEFAULT_SEED))
     if args.poly is None:
         raise InputError("factor requires --poly")
     value = parse_element(args.poly, field)
@@ -300,7 +297,7 @@ def _cmd_factor(args) -> tuple[dict, int]:
         raise InputError("factor expects a polynomial, not a proper fraction")
     if value.is_zero:
         raise InputError("cannot factor the zero polynomial")
-    decomposition = factor(value.num, seed)
+    decomposition = factor(value.num)
     doc = {
         "outcome": "ok",
         "field": _field_json(field),
@@ -369,8 +366,7 @@ def _cmd_indep(args) -> tuple[dict, int]:
 def _cmd_repset(args) -> tuple[dict, int]:
     cfg = _load_instance(args)
     field = _build_field(args, cfg)
-    seed = int(_setting(args, cfg, "seed", default=DEFAULT_SEED))
-    group = _group(args, cfg, field, seed)
+    group = _group(args, cfg, field)
     m = _at_least("m", _setting(args, cfg, "m", required=True), 1)
     reps = unitgroup.representatives(group, int(m))
     doc = {
@@ -392,7 +388,6 @@ def _add_common(sub):
     sub.add_argument("--p", type=int, help="field characteristic")
     sub.add_argument("--s", type=int, help="extension degree (default 1)")
     sub.add_argument("--modulus", help="defining polynomial over F_p when s > 1")
-    sub.add_argument("--seed", type=int, help="seed for factorization randomness")
     sub.add_argument("--timing", action="store_true", help="include timing_ms in the report")
 
 

@@ -155,6 +155,11 @@ class GF:
     modulus: tuple[int, ...] = ()
 
     def __post_init__(self):
+        # q >= p, so a huge p is refused before trial division would stall on it
+        if self.p > MAX_FIELD_ORDER:
+            raise ResourceLimitError(
+                f"characteristic {self.p} exceeds the supported field-order bound {MAX_FIELD_ORDER}"
+            )
         if not is_prime(self.p):
             raise ValueError(f"characteristic {self.p} is not prime")
         if self.s < 1:

@@ -86,26 +86,17 @@ class TaylorJet:
 
 @lru_cache(maxsize=4096)
 def _jet_coeffs(x: RatFunc, order: int) -> tuple[RatFunc, ...]:
-    f = x.field
     num_jet = poly_jet(x.num, order)
     den_jet = poly_jet(x.den, order)
-    # invert den(t+u) as a power series in u; the constant term is den(t)
-    inv0 = RatFunc.make(Poly.one(f), den_jet[0])
-    inv = [inv0]
-    den_rf = [RatFunc.from_poly(d) for d in den_jet]
-    for k in range(1, order + 1):
-        acc = RatFunc.zero(f)
-        for j in range(1, k + 1):
-            if not den_jet[j].is_zero:
-                acc = acc + den_rf[j] * inv[k - j]
-        inv.append(-(inv0 * acc))
+    # match powers of u in x(t+u) * den(t+u) = num(t+u), one order at a time
+    inv0 = RatFunc.make(Poly.one(x.field), x.den)
     out = []
     for i in range(order + 1):
-        acc = RatFunc.zero(f)
-        for a in range(i + 1):
-            if not num_jet[a].is_zero:
-                acc = acc + RatFunc.from_poly(num_jet[a]) * inv[i - a]
-        out.append(acc)
+        acc = RatFunc.from_poly(num_jet[i])
+        for k in range(1, i + 1):
+            if not den_jet[k].is_zero:
+                acc = acc - RatFunc.from_poly(den_jet[k]) * out[i - k]
+        out.append(acc * inv0)
     return tuple(out)
 
 

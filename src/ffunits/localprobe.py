@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ResourceLimitError
-from .poly import DEFAULT_SEED, Poly, monic_irreducibles, poly_powmod
+from .poly import Poly, monic_irreducibles, poly_powmod
 from .ratfunc import Modulus, RatFunc, finite_support, reduce_mod, valuation
 from .solver import Equation, SolutionPoint
 from .unitgroup import SubgroupPresentation
@@ -78,9 +78,7 @@ def _require_unit(x: RatFunc, m: Modulus, what: str):
         raise ValueError(f"{what} is not a unit at the modulus place")
 
 
-def residue_group(
-    group: SubgroupPresentation, m: Modulus, limit: int = DEFAULT_GROUP_LIMIT
-) -> ResidueGroup:
+def residue_group(group: SubgroupPresentation, m: Modulus) -> ResidueGroup:
     """Close the reduced generators and their inverses under multiplication."""
     modpoly = m.poly
     gen_res = []
@@ -105,9 +103,9 @@ def residue_group(
                 nw[i] += delta
                 found[nxt] = tuple(nw)
                 queue.append(nxt)
-                if len(found) > limit:
+                if len(found) > DEFAULT_GROUP_LIMIT:
                     raise ResourceLimitError(
-                        f"residue group exceeds the configured bound {limit}"
+                        f"residue group exceeds the configured bound {DEFAULT_GROUP_LIMIT}"
                     )
     return ResidueGroup(m, tuple(found.keys()), tuple(found.values()))
 
@@ -169,7 +167,6 @@ def find_local_obstruction(
     group: SubgroupPresentation,
     deg_bound: int,
     e_bound: int,
-    seed: int = DEFAULT_SEED,
 ) -> ObstructionWitness | None:
     """First modulus (by (deg*e, deg, base, e)) where the congruence has no solution.
 
@@ -181,7 +178,7 @@ def find_local_obstruction(
     field = group.field
     excluded = {pl.poly for pl in group.support}
     for x in eq.b:
-        excluded.update(pl.poly for pl in finite_support(x, seed))
+        excluded.update(pl.poly for pl in finite_support(x))
     candidates = []
     for d in range(1, deg_bound + 1):
         for base in monic_irreducibles(field, d):

@@ -13,7 +13,6 @@ from functools import cached_property
 
 from .field import GF
 from .poly import (
-    DEFAULT_SEED,
     Poly,
     factor,
     is_irreducible,
@@ -219,7 +218,7 @@ def valuation(x: RatFunc, v: Place) -> int:
     return mult(x.num) - mult(x.den)
 
 
-def divisor_vector(x: RatFunc, seed: int = DEFAULT_SEED) -> tuple[Divisor, int]:
+def divisor_vector(x: RatFunc) -> tuple[Divisor, int]:
     """Full exponent map of x (finite places and infinity) plus its leading unit.
 
     x equals constant * prod(place.poly ** exponent) over the finite entries;
@@ -228,10 +227,10 @@ def divisor_vector(x: RatFunc, seed: int = DEFAULT_SEED) -> tuple[Divisor, int]:
     if x.is_zero:
         raise ValueError("divisor of zero")
     exps: dict[Place, int] = {}
-    fn = factor(x.num, seed)
+    fn = factor(x.num)
     for g, e in fn.factors:
         exps[Place.finite(g)] = e
-    fd = factor(x.den, seed)
+    fd = factor(x.den)
     for g, e in fd.factors:
         pl = Place.finite(g)
         exps[pl] = exps.get(pl, 0) - e
@@ -251,8 +250,8 @@ def divisor_product(field: GF, divisor: Divisor, constant: int) -> RatFunc:
     return out
 
 
-def finite_support(x: RatFunc, seed: int = DEFAULT_SEED) -> tuple[Place, ...]:
-    return divisor_vector(x, seed)[0].finite_support()
+def finite_support(x: RatFunc) -> tuple[Place, ...]:
+    return divisor_vector(x)[0].finite_support()
 
 
 # -- finite-precision residue rings --

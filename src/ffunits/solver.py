@@ -33,7 +33,6 @@ from .errors import InternalCheckError, ResourceLimitError
 from .hasse import prime_power
 from .ratfunc import RatFunc
 from .unitgroup import (
-    DEFAULT_REPSET_LIMIT,
     MembershipWitness,
     RepSet,
     SubgroupPresentation,
@@ -137,11 +136,11 @@ class CertifiedReport:
     auto_failures: tuple[tuple[int, FailureRecord], ...] = ()
 
 
-def _tuple_space(reps: RepSet, arity: int, tuple_limit: int):
+def _tuple_space(reps: RepSet, arity: int):
     total = len(reps) ** arity
-    if total > tuple_limit:
+    if total > DEFAULT_TUPLE_LIMIT:
         raise ResourceLimitError(
-            f"{total} representative tuples exceed the configured bound {tuple_limit}"
+            f"{total} representative tuples exceed the configured bound {DEFAULT_TUPLE_LIMIT}"
         )
     return itertools.product(range(len(reps)), repeat=arity)
 
@@ -166,22 +165,17 @@ def _confirm_dependent(still_dependent, br, gen_powers) -> int:
 
 
 def decide_homogeneous(
-    eq: Equation,
-    group: SubgroupPresentation,
-    m: int,
-    exhaustive: bool = False,
-    tuple_limit: int = DEFAULT_TUPLE_LIMIT,
-    repset_limit: int = DEFAULT_REPSET_LIMIT,
+    eq: Equation, group: SubgroupPresentation, m: int, exhaustive: bool = False
 ) -> CertifiedReport:
     """Certify emptiness of b . x = 0 over the group closure at precision m."""
     if eq.rhs != 0:
         raise ValueError("decide_homogeneous expects an rhs-0 equation")
     pm = prime_power(group.field, m)
     gen_powers = [g**pm for g in group.generators]
-    reps = representatives(group, m, limit=repset_limit)
+    reps = representatives(group, m)
     records = []
     failure = None
-    for combo in _tuple_space(reps, eq.arity, tuple_limit):
+    for combo in _tuple_space(reps, eq.arity):
         r = tuple(reps.elements[i] for i in combo)
         words = tuple(reps.words[i] for i in combo)
         br = tuple(x * y for x, y in zip(eq.b, r))
@@ -202,12 +196,7 @@ def decide_homogeneous(
 
 
 def decide_inhomogeneous(
-    eq: Equation,
-    group: SubgroupPresentation,
-    m: int,
-    exhaustive: bool = False,
-    tuple_limit: int = DEFAULT_TUPLE_LIMIT,
-    repset_limit: int = DEFAULT_REPSET_LIMIT,
+    eq: Equation, group: SubgroupPresentation, m: int, exhaustive: bool = False
 ) -> CertifiedReport:
     """Compute the certified, complete solution set of b . x = 1 at precision m."""
     if eq.rhs != 1:
@@ -215,12 +204,12 @@ def decide_inhomogeneous(
     field = group.field
     pm = prime_power(field, m)
     gen_powers = [g**pm for g in group.generators]
-    reps = representatives(group, m, limit=repset_limit)
+    reps = representatives(group, m)
     records = []
     failure = None
     solutions: dict[tuple[RatFunc, ...], SolutionPoint] = {}
     bound = 0
-    for combo in _tuple_space(reps, eq.arity, tuple_limit):
+    for combo in _tuple_space(reps, eq.arity):
         r = tuple(reps.elements[i] for i in combo)
         words = tuple(reps.words[i] for i in combo)
         br = tuple(x * y for x, y in zip(eq.b, r))
@@ -280,13 +269,17 @@ def decide_inhomogeneous(
     )
 
 
-def decide(eq: Equation, group: SubgroupPresentation, m: int, **kwargs) -> CertifiedReport:
+def decide(
+    eq: Equation, group: SubgroupPresentation, m: int, exhaustive: bool = False
+) -> CertifiedReport:
     if eq.rhs == 0:
-        return decide_homogeneous(eq, group, m, **kwargs)
-    return decide_inhomogeneous(eq, group, m, **kwargs)
+        return decide_homogeneous(eq, group, m, exhaustive)
+    return decide_inhomogeneous(eq, group, m, exhaustive)
 
 
-def auto_m(eq: Equation, group: SubgroupPresentation, m_max: int, **kwargs) -> CertifiedReport:
+def auto_m(
+    eq: Equation, group: SubgroupPresentation, m_max: int, exhaustive: bool = False
+) -> CertifiedReport:
     """Scan m = 1..m_max and return the first applicable report.
 
     When every precision fails, the last report is returned annotated with
@@ -297,7 +290,7 @@ def auto_m(eq: Equation, group: SubgroupPresentation, m_max: int, **kwargs) -> C
     failures = []
     report = None
     for m in range(1, m_max + 1):
-        report = decide(eq, group, m, **kwargs)
+        report = decide(eq, group, m, exhaustive)
         if report.outcome != "inapplicable":
             return report
         failures.append((m, report.failure))

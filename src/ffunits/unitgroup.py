@@ -27,7 +27,6 @@ from .errors import InternalCheckError, ResourceLimitError
 from .field import GF
 from .hasse import in_power_subfield, prime_power
 from .intlattice import hnf_with_transform, in_rational_rowspan, solve_left
-from .poly import DEFAULT_SEED
 from .ratfunc import Place, RatFunc, divisor_vector
 
 DEFAULT_REPSET_LIMIT = 100_000
@@ -91,7 +90,7 @@ class RepSet:
         return {k: i for i, k in enumerate(self.keys)}
 
 
-def build_presentation(gens, seed: int = DEFAULT_SEED) -> SubgroupPresentation:
+def build_presentation(gens) -> SubgroupPresentation:
     """Compute support, exponent matrix and constants from the generators."""
     gens = tuple(gens)
     if not gens:
@@ -103,7 +102,7 @@ def build_presentation(gens, seed: int = DEFAULT_SEED) -> SubgroupPresentation:
     for g in gens:
         if g.is_zero:
             raise ValueError("generators must be nonzero")
-        dv, const = divisor_vector(g, seed)
+        dv, const = divisor_vector(g)
         divisors.append(dv)
         constants.append(const)
         support.update(dv.finite_support())
@@ -114,9 +113,9 @@ def build_presentation(gens, seed: int = DEFAULT_SEED) -> SubgroupPresentation:
     return SubgroupPresentation(field, gens, places, matrix, tuple(constants))
 
 
-def _exponent_target(x: RatFunc, group: SubgroupPresentation, seed: int):
+def _exponent_target(x: RatFunc, group: SubgroupPresentation):
     """Exponents of x over the group support, or the first stray place."""
-    dv, const = divisor_vector(x, seed)
+    dv, const = divisor_vector(x)
     target = [0] * len(group.support)
     for pl, e in dv.entries:
         if pl.is_infinite:
@@ -146,11 +145,11 @@ def _constant_combo(group: SubgroupPresentation, kernel, need: int):
     return reached.get(need)
 
 
-def member(x: RatFunc, group: SubgroupPresentation, seed: int = DEFAULT_SEED) -> MembershipWitness:
+def member(x: RatFunc, group: SubgroupPresentation) -> MembershipWitness:
     """Exact membership with a reconstructing word or a concrete obstruction."""
     if x.is_zero:
         raise ValueError("membership is asked of nonzero elements")
-    target, const, stray = _exponent_target(x, group, seed)
+    target, const, stray = _exponent_target(x, group)
     if stray is not None:
         return MembershipWitness(False, obstruction_place=stray)
     word0, kernel, failing = solve_left(
@@ -174,7 +173,7 @@ def member(x: RatFunc, group: SubgroupPresentation, seed: int = DEFAULT_SEED) ->
     return MembershipWitness(True, word=word)
 
 
-def radical_member(x: RatFunc, group: SubgroupPresentation, seed: int = DEFAULT_SEED) -> bool:
+def radical_member(x: RatFunc, group: SubgroupPresentation) -> bool:
     """Whether some positive power of x is a member (lattice saturation).
 
     Torsion never obstructs: once n * exponents(x) lies in the lattice, a
@@ -182,7 +181,7 @@ def radical_member(x: RatFunc, group: SubgroupPresentation, seed: int = DEFAULT_
     """
     if x.is_zero:
         raise ValueError("radical membership is asked of nonzero elements")
-    target, _, stray = _exponent_target(x, group, seed)
+    target, _, stray = _exponent_target(x, group)
     if stray is not None:
         return False
     return in_rational_rowspan(

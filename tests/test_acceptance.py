@@ -278,8 +278,8 @@ def _run_report_battery(instance_dir):
         ["skolem", "--instance", f"{instance_dir}/p3-closure-gap.toy",
          "--deg-bound", "3", "--e-bound", "2"],
         ["probe", "--p", "3", "--g", "T", "--base", "T^2+1", "--n-max", "6"],
-        ["repset", "--p", "3", "--gens", "T, -T, 1-T", "--m", "2", "--seed", "0"],
-        ["factor", "--p", "3", "--poly", "T^6+2*T^3+T", "--seed", "0"],
+        ["repset", "--p", "3", "--gens", "T, -T, 1-T", "--m", "2"],
+        ["factor", "--p", "3", "--poly", "T^6+2*T^3+T"],
         ["indep", "--b", "T, 1+T", "--m", "2", "--p", "2"],
     ]
     chunks = []

@@ -176,6 +176,11 @@ def test_resource_limit_exit_code(monkeypatch):
     code, out, err = run(["solve", "--p", "2", "--s", "17", "--modulus", "T^17+T^3+1",
                           "--gens", "1+T", "--b", "T, 1"])
     assert code == 4 and "field order" in err
+    # a huge characteristic is refused before trial division could stall on it
+    start = time.perf_counter()
+    code, out, err = run(["factor", "--p", "1000000000000000003", "--poly", "T+1"])
+    assert code == 4 and "characteristic" in err
+    assert time.perf_counter() - start < 1.0
     # derivative and jet orders are bounded before any expansion starts
     from ffunits import hasse
 
@@ -185,6 +190,17 @@ def test_resource_limit_exit_code(monkeypatch):
         code, out, err = run(["hasse", "--p", "2", "--x", "1/(1+T)", flag, "70000"])
         assert code == 4 and "65535" in err
         assert time.perf_counter() - start < 1.0
+
+
+def test_seed_is_not_an_option(tmp_path):
+    # factor's seed cannot change a report, so it is neither a flag nor an instance key
+    code, out, err = run(["solve", "--p", "2", "--gens", "1+T", "--b", "T, 1", "--m", "1",
+                          "--seed", "0"])
+    assert code == 3 and out == "" and "--seed" in err
+    path = tmp_path / "inst.toy"
+    path.write_text("p = 2\ngens = 1 + T\nb = T, 1\nm = 1\nseed = 0\n")
+    code, out, err = run(["solve", "--instance", str(path)])
+    assert code == 3 and out == "" and "unknown key 'seed'" in err
 
 
 def test_flag_overrides_instance(tmp_path):

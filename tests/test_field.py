@@ -244,3 +244,10 @@ def test_field_order_bound(monkeypatch):
     with pytest.raises(ResourceLimitError):
         GF(65537)
     assert field.MAX_FIELD_ORDER == 1 << 16
+
+
+def test_huge_characteristic_is_refused_before_primality(monkeypatch):
+    # trial division on a huge p would stall; q >= p refuses it first
+    monkeypatch.setattr(field, "is_prime", lambda n: pytest.fail(f"primality tested for {n}"))
+    with pytest.raises(ResourceLimitError, match="characteristic"):
+        GF(10**18 + 3)

@@ -4,7 +4,15 @@ import pytest
 
 from ffunits import GF, RatFunc, hasse_derivative, in_power_subfield, taylor_jet
 from ffunits.errors import ResourceLimitError
-from ffunits.hasse import MAX_PRIME_POWER, _jet_coeffs, binom_mod, inflate, prime_power, subfield_coordinates
+from ffunits.hasse import (
+    MAX_PRIME_POWER,
+    _jet_coeffs,
+    binom_mod,
+    inflate,
+    poly_jet,
+    prime_power,
+    subfield_coordinates,
+)
 
 from conftest import el, rand_ratfunc
 
@@ -116,6 +124,36 @@ def test_jet_cache_is_transparent(F2):
     warm = taylor_jet(x, 6).coefficients
     assert cold == warm
     assert _jet_coeffs.cache_info().hits >= 1
+
+
+def _two_step_jet(x, order):
+    """Reference jet: invert den(t+u) as a power series, then multiply by num(t+u)."""
+    f = x.field
+    num_jet = [RatFunc.from_poly(a) for a in poly_jet(x.num, order)]
+    den_jet = [RatFunc.from_poly(a) for a in poly_jet(x.den, order)]
+    inv = [den_jet[0].inverse()]
+    for k in range(1, order + 1):
+        acc = RatFunc.zero(f)
+        for j in range(1, k + 1):
+            acc = acc + den_jet[j] * inv[k - j]
+        inv.append(-(inv[0] * acc))
+    out = []
+    for i in range(order + 1):
+        acc = RatFunc.zero(f)
+        for a in range(i + 1):
+            acc = acc + num_jet[a] * inv[i - a]
+        out.append(acc)
+    return tuple(out)
+
+
+def test_jet_recurrence_matches_two_step_expansion(F2, F3):
+    rng = random.Random(67)
+    fields = (F2, F3, GF(2, 2, (1, 1, 1)), GF(3, 2, (1, 0, 1)))
+    for field in fields:
+        for order in (1, 2, 3, 8):
+            for _ in range(20):
+                x = rand_ratfunc(rng, field, 4)
+                assert _jet_coeffs(x, order) == _two_step_jet(x, order)
 
 
 def test_coordinates_reassemble(F2, F3):
