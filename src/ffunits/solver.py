@@ -19,6 +19,19 @@ subfield:
   membership form the complete solution set over both the group and its
   closure, bounded in size by the number of such tuples.
 
+  Every verdict of a tuple comes from one elimination of the stack
+  (b*r, 1).  Let b*r be independent.  If the stack has rank M + 1, every
+  unit substitution is independent and there is no candidate.  Otherwise
+  let w be the stack's relation, with weight 1 on the 1 row: psi_j is
+  independent iff w_j != 0, a dependent psi_j has w with w_{M+1} in slot
+  j as its relation, and the candidate is -w[:M].  Proof: w is, up to
+  scale, the only relation among b*r and 1.  Only a dependent b*r needs
+  an elimination per psi_j.
+
+Row j of the coordinate matrix of b*r depends only on (j, r_j), so each
+decision builds those rows once, on first use, and every elimination of
+the tuple loop reads them from there.
+
 Inapplicable is a first-class outcome: the criterion is sufficient, not
 necessary, and nothing is escalated silently.  A failing tuple is retried
 with components scaled by p**m-th generator powers (which cannot change
@@ -30,7 +43,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InternalCheckError, ResourceLimitError
-from .hasse import prime_power
+from .hasse import prime_power, subfield_coordinates
 from .ratfunc import RatFunc
 from .unitgroup import (
     MembershipWitness,
@@ -40,7 +53,14 @@ from .unitgroup import (
     radical_member,
     representatives,
 )
-from .wronskian import IndependenceCertificate, candidate_solution, independence_test
+from .wronskian import (
+    IndependenceCertificate,
+    candidate_from_relation,
+    certificate_from_rows,
+    independence_test,
+    row_relation,
+    witness_index_set,
+)
 
 DEFAULT_TUPLE_LIMIT = 1_000_000
 MAX_DEPENDENCE_RETRIES = 8
@@ -150,6 +170,40 @@ def _scaled(br, gen_powers, k: int):
     return tuple(x * gen_powers[(j + k) % n] for j, x in enumerate(br))
 
 
+def _product_rows(b, reps: RepSet, m: int):
+    """(j, i) -> (b[j] * reps.elements[i], its coordinate row), each built on
+    first use: row j of the coordinate matrix of b*r depends only on (j, r_j).
+    """
+    memo = {}
+
+    def product_row(j: int, i: int):
+        if (j, i) not in memo:
+            x = b[j] * reps.elements[i]
+            memo[j, i] = (x, subfield_coordinates(x, m))
+        return memo[j, i]
+
+    return product_row
+
+
+def _psi_certificates(br, w, pm: int) -> tuple[IndependenceCertificate, ...]:
+    """The certificates of every psi(j, br) for an independent br, read off the
+    relation w of the stack (br, 1), or off its independence when w is None.
+
+    psi(j, br) is independent iff w_j != 0.  A dependent one has the relation
+    w with w_{M+1} moved into slot j, scaled to weight 1 on its last nonzero
+    entry as row_relation returns it.
+    """
+    certs = []
+    for j in range(1, len(br) + 1):
+        if w is None or not w[j - 1].is_zero:
+            certs.append(IndependenceCertificate(True, witness_index_set(psi(j, br), pm), None))
+            continue
+        u = (*w[: j - 1], w[-1], *w[j:-1])
+        last = next(c for c in reversed(u) if not c.is_zero)
+        certs.append(IndependenceCertificate(False, None, tuple(c / last for c in u)))
+    return tuple(certs)
+
+
 def _confirm_dependent(still_dependent, br, gen_powers) -> int:
     """Re-test a dependent tuple under subfield-unit scalings; bugs surface here."""
     if not gen_powers:
@@ -173,13 +227,14 @@ def decide_homogeneous(
     pm = prime_power(group.field, m)
     gen_powers = [g**pm for g in group.generators]
     reps = representatives(group, m)
+    product_row = _product_rows(eq.b, reps, m)
     records = []
     failure = None
     for combo in _tuple_space(reps, eq.arity):
         r = tuple(reps.elements[i] for i in combo)
         words = tuple(reps.words[i] for i in combo)
-        br = tuple(x * y for x, y in zip(eq.b, r))
-        cert = independence_test(br, m)
+        br, rows = zip(*(product_row(j, i) for j, i in enumerate(combo)))
+        cert = certificate_from_rows(br, rows, pm)
         records.append(TupleRecord(r, words, cert))
         if not cert.independent and failure is None:
             retries = _confirm_dependent(
@@ -205,6 +260,8 @@ def decide_inhomogeneous(
     pm = prime_power(field, m)
     gen_powers = [g**pm for g in group.generators]
     reps = representatives(group, m)
+    product_row = _product_rows(eq.b, reps, m)
+    one_row = subfield_coordinates(RatFunc.one(field), m)
     records = []
     failure = None
     solutions: dict[tuple[RatFunc, ...], SolutionPoint] = {}
@@ -212,8 +269,17 @@ def decide_inhomogeneous(
     for combo in _tuple_space(reps, eq.arity):
         r = tuple(reps.elements[i] for i in combo)
         words = tuple(reps.words[i] for i in combo)
-        br = tuple(x * y for x, y in zip(eq.b, r))
-        psi_certs = tuple(independence_test(psi(j, br), m) for j in range(1, eq.arity + 1))
+        br, rows = zip(*(product_row(j, i) for j, i in enumerate(combo)))
+        # one elimination of (b*r, 1) gives every verdict when b*r is independent
+        rel = row_relation((*rows, one_row), pm)
+        br_independent = rel is None or rel[-1].is_one
+        if br_independent:
+            psi_certs = _psi_certificates(br, rel, pm)
+        else:
+            psi_certs = tuple(
+                certificate_from_rows(psi(j, br), (*rows[: j - 1], one_row, *rows[j:]), pm)
+                for j in range(1, eq.arity + 1)
+            )
         if not any(c.independent for c in psi_certs):
             records.append(TupleRecord(r, words, None, psi_certs))
             if failure is None:
@@ -231,15 +297,18 @@ def decide_inhomogeneous(
                 if not exhaustive:
                     break
             continue
-        cert = independence_test(br, m)
-        in_bound_set = cert.independent and all(c.independent for c in psi_certs)
+        if br_independent:
+            cert = IndependenceCertificate(True, witness_index_set(br, pm), None)
+        else:
+            cert = IndependenceCertificate(False, None, rel[:-1])
+        in_bound_set = br_independent and all(c.independent for c in psi_certs)
         candidate = None
         point = None
         kept = False
         witnesses = None
         if in_bound_set:
             bound += 1
-            candidate = candidate_solution(br, m)
+            candidate = candidate_from_relation(rel)
             if candidate is not None:
                 point = tuple(x * y for x, y in zip(r, candidate))
                 acc = RatFunc.zero(field)

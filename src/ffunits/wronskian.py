@@ -13,6 +13,15 @@ greedily so that the matrix of higher derivatives D(i_l) applied to the
 vector has nonzero determinant; that determinant is the checkable
 certificate.  The unique candidate for b . x = 1 is read off the same
 coordinate elimination, run on the stack (b, 1).
+
+The pieces take ready-made coordinate rows (row_relation,
+certificate_from_rows) so that a caller testing many vectors that share
+components builds each row once.  One elimination of (b, 1) also decides
+every unit substitution psi_j(b), b with its j-th entry replaced by 1:
+when b is independent and (b, 1) has the relation w (weight 1 on the
+1 row), psi_j(b) is independent iff w_j != 0.  Proof: w is, up to scale,
+the only relation among b and 1, and psi_j(b) is dependent iff some
+relation among b and 1 puts no weight on b_j.
 """
 
 from dataclasses import dataclass
@@ -134,17 +143,40 @@ def _det(rows) -> RatFunc:
     return RatFunc.make(-num if inversions % 2 else num, den)
 
 
-def _relation(b, m: int) -> tuple[RatFunc, ...] | None:
-    """The relation, inflated into F_q(t**(p**m)), of the first component of b
-    that adds no rank (weight 1 there, 0 after it); None when b is independent.
+def row_relation(rows, pm: int) -> tuple[RatFunc, ...] | None:
+    """The relation, inflated by t -> t**pm, of the first coordinate row that
+    adds no rank (weight 1 there, 0 after it); None when the rows are
+    independent.
     """
-    field = _check_components(b).field
-    coordinates = _Echelon(field, slots=len(b))
-    for row in coordinate_matrix(b, m):
+    coordinates = _Echelon(rows[0][0].field, slots=len(rows))
+    for row in rows:
         if not coordinates.push(row):
-            pm = prime_power(field, m)
             return tuple(inflate(c, pm) for c in coordinates.relation())
     return None
+
+
+def witness_index_set(b, pm: int) -> tuple[int, ...]:
+    """Greedy witness for an independent b: keep every derivative row
+    D(i)(b), i < pm, that grows the rank, until there are len(b) of them.
+    """
+    witness = _Echelon(b[0].field)
+    indices: list[int] = []
+    for i in range(pm):
+        if witness.push([hasse_derivative(x, i) for x in b]):
+            indices.append(i)
+            if len(indices) == len(b):
+                return tuple(indices)
+    raise InternalCheckError(
+        "coordinate rank is full but no nonsingular derivative index set was found"
+    )
+
+
+def certificate_from_rows(b, rows, pm: int) -> IndependenceCertificate:
+    """independence_test(b, m) for pm = p**m, given the coordinate rows of b."""
+    relation = row_relation(rows, pm)
+    if relation is not None:
+        return IndependenceCertificate(False, None, relation)
+    return IndependenceCertificate(True, witness_index_set(b, pm), None)
 
 
 def independence_test(b, m: int) -> IndependenceCertificate:
@@ -154,22 +186,8 @@ def independence_test(b, m: int) -> IndependenceCertificate:
     is nonsingular; dependent verdicts carry an exact annihilating relation
     with entries in the subfield.
     """
-    relation = _relation(b, m)
-    if relation is not None:
-        return IndependenceCertificate(False, None, relation)
-    field = b[0].field
-    pm = prime_power(field, m)
-    # greedy witness: keep every derivative row that grows the rank
-    witness = _Echelon(field)
-    indices: list[int] = []
-    for i in range(pm):
-        if witness.push([hasse_derivative(x, i) for x in b]):
-            indices.append(i)
-            if len(indices) == len(b):
-                return IndependenceCertificate(True, tuple(indices), None)
-    raise InternalCheckError(
-        "coordinate rank is full but no nonsingular derivative index set was found"
-    )
+    field = _check_components(b).field
+    return certificate_from_rows(b, coordinate_matrix(b, m), prime_power(field, m))
 
 
 def _validate_index_set(index_set, size: int, pm: int):
@@ -222,12 +240,17 @@ def candidate_solution(b, m: int):
     over K_m forces every component with r > 0 to vanish.
     """
     field = _check_components(b).field
-    rel = _relation((*b, RatFunc.one(field)), m)
-    if rel is None:
+    rows = coordinate_matrix((*b, RatFunc.one(field)), m)
+    return candidate_from_relation(row_relation(rows, prime_power(field, m)))
+
+
+def candidate_from_relation(relation):
+    """candidate_solution(b, m), given row_relation of the stack (b, 1)."""
+    if relation is None:
         return None
-    if not rel[-1].is_one:
+    if not relation[-1].is_one:
         raise ValueError("candidate solve requires independent components")
-    c = tuple(-w for w in rel[:-1])
+    c = tuple(-w for w in relation[:-1])
     return None if any(cj.is_zero for cj in c) else c
 
 
@@ -236,10 +259,12 @@ def verify_certificate(b, m: int, cert: IndependenceCertificate) -> bool:
     field = b[0].field
     pm = prime_power(field, m)
     if cert.independent:
+        if cert.index_set is None:
+            return False
         I = _validate_index_set(cert.index_set, len(b), pm)
         return not _det(wronskian_matrix(b, I)).is_zero
     rel = cert.relation
-    if rel is None or all(r.is_zero for r in rel):
+    if rel is None or len(rel) != len(b) or all(r.is_zero for r in rel):
         return False
     if not all(in_power_subfield(r, m) for r in rel):
         return False

@@ -3,13 +3,16 @@ import random
 import pytest
 
 from ffunits import (
+    GF,
     Equation,
     RatFunc,
     auto_m,
     build_presentation,
+    candidate_solution,
     decide,
     decide_homogeneous,
     decide_inhomogeneous,
+    independence_test,
     m2_shortcut,
     member,
     phi,
@@ -292,3 +295,86 @@ def test_verbose_collects_all_records(F3):
     assert len(full.records) == 81
     assert full.outcome == short.outcome == "inapplicable"
     assert full.failure.r == short.failure.r
+
+
+def _lemma_cases():
+    """Seeded rhs-1 equations over GF(2), GF(3), GF(4) and GF(9).
+
+    GF(2) with M = 3 and m = 1 has more components than the subfield
+    degree, so every b*r is dependent there; equations with b_1 = 1 give
+    tuples whose (b*r, 1) relation has a zero weight.
+    """
+    f4 = GF(2, 2, (1, 1, 1))  # T^2 + T + 1
+    f9 = GF(3, 2, (1, 0, 1))  # T^2 + 1
+    rng = random.Random(2011)
+    for field, arity, m in (
+        (GF(2), 2, 1), (GF(2), 3, 1), (GF(2), 2, 2), (GF(2), 3, 2),
+        (GF(3), 2, 1), (GF(3), 3, 1), (GF(3), 2, 2),
+        (f4, 2, 1), (f4, 3, 1), (f4, 2, 2),
+        (f9, 2, 1), (f9, 3, 1), (f9, 2, 2),
+    ):
+        for unit_first in (False, True):
+            gens = (rand_ratfunc(rng, field, 2, True),)
+            try:
+                group = build_presentation(gens)
+            except ValueError:
+                continue
+            b = [rand_ratfunc(rng, field, 2, True) for _ in range(arity)]
+            if unit_first:
+                b[0] = RatFunc.one(field)
+            yield Equation(tuple(b), 1), group, m
+
+
+def test_one_elimination_matches_separate_tests():
+    # every verdict, relation and candidate read off the one (b*r, 1)
+    # elimination equals what the separate per-vector routes give
+    fallback = zero_weight = lemma = 0
+    for eq, group, m in _lemma_cases():
+        report = decide_inhomogeneous(eq, group, m, exhaustive=True)
+        for rec in report.records:
+            br = tuple(x * y for x, y in zip(eq.b, rec.r))
+            psi_certs = tuple(independence_test(psi(j, br), m) for j in range(1, eq.arity + 1))
+            assert rec.psi_certificates == psi_certs
+            if rec.certificate is None:
+                assert not any(c.independent for c in psi_certs)
+                fallback += 1
+                continue
+            cert = independence_test(br, m)
+            assert rec.certificate == cert
+            if not cert.independent:
+                fallback += 1
+                assert rec.candidate is None
+                continue
+            lemma += 1
+            zero_weight += not all(c.independent for c in psi_certs)
+            if all(c.independent for c in psi_certs):
+                assert rec.candidate == candidate_solution(br, m)
+            else:
+                assert rec.candidate is None
+    assert fallback > 20 and lemma > 100 and zero_weight > 5
+
+
+def test_coordinate_rows_are_built_once_per_component_and_representative(F2, monkeypatch):
+    import ffunits.solver
+    import ffunits.wronskian
+
+    calls = []
+    for module in (ffunits.solver, ffunits.wronskian):
+        original = module.subfield_coordinates
+
+        def counted(x, m, original=original):
+            calls.append(x)
+            return original(x, m)
+
+        monkeypatch.setattr(module, "subfield_coordinates", counted)
+    group = build_presentation((el(F2, "1+T"), el(F2, "1+T+T^2")))
+    b = (RatFunc.t(F2), RatFunc.one(F2))
+    m = 2
+    report = decide_inhomogeneous(Equation(b, 1), group, m)
+    assert report.outcome == "certified-solutions"
+    assert len(report.records) == report.repset_size ** 2
+    assert len(calls) <= 2 * report.repset_size + 1
+    calls.clear()
+    report = decide_homogeneous(Equation(b, 0), group, m)
+    assert report.outcome == "certified-empty"
+    assert len(calls) <= 2 * report.repset_size

@@ -13,7 +13,12 @@ from ffunits import (
     independence_test,
     wronskian_det_adj,
 )
-from ffunits.wronskian import _Echelon, verify_certificate, wronskian_matrix
+from ffunits.wronskian import (
+    IndependenceCertificate,
+    _Echelon,
+    verify_certificate,
+    wronskian_matrix,
+)
 
 from conftest import el, rand_ratfunc, sympy_element, sympy_matrix
 
@@ -300,3 +305,18 @@ def test_index_set_validation(F2):
 def test_zero_component_rejected(F2):
     with pytest.raises(ValueError):
         independence_test((RatFunc.zero(F2), RatFunc.one(F2)), 1)
+
+
+def test_verify_rejects_relation_of_wrong_length(F2):
+    b = (RatFunc.one(F2), RatFunc.t(F2))
+    assert independence_test(b, 1).independent
+    zero, one = RatFunc.zero(F2), RatFunc.one(F2)
+    # zip would drop the third weight and see only 0*1 + 0*T = 0
+    forged = IndependenceCertificate(False, None, (zero, zero, one))
+    assert not verify_certificate(b, 1, forged)
+    assert not verify_certificate(b, 1, IndependenceCertificate(False, None, (one,)))
+
+
+def test_verify_rejects_independent_certificate_without_index_set(F2):
+    b = (RatFunc.one(F2), RatFunc.t(F2))
+    assert not verify_certificate(b, 1, IndependenceCertificate(True, None, None))
