@@ -19,14 +19,9 @@ subfield:
   membership form the complete solution set over both the group and its
   closure, bounded in size by the number of such tuples.
 
-  Every verdict of a tuple comes from one elimination of the stack
-  (b*r, 1).  Let b*r be independent.  If the stack has rank M + 1, every
-  unit substitution is independent and there is no candidate.  Otherwise
-  let w be the stack's relation, with weight 1 on the 1 row: psi_j is
-  independent iff w_j != 0, a dependent psi_j has w with w_{M+1} in slot
-  j as its relation, and the candidate is -w[:M].  Proof: w is, up to
-  scale, the only relation among b*r and 1.  Only a dependent b*r needs
-  an elimination per psi_j.
+  A tuple with b*r independent gets every unit-substitution verdict and
+  its candidate from one more elimination, by the lemma stated in
+  wronskian; only a dependent b*r needs an elimination per psi_j.
 
 Row j of the coordinate matrix of b*r depends only on (j, r_j), so each
 decision builds those rows once, on first use, and every elimination of
@@ -55,11 +50,9 @@ from .unitgroup import (
 )
 from .wronskian import (
     IndependenceCertificate,
-    candidate_from_relation,
-    certificate_from_rows,
     independence_test,
-    row_relation,
-    witness_index_set,
+    psi,
+    unit_substitution_verdicts,
 )
 
 DEFAULT_TUPLE_LIMIT = 1_000_000
@@ -93,14 +86,6 @@ def with_unit_rhs(b, c: RatFunc) -> Equation:
         return Equation(tuple(b), 0)
     inv = c.inverse()
     return Equation(tuple(x * inv for x in b), 1)
-
-
-def psi(j: int, a):
-    """Replace the j-th component (1-indexed) by 1, keep the others."""
-    if not 1 <= j <= len(a):
-        raise IndexError("component index out of range")
-    one = RatFunc.one(a[0].field)
-    return tuple(one if i == j - 1 else x for i, x in enumerate(a))
 
 
 def phi(i: int, a):
@@ -185,25 +170,6 @@ def _product_rows(b, reps: RepSet, m: int):
     return product_row
 
 
-def _psi_certificates(br, w, pm: int) -> tuple[IndependenceCertificate, ...]:
-    """The certificates of every psi(j, br) for an independent br, read off the
-    relation w of the stack (br, 1), or off its independence when w is None.
-
-    psi(j, br) is independent iff w_j != 0.  A dependent one has the relation
-    w with w_{M+1} moved into slot j, scaled to weight 1 on its last nonzero
-    entry as row_relation returns it.
-    """
-    certs = []
-    for j in range(1, len(br) + 1):
-        if w is None or not w[j - 1].is_zero:
-            certs.append(IndependenceCertificate(True, witness_index_set(psi(j, br), pm), None))
-            continue
-        u = (*w[: j - 1], w[-1], *w[j:-1])
-        last = next(c for c in reversed(u) if not c.is_zero)
-        certs.append(IndependenceCertificate(False, None, tuple(c / last for c in u)))
-    return tuple(certs)
-
-
 def _confirm_dependent(still_dependent, br, gen_powers) -> int:
     """Re-test a dependent tuple under subfield-unit scalings; bugs surface here."""
     if not gen_powers:
@@ -234,7 +200,7 @@ def decide_homogeneous(
         r = tuple(reps.elements[i] for i in combo)
         words = tuple(reps.words[i] for i in combo)
         br, rows = zip(*(product_row(j, i) for j, i in enumerate(combo)))
-        cert = certificate_from_rows(br, rows, pm)
+        cert = independence_test(br, m, rows=rows)
         records.append(TupleRecord(r, words, cert))
         if not cert.independent and failure is None:
             retries = _confirm_dependent(
@@ -270,14 +236,13 @@ def decide_inhomogeneous(
         r = tuple(reps.elements[i] for i in combo)
         words = tuple(reps.words[i] for i in combo)
         br, rows = zip(*(product_row(j, i) for j, i in enumerate(combo)))
-        # one elimination of (b*r, 1) gives every verdict when b*r is independent
-        rel = row_relation((*rows, one_row), pm)
-        br_independent = rel is None or rel[-1].is_one
-        if br_independent:
-            psi_certs = _psi_certificates(br, rel, pm)
+        cert = independence_test(br, m, rows=rows)
+        candidate = None
+        if cert.independent:
+            psi_certs, candidate = unit_substitution_verdicts(br, m, rows)
         else:
             psi_certs = tuple(
-                certificate_from_rows(psi(j, br), (*rows[: j - 1], one_row, *rows[j:]), pm)
+                independence_test(psi(j, br), m, rows=(*rows[: j - 1], one_row, *rows[j:]))
                 for j in range(1, eq.arity + 1)
             )
         if not any(c.independent for c in psi_certs):
@@ -297,18 +262,12 @@ def decide_inhomogeneous(
                 if not exhaustive:
                     break
             continue
-        if br_independent:
-            cert = IndependenceCertificate(True, witness_index_set(br, pm), None)
-        else:
-            cert = IndependenceCertificate(False, None, rel[:-1])
-        in_bound_set = br_independent and all(c.independent for c in psi_certs)
-        candidate = None
+        in_bound_set = cert.independent and all(c.independent for c in psi_certs)
         point = None
         kept = False
         witnesses = None
         if in_bound_set:
             bound += 1
-            candidate = candidate_from_relation(rel)
             if candidate is not None:
                 point = tuple(x * y for x, y in zip(r, candidate))
                 acc = RatFunc.zero(field)

@@ -11,17 +11,20 @@ relation vector of the dependent case.  When the verdict is independent, a
 witness index set I = {0 = i_1 < ... < i_M < p**m} is then produced
 greedily so that the matrix of higher derivatives D(i_l) applied to the
 vector has nonzero determinant; that determinant is the checkable
-certificate.  The unique candidate for b . x = 1 is read off the same
-coordinate elimination, run on the stack (b, 1).
+certificate.  Callers that test many vectors sharing components may pass
+the coordinate rows they already hold.
 
-The pieces take ready-made coordinate rows (row_relation,
-certificate_from_rows) so that a caller testing many vectors that share
-components builds each row once.  One elimination of (b, 1) also decides
-every unit substitution psi_j(b), b with its j-th entry replaced by 1:
-when b is independent and (b, 1) has the relation w (weight 1 on the
-1 row), psi_j(b) is independent iff w_j != 0.  Proof: w is, up to scale,
-the only relation among b and 1, and psi_j(b) is dependent iff some
-relation among b and 1 puts no weight on b_j.
+For an independent b, one more elimination decides every unit
+substitution psi(j, b) (b with its j-th entry replaced by 1) and gives
+the unique candidate for b . c = 1 (unit_substitution_verdicts).  The
+coordinate row of 1 is (1, 0, ..., 0), so the relations w of the stack
+(b, 1) are those of the rows of b without their first column, completed
+by w_{M+1} = -sum_k w_k * row_k[0].  Let w have weight 1 on the 1 row.
+Then psi(j, b) is independent iff w_j != 0, a dependent psi(j, b) has
+the relation w with w_{M+1} moved into slot j, and the candidate is
+-w[:M].  Proof: b is independent, so w is, up to scale, the only relation
+among b and 1, and psi(j, b) is dependent iff some relation among b and 1
+puts no weight on b_j.
 """
 
 from dataclasses import dataclass
@@ -143,19 +146,19 @@ def _det(rows) -> RatFunc:
     return RatFunc.make(-num if inversions % 2 else num, den)
 
 
-def row_relation(rows, pm: int) -> tuple[RatFunc, ...] | None:
-    """The relation, inflated by t -> t**pm, of the first coordinate row that
-    adds no rank (weight 1 there, 0 after it); None when the rows are
+def _relation(rows) -> tuple[RatFunc, ...] | None:
+    """The relation of the first row that adds no rank (weight 1 there, 0
+    after it), over the relabeled coordinates; None when the rows are
     independent.
     """
-    coordinates = _Echelon(rows[0][0].field, slots=len(rows))
+    echelon = _Echelon(rows[0][0].field, slots=len(rows))
     for row in rows:
-        if not coordinates.push(row):
-            return tuple(inflate(c, pm) for c in coordinates.relation())
+        if not echelon.push(row):
+            return echelon.relation()
     return None
 
 
-def witness_index_set(b, pm: int) -> tuple[int, ...]:
+def _witness(b, pm: int) -> tuple[int, ...]:
     """Greedy witness for an independent b: keep every derivative row
     D(i)(b), i < pm, that grows the rank, until there are len(b) of them.
     """
@@ -171,23 +174,67 @@ def witness_index_set(b, pm: int) -> tuple[int, ...]:
     )
 
 
-def certificate_from_rows(b, rows, pm: int) -> IndependenceCertificate:
-    """independence_test(b, m) for pm = p**m, given the coordinate rows of b."""
-    relation = row_relation(rows, pm)
-    if relation is not None:
-        return IndependenceCertificate(False, None, relation)
-    return IndependenceCertificate(True, witness_index_set(b, pm), None)
-
-
-def independence_test(b, m: int) -> IndependenceCertificate:
+def independence_test(b, m: int, rows=None) -> IndependenceCertificate:
     """Decide linear independence of b over F_q(t**(p**m)), with certificate.
 
     Independent verdicts carry a witness index set whose derivative matrix
     is nonsingular; dependent verdicts carry an exact annihilating relation
-    with entries in the subfield.
+    with entries in the subfield.  rows, when given, must be
+    coordinate_matrix(b, m).
     """
-    field = _check_components(b).field
-    return certificate_from_rows(b, coordinate_matrix(b, m), prime_power(field, m))
+    pm = prime_power(_check_components(b).field, m)
+    relation = _relation(coordinate_matrix(b, m) if rows is None else rows)
+    if relation is not None:
+        return IndependenceCertificate(False, None, tuple(inflate(c, pm) for c in relation))
+    return IndependenceCertificate(True, _witness(b, pm), None)
+
+
+def psi(j: int, a):
+    """Replace the j-th component (1-indexed) by 1, keep the others."""
+    if not 1 <= j <= len(a):
+        raise IndexError("component index out of range")
+    one = RatFunc.one(a[0].field)
+    return tuple(one if i == j - 1 else x for i, x in enumerate(a))
+
+
+def _unit_relation(rows, pm: int) -> tuple[RatFunc, ...] | None:
+    """The relation of the stack (b, 1), weight 1 on the 1 row, for b
+    independent with coordinate rows rows; None when the stack is
+    independent.
+    """
+    tail = _relation([row[1:] for row in rows])
+    if tail is None:
+        return None
+    head = RatFunc.zero(rows[0][0].field)
+    for w, row in zip(tail, rows):
+        head = head - w * row[0]
+    if head.is_zero:
+        raise InternalCheckError("relation of the coordinate rows of an independent vector")
+    return (*(inflate(w / head, pm) for w in tail), RatFunc.one(head.field))
+
+
+def _candidate(w):
+    if w is None:
+        return None
+    c = tuple(-x for x in w[:-1])
+    return None if any(x.is_zero for x in c) else c
+
+
+def unit_substitution_verdicts(b, m: int, rows):
+    """(independence_test(psi(j, b), m) for every j, candidate_solution(b, m))
+    for an independent b with coordinate rows rows, from one elimination.
+    """
+    pm = prime_power(_check_components(b).field, m)
+    w = _unit_relation(rows, pm)
+    certs = []
+    for j in range(1, len(b) + 1):
+        if w is None or not w[j - 1].is_zero:
+            certs.append(IndependenceCertificate(True, _witness(psi(j, b), pm), None))
+            continue
+        u = (*w[: j - 1], w[-1], *w[j:-1])
+        last = next(x for x in reversed(u) if not x.is_zero)
+        certs.append(IndependenceCertificate(False, None, tuple(x / last for x in u)))
+    return tuple(certs), _candidate(w)
 
 
 def _validate_index_set(index_set, size: int, pm: int):
@@ -239,19 +286,11 @@ def candidate_solution(b, m: int):
     K (x)_{K_m} K onto K[u]/(u**(p**m)), so expanding c in the basis t**r
     over K_m forces every component with r > 0 to vanish.
     """
-    field = _check_components(b).field
-    rows = coordinate_matrix((*b, RatFunc.one(field)), m)
-    return candidate_from_relation(row_relation(rows, prime_power(field, m)))
-
-
-def candidate_from_relation(relation):
-    """candidate_solution(b, m), given row_relation of the stack (b, 1)."""
-    if relation is None:
-        return None
-    if not relation[-1].is_one:
+    pm = prime_power(_check_components(b).field, m)
+    rows = coordinate_matrix(b, m)
+    if _relation(rows) is not None:
         raise ValueError("candidate solve requires independent components")
-    c = tuple(-w for w in relation[:-1])
-    return None if any(cj.is_zero for cj in c) else c
+    return _candidate(_unit_relation(rows, pm))
 
 
 def verify_certificate(b, m: int, cert: IndependenceCertificate) -> bool:

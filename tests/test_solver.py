@@ -326,8 +326,9 @@ def _lemma_cases():
 
 
 def test_one_elimination_matches_separate_tests():
-    # every verdict, relation and candidate read off the one (b*r, 1)
-    # elimination equals what the separate per-vector routes give
+    # every verdict, relation and candidate of the tuple loop (b*r's own
+    # test, then one elimination for all unit substitutions, or one per
+    # psi_j when b*r is dependent) equals what the separate routes give
     fallback = zero_weight = lemma = 0
     for eq, group, m in _lemma_cases():
         report = decide_inhomogeneous(eq, group, m, exhaustive=True)

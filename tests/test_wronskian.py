@@ -16,6 +16,8 @@ from ffunits import (
 from ffunits.wronskian import (
     IndependenceCertificate,
     _Echelon,
+    psi,
+    unit_substitution_verdicts,
     verify_certificate,
     wronskian_matrix,
 )
@@ -272,6 +274,45 @@ def test_candidate_matches_witness_solve(F2, F3):
                 planted_found += 1
             produced += c is not None
     assert compared > 100 and produced > 20 and planted_found > 20
+
+
+def test_unit_substitution_verdicts_match_separate_tests(F2, F3):
+    # the one elimination of the rows of b without their first column gives
+    # what a separate independence test of every psi(j, b) and the stacked
+    # candidate solve give; b_1 = 1 makes psi(j, b) dependent for j > 1
+    fields = (F2, F3, GF(2, 2, (1, 1, 1)), GF(3, 2, (1, 0, 1)))
+    rng = random.Random(131)
+    lemma = dependent_psi = candidates = 0
+    for field, m, M in itertools.product(fields, (1, 2), (1, 2, 3)):
+        pm = field.p**m
+        for trial in range(8):
+            b = [rand_ratfunc(rng, field, 2, True) for _ in range(M)]
+            if trial % 4 == 1:
+                b[0] = RatFunc.one(field)
+            if trial % 4 == 2 and M > 1:
+                # planted: b . c = 1 for a c with subfield entries
+                c = [rand_ratfunc(rng, field, 1, True) ** pm for _ in range(M)]
+                rest = RatFunc.one(field)
+                for x, cj in zip(b[:-1], c[:-1]):
+                    rest = rest - x * cj
+                if rest.is_zero:
+                    continue
+                b[-1] = rest / c[-1]
+            b = tuple(b)
+            rows = coordinate_matrix(b, m)
+            cert = independence_test(b, m)
+            assert independence_test(b, m, rows=rows) == cert
+            if not cert.independent:
+                continue
+            want = (
+                tuple(independence_test(psi(j, b), m) for j in range(1, M + 1)),
+                candidate_solution(b, m),
+            )
+            assert unit_substitution_verdicts(b, m, rows) == want
+            lemma += 1
+            dependent_psi += not all(c.independent for c in want[0])
+            candidates += want[1] is not None
+    assert lemma > 100 and dependent_psi > 10 and candidates > 10
 
 
 def test_candidate_scaling_by_subfield_units(F2):
