@@ -35,8 +35,6 @@ from .solver import (
     Equation,
     auto_m,
     decide,
-    decide_homogeneous,
-    decide_inhomogeneous,
     m2_shortcut,
     phi,
     psi,
@@ -94,8 +92,6 @@ __all__ = [
     "phi",
     "with_unit_rhs",
     "decide",
-    "decide_homogeneous",
-    "decide_inhomogeneous",
     "auto_m",
     "m2_shortcut",
     "ResidueGroup",

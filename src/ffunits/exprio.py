@@ -50,11 +50,15 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise ParseError("integer literal too long", i) from None
+            tokens.append(("int", value, i))
             i = j
             continue
         if ch == "T":

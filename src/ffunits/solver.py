@@ -19,9 +19,10 @@ subfield:
   membership form the complete solution set over both the group and its
   closure, bounded in size by the number of such tuples.
 
-  A tuple with b*r independent gets every unit-substitution verdict and
-  its candidate from one more elimination, by the lemma stated in
-  wronskian; only a dependent b*r needs an elimination per psi_j.
+Both criteria run in one tuple loop (decide); only the record of a tuple
+differs.  For rhs 1 it comes from one call to
+wronskian.unit_substitution_verdicts, which returns the verdict of b*r,
+those of every psi_j and the candidate.
 
 Row j of the coordinate matrix of b*r depends only on (j, r_j), so each
 decision builds those rows once, on first use, and every elimination of
@@ -117,6 +118,13 @@ class TupleRecord:
     kept: bool = False
     member_witnesses: tuple[MembershipWitness, ...] | None = None
 
+    @property
+    def fails(self) -> bool:
+        """No verdict the criterion reads is independent: that of b*r for
+        rhs 0, those of the psi_j for rhs 1.
+        """
+        return not any(c.independent for c in self.psi_certificates or (self.certificate,))
+
 
 @dataclass(frozen=True)
 class FailureRecord:
@@ -170,26 +178,45 @@ def _product_rows(b, reps: RepSet, m: int):
     return product_row
 
 
-def _confirm_dependent(still_dependent, br, gen_powers) -> int:
-    """Re-test a dependent tuple under subfield-unit scalings; bugs surface here."""
+def _confirm_failure(rhs: int, br, m: int, gen_powers) -> int:
+    """Re-test a failing tuple under subfield-unit scalings; bugs surface here."""
     if not gen_powers:
         return 0
-    retries = 0
     for k in range(MAX_DEPENDENCE_RETRIES):
-        retries += 1
-        if not still_dependent(_scaled(br, gen_powers, k)):
+        v = _scaled(br, gen_powers, k)
+        tested = (v,) if rhs == 0 else (psi(j, v) for j in range(1, len(v) + 1))
+        if any(independence_test(u, m).independent for u in tested):
             raise InternalCheckError(
                 "dependence verdict changed under a p**m-th power scaling"
             )
-    return retries
+    return MAX_DEPENDENCE_RETRIES
 
 
-def decide_homogeneous(
+def _inhomogeneous_record(eq, group, m, r, words, br, rows) -> TupleRecord:
+    """The rhs-1 record of one tuple: a failing tuple keeps only its psi_j
+    verdicts, and a candidate (only an eligible tuple has one) is checked by
+    exact substitution and coordinatewise membership.
+    """
+    cert, psi_certs, candidate = unit_substitution_verdicts(br, m, rows)
+    if not any(c.independent for c in psi_certs):
+        return TupleRecord(r, words, None, psi_certs)
+    if candidate is None:
+        return TupleRecord(r, words, cert, psi_certs)
+    point = tuple(x * y for x, y in zip(r, candidate))
+    acc = RatFunc.zero(group.field)
+    for x, y in zip(eq.b, point):
+        acc = acc + x * y
+    witnesses = tuple(member(x, group) for x in point)
+    kept = acc.is_one and all(w.member for w in witnesses)
+    return TupleRecord(r, words, cert, psi_certs, candidate, point, kept, witnesses)
+
+
+def decide(
     eq: Equation, group: SubgroupPresentation, m: int, exhaustive: bool = False
 ) -> CertifiedReport:
-    """Certify emptiness of b . x = 0 over the group closure at precision m."""
-    if eq.rhs != 0:
-        raise ValueError("decide_homogeneous expects an rhs-0 equation")
+    """Decide b . x = rhs at precision m: certify emptiness (rhs 0) or the
+    complete solution set (rhs 1), or report the first failing tuple.
+    """
     pm = prime_power(group.field, m)
     gen_powers = [g**pm for g in group.generators]
     reps = representatives(group, m)
@@ -200,109 +227,31 @@ def decide_homogeneous(
         r = tuple(reps.elements[i] for i in combo)
         words = tuple(reps.words[i] for i in combo)
         br, rows = zip(*(product_row(j, i) for j, i in enumerate(combo)))
-        cert = independence_test(br, m, rows=rows)
-        records.append(TupleRecord(r, words, cert))
-        if not cert.independent and failure is None:
-            retries = _confirm_dependent(
-                lambda v: not independence_test(v, m).independent, br, gen_powers
+        if eq.rhs == 0:
+            rec = TupleRecord(r, words, independence_test(br, m, rows=rows))
+        else:
+            rec = _inhomogeneous_record(eq, group, m, r, words, br, rows)
+        records.append(rec)
+        if rec.fails and failure is None:
+            retries = _confirm_failure(eq.rhs, br, m, gen_powers)
+            reason = ("dependent-products", "all-unit-substitutions-dependent")[eq.rhs]
+            failure = FailureRecord(
+                r, words, reason, rec.certificate, rec.psi_certificates, retries
             )
-            failure = FailureRecord(r, words, "dependent-products", cert, None, retries)
             if not exhaustive:
                 break
+    outcome = ("certified-empty", "certified-solutions")[eq.rhs]
+    solutions = bound = None
     if failure is not None:
-        return CertifiedReport(
-            "inapplicable", m, eq, len(reps), tuple(records), failure=failure
+        outcome = "inapplicable"
+    elif eq.rhs == 1:
+        kept = {rec.point: rec.member_witnesses for rec in records if rec.kept}
+        solutions = tuple(SolutionPoint(p, tuple(w.word for w in ws)) for p, ws in kept.items())
+        bound = sum(
+            rec.certificate.independent and all(c.independent for c in rec.psi_certificates)
+            for rec in records
         )
-    return CertifiedReport("certified-empty", m, eq, len(reps), tuple(records))
-
-
-def decide_inhomogeneous(
-    eq: Equation, group: SubgroupPresentation, m: int, exhaustive: bool = False
-) -> CertifiedReport:
-    """Compute the certified, complete solution set of b . x = 1 at precision m."""
-    if eq.rhs != 1:
-        raise ValueError("decide_inhomogeneous expects an rhs-1 equation")
-    field = group.field
-    pm = prime_power(field, m)
-    gen_powers = [g**pm for g in group.generators]
-    reps = representatives(group, m)
-    product_row = _product_rows(eq.b, reps, m)
-    one_row = subfield_coordinates(RatFunc.one(field), m)
-    records = []
-    failure = None
-    solutions: dict[tuple[RatFunc, ...], SolutionPoint] = {}
-    bound = 0
-    for combo in _tuple_space(reps, eq.arity):
-        r = tuple(reps.elements[i] for i in combo)
-        words = tuple(reps.words[i] for i in combo)
-        br, rows = zip(*(product_row(j, i) for j, i in enumerate(combo)))
-        cert = independence_test(br, m, rows=rows)
-        candidate = None
-        if cert.independent:
-            psi_certs, candidate = unit_substitution_verdicts(br, m, rows)
-        else:
-            psi_certs = tuple(
-                independence_test(psi(j, br), m, rows=(*rows[: j - 1], one_row, *rows[j:]))
-                for j in range(1, eq.arity + 1)
-            )
-        if not any(c.independent for c in psi_certs):
-            records.append(TupleRecord(r, words, None, psi_certs))
-            if failure is None:
-                retries = _confirm_dependent(
-                    lambda v: not any(
-                        independence_test(psi(j, v), m).independent
-                        for j in range(1, eq.arity + 1)
-                    ),
-                    br,
-                    gen_powers,
-                )
-                failure = FailureRecord(
-                    r, words, "all-unit-substitutions-dependent", None, psi_certs, retries
-                )
-                if not exhaustive:
-                    break
-            continue
-        in_bound_set = cert.independent and all(c.independent for c in psi_certs)
-        point = None
-        kept = False
-        witnesses = None
-        if in_bound_set:
-            bound += 1
-            if candidate is not None:
-                point = tuple(x * y for x, y in zip(r, candidate))
-                acc = RatFunc.zero(field)
-                for x, y in zip(eq.b, point):
-                    acc = acc + x * y
-                witnesses = tuple(member(x, group) for x in point)
-                kept = acc.is_one and all(w.member for w in witnesses)
-                if kept and point not in solutions:
-                    solutions[point] = SolutionPoint(
-                        point, tuple(w.word for w in witnesses)
-                    )
-        records.append(
-            TupleRecord(r, words, cert, psi_certs, candidate, point, kept, witnesses)
-        )
-    if failure is not None:
-        return CertifiedReport(
-            "inapplicable", m, eq, len(reps), tuple(records), failure=failure
-        )
-    return CertifiedReport(
-        "certified-solutions",
-        m,
-        eq,
-        len(reps),
-        tuple(records),
-        solutions=tuple(solutions.values()),
-        bound=bound,
-    )
-
-
-def decide(
-    eq: Equation, group: SubgroupPresentation, m: int, exhaustive: bool = False
-) -> CertifiedReport:
-    if eq.rhs == 0:
-        return decide_homogeneous(eq, group, m, exhaustive)
-    return decide_inhomogeneous(eq, group, m, exhaustive)
+    return CertifiedReport(outcome, m, eq, len(reps), tuple(records), solutions, bound, failure)
 
 
 def auto_m(

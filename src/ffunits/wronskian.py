@@ -14,9 +14,10 @@ vector has nonzero determinant; that determinant is the checkable
 certificate.  Callers that test many vectors sharing components may pass
 the coordinate rows they already hold.
 
-For an independent b, one more elimination decides every unit
-substitution psi(j, b) (b with its j-th entry replaced by 1) and gives
-the unique candidate for b . c = 1 (unit_substitution_verdicts).  The
+unit_substitution_verdicts answers, for any b, its own test, every unit
+substitution psi(j, b) (b with its j-th entry replaced by 1) and the
+candidate for b . c = 1.  For an independent b one more elimination
+decides all of the psi(j, b) and gives the unique candidate.  The
 coordinate row of 1 is (1, 0, ..., 0), so the relations w of the stack
 (b, 1) are those of the rows of b without their first column, completed
 by w_{M+1} = -sum_k w_k * row_k[0].  Let w have weight 1 on the 1 row.
@@ -221,10 +222,23 @@ def _candidate(w):
 
 
 def unit_substitution_verdicts(b, m: int, rows):
-    """(independence_test(psi(j, b), m) for every j, candidate_solution(b, m))
-    for an independent b with coordinate rows rows, from one elimination.
+    """(independence_test(b, m), independence_test(psi(j, b), m) for every j,
+    the candidate for b . c = 1) for b with coordinate rows rows.
+
+    An independent b takes one more elimination, and its candidate is
+    candidate_solution(b, m); a dependent b has no candidate and takes one
+    test per psi(j, b), over rows with the row of 1 in slot j.
     """
-    pm = prime_power(_check_components(b).field, m)
+    cert = independence_test(b, m, rows=rows)
+    field = b[0].field
+    if not cert.independent:
+        one_row = (RatFunc.one(field), *(RatFunc.zero(field),) * (len(rows[0]) - 1))
+        psi_certs = tuple(
+            independence_test(psi(j, b), m, rows=(*rows[: j - 1], one_row, *rows[j:]))
+            for j in range(1, len(b) + 1)
+        )
+        return cert, psi_certs, None
+    pm = prime_power(field, m)
     w = _unit_relation(rows, pm)
     certs = []
     for j in range(1, len(b) + 1):
@@ -234,16 +248,12 @@ def unit_substitution_verdicts(b, m: int, rows):
         u = (*w[: j - 1], w[-1], *w[j:-1])
         last = next(x for x in reversed(u) if not x.is_zero)
         certs.append(IndependenceCertificate(False, None, tuple(x / last for x in u)))
-    return tuple(certs), _candidate(w)
+    return cert, tuple(certs), _candidate(w)
 
 
-def _validate_index_set(index_set, size: int, pm: int):
-    I = tuple(index_set)
-    if len(I) != size or len(set(I)) != size:
-        raise ValueError("index set size must match the vector length")
-    if list(I) != sorted(I) or I[0] != 0 or I[-1] >= pm:
-        raise ValueError("index set must satisfy 0 = i_1 < ... < i_M < p**m")
-    return I
+def _is_index_set(I, size: int, pm: int) -> bool:
+    """Whether I is 0 = i_1 < ... < i_size < pm."""
+    return len(I) == size and list(I) == sorted(set(I)) and I[0] == 0 and I[-1] < pm
 
 
 def wronskian_matrix(b, index_set) -> list[list[RatFunc]]:
@@ -256,7 +266,9 @@ def wronskian_det_adj(b, index_set, m: int) -> tuple[RatFunc, tuple[tuple[RatFun
     """Exact determinant and adjugate of the derivative matrix at index_set."""
     _check_components(b)
     pm = prime_power(b[0].field, m)
-    I = _validate_index_set(index_set, len(b), pm)
+    I = tuple(index_set)
+    if not _is_index_set(I, len(b), pm):
+        raise ValueError("index set must satisfy 0 = i_1 < ... < i_M < p**m")
     T = wronskian_matrix(b, I)
     n = len(T)
     det = _det(T)
@@ -298,9 +310,9 @@ def verify_certificate(b, m: int, cert: IndependenceCertificate) -> bool:
     field = b[0].field
     pm = prime_power(field, m)
     if cert.independent:
-        if cert.index_set is None:
+        I = cert.index_set
+        if I is None or not _is_index_set(tuple(I), len(b), pm):
             return False
-        I = _validate_index_set(cert.index_set, len(b), pm)
         return not _det(wronskian_matrix(b, I)).is_zero
     rel = cert.relation
     if rel is None or len(rel) != len(b) or all(r.is_zero for r in rel):

@@ -17,7 +17,7 @@ from ffunits import (
     auto_m,
     build_presentation,
     closure_probe,
-    decide_homogeneous,
+    decide,
     find_local_obstruction,
     kernel_element_check,
     poly_powmod,
@@ -122,7 +122,7 @@ def test_criterion_3_failing_instance(gap, F3):
 
     outcomes = []
     for m in (1, 2, 3):
-        report = decide_homogeneous(Equation(b, 0), group, m)
+        report = decide(Equation(b, 0), group, m)
         outcomes.append(report.outcome)
         assert report.failure.r == ones
     assert outcomes == ["inapplicable"] * 3

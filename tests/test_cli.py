@@ -141,6 +141,16 @@ def test_input_errors():
     assert code == 3 and "modulus base must be monic irreducible" in err
     code, out, err = run(["indep", "--b", "T^2^3", "--m", "1", "--p", "2"])
     assert code == 3 and "position" in err
+    # a superscript two passes str.isdigit but is not a literal
+    for argv in (
+        ["solve", "--p", "2", "--gens", "T\u00b2", "--b", "T,1"],
+        ["hasse", "--p", "2", "--x", "T\u00b2", "--i", "1"],
+        ["factor", "--p", "3", "--poly", "T\u00b2"],
+        ["probe", "--p", "3", "--g", "T\u00b2", "--base", "T^2+1", "--e", "1", "--n-max", "6"],
+        ["indep", "--b", "T\u00b2, 1", "--m", "1", "--p", "2"],
+    ):
+        code, out, err = run(argv)
+        assert code == 3 and "position 1" in err, argv
     code, out, err = run(["solve", "--instance", "/nonexistent.toy"])
     assert code == 3
     code, out, err = run(["solve", "--p", "2", "--gens", "1+T", "--b", "T, 1", "--m", "0"])

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -47,6 +48,22 @@ def test_precedence(F2, F3):
         parse_expr("(1+T")
     with pytest.raises(ParseError):
         parse_expr("T^")
+
+
+def test_bad_literals_are_parse_errors():
+    # str.isdigit also accepts superscripts, which int() rejects, and other
+    # scripts' digits, which int() reads as numbers; int() also rejects a
+    # literal longer than the interpreter's digit limit
+    for text, position in (("T\u00b2", 1), ("1+\u00b2", 2), ("T^\u00b2", 2), ("\u0663", 0)):
+        with pytest.raises(ParseError) as excinfo:
+            parse_expr(text)
+        assert excinfo.value.position == position
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:  # int() refuses longer digit strings; 0 means no limit
+        text = "T + " + "1" * (limit + 1)
+        with pytest.raises(ParseError, match="too long") as excinfo:
+            parse_expr(text)
+        assert excinfo.value.position == 4
 
 
 def test_literals_reduce_mod_p(F3):

@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -5,13 +6,12 @@ import pytest
 from ffunits import (
     GF,
     Equation,
+    IndependenceCertificate,
     RatFunc,
     auto_m,
     build_presentation,
     candidate_solution,
     decide,
-    decide_homogeneous,
-    decide_inhomogeneous,
     independence_test,
     m2_shortcut,
     member,
@@ -19,7 +19,10 @@ from ffunits import (
     psi,
     with_unit_rhs,
 )
+from ffunits.cli import run_cli
+from ffunits.errors import InternalCheckError
 from ffunits.localprobe import sg_search
+from ffunits.solver import MAX_DEPENDENCE_RETRIES
 from ffunits.wronskian import verify_certificate
 
 from conftest import el, rand_ratfunc
@@ -66,7 +69,7 @@ def worked(F2):
 
 def test_homogeneous_certified_empty(worked, F2):
     group, eq0, _ = worked
-    report = decide_homogeneous(eq0, group, 1)
+    report = decide(eq0, group, 1)
     assert report.outcome == "certified-empty"
     assert report.repset_size == 2
     assert len(report.records) == 4
@@ -79,7 +82,7 @@ def test_homogeneous_certified_empty(worked, F2):
 def test_homogeneous_inapplicable_fixed_point(F3):
     group = build_presentation((el(F3, "T"), el(F3, "-T"), el(F3, "1-T")))
     eq = Equation((RatFunc.one(F3), RatFunc.one(F3)), 0)
-    report = decide_homogeneous(eq, group, 1)
+    report = decide(eq, group, 1)
     assert report.outcome == "inapplicable"
     assert report.failure.r == (RatFunc.one(F3), RatFunc.one(F3))
     assert report.failure.retries == 8
@@ -94,14 +97,14 @@ def test_homogeneous_inapplicable_power_classes(F2):
     group = build_presentation((el(F2, "T"), el(F2, "1+T")))
     eq = Equation((RatFunc.t(F2), el(F2, "1+T")), 0)
     for m in (1, 2, 3):
-        report = decide_homogeneous(eq, group, m)
+        report = decide(eq, group, m)
         assert report.outcome == "inapplicable"
         assert not report.failure.certificate.independent
 
 
 def test_inhomogeneous_worked_instance(worked, F2):
     group, _, eq1 = worked
-    report = decide_inhomogeneous(eq1, group, 1)
+    report = decide(eq1, group, 1)
     assert report.outcome == "certified-solutions"
     assert report.bound == 2
     points = {s.coords for s in report.solutions}
@@ -122,28 +125,54 @@ def test_inhomogeneous_worked_instance(worked, F2):
 def test_inhomogeneous_inapplicable(F3):
     group = build_presentation((el(F3, "T"), el(F3, "-T"), el(F3, "1-T")))
     eq = Equation((RatFunc.one(F3), RatFunc.one(F3)), 1)
-    report = decide_inhomogeneous(eq, group, 1)
+    report = decide(eq, group, 1)
     assert report.outcome == "inapplicable"
     assert report.failure.r == (RatFunc.one(F3), RatFunc.one(F3))
     assert report.failure.reason == "all-unit-substitutions-dependent"
+    assert report.failure.retries == MAX_DEPENDENCE_RETRIES
     assert all(not c.independent for c in report.failure.psi_certificates)
+
+
+@pytest.mark.parametrize("rhs", (0, 1))
+def test_retest_that_disagrees_is_an_internal_fault(F3, rhs, monkeypatch):
+    # the scaled re-test of the first failing tuple is the only caller of
+    # solver.independence_test without rows; make it answer independent
+    import ffunits.solver
+
+    original = ffunits.solver.independence_test
+
+    def disagreeing(b, m, rows=None):
+        if rows is None:
+            return IndependenceCertificate(True, None, None)
+        return original(b, m, rows=rows)
+
+    group = build_presentation((el(F3, "T"), el(F3, "-T"), el(F3, "1-T")))
+    eq = Equation((RatFunc.one(F3), RatFunc.one(F3)), rhs)
+    assert decide(eq, group, 1).outcome == "inapplicable"
+    monkeypatch.setattr(ffunits.solver, "independence_test", disagreeing)
+    with pytest.raises(InternalCheckError, match="dependence verdict changed"):
+        decide(eq, group, 1)
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["solve", "--p", "3", "--gens", "T, -T, 1-T", "--b", "1, 1", "--rhs", str(rhs), "--m", "1"]
+    assert run_cli(argv, stdout=out, stderr=err) == 1
+    assert out.getvalue() == "" and "internal check failed" in err.getvalue()
 
 
 def test_single_term_equations(F2):
     group = build_presentation((el(F2, "1+T"),))
     # 1/b is a member: the unique solution is found
     eq = Equation((el(F2, "1/(1+T)"),), 1)
-    report = decide_inhomogeneous(eq, group, 1)
+    report = decide(eq, group, 1)
     assert report.outcome == "certified-solutions"
     assert {s.coords for s in report.solutions} == {(el(F2, "1+T"),)}
     # 1/b is not a member: certified-solutions with the empty set
     eq = Equation((RatFunc.t(F2),), 1)
-    report = decide_inhomogeneous(eq, group, 1)
+    report = decide(eq, group, 1)
     assert report.outcome == "certified-solutions"
     assert report.solutions == ()
     # homogeneous single-term equations are always certified empty
     eq = Equation((RatFunc.t(F2),), 0)
-    assert decide_homogeneous(eq, group, 1).outcome == "certified-empty"
+    assert decide(eq, group, 1).outcome == "certified-empty"
 
 
 def test_auto_m(worked, F2, F3):
@@ -167,18 +196,14 @@ def test_decide_dispatch(worked):
     group, eq0, eq1 = worked
     assert decide(eq0, group, 1).outcome == "certified-empty"
     assert decide(eq1, group, 1).outcome == "certified-solutions"
-    with pytest.raises(ValueError):
-        decide_homogeneous(eq1, group, 1)
-    with pytest.raises(ValueError):
-        decide_inhomogeneous(eq0, group, 1)
 
 
 def test_solution_equivariance(worked, F2):
     group, _, eq1 = worked
     gamma = (el(F2, "1+T"), el(F2, "(1+T)^-1"))
     scaled = Equation(tuple(b * g for b, g in zip(eq1.b, gamma)), 1)
-    base = decide_inhomogeneous(eq1, group, 1)
-    other = decide_inhomogeneous(scaled, group, 1)
+    base = decide(eq1, group, 1)
+    other = decide(scaled, group, 1)
     assert other.outcome == "certified-solutions"
     expected = {tuple(x / g for x, g in zip(s.coords, gamma)) for s in base.solutions}
     assert {s.coords for s in other.solutions} == expected
@@ -186,13 +211,13 @@ def test_solution_equivariance(worked, F2):
 
 def test_certified_empty_matches_brute_force(worked):
     group, eq0, _ = worked
-    assert decide_homogeneous(eq0, group, 1).outcome == "certified-empty"
+    assert decide(eq0, group, 1).outcome == "certified-empty"
     assert sg_search(eq0, group, 6) == ()
 
 
 def test_certified_solutions_match_brute_force(worked):
     group, _, eq1 = worked
-    report = decide_inhomogeneous(eq1, group, 1)
+    report = decide(eq1, group, 1)
     brute = sg_search(eq1, group, 8)
     assert {s.coords for s in report.solutions} == {s.coords for s in brute}
 
@@ -289,8 +314,8 @@ def test_extension_field_instance():
 def test_verbose_collects_all_records(F3):
     group = build_presentation((el(F3, "T"), el(F3, "-T"), el(F3, "1-T")))
     eq = Equation((RatFunc.one(F3), RatFunc.one(F3)), 0)
-    short = decide_homogeneous(eq, group, 1)
-    full = decide_homogeneous(eq, group, 1, exhaustive=True)
+    short = decide(eq, group, 1)
+    full = decide(eq, group, 1, exhaustive=True)
     assert len(short.records) == 1  # stops at the first failing tuple
     assert len(full.records) == 81
     assert full.outcome == short.outcome == "inapplicable"
@@ -331,7 +356,7 @@ def test_one_elimination_matches_separate_tests():
     # psi_j when b*r is dependent) equals what the separate routes give
     fallback = zero_weight = lemma = 0
     for eq, group, m in _lemma_cases():
-        report = decide_inhomogeneous(eq, group, m, exhaustive=True)
+        report = decide(eq, group, m, exhaustive=True)
         for rec in report.records:
             br = tuple(x * y for x, y in zip(eq.b, rec.r))
             psi_certs = tuple(independence_test(psi(j, br), m) for j in range(1, eq.arity + 1))
@@ -371,11 +396,11 @@ def test_coordinate_rows_are_built_once_per_component_and_representative(F2, mon
     group = build_presentation((el(F2, "1+T"), el(F2, "1+T+T^2")))
     b = (RatFunc.t(F2), RatFunc.one(F2))
     m = 2
-    report = decide_inhomogeneous(Equation(b, 1), group, m)
+    report = decide(Equation(b, 1), group, m)
     assert report.outcome == "certified-solutions"
     assert len(report.records) == report.repset_size ** 2
     assert len(calls) <= 2 * report.repset_size + 1
     calls.clear()
-    report = decide_homogeneous(Equation(b, 0), group, m)
+    report = decide(Equation(b, 0), group, m)
     assert report.outcome == "certified-empty"
     assert len(calls) <= 2 * report.repset_size

@@ -279,10 +279,12 @@ def test_candidate_matches_witness_solve(F2, F3):
 def test_unit_substitution_verdicts_match_separate_tests(F2, F3):
     # the one elimination of the rows of b without their first column gives
     # what a separate independence test of every psi(j, b) and the stacked
-    # candidate solve give; b_1 = 1 makes psi(j, b) dependent for j > 1
+    # candidate solve give; b_1 = 1 makes psi(j, b) dependent for j > 1;
+    # a dependent b (planted, or any b with M > p**m) gets one test per
+    # psi(j, b)
     fields = (F2, F3, GF(2, 2, (1, 1, 1)), GF(3, 2, (1, 0, 1)))
     rng = random.Random(131)
-    lemma = dependent_psi = candidates = 0
+    lemma = dependent_psi = candidates = dependent_b = dependent_b_psi = 0
     for field, m, M in itertools.product(fields, (1, 2), (1, 2, 3)):
         pm = field.p**m
         for trial in range(8):
@@ -298,21 +300,26 @@ def test_unit_substitution_verdicts_match_separate_tests(F2, F3):
                 if rest.is_zero:
                     continue
                 b[-1] = rest / c[-1]
+            if trial % 4 == 3 and M > 1:
+                # planted dependence: b_2 is b_1 times a subfield element
+                b[1] = b[0] * rand_ratfunc(rng, field, 1, True) ** pm
             b = tuple(b)
             rows = coordinate_matrix(b, m)
             cert = independence_test(b, m)
             assert independence_test(b, m, rows=rows) == cert
+            psi_certs = tuple(independence_test(psi(j, b), m) for j in range(1, M + 1))
             if not cert.independent:
+                assert unit_substitution_verdicts(b, m, rows) == (cert, psi_certs, None)
+                dependent_b += 1
+                dependent_b_psi += any(c.independent for c in psi_certs)
                 continue
-            want = (
-                tuple(independence_test(psi(j, b), m) for j in range(1, M + 1)),
-                candidate_solution(b, m),
-            )
+            want = (cert, psi_certs, candidate_solution(b, m))
             assert unit_substitution_verdicts(b, m, rows) == want
             lemma += 1
-            dependent_psi += not all(c.independent for c in want[0])
-            candidates += want[1] is not None
+            dependent_psi += not all(c.independent for c in psi_certs)
+            candidates += want[2] is not None
     assert lemma > 100 and dependent_psi > 10 and candidates > 10
+    assert dependent_b > 30 and dependent_b_psi > 10
 
 
 def test_candidate_scaling_by_subfield_units(F2):
@@ -356,6 +363,13 @@ def test_verify_rejects_relation_of_wrong_length(F2):
     forged = IndependenceCertificate(False, None, (zero, zero, one))
     assert not verify_certificate(b, 1, forged)
     assert not verify_certificate(b, 1, IndependenceCertificate(False, None, (one,)))
+
+
+def test_verify_rejects_malformed_index_set(F2):
+    b = (RatFunc.one(F2), RatFunc.t(F2))
+    assert verify_certificate(b, 1, IndependenceCertificate(True, (0, 1), None))
+    for index_set in ((1, 0), (0,), (0, 0), (0, 5), (0, 1, 2)):
+        assert not verify_certificate(b, 1, IndependenceCertificate(True, index_set, None))
 
 
 def test_verify_rejects_independent_certificate_without_index_set(F2):
