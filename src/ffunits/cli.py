@@ -130,21 +130,17 @@ def _equation(args, cfg, field: GF) -> solver.Equation:
         raise InputError(str(exc)) from None
 
 
-def _txt(x: RatFunc) -> str:
-    return print_expr(x)
-
-
 def _cert_json(cert: wronskian.IndependenceCertificate | None):
     if cert is None:
         return None
     if cert.independent:
         return {"verdict": "independent", "index_set": list(cert.index_set)}
-    return {"verdict": "dependent", "relation": [_txt(r) for r in cert.relation]}
+    return {"verdict": "dependent", "relation": [print_expr(r) for r in cert.relation]}
 
 
 def _witness_json(rec: solver.TupleRecord):
     entry = {
-        "r": [_txt(x) for x in rec.r],
+        "r": [print_expr(x) for x in rec.r],
         "r_words": [list(w) for w in rec.r_words],
         "certificate": {
             "products": _cert_json(rec.certificate),
@@ -156,8 +152,8 @@ def _witness_json(rec: solver.TupleRecord):
         },
     }
     if rec.candidate is not None:
-        entry["candidate"] = [_txt(x) for x in rec.candidate]
-        entry["point"] = [_txt(x) for x in rec.point]
+        entry["candidate"] = [print_expr(x) for x in rec.candidate]
+        entry["point"] = [print_expr(x) for x in rec.point]
         entry["kept"] = rec.kept
     return entry
 
@@ -166,7 +162,7 @@ def _failure_json(failure: solver.FailureRecord | None):
     if failure is None:
         return None
     return {
-        "r": [_txt(x) for x in failure.r],
+        "r": [print_expr(x) for x in failure.r],
         "r_words": [list(w) for w in failure.r_words],
         "reason": failure.reason,
         "certificate": _cert_json(failure.certificate),
@@ -187,13 +183,13 @@ def _solve_report(report: solver.CertifiedReport, field: GF, group, timing_ms):
     doc = {
         "outcome": report.outcome,
         "m": report.m,
-        "equation": {"b": [_txt(x) for x in report.equation.b], "rhs": report.equation.rhs},
+        "equation": {"b": [print_expr(x) for x in report.equation.b], "rhs": report.equation.rhs},
         "field": _field_json(field),
         "solutions": (
             None
             if report.solutions is None
             else [
-                {"coords": [_txt(x) for x in s.coords], "words": [list(w) for w in s.words]}
+                {"coords": [print_expr(x) for x in s.coords], "words": [list(w) for w in s.words]}
                 for s in report.solutions
             ]
         ),
@@ -201,7 +197,7 @@ def _solve_report(report: solver.CertifiedReport, field: GF, group, timing_ms):
         "witnesses": [_witness_json(rec) for rec in report.records],
         "timing_ms": timing_ms,
         "command": "solve",
-        "generators": [_txt(g) for g in group.generators],
+        "generators": [print_expr(g) for g in group.generators],
         "repset_size": report.repset_size,
         "failure": _failure_json(report.failure),
         "auto_failures": [
@@ -242,7 +238,7 @@ def _cmd_skolem(args) -> tuple[dict, int]:
     timing = int((time.perf_counter() - start) * 1000) if args.timing else None
     doc = {
         "outcome": "obstruction-found" if witness else "none-found",
-        "equation": {"b": [_txt(x) for x in eq.b], "rhs": eq.rhs},
+        "equation": {"b": [print_expr(x) for x in eq.b], "rhs": eq.rhs},
         "field": _field_json(field),
         "modulus": (
             None
@@ -277,7 +273,7 @@ def _cmd_probe(args) -> tuple[dict, int]:
     doc = {
         "outcome": "stabilized" if report.settled else "undetermined",
         "field": _field_json(field),
-        "element": _txt(g),
+        "element": print_expr(g),
         "modulus": {"base": poly_text(modulus.base), "exponent": modulus.exponent},
         "residues": [poly_text(r) for r in report.residues],
         "stable_index": report.stable_index,
@@ -324,9 +320,9 @@ def _cmd_hasse(args) -> tuple[dict, int]:
         doc = {
             "outcome": "ok",
             "field": _field_json(field),
-            "input": _txt(x),
+            "input": print_expr(x),
             "order": args.order,
-            "derivatives": [_txt(c) for c in jet.coefficients],
+            "derivatives": [print_expr(c) for c in jet.coefficients],
             "command": "hasse",
         }
         return doc, EXIT_OK
@@ -334,9 +330,9 @@ def _cmd_hasse(args) -> tuple[dict, int]:
     doc = {
         "outcome": "ok",
         "field": _field_json(field),
-        "input": _txt(x),
+        "input": print_expr(x),
         "index": index,
-        "derivative": _txt(hassemod.hasse_derivative(x, index)),
+        "derivative": print_expr(hassemod.hasse_derivative(x, index)),
         "command": "hasse",
     }
     return doc, EXIT_OK
@@ -353,10 +349,10 @@ def _cmd_indep(args) -> tuple[dict, int]:
         "outcome": cert.verdict,
         "m": int(m),
         "field": _field_json(field),
-        "b": [_txt(x) for x in vector],
+        "b": [print_expr(x) for x in vector],
         "index_set": None if cert.index_set is None else list(cert.index_set),
         "relation": (
-            None if cert.relation is None else [_txt(r) for r in cert.relation]
+            None if cert.relation is None else [print_expr(r) for r in cert.relation]
         ),
         "command": "indep",
     }
@@ -373,9 +369,9 @@ def _cmd_repset(args) -> tuple[dict, int]:
         "outcome": "ok",
         "m": int(m),
         "field": _field_json(field),
-        "generators": [_txt(g) for g in group.generators],
+        "generators": [print_expr(g) for g in group.generators],
         "size": len(reps),
-        "elements": [_txt(x) for x in reps.elements],
+        "elements": [print_expr(x) for x in reps.elements],
         "words": [list(w) for w in reps.words],
         "keys": [list(k) for k in reps.keys],
         "command": "repset",

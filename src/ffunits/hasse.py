@@ -169,13 +169,9 @@ def subfield_coordinates(x: RatFunc, m: int) -> tuple[RatFunc, ...]:
     pm = prime_power(x.field, m)
     f = x.field
     num = x.num * x.den ** (pm - 1)
-    den_pm = x.den**pm
-
-    def component(a: Poly, r: int) -> Poly:
-        coeffs = [a.coeff(l * pm + r) for l in range(a.degree() // pm + 1)]
-        return Poly.from_coeffs(f, coeffs)
-
-    # den**pm only has exponents divisible by pm, so extracting its
-    # pm-indexed coefficients is an exact relabeling
-    den_hat = component(den_pm, 0)
-    return tuple(RatFunc.make(component(num, r), den_hat) for r in range(pm))
+    # in characteristic p, den**pm = sum(c_k**pm * t**(k*pm)), so its
+    # relabeling is den with every coefficient raised to the pm-th power
+    den_hat = Poly(f, tuple(f.frobenius(c, m) for c in x.den.coeffs))
+    return tuple(
+        RatFunc.make(Poly.from_coeffs(f, num.coeffs[r::pm]), den_hat) for r in range(pm)
+    )

@@ -8,10 +8,14 @@ obstructs solvability, and an exact word-bounded global search doubles as
 an oracle for the certified results.  The probe of iterated-factorial
 Frobenius powers watches a canonical convergent sequence stabilize at
 finite precision.
+
+The image is the closure of the reduced generators under multiplication,
+listed with nonnegative generator words.  The unit group of the residue
+ring is finite, so the powers of each generator reach its inverse and no
+inverse steps are taken.
 """
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,15 +23,17 @@ from .errors import ResourceLimitError
 from .poly import Poly, monic_irreducibles, poly_powmod
 from .ratfunc import Modulus, RatFunc, finite_support, reduce_mod, valuation
 from .solver import Equation, SolutionPoint
-from .unitgroup import SubgroupPresentation
+from .unitgroup import SubgroupPresentation, closure
 
-DEFAULT_GROUP_LIMIT = 100_000
 DEFAULT_BOX_LIMIT = 10**8
 
 
 @dataclass(frozen=True)
 class ResidueGroup:
-    """The full image of the group in a residue ring, with generator words."""
+    """The full image of the group in a residue ring, with generator words.
+
+    The words are nonnegative: the image is finite, so no inverse steps.
+    """
 
     modulus: Modulus
     elements: tuple[Poly, ...]
@@ -79,35 +85,18 @@ def _require_unit(x: RatFunc, m: Modulus, what: str):
 
 
 def residue_group(group: SubgroupPresentation, m: Modulus) -> ResidueGroup:
-    """Close the reduced generators and their inverses under multiplication."""
+    """Close the reduced generators under multiplication.
+
+    The image is finite, so the powers of a generator reach its inverse.
+    """
     modpoly = m.poly
     gen_res = []
     for g in group.generators:
         _require_unit(g, m, "generator")
         gen_res.append(reduce_mod(g, m))
-    inv_res = [reduce_mod(g.inverse(), m) for g in group.generators]
     one = Poly.one(group.field) % modpoly
-    steps = []
-    for i, (res, inv) in enumerate(zip(gen_res, inv_res)):
-        steps.append((res, i, 1))
-        steps.append((inv, i, -1))
-    found: dict[Poly, tuple[int, ...]] = {one: (0,) * len(gen_res)}
-    queue = deque([one])
-    while queue:
-        cur = queue.popleft()
-        word = found[cur]
-        for res, i, delta in steps:
-            nxt = (cur * res) % modpoly
-            if nxt not in found:
-                nw = list(word)
-                nw[i] += delta
-                found[nxt] = tuple(nw)
-                queue.append(nxt)
-                if len(found) > DEFAULT_GROUP_LIMIT:
-                    raise ResourceLimitError(
-                        f"residue group exceeds the configured bound {DEFAULT_GROUP_LIMIT}"
-                    )
-    return ResidueGroup(m, tuple(found.keys()), tuple(found.values()))
+    found = closure(one, gen_res, lambda a, b: (a * b) % modpoly)
+    return ResidueGroup(m, tuple(found), tuple(found.values()))
 
 
 def sl_search(eq: Equation, group: SubgroupPresentation, m: Modulus) -> SLWitness | None:

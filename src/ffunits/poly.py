@@ -184,12 +184,6 @@ class Poly:
         lc = log[c]
         return Poly(f, tuple(exp[log[a] + lc] if a else 0 for a in self.coeffs))
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by t**k."""
-        if self.is_zero or k == 0:
-            return self
-        return Poly(self.field, (0,) * k + self.coeffs)
-
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative polynomial power")

@@ -7,8 +7,10 @@ degree-zero identity of principal divisors makes it redundant.
 
 Membership reduces to an integer-lattice solve (Hermite normal form) plus
 an exact coset computation for the F_q* constants, so witnesses always
-reconstruct the queried element exactly.  Radical membership is lattice
-saturation; the torsion part is automatic because F_q* is finite.
+reconstruct the queried element exactly; the coset search is closure, the
+breadth-first closure of a finite group that also lists residue images.
+Radical membership is lattice saturation; the torsion part is automatic
+because F_q* is finite.
 
 Representative sets of the quotient by the subgroup of elements lying in
 F_q(t**(p**m)) are read off the Hermite form of the lattice of words whose
@@ -19,7 +21,6 @@ so the listing is deterministic.
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,6 +31,7 @@ from .intlattice import hnf_with_transform, in_rational_rowspan, solve_left
 from .ratfunc import Place, RatFunc, divisor_vector
 
 DEFAULT_REPSET_LIMIT = 100_000
+DEFAULT_GROUP_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -127,22 +129,26 @@ def _exponent_target(x: RatFunc, group: SubgroupPresentation):
     return target, const, None
 
 
-def _constant_combo(group: SubgroupPresentation, kernel, need: int):
-    """Integer combination of kernel words whose constant equals ``need``."""
-    f = group.field
-    reached = {1: [0] * len(kernel)}
-    queue = deque([1])
-    kernel_constants = [group.word_constant(w) for w in kernel]
-    while queue:
-        val = queue.popleft()
-        for idx, kc in enumerate(kernel_constants):
-            nv = f.mul(val, kc)
-            if nv not in reached:
-                combo = list(reached[val])
-                combo[idx] += 1
-                reached[nv] = combo
-                queue.append(nv)
-    return reached.get(need)
+def closure(one, steps, mul) -> dict:
+    """The subgroup of a finite group generated by steps, each element with
+    the first nonnegative word (one exponent per step) that a breadth-first
+    search trying the steps in order finds.  The powers of a step reach its
+    inverse, so no inverse steps are needed.
+    """
+    found = {one: (0,) * len(steps)}
+    queue = [one]
+    for cur in queue:  # the loop also visits elements appended during it
+        word = found[cur]
+        for i, step in enumerate(steps):
+            nxt = mul(cur, step)
+            if nxt not in found:
+                found[nxt] = word[:i] + (word[i] + 1,) + word[i + 1 :]
+                queue.append(nxt)
+                if len(found) > DEFAULT_GROUP_LIMIT:
+                    raise ResourceLimitError(
+                        f"finite group exceeds the configured bound {DEFAULT_GROUP_LIMIT}"
+                    )
+    return found
 
 
 def member(x: RatFunc, group: SubgroupPresentation) -> MembershipWitness:
@@ -159,7 +165,7 @@ def member(x: RatFunc, group: SubgroupPresentation) -> MembershipWitness:
         return MembershipWitness(False, obstruction_place=group.support[failing])
     f = group.field
     need = f.div(const, group.word_constant(word0))
-    combo = _constant_combo(group, kernel, need)
+    combo = closure(1, [group.word_constant(w) for w in kernel], f.mul).get(need)
     if combo is None:
         return MembershipWitness(False, constant_mismatch=True)
     word = list(word0)

@@ -147,12 +147,13 @@ def _det(rows) -> RatFunc:
     return RatFunc.make(-num if inversions % 2 else num, den)
 
 
-def _relation(rows) -> tuple[RatFunc, ...] | None:
+def _relation(rows, field) -> tuple[RatFunc, ...] | None:
     """The relation of the first row that adds no rank (weight 1 there, 0
     after it), over the relabeled coordinates; None when the rows are
-    independent.
+    independent.  The rows may have no columns, as the tail rows of
+    _unit_relation do at m = 0.
     """
-    echelon = _Echelon(rows[0][0].field, slots=len(rows))
+    echelon = _Echelon(field, slots=len(rows))
     for row in rows:
         if not echelon.push(row):
             return echelon.relation()
@@ -183,8 +184,9 @@ def independence_test(b, m: int, rows=None) -> IndependenceCertificate:
     with entries in the subfield.  rows, when given, must be
     coordinate_matrix(b, m).
     """
-    pm = prime_power(_check_components(b).field, m)
-    relation = _relation(coordinate_matrix(b, m) if rows is None else rows)
+    field = _check_components(b).field
+    pm = prime_power(field, m)
+    relation = _relation(coordinate_matrix(b, m) if rows is None else rows, field)
     if relation is not None:
         return IndependenceCertificate(False, None, tuple(inflate(c, pm) for c in relation))
     return IndependenceCertificate(True, _witness(b, pm), None)
@@ -198,15 +200,15 @@ def psi(j: int, a):
     return tuple(one if i == j - 1 else x for i, x in enumerate(a))
 
 
-def _unit_relation(rows, pm: int) -> tuple[RatFunc, ...] | None:
+def _unit_relation(rows, field, pm: int) -> tuple[RatFunc, ...] | None:
     """The relation of the stack (b, 1), weight 1 on the 1 row, for b
     independent with coordinate rows rows; None when the stack is
     independent.
     """
-    tail = _relation([row[1:] for row in rows])
+    tail = _relation([row[1:] for row in rows], field)
     if tail is None:
         return None
-    head = RatFunc.zero(rows[0][0].field)
+    head = RatFunc.zero(field)
     for w, row in zip(tail, rows):
         head = head - w * row[0]
     if head.is_zero:
@@ -239,7 +241,7 @@ def unit_substitution_verdicts(b, m: int, rows):
         )
         return cert, psi_certs, None
     pm = prime_power(field, m)
-    w = _unit_relation(rows, pm)
+    w = _unit_relation(rows, field, pm)
     certs = []
     for j in range(1, len(b) + 1):
         if w is None or not w[j - 1].is_zero:
@@ -298,11 +300,12 @@ def candidate_solution(b, m: int):
     K (x)_{K_m} K onto K[u]/(u**(p**m)), so expanding c in the basis t**r
     over K_m forces every component with r > 0 to vanish.
     """
-    pm = prime_power(_check_components(b).field, m)
+    field = _check_components(b).field
+    pm = prime_power(field, m)
     rows = coordinate_matrix(b, m)
-    if _relation(rows) is not None:
+    if _relation(rows, field) is not None:
         raise ValueError("candidate solve requires independent components")
-    return _candidate(_unit_relation(rows, pm))
+    return _candidate(_unit_relation(rows, field, pm))
 
 
 def verify_certificate(b, m: int, cert: IndependenceCertificate) -> bool:

@@ -81,6 +81,20 @@ def test_skolem_subcommand():
     assert doc["modulus"] is None
 
 
+def test_timing_flag_adds_only_timing():
+    path = os.path.join(INSTANCES, "p2-certified.toy")
+    for argv in (
+        ["solve", "--instance", path],
+        ["skolem", "--instance", path, "--rhs", "0", "--deg-bound", "2", "--e-bound", "2"],
+    ):
+        code, doc = run_json(argv)
+        timed_code, timed = run_json(argv + ["--timing"])
+        assert timed_code == code == 0
+        assert doc["timing_ms"] is None
+        assert type(timed["timing_ms"]) is int and timed["timing_ms"] >= 0
+        assert {**timed, "timing_ms": None} == doc
+
+
 def test_probe_subcommand():
     code, doc = run_json(
         ["probe", "--p", "3", "--g", "T", "--base", "T^2+1", "--e", "1", "--n-max", "6"]
@@ -200,6 +214,13 @@ def test_resource_limit_exit_code(monkeypatch):
         code, out, err = run(["hasse", "--p", "2", "--x", "1/(1+T)", flag, "70000"])
         assert code == 4 and "65535" in err
         assert time.perf_counter() - start < 1.0
+    # so are the residue images of the obstruction scan
+    from ffunits import unitgroup
+
+    monkeypatch.setattr(unitgroup, "DEFAULT_GROUP_LIMIT", 5)
+    code, out, err = run(["skolem", "--instance", os.path.join(INSTANCES, "p2-certified.toy"),
+                          "--rhs", "0", "--deg-bound", "2", "--e-bound", "2"])
+    assert code == 4 and "exceeds the configured bound 5" in err
 
 
 def test_seed_is_not_an_option(tmp_path):

@@ -1,8 +1,11 @@
+import itertools
 import math
+import random
 
 import pytest
 
 from ffunits import (
+    GF,
     Equation,
     Modulus,
     Poly,
@@ -18,9 +21,10 @@ from ffunits import (
 )
 from ffunits.errors import ResourceLimitError
 from ffunits.localprobe import verify_obstruction
-from ffunits.ratfunc import reduce_mod
+from ffunits.poly import monic_irreducibles
+from ffunits.ratfunc import reduce_mod, valuation
 
-from conftest import el, pl
+from conftest import el, pl, rand_ratfunc
 
 
 def test_residue_group_examples(F2, F3):
@@ -53,6 +57,44 @@ def test_residue_group_examples(F2, F3):
     g3 = build_presentation((el(F3, "T"),))
     rg = residue_group(g3, Modulus(pl(F3, "T+1"), 1))
     assert set(rg.elements) == {pl(F3, "1"), pl(F3, "2")}
+
+
+def _residue_image_with_inverses(group, m):
+    """Reference image: close {1} under the reduced generators and their inverses."""
+    steps = [reduce_mod(h, m) for g in group.generators for h in (g, g.inverse())]
+    image = [Poly.one(group.field)]
+    seen = set(image)
+    for cur in image:
+        for step in steps:
+            nxt = (cur * step) % m.poly
+            if nxt not in seen:
+                seen.add(nxt)
+                image.append(nxt)
+    return seen
+
+
+def test_residue_group_matches_search_with_inverses(F2, F3):
+    rng = random.Random(113)
+    F4, F9 = GF(2, 2, (1, 1, 1)), GF(3, 2, (1, 0, 1))
+    checked = 0
+    for field in (F2, F3, F4, F9):
+        bases = list(monic_irreducibles(field, 1))[:2] + list(monic_irreducibles(field, 2))[:1]
+        for base, e, n in itertools.product(bases, (1, 2), (1, 2, 3)):
+            m = Modulus(base, e)
+            gens = []
+            while len(gens) < n:
+                g = rand_ratfunc(rng, field, 2, nonzero=True)
+                if valuation(g, m.place) == 0:
+                    gens.append(g)
+            group = build_presentation(gens)
+            rg = residue_group(group, m)
+            reference = _residue_image_with_inverses(group, m)
+            assert set(rg.elements) == reference and len(rg) == len(reference)
+            for res, word in zip(rg.elements, rg.words):
+                assert len(word) == n and min(word) >= 0
+                assert reduce_mod(group.word_product(word), m) == res
+            checked += len(rg) > n + 1
+    assert checked > 40  # most images are larger than their generator steps
 
 
 def test_residue_group_rejects_bad_place(F2):

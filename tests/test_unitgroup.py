@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -17,6 +18,7 @@ from ffunits import (
 from ffunits import unitgroup
 from ffunits.errors import ResourceLimitError
 from ffunits.hasse import prime_power
+from ffunits.intlattice import solve_left
 from ffunits.unitgroup import RepSet, residue_key
 
 from conftest import el, pl, rand_ratfunc
@@ -89,6 +91,56 @@ def test_member_reconstruction_roundtrip(F2, F3):
             w = member(x, g)
             assert w.member
             assert g.word_product(w.word) == x
+
+
+def _member_word_by_queue_search(x, group):
+    """Reference for member's word: the lattice solve, then the F_q* constant
+    reached from the kernel words by the queue search member used before closure."""
+    target, const, _ = unitgroup._exponent_target(x, group)
+    word0, kernel, _ = solve_left([list(r) for r in group.exponent_matrix], len(group.support), target)
+    f = group.field
+    kernel_constants = [group.word_constant(w) for w in kernel]
+    reached = {1: [0] * len(kernel)}
+    queue = deque([1])
+    while queue:
+        val = queue.popleft()
+        for idx, kc in enumerate(kernel_constants):
+            nv = f.mul(val, kc)
+            if nv not in reached:
+                combo = list(reached[val])
+                combo[idx] += 1
+                reached[nv] = combo
+                queue.append(nv)
+    combo = reached.get(f.div(const, group.word_constant(word0)))
+    if combo is None:
+        return None
+    word = list(word0)
+    for c, krow in zip(combo, kernel):
+        for j in range(len(word)):
+            word[j] += c * krow[j]
+    return tuple(word)
+
+
+def test_member_words_match_queue_search(F3):
+    rng = random.Random(131)
+    F5, F9 = GF(5), GF(3, 2, (1, 0, 1))
+    groups = [
+        build_presentation((el(F3, "T"), el(F3, "-T"), el(F3, "1-T"))),
+        build_presentation((el(F5, "T"), el(F5, "2*T"), el(F5, "3*T^2"), el(F5, "1+T"))),
+        build_presentation((el(F5, "T^2"), el(F5, "4*T^2"), el(F5, "1+T"))),  # constants 1, 4 only
+        build_presentation(tuple(RatFunc.constant(F9, c) * el(F9, "T") for c in (1, 3, 5))),
+    ]
+    outcomes = set()
+    for g in groups:
+        _, kernel, _ = solve_left([list(r) for r in g.exponent_matrix], len(g.support), [0] * len(g.support))
+        assert kernel  # a nontrivial kernel, so the constant search has steps
+        for _ in range(30):
+            c = RatFunc.constant(g.field, rng.randrange(1, g.field.q))
+            x = c * g.word_product(tuple(rng.randrange(-3, 4) for _ in g.generators))
+            w = member(x, g)
+            assert w.word == _member_word_by_queue_search(x, g)
+            outcomes.add(w.member)
+    assert outcomes == {True, False}
 
 
 def test_member_rejects_zero(F2):

@@ -154,6 +154,17 @@ def test_candidate_examples(F2):
     assert candidate_solution((t, one), 1) is None  # solves to a zero coordinate
 
 
+def test_candidate_at_m_zero(F2, F3):
+    # K_0 = K, so a single nonzero b solves b . c = 1 with c = 1/b
+    for field in (F2, F3):
+        t = RatFunc.t(field)
+        b = (t,)
+        assert candidate_solution(b, 0) == (el(field, "1/T"),)
+        cert, psi_certs, c = unit_substitution_verdicts(b, 0, coordinate_matrix(b, 0))
+        assert cert.independent and c == (el(field, "1/T"),)
+        assert psi_certs == (independence_test(psi(1, b), 0),)
+
+
 def test_candidate_requires_independence(F2):
     with pytest.raises(ValueError):
         candidate_solution((RatFunc.one(F2), RatFunc.one(F2)), 1)
