@@ -22,7 +22,6 @@ from .wronskian import (
 )
 from .unitgroup import (
     MembershipWitness,
-    RepSet,
     SubgroupPresentation,
     build_presentation,
     kernel_element_check,
@@ -80,7 +79,6 @@ __all__ = [
     "candidate_solution",
     "SubgroupPresentation",
     "MembershipWitness",
-    "RepSet",
     "build_presentation",
     "member",
     "radical_member",

@@ -363,17 +363,17 @@ def _cmd_repset(args) -> tuple[dict, int]:
     cfg = _load_instance(args)
     field = _build_field(args, cfg)
     group = _group(args, cfg, field)
-    m = _at_least("m", _setting(args, cfg, "m", required=True), 1)
-    reps = unitgroup.representatives(group, int(m))
+    m = int(_at_least("m", _setting(args, cfg, "m", required=True), 1))
+    reps = unitgroup.representatives(group, m)
     doc = {
         "outcome": "ok",
-        "m": int(m),
+        "m": m,
         "field": _field_json(field),
         "generators": [print_expr(g) for g in group.generators],
         "size": len(reps),
-        "elements": [print_expr(x) for x in reps.elements],
-        "words": [list(w) for w in reps.words],
-        "keys": [list(k) for k in reps.keys],
+        "elements": [print_expr(group.word_product(w)) for w in reps],
+        "words": [list(w) for w in reps],
+        "keys": [list(unitgroup.residue_key(group, w, m)) for w in reps],
         "command": "repset",
     }
     return doc, EXIT_OK

@@ -75,10 +75,9 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, tokens, max_exponent: int):
+    def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
-        self.max_exponent = max_exponent
 
     def peek(self):
         return self.tokens[self.pos]
@@ -122,8 +121,8 @@ class _Parser:
                 sign = -1
             tok = self.take("int")
             exponent = sign * tok[1]
-            if abs(exponent) > self.max_exponent:
-                raise ParseError(f"exponent exceeds the bound {self.max_exponent}", tok[2])
+            if abs(exponent) > MAX_EXPONENT:
+                raise ParseError(f"exponent exceeds the bound {MAX_EXPONENT}", tok[2])
             node = Expr("pow", (node,), exponent)
         return node
 
@@ -143,11 +142,11 @@ class _Parser:
         raise ParseError(f"expected a value, found {kind!r}", pos)
 
 
-def parse_expr(text: str, max_exponent: int = MAX_EXPONENT) -> Expr:
+def parse_expr(text: str) -> Expr:
     """Parse one expression; the whole input must be consumed."""
     if not text.strip():
         raise ParseError("empty expression", 0)
-    parser = _Parser(_tokenize(text), max_exponent)
+    parser = _Parser(_tokenize(text))
     node = parser.parse_expr()
     kind, _, pos = parser.peek()
     if kind != "end":

@@ -151,6 +151,22 @@ def verify_obstruction(
     return True
 
 
+def _moduli(field, excluded, deg_bound: int, e_bound: int):
+    """(base, e) in (deg*e, deg, base, e) order, with bases outside excluded.
+
+    Each weight deg*e fixes e once deg is chosen, and monic_irreducibles
+    lists bases in sort-key order, so the walk needs no sort; a degree's
+    bases are listed only once the walk reaches it.
+    """
+    for weight in range(1, deg_bound * e_bound + 1):
+        for d in range(1, min(weight, deg_bound) + 1):
+            e, rem = divmod(weight, d)
+            if rem == 0 and e <= e_bound:
+                for base in monic_irreducibles(field, d):
+                    if base not in excluded:
+                        yield base, e
+
+
 def find_local_obstruction(
     eq: Equation,
     group: SubgroupPresentation,
@@ -164,19 +180,10 @@ def find_local_obstruction(
     """
     if deg_bound < 1 or e_bound < 1:
         raise ValueError("bounds must be >= 1")
-    field = group.field
     excluded = {pl.poly for pl in group.support}
     for x in eq.b:
         excluded.update(pl.poly for pl in finite_support(x))
-    candidates = []
-    for d in range(1, deg_bound + 1):
-        for base in monic_irreducibles(field, d):
-            if base in excluded:
-                continue
-            for e in range(1, e_bound + 1):
-                candidates.append((d * e, d, base.sort_key(), e, base))
-    candidates.sort(key=lambda c: c[:4])
-    for _, _, _, e, base in candidates:
+    for base, e in _moduli(group.field, excluded, deg_bound, e_bound):
         # bases outside the support keep every coefficient a unit
         m = Modulus(base, e)
         rg = residue_group(group, m)
@@ -186,10 +193,7 @@ def find_local_obstruction(
 
 
 def sg_search(
-    eq: Equation,
-    group: SubgroupPresentation,
-    word_bound: int,
-    limit: int = DEFAULT_BOX_LIMIT,
+    eq: Equation, group: SubgroupPresentation, word_bound: int
 ) -> tuple[SolutionPoint, ...]:
     """All exact solutions with per-coordinate words in [-B, B]**generators.
 
@@ -201,7 +205,7 @@ def sg_search(
     if word_bound < 1:
         raise ValueError("word bound must be >= 1")
     n = len(group.generators)
-    if (2 * word_bound + 1) ** (n * eq.arity) > limit:
+    if (2 * word_bound + 1) ** (n * eq.arity) > DEFAULT_BOX_LIMIT:
         raise ResourceLimitError("word box exceeds the configured bound")
     powers = [
         {e: g**e for e in range(-word_bound, word_bound + 1)} for g in group.generators

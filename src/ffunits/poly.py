@@ -20,6 +20,7 @@ the whole run reproducible; the returned factor list is canonically
 sorted and therefore identical for every seed.
 """
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -501,11 +502,12 @@ def factor(a: Poly, seed: int = DEFAULT_SEED) -> Factorization:
     return Factorization(field, unit, tuple(found))
 
 
-def monic_irreducibles(field: GF, degree: int):
-    """All monic irreducible polynomials of exactly the given degree, sorted."""
+@functools.lru_cache(maxsize=64)
+def monic_irreducibles(field: GF, degree: int) -> tuple[Poly, ...]:
+    """All monic irreducible polynomials of exactly the given degree, sorted;
+    memoized, so repeated modulus scans do not re-test the candidates.
+    """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    for lower in itertools.product(range(field.q), repeat=degree):
-        cand = Poly(field, lower + (1,))
-        if degree == 1 or is_irreducible(cand):
-            yield cand
+    monics = (Poly(field, low + (1,)) for low in itertools.product(range(field.q), repeat=degree))
+    return tuple(c for c in monics if degree == 1 or is_irreducible(c))

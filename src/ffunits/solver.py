@@ -24,9 +24,10 @@ differs.  For rhs 1 it comes from one call to
 wronskian.unit_substitution_verdicts, which returns the verdict of b*r,
 those of every psi_j and the candidate.
 
-Row j of the coordinate matrix of b*r depends only on (j, r_j), so each
-decision builds those rows once, on first use, and every elimination of
-the tuple loop reads them from there.
+The representative set is a list of generator words, and row j of the
+coordinate matrix of b*r depends only on (j, r_j).  So each decision
+multiplies out a word, and builds a row, the first time a tuple reads it,
+and every elimination of the tuple loop reads the rows from there.
 
 Inapplicable is a first-class outcome: the criterion is sufficient, not
 necessary, and nothing is escalated silently.  A failing tuple is retried
@@ -35,6 +36,7 @@ dependence over the subfield) purely to catch arithmetic bugs.
 """
 
 import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -43,7 +45,6 @@ from .hasse import prime_power, subfield_coordinates
 from .ratfunc import RatFunc
 from .unitgroup import (
     MembershipWitness,
-    RepSet,
     SubgroupPresentation,
     member,
     radical_member,
@@ -149,33 +150,18 @@ class CertifiedReport:
     auto_failures: tuple[tuple[int, FailureRecord], ...] = ()
 
 
-def _tuple_space(reps: RepSet, arity: int):
+def _tuple_space(reps, arity: int):
     total = len(reps) ** arity
     if total > DEFAULT_TUPLE_LIMIT:
         raise ResourceLimitError(
             f"{total} representative tuples exceed the configured bound {DEFAULT_TUPLE_LIMIT}"
         )
-    return itertools.product(range(len(reps)), repeat=arity)
+    return itertools.product(reps, repeat=arity)
 
 
 def _scaled(br, gen_powers, k: int):
     n = len(gen_powers)
     return tuple(x * gen_powers[(j + k) % n] for j, x in enumerate(br))
-
-
-def _product_rows(b, reps: RepSet, m: int):
-    """(j, i) -> (b[j] * reps.elements[i], its coordinate row), each built on
-    first use: row j of the coordinate matrix of b*r depends only on (j, r_j).
-    """
-    memo = {}
-
-    def product_row(j: int, i: int):
-        if (j, i) not in memo:
-            x = b[j] * reps.elements[i]
-            memo[j, i] = (x, subfield_coordinates(x, m))
-        return memo[j, i]
-
-    return product_row
 
 
 def _confirm_failure(rhs: int, br, m: int, gen_powers) -> int:
@@ -220,13 +206,18 @@ def decide(
     pm = prime_power(group.field, m)
     gen_powers = [g**pm for g in group.generators]
     reps = representatives(group, m)
-    product_row = _product_rows(eq.b, reps, m)
+    element = functools.cache(group.word_product)
+
+    @functools.cache
+    def product_row(j: int, word):
+        x = eq.b[j] * element(word)
+        return x, subfield_coordinates(x, m)
+
     records = []
     failure = None
-    for combo in _tuple_space(reps, eq.arity):
-        r = tuple(reps.elements[i] for i in combo)
-        words = tuple(reps.words[i] for i in combo)
-        br, rows = zip(*(product_row(j, i) for j, i in enumerate(combo)))
+    for words in _tuple_space(reps, eq.arity):
+        r = tuple(map(element, words))
+        br, rows = zip(*(product_row(j, w) for j, w in enumerate(words)))
         if eq.rhs == 0:
             rec = TupleRecord(r, words, independence_test(br, m, rows=rows))
         else:

@@ -16,7 +16,9 @@ Representative sets of the quotient by the subgroup of elements lying in
 F_q(t**(p**m)) are read off the Hermite form of the lattice of words whose
 exponents vanish mod p**m, with no scan over words: each residue class is
 listed once, by its lexicographically smallest nonnegative generator word,
-so the listing is deterministic.
+so the listing is deterministic.  A representative set is that list of
+words: a reader multiplies out (word_product) or keys (residue_key) only
+the words it uses.
 """
 
 import itertools
@@ -73,23 +75,6 @@ class MembershipWitness:
     @property
     def verdict(self) -> str:
         return "member" if self.member else "non-member"
-
-
-@dataclass(frozen=True)
-class RepSet:
-    """Representatives of the group modulo its part inside F_q(t**(p**m))."""
-
-    m: int
-    elements: tuple[RatFunc, ...]
-    words: tuple[tuple[int, ...], ...]
-    keys: tuple[tuple[int, ...], ...]
-
-    def __len__(self):
-        return len(self.elements)
-
-    @cached_property
-    def key_index(self) -> dict[tuple[int, ...], int]:
-        return {k: i for i, k in enumerate(self.keys)}
 
 
 def build_presentation(gens) -> SubgroupPresentation:
@@ -195,10 +180,9 @@ def radical_member(x: RatFunc, group: SubgroupPresentation) -> bool:
     )
 
 
-def representatives(
-    group: SubgroupPresentation, m: int, limit: int = DEFAULT_REPSET_LIMIT
-) -> RepSet:
-    """Deterministic representatives of the quotient mod F_q(t**(p**m))-members.
+def representatives(group: SubgroupPresentation, m: int) -> tuple[tuple[int, ...], ...]:
+    """Deterministic representatives of the quotient mod F_q(t**(p**m))-members,
+    as generator words in lexicographic order.
 
     The words of residue key 0 form a lattice L containing p**m * Z**n; the
     Hermite form of [A | I] over [p**m * I | 0] gives L an upper-triangular
@@ -213,15 +197,11 @@ def representatives(
     rows += [[pm * (i == j) for j in range(k + n)] for i in range(k)]
     H, _, pivots = hnf_with_transform(rows, k + n)
     sizes = [H[i][c] for i, c in enumerate(pivots) if c >= k]
-    if math.prod(sizes) > limit:
-        raise ResourceLimitError(f"representative set exceeds the configured bound {limit}")
-    words = tuple(itertools.product(*map(range, sizes)))
-    return RepSet(
-        m=m,
-        elements=tuple(group.word_product(w) for w in words),
-        words=words,
-        keys=tuple(residue_key(group, w, m) for w in words),
-    )
+    if math.prod(sizes) > DEFAULT_REPSET_LIMIT:
+        raise ResourceLimitError(
+            f"representative set exceeds the configured bound {DEFAULT_REPSET_LIMIT}"
+        )
+    return tuple(itertools.product(*map(range, sizes)))
 
 
 def residue_key(group: SubgroupPresentation, word, m: int) -> tuple[int, ...]:

@@ -158,11 +158,11 @@ def test_criterion_4_representative_finiteness(worked, gap, F2, F3):
     # completeness on words in [-2, 2]
     for group in (g2, g3):
         reps = representatives(group, 1)
+        keys = [residue_key(group, w, 1) for w in reps]
         for word in itertools.product(range(-2, 3), repeat=len(group.generators)):
             key = residue_key(group, word, 1)
-            assert reps.keys.count(key) == 1
-            idx = reps.key_index[key]
-            quotient = group.word_product(word) / reps.elements[idx]
+            assert keys.count(key) == 1
+            quotient = group.word_product(word) / group.word_product(reps[keys.index(key)])
             assert kernel_element_check(quotient, group, 1)
 
     _report(4, "|R_1| = 2 and 9; sizes are p-powers within rank bound; completeness on [-2,2] words")

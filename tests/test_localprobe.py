@@ -1,4 +1,6 @@
+import io
 import itertools
+import json
 import math
 import random
 
@@ -19,7 +21,9 @@ from ffunits import (
     sg_search,
     sl_search,
 )
+from ffunits import localprobe
 from ffunits.errors import ResourceLimitError
+from ffunits.cli import run_cli
 from ffunits.localprobe import verify_obstruction
 from ffunits.poly import monic_irreducibles
 from ffunits.ratfunc import reduce_mod, valuation
@@ -153,9 +157,46 @@ def test_find_local_obstruction(F2, F3):
         find_local_obstruction(eq0, g2, 0, 1)
 
 
-def test_obstruction_scan_builds_each_residue_group_once(F2, F3, monkeypatch):
-    from ffunits import localprobe
+def _sorted_moduli(field, excluded, deg_bound, e_bound):
+    """Reference scan order: every candidate listed, then sorted by (deg*e, deg, base, e)."""
+    candidates = []
+    for d in range(1, deg_bound + 1):
+        for base in monic_irreducibles(field, d):
+            if base not in excluded:
+                for e in range(1, e_bound + 1):
+                    candidates.append((d * e, d, base.sort_key(), e, base))
+    candidates.sort(key=lambda c: c[:4])
+    return [(base, e) for *_, e, base in candidates]
 
+
+def test_modulus_walk_matches_sorted_candidates():
+    for field in (GF(2), GF(3), GF(2, 2, (1, 1, 1)), GF(3, 2, (1, 0, 1))):
+        excluded = {monic_irreducibles(field, 1)[-1], monic_irreducibles(field, 2)[0]}
+        for deg_bound in (1, 2, 3):
+            for e_bound in (1, 2, 3):
+                walk = list(localprobe._moduli(field, excluded, deg_bound, e_bound))
+                assert walk == _sorted_moduli(field, excluded, deg_bound, e_bound)
+
+
+def test_obstruction_scan_tests_bases_lazily(monkeypatch):
+    """An obstruction at degree 2 is found without listing the bases of degree 3..8."""
+    from ffunits import poly, ratfunc
+
+    calls = []
+    for module in (poly, ratfunc):
+        original = module.is_irreducible
+        monkeypatch.setattr(
+            module, "is_irreducible", lambda a, original=original: calls.append(a) or original(a)
+        )
+    poly.monic_irreducibles.cache_clear()
+    out = io.StringIO()
+    argv = ["skolem", "--p", "3", "--gens", "T+1", "--b", "T, 1", "--rhs", "0"]
+    assert run_cli(argv + ["--deg-bound", "8", "--e-bound", "1"], stdout=out) == 0
+    assert json.loads(out.getvalue())["modulus"] == {"base": "T^2 + 2*T + 2", "exponent": 1}
+    assert len(calls) < 100
+
+
+def test_obstruction_scan_builds_each_residue_group_once(F2, F3, monkeypatch):
     built = []
     original = localprobe.residue_group
     monkeypatch.setattr(
@@ -202,10 +243,11 @@ def test_sg_search_x_plus_y(F3):
     assert (el(F3, "T"), el(F3, "1-T")) in {s.coords for s in sols1}
 
 
-def test_sg_search_resource_guard(F3):
+def test_sg_search_resource_guard(F3, monkeypatch):
     g3 = build_presentation((el(F3, "T"), el(F3, "-T"), el(F3, "1-T")))
+    monkeypatch.setattr(localprobe, "DEFAULT_BOX_LIMIT", 100)
     with pytest.raises(ResourceLimitError):
-        sg_search(Equation((RatFunc.one(F3), RatFunc.one(F3)), 0), g3, 8, limit=100)
+        sg_search(Equation((RatFunc.one(F3), RatFunc.one(F3)), 0), g3, 8)
 
 
 def test_closure_probe_examples(F3):

@@ -404,3 +404,26 @@ def test_coordinate_rows_are_built_once_per_component_and_representative(F2, mon
     report = decide(Equation(b, 0), group, m)
     assert report.outcome == "certified-empty"
     assert len(calls) <= 2 * report.repset_size
+
+
+def test_representatives_are_multiplied_out_when_a_tuple_reads_them(F2, monkeypatch):
+    from ffunits.unitgroup import SubgroupPresentation
+
+    calls = []
+    original = SubgroupPresentation.word_product
+
+    def counted(self, word):
+        calls.append(word)
+        return original(self, word)
+
+    monkeypatch.setattr(SubgroupPresentation, "word_product", counted)
+    group = build_presentation((el(F2, "1+T"), el(F2, "1+T+T^2")))
+    t = RatFunc.t(F2)
+    report = decide(Equation((t, t), 0), group, 3)
+    assert report.outcome == "inapplicable" and len(report.records) == 1
+    assert report.repset_size >= 64
+    assert len(calls) <= 2
+    calls.clear()
+    report = decide(Equation((t, RatFunc.one(F2)), 0), group, 2)
+    assert report.outcome == "certified-empty"
+    assert len(calls) <= report.repset_size

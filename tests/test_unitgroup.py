@@ -19,7 +19,7 @@ from ffunits import unitgroup
 from ffunits.errors import ResourceLimitError
 from ffunits.hasse import prime_power
 from ffunits.intlattice import solve_left
-from ffunits.unitgroup import RepSet, residue_key
+from ffunits.unitgroup import SubgroupPresentation, residue_key
 
 from conftest import el, pl, rand_ratfunc
 
@@ -168,14 +168,14 @@ def test_radical_is_power_stable(F3):
 def test_representatives_examples(F2, F3):
     g2 = build_presentation((el(F2, "1+T"),))
     reps = representatives(g2, 1)
-    assert reps.elements == (RatFunc.one(F2), el(F2, "1+T"))
-    assert reps.words == ((0,), (1,))
+    assert reps == ((0,), (1,))
+    assert [g2.word_product(w) for w in reps] == [RatFunc.one(F2), el(F2, "1+T")]
 
     g3 = build_presentation((el(F3, "T"), el(F3, "-T"), el(F3, "1-T")))
     reps3 = representatives(g3, 1)
     assert len(reps3) == 9
-    assert reps3.elements[0] == RatFunc.one(F3)
-    assert reps3.words[0] == (0, 0, 0)
+    assert reps3[0] == (0, 0, 0)
+    assert g3.word_product(reps3[0]) == RatFunc.one(F3)
 
 
 def test_representative_sizes_are_p_powers(F2, F3):
@@ -203,32 +203,35 @@ def test_representative_completeness(F2, F3):
         g = build_presentation(tuple(gens))
         m = 1
         reps = representatives(g, m)
+        keys = [residue_key(g, w, m) for w in reps]
         for word in itertools.product(range(-2, 3), repeat=len(g.generators)):
             key = residue_key(g, word, m)
-            assert key in reps.key_index  # exists
-            idx = reps.key_index[key]
+            assert key in keys  # exists
             x = g.word_product(word)
-            quotient = x / reps.elements[idx]
+            quotient = x / g.word_product(reps[keys.index(key)])
             assert kernel_element_check(quotient, g, m)
             # and no other representative shares the key
-            assert reps.keys.count(key) == 1
+            assert keys.count(key) == 1
 
 
-def test_representatives_resource_guard(F2):
+def test_representatives_resource_guard(F2, monkeypatch):
     g = build_presentation((el(F2, "1+T"), el(F2, "T")))
+    monkeypatch.setattr(unitgroup, "DEFAULT_REPSET_LIMIT", 2)
     with pytest.raises(ResourceLimitError):
-        representatives(g, 2, limit=2)
+        representatives(g, 2)
 
 
-def test_representatives_bound_counts_classes_not_words(F3):
+def test_representatives_bound_counts_classes_not_words(F3, monkeypatch):
     # 27**5 words in the box, but only 27 classes: the key is sum(i * w_i) mod 27,
     # and T^5 alone reaches every class since 5 is a unit mod 27
     g = build_presentation(tuple(el(F3, f"T^{i}") for i in range(1, 6)))
-    reps = representatives(g, 3, limit=27)
-    assert reps.words == tuple((0, 0, 0, 0, j) for j in range(27))
-    assert reps.keys == tuple((5 * j % 27,) for j in range(27))
+    monkeypatch.setattr(unitgroup, "DEFAULT_REPSET_LIMIT", 27)
+    reps = representatives(g, 3)
+    assert reps == tuple((0, 0, 0, 0, j) for j in range(27))
+    assert [residue_key(g, w, 3) for w in reps] == [(5 * j % 27,) for j in range(27)]
+    monkeypatch.setattr(unitgroup, "DEFAULT_REPSET_LIMIT", 26)
     with pytest.raises(ResourceLimitError, match="exceeds the configured bound 26"):
-        representatives(g, 3, limit=26)
+        representatives(g, 3)
 
 
 def _scan_representatives(group, m):
@@ -239,8 +242,7 @@ def _scan_representatives(group, m):
         key = residue_key(group, word, m)
         if key not in found:
             found[key] = word
-    words = tuple(found.values())
-    return RepSet(m, tuple(group.word_product(w) for w in words), words, tuple(found))
+    return tuple(found.values())
 
 
 def _random_generators(rng, field, n):
@@ -259,14 +261,18 @@ def _random_generators(rng, field, n):
 
 
 def test_representatives_match_word_scan(monkeypatch):
+    """The Hermite-form listing equals the word scan, and it neither keys nor
+    multiplies out a word: its readers do that for the words they use.
+    """
     fields = (GF(2), GF(3), GF(2, 2, (1, 1, 1)), GF(3, 2, (1, 0, 1)))
     calls = []
 
-    def counted(group, word, m):
-        calls.append(word)
-        return residue_key(group, word, m)
+    def refuse(*args):
+        calls.append(args)
+        raise AssertionError("representatives keys or multiplies out a word")
 
-    monkeypatch.setattr(unitgroup, "residue_key", counted)
+    monkeypatch.setattr(unitgroup, "residue_key", refuse)
+    monkeypatch.setattr(SubgroupPresentation, "word_product", refuse)
     rng = random.Random(113)
     compared = 0
     for _ in range(60):
@@ -276,12 +282,9 @@ def test_representatives_match_word_scan(monkeypatch):
         for m in (1, 2, 3):
             if field.p ** (m * n) > 1500:
                 break
-            calls.clear()
-            reps = representatives(group, m)
-            assert len(calls) == len(reps)
-            assert reps == _scan_representatives(group, m)
+            assert representatives(group, m) == _scan_representatives(group, m)
             compared += 1
-    assert compared >= 100
+    assert compared >= 100 and not calls
 
 
 def test_kernel_element_examples(F2, F3):
