@@ -12,7 +12,7 @@ from .ratfunc import (
     reduce_mod,
     valuation,
 )
-from .hasse import TaylorJet, hasse_derivative, in_power_subfield, taylor_jet
+from .hasse import hasse_derivative, in_power_subfield, taylor_jet
 from .wronskian import (
     IndependenceCertificate,
     candidate_solution,
@@ -68,7 +68,6 @@ __all__ = [
     "valuation",
     "divisor_vector",
     "reduce_mod",
-    "TaylorJet",
     "taylor_jet",
     "hasse_derivative",
     "in_power_subfield",

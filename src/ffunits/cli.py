@@ -1,6 +1,8 @@
 """Command-line interface: instance files, subcommands, JSON certificate reports.
 
-Subcommands: factor, hasse, indep, repset, solve, skolem, probe.  Every
+Subcommands: factor, hasse, indep, repset, solve, skolem, probe.  run_cli
+fills each setting no flag gave from the instance file (flag, then file,
+then default), builds the field once and hands it to the subcommand.  Every
 run writes one JSON report to stdout and diagnostics to stderr.  Exit
 codes: 0 success or certified answer, 1 internal fault, 2 sound non-answer
 (inapplicable or nothing found), 3 input error, 4 resource limit.  Input
@@ -62,7 +64,7 @@ def parse_instance_text(text: str) -> dict:
 
 
 def _load_instance(args) -> dict:
-    if getattr(args, "instance", None) is None:
+    if args.instance is None:
         return {}
     try:
         with open(args.instance, "r", encoding="utf-8") as handle:
@@ -71,10 +73,8 @@ def _load_instance(args) -> dict:
         raise InputError(f"cannot read instance file: {exc}") from None
 
 
-def _setting(args, cfg, key, default=None, required=False):
+def _setting(args, key, default=None, required=False):
     value = getattr(args, key, None)
-    if value is None:
-        value = cfg.get(key)
     if value is None:
         if required:
             raise InputError(f"missing required setting {key!r}")
@@ -88,10 +88,10 @@ def _at_least(name: str, value, low: int):
     return value
 
 
-def _build_field(args, cfg) -> GF:
-    p = _setting(args, cfg, "p", required=True)
-    s = int(_at_least("s", _setting(args, cfg, "s", default=1), 1))
-    modulus_text = _setting(args, cfg, "modulus")
+def _build_field(args) -> GF:
+    p = _setting(args, "p", required=True)
+    s = int(_at_least("s", _setting(args, "s", default=1), 1))
+    modulus_text = _setting(args, "modulus")
     try:
         if s == 1:
             return GF(int(p))
@@ -116,14 +116,14 @@ def _elements(text: str, field: GF, what: str) -> tuple[RatFunc, ...]:
     return tuple(out)
 
 
-def _group(args, cfg, field: GF) -> unitgroup.SubgroupPresentation:
-    gens_text = _setting(args, cfg, "gens", required=True)
+def _group(args, field: GF) -> unitgroup.SubgroupPresentation:
+    gens_text = _setting(args, "gens", required=True)
     return unitgroup.build_presentation(_elements(gens_text, field, "generator"))
 
 
-def _equation(args, cfg, field: GF) -> solver.Equation:
-    b_text = _setting(args, cfg, "b", required=True)
-    rhs = _setting(args, cfg, "rhs", default=0)
+def _equation(args, field: GF) -> solver.Equation:
+    b_text = _setting(args, "b", required=True)
+    rhs = _setting(args, "rhs", default=0)
     try:
         return solver.Equation(_elements(b_text, field, "coefficient"), int(rhs))
     except ValueError as exc:
@@ -138,17 +138,17 @@ def _cert_json(cert: wronskian.IndependenceCertificate | None):
     return {"verdict": "dependent", "relation": [print_expr(r) for r in cert.relation]}
 
 
+def _certs_json(certs):
+    return None if certs is None else [_cert_json(c) for c in certs]
+
+
 def _witness_json(rec: solver.TupleRecord):
     entry = {
         "r": [print_expr(x) for x in rec.r],
         "r_words": [list(w) for w in rec.r_words],
         "certificate": {
             "products": _cert_json(rec.certificate),
-            "unit_substitutions": (
-                None
-                if rec.psi_certificates is None
-                else [_cert_json(c) for c in rec.psi_certificates]
-            ),
+            "unit_substitutions": _certs_json(rec.psi_certificates),
         },
     }
     if rec.candidate is not None:
@@ -166,11 +166,7 @@ def _failure_json(failure: solver.FailureRecord | None):
         "r_words": [list(w) for w in failure.r_words],
         "reason": failure.reason,
         "certificate": _cert_json(failure.certificate),
-        "unit_substitutions": (
-            None
-            if failure.psi_certificates is None
-            else [_cert_json(c) for c in failure.psi_certificates]
-        ),
+        "unit_substitutions": _certs_json(failure.psi_certificates),
         "retries": failure.retries,
     }
 
@@ -179,7 +175,18 @@ def _field_json(field: GF):
     return {"p": field.p, "s": field.s}
 
 
-def _solve_report(report: solver.CertifiedReport, field: GF, group, timing_ms):
+def _cmd_solve(args, field: GF) -> tuple[dict, int]:
+    group = _group(args, field)
+    eq = _equation(args, field)
+    m = _at_least("m", _setting(args, "m"), 1)
+    m_max = _at_least("m_max", _setting(args, "m_max"), 1)
+    start = time.perf_counter()
+    if m is not None:
+        report = solver.decide(eq, group, int(m), exhaustive=args.verbose)
+    else:
+        report = solver.auto_m(eq, group, int(m_max) if m_max is not None else 3,
+                               exhaustive=args.verbose)
+    timing = int((time.perf_counter() - start) * 1000) if args.timing else None
     doc = {
         "outcome": report.outcome,
         "m": report.m,
@@ -195,7 +202,7 @@ def _solve_report(report: solver.CertifiedReport, field: GF, group, timing_ms):
         ),
         "bound": report.bound,
         "witnesses": [_witness_json(rec) for rec in report.records],
-        "timing_ms": timing_ms,
+        "timing_ms": timing,
         "command": "solve",
         "generators": [print_expr(g) for g in group.generators],
         "repset_size": report.repset_size,
@@ -204,35 +211,14 @@ def _solve_report(report: solver.CertifiedReport, field: GF, group, timing_ms):
             {"m": m, "failure": _failure_json(f)} for m, f in report.auto_failures
         ],
     }
-    return doc
+    return doc, EXIT_OK if report.outcome != "inapplicable" else EXIT_NEGATIVE
 
 
-def _cmd_solve(args) -> tuple[dict, int]:
-    cfg = _load_instance(args)
-    field = _build_field(args, cfg)
-    group = _group(args, cfg, field)
-    eq = _equation(args, cfg, field)
-    m = _at_least("m", _setting(args, cfg, "m"), 1)
-    m_max = _at_least("m_max", _setting(args, cfg, "m_max"), 1)
-    start = time.perf_counter()
-    if m is not None:
-        report = solver.decide(eq, group, int(m), exhaustive=args.verbose)
-    else:
-        report = solver.auto_m(eq, group, int(m_max) if m_max is not None else 3,
-                               exhaustive=args.verbose)
-    timing = int((time.perf_counter() - start) * 1000) if args.timing else None
-    doc = _solve_report(report, field, group, timing)
-    code = EXIT_OK if report.outcome != "inapplicable" else EXIT_NEGATIVE
-    return doc, code
-
-
-def _cmd_skolem(args) -> tuple[dict, int]:
-    cfg = _load_instance(args)
-    field = _build_field(args, cfg)
-    group = _group(args, cfg, field)
-    eq = _equation(args, cfg, field)
-    deg_bound = int(_at_least("deg_bound", _setting(args, cfg, "deg_bound", default=2), 1))
-    e_bound = int(_at_least("e_bound", _setting(args, cfg, "e_bound", default=2), 1))
+def _cmd_skolem(args, field: GF) -> tuple[dict, int]:
+    group = _group(args, field)
+    eq = _equation(args, field)
+    deg_bound = int(_at_least("deg_bound", _setting(args, "deg_bound", default=2), 1))
+    e_bound = int(_at_least("e_bound", _setting(args, "e_bound", default=2), 1))
     start = time.perf_counter()
     witness = localprobe.find_local_obstruction(eq, group, deg_bound, e_bound)
     timing = int((time.perf_counter() - start) * 1000) if args.timing else None
@@ -253,9 +239,7 @@ def _cmd_skolem(args) -> tuple[dict, int]:
     return doc, EXIT_OK if witness else EXIT_NEGATIVE
 
 
-def _cmd_probe(args) -> tuple[dict, int]:
-    cfg = _load_instance(args)
-    field = _build_field(args, cfg)
+def _cmd_probe(args, field: GF) -> tuple[dict, int]:
     if args.g is None or args.base is None:
         raise InputError("probe requires --g and --base")
     g = parse_element(args.g, field)
@@ -283,9 +267,7 @@ def _cmd_probe(args) -> tuple[dict, int]:
     return doc, EXIT_OK if report.settled else EXIT_NEGATIVE
 
 
-def _cmd_factor(args) -> tuple[dict, int]:
-    cfg = _load_instance(args)
-    field = _build_field(args, cfg)
+def _cmd_factor(args, field: GF) -> tuple[dict, int]:
     if args.poly is None:
         raise InputError("factor requires --poly")
     value = parse_element(args.poly, field)
@@ -307,43 +289,27 @@ def _cmd_factor(args) -> tuple[dict, int]:
     return doc, EXIT_OK
 
 
-def _cmd_hasse(args) -> tuple[dict, int]:
-    cfg = _load_instance(args)
-    field = _build_field(args, cfg)
+def _cmd_hasse(args, field: GF) -> tuple[dict, int]:
     if args.x is None:
         raise InputError("hasse requires --x")
     x = parse_element(args.x, field)
     _at_least("order", args.order, 0)
     _at_least("i", args.i, 0)
+    doc = {"outcome": "ok", "field": _field_json(field), "input": print_expr(x)}
     if args.order is not None:
-        jet = hassemod.taylor_jet(x, args.order)
-        doc = {
-            "outcome": "ok",
-            "field": _field_json(field),
-            "input": print_expr(x),
-            "order": args.order,
-            "derivatives": [print_expr(c) for c in jet.coefficients],
-            "command": "hasse",
-        }
-        return doc, EXIT_OK
-    index = args.i if args.i is not None else 1
-    doc = {
-        "outcome": "ok",
-        "field": _field_json(field),
-        "input": print_expr(x),
-        "index": index,
-        "derivative": print_expr(hassemod.hasse_derivative(x, index)),
-        "command": "hasse",
-    }
+        doc["order"] = args.order
+        doc["derivatives"] = [print_expr(c) for c in hassemod.taylor_jet(x, args.order)]
+    else:
+        doc["index"] = args.i if args.i is not None else 1
+        doc["derivative"] = print_expr(hassemod.hasse_derivative(x, doc["index"]))
+    doc["command"] = "hasse"
     return doc, EXIT_OK
 
 
-def _cmd_indep(args) -> tuple[dict, int]:
-    cfg = _load_instance(args)
-    field = _build_field(args, cfg)
-    b_text = _setting(args, cfg, "b", required=True)
+def _cmd_indep(args, field: GF) -> tuple[dict, int]:
+    b_text = _setting(args, "b", required=True)
     vector = _elements(b_text, field, "component")
-    m = _at_least("m", _setting(args, cfg, "m", required=True), 0)
+    m = _at_least("m", _setting(args, "m", required=True), 0)
     cert = wronskian.independence_test(vector, int(m))
     doc = {
         "outcome": cert.verdict,
@@ -359,11 +325,9 @@ def _cmd_indep(args) -> tuple[dict, int]:
     return doc, EXIT_OK
 
 
-def _cmd_repset(args) -> tuple[dict, int]:
-    cfg = _load_instance(args)
-    field = _build_field(args, cfg)
-    group = _group(args, cfg, field)
-    m = int(_at_least("m", _setting(args, cfg, "m", required=True), 1))
+def _cmd_repset(args, field: GF) -> tuple[dict, int]:
+    group = _group(args, field)
+    m = int(_at_least("m", _setting(args, "m", required=True), 1))
     reps = unitgroup.representatives(group, m)
     doc = {
         "outcome": "ok",
@@ -456,7 +420,10 @@ def run_cli(argv=None, stdout=None, stderr=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     try:
         args = _parser().parse_args(argv)
-        doc, code = args.handler(args)
+        for key, value in _load_instance(args).items():
+            if getattr(args, key, None) is None:  # a flag overrides the file
+                setattr(args, key, value)
+        doc, code = args.handler(args, _build_field(args))
     except InputError as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_INPUT

@@ -16,7 +16,6 @@ over pure functions, so answers are identical with or without it and
 concurrent readers are safe.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InternalCheckError, ResourceLimitError
@@ -75,15 +74,6 @@ def poly_jet(a: Poly, order: int) -> list[Poly]:
     return out
 
 
-@dataclass(frozen=True)
-class TaylorJet:
-    """An element together with its derivatives D(0..order)."""
-
-    element: RatFunc
-    order: int
-    coefficients: tuple[RatFunc, ...]
-
-
 @lru_cache(maxsize=4096)
 def _jet_coeffs(x: RatFunc, order: int) -> tuple[RatFunc, ...]:
     num_jet = poly_jet(x.num, order)
@@ -110,10 +100,10 @@ def _check_order(order: int, what: str):
         )
 
 
-def taylor_jet(x: RatFunc, order: int) -> TaylorJet:
-    """All derivatives D(0..order)(x) from one truncated expansion."""
+def taylor_jet(x: RatFunc, order: int) -> tuple[RatFunc, ...]:
+    """D(0..order)(x), entry i being D(i)(x), from one truncated expansion."""
     _check_order(order, "jet order")
-    return TaylorJet(x, order, _jet_coeffs(x, order))
+    return _jet_coeffs(x, order)
 
 
 def hasse_derivative(x: RatFunc, i: int) -> RatFunc:

@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import unitgroup
 from .errors import ResourceLimitError
 from .poly import Poly, monic_irreducibles, poly_powmod
 from .ratfunc import Modulus, RatFunc, finite_support, reduce_mod, valuation
@@ -177,18 +178,26 @@ def find_local_obstruction(
 
     Moduli run over monic irreducibles outside the support of the equation
     and the group, up to the given degree, with exponents up to e_bound.
+    Past unitgroup.DEFAULT_GROUP_LIMIT residue elements searched in all
+    without an obstruction, the scan stops with ResourceLimitError.
     """
     if deg_bound < 1 or e_bound < 1:
         raise ValueError("bounds must be >= 1")
     excluded = {pl.poly for pl in group.support}
     for x in eq.b:
         excluded.update(pl.poly for pl in finite_support(x))
+    searched, limit = 0, unitgroup.DEFAULT_GROUP_LIMIT
     for base, e in _moduli(group.field, excluded, deg_bound, e_bound):
         # bases outside the support keep every coefficient a unit
         m = Modulus(base, e)
         rg = residue_group(group, m)
         if _search_residues(eq, rg) is None:
             return ObstructionWitness(m, len(rg))
+        searched += len(rg)
+        if searched > limit:
+            raise ResourceLimitError(
+                f"residue-element total {searched} exceeds the configured bound {limit}"
+            )
     return None
 
 

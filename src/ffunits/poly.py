@@ -364,8 +364,9 @@ class Factorization:
         return out
 
 
+@functools.lru_cache(maxsize=4096)
 def is_irreducible(a: Poly) -> bool:
-    """Rabin irreducibility test over F_q."""
+    """Rabin irreducibility test over F_q, memoized so each polynomial is tested once."""
     if a.is_zero or a.degree() < 1:
         raise ValueError("irreducibility is asked of nonconstant polynomials")
     f = a.monic()[0]

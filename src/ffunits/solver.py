@@ -127,13 +127,11 @@ class TupleRecord:
         return not any(c.independent for c in self.psi_certificates or (self.certificate,))
 
 
-@dataclass(frozen=True)
-class FailureRecord:
-    r: tuple[RatFunc, ...]
-    r_words: tuple[tuple[int, ...], ...]
+@dataclass(frozen=True, kw_only=True)
+class FailureRecord(TupleRecord):
+    """The first failing tuple's record, with why it fails and its re-tests."""
+
     reason: str
-    certificate: IndependenceCertificate | None
-    psi_certificates: tuple[IndependenceCertificate, ...] | None
     retries: int
 
 
@@ -226,9 +224,7 @@ def decide(
         if rec.fails and failure is None:
             retries = _confirm_failure(eq.rhs, br, m, gen_powers)
             reason = ("dependent-products", "all-unit-substitutions-dependent")[eq.rhs]
-            failure = FailureRecord(
-                r, words, reason, rec.certificate, rec.psi_certificates, retries
-            )
+            failure = FailureRecord(**vars(rec), reason=reason, retries=retries)
             if not exhaustive:
                 break
     outcome = ("certified-empty", "certified-solutions")[eq.rhs]

@@ -121,6 +121,50 @@ def test_hasse_subcommand():
     assert doc["derivatives"] == ["T^2", "2*T", "1"]
 
 
+def test_hasse_reports_are_pinned():
+    # the whole report, byte for byte, for each of the two report shapes
+    code, out, err = run(["hasse", "--p", "2", "--x", "1/(1+T)", "--i", "1"])
+    assert code == 0 and err == ""
+    assert out == (
+        '{\n  "outcome": "ok",\n  "field": {\n    "p": 2,\n    "s": 1\n  },\n'
+        '  "input": "1/(T + 1)",\n  "index": 1,\n  "derivative": "1/(T^2 + 1)",\n'
+        '  "command": "hasse"\n}\n'
+    )
+    code, out, err = run(["hasse", "--p", "3", "--x", "T^2", "--order", "2"])
+    assert code == 0 and err == ""
+    assert out == (
+        '{\n  "outcome": "ok",\n  "field": {\n    "p": 3,\n    "s": 1\n  },\n'
+        '  "input": "T^2",\n  "order": 2,\n  "derivatives": [\n    "T^2",\n'
+        '    "2*T",\n    "1"\n  ],\n  "command": "hasse"\n}\n'
+    )
+
+
+def test_instance_file_drives_every_command(tmp_path):
+    # (command, instance text, the same settings as flags, the command's own flags)
+    cases = [
+        ("indep", "p = 2\nb = T, 1+T\nm = 1\n", ["--p", "2", "--b", "T, 1+T", "--m", "1"], []),
+        ("repset", "p = 3\ngens = T, -T, 1-T\nm = 1\n",
+         ["--p", "3", "--gens", "T, -T, 1-T", "--m", "1"], []),
+        ("hasse", "p = 2\n", ["--p", "2"], ["--x", "1/(1+T)", "--order", "3"]),
+        ("probe", "p = 3\n", ["--p", "3"], ["--g", "T", "--base", "T^2+1", "--n-max", "4"]),
+        ("factor", "p = 3\ns = 2\nmodulus = T^2+1\n",
+         ["--p", "3", "--s", "2", "--modulus", "T^2+1"], ["--poly", "T^4-1"]),
+    ]
+    for command, text, settings, own in cases:
+        path = tmp_path / f"{command}.toy"
+        path.write_text(text)
+        from_flags = run([command, *settings, *own])
+        assert from_flags[0] == 0 and from_flags[1], command
+        assert run([command, "--instance", str(path), *own]) == from_flags, command
+    # a flag beats the file outside solve too
+    path = tmp_path / "indep.toy"
+    path.write_text("p = 3\nb = 1, 1\nm = 2\n")
+    argv = ["indep", "--instance", str(path), "--p", "2", "--b", "T, 1+T", "--m", "1"]
+    assert run(argv) == run(["indep", "--p", "2", "--b", "T, 1+T", "--m", "1"])
+    code, doc = run_json(["indep", "--instance", str(path), "--b", "T, 1+T"])
+    assert (doc["field"], doc["m"], doc["b"]) == ({"p": 3, "s": 1}, 2, ["T", "T + 1"])
+
+
 def test_indep_subcommand():
     code, doc = run_json(["indep", "--b", "T, 1+T", "--m", "1", "--p", "2"])
     assert code == 0

@@ -39,15 +39,15 @@ def test_derivative_examples(F2, F3):
 
 def test_jet_examples(F2, F3):
     jet = taylor_jet(el(F3, "T^2"), 2)
-    assert jet.coefficients == (el(F3, "T^2"), el(F3, "2*T"), el(F3, "1"))
+    assert jet == (el(F3, "T^2"), el(F3, "2*T"), el(F3, "1"))
     jet = taylor_jet(el(F3, "2"), 4)
-    assert jet.coefficients[0] == el(F3, "2")
-    assert all(c.is_zero for c in jet.coefficients[1:])
+    assert jet[0] == el(F3, "2")
+    assert all(c.is_zero for c in jet[1:])
     # oracle: (1+T) * (T/(1+T)) = T gives D1 = (1 - x) / (1+T) = 1/(1+T^2)
     x = el(F2, "T/(1+T)")
     expected = (RatFunc.one(F2) - x) / el(F2, "1+T")
     jet = taylor_jet(x, 1)
-    assert jet.coefficients == (x, expected)
+    assert jet == (x, expected)
     assert expected == el(F2, "1/(1+T^2)")
 
 
@@ -57,9 +57,9 @@ def test_leibniz(F2, F3):
         for _ in range(15):
             x = rand_ratfunc(rng, field, 6)
             y = rand_ratfunc(rng, field, 6)
-            jx = taylor_jet(x, 8).coefficients
-            jy = taylor_jet(y, 8).coefficients
-            jxy = taylor_jet(x * y, 8).coefficients
+            jx = taylor_jet(x, 8)
+            jy = taylor_jet(y, 8)
+            jxy = taylor_jet(x * y, 8)
             for i in range(9):
                 acc = RatFunc.zero(field)
                 for j in range(i + 1):
@@ -120,8 +120,8 @@ def test_in_power_subfield_powers(F2, F3):
 def test_jet_cache_is_transparent(F2):
     x = el(F2, "(T^2+1)/(T^3+T+1)")
     _jet_coeffs.cache_clear()
-    cold = taylor_jet(x, 6).coefficients
-    warm = taylor_jet(x, 6).coefficients
+    cold = taylor_jet(x, 6)
+    warm = taylor_jet(x, 6)
     assert cold == warm
     assert _jet_coeffs.cache_info().hits >= 1
 
@@ -201,7 +201,7 @@ def test_jet_order_bound(F2, monkeypatch):
     from ffunits import hasse
 
     x = el(F2, "1/(1+T)")
-    assert hasse_derivative(x, 3) == taylor_jet(x, 3).coefficients[3]
+    assert hasse_derivative(x, 3) == taylor_jet(x, 3)[3]
     # the bound is checked before any expansion starts
     monkeypatch.setattr(hasse, "_jet_coeffs", lambda *a: pytest.fail("jet expanded"))
     with pytest.raises(ResourceLimitError):

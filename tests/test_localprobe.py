@@ -214,6 +214,46 @@ def test_obstruction_scan_builds_each_residue_group_once(F2, F3, monkeypatch):
     assert len(built) > 1 and len(set(built)) == len(built)
 
 
+def test_obstruction_scan_is_bounded(monkeypatch):
+    """A scan that finds nothing stops once its residue groups outgrow the group bound."""
+    from ffunits import unitgroup
+
+    argv = ["skolem", "--p", "3", "--gens", "T+1", "--b", "1, -1", "--rhs", "0",
+            "--deg-bound", "5", "--e-bound", "1"]
+    # solvable at every modulus: 79 moduli with 9,118 residue elements in all
+    out, err = io.StringIO(), io.StringIO()
+    assert run_cli(argv, stdout=out, stderr=err) == 2
+    assert json.loads(out.getvalue())["outcome"] == "none-found"
+    # no single residue group reaches 2,000 elements, only their total does
+    monkeypatch.setattr(unitgroup, "DEFAULT_GROUP_LIMIT", 2000)
+    out, err = io.StringIO(), io.StringIO()
+    assert run_cli(argv, stdout=out, stderr=err) == 4
+    assert out.getvalue() == "" and "exceeds the configured bound 2000" in err.getvalue()
+
+
+def test_obstruction_scan_tests_each_polynomial_once(F3, monkeypatch):
+    """The Rabin test runs once per polynomial: a modulus on a base that
+    monic_irreducibles has tested reads the memo.
+    """
+    from ffunits import poly
+
+    bases = []
+    monkeypatch.setattr(
+        localprobe, "Modulus", lambda base, e: bases.append(base) or Modulus(base, e)
+    )
+    group = build_presentation((el(F3, "T+1"),))
+    eq = Equation((RatFunc.one(F3), -RatFunc.one(F3)), 0)
+    poly.monic_irreducibles.cache_clear()
+    poly.is_irreducible.cache_clear()
+    assert find_local_obstruction(eq, group, 4, 1) is None
+    info = poly.is_irreducible.cache_info()
+    # monic_irreducibles tests every monic of degree 2..4 and no linear one,
+    # so the linear bases are tested first by their Modulus
+    linear = [b for b in bases if b.degree() == 1]
+    assert info.misses == info.currsize == 3**2 + 3**3 + 3**4 + len(linear)
+    assert info.hits == len(bases) - len(linear) > 0
+
+
 def test_sg_search_examples(F2):
     g2 = build_presentation((el(F2, "1+T"),))
     eq1 = Equation((RatFunc.t(F2), RatFunc.one(F2)), 1)
