@@ -3,15 +3,7 @@ over finitely generated unit subgroups of rational function fields F_q(t)."""
 
 from .field import GF
 from .poly import Factorization, Poly, factor, is_irreducible, poly_divmod, poly_gcd, poly_powmod
-from .ratfunc import (
-    Divisor,
-    Modulus,
-    Place,
-    RatFunc,
-    divisor_vector,
-    reduce_mod,
-    valuation,
-)
+from .ratfunc import Modulus, Place, RatFunc, divisor_vector, reduce_mod, valuation
 from .hasse import hasse_derivative, in_power_subfield, taylor_jet
 from .wronskian import (
     IndependenceCertificate,
@@ -48,7 +40,7 @@ from .localprobe import (
     sg_search,
     sl_search,
 )
-from .exprio import eval_expr, parse_element, parse_expr, print_expr
+from .exprio import parse_element, print_expr
 
 __version__ = "0.1.0"
 
@@ -63,7 +55,6 @@ __all__ = [
     "poly_powmod",
     "RatFunc",
     "Place",
-    "Divisor",
     "Modulus",
     "valuation",
     "divisor_vector",
@@ -98,8 +89,6 @@ __all__ = [
     "find_local_obstruction",
     "sg_search",
     "closure_probe",
-    "parse_expr",
-    "eval_expr",
     "parse_element",
     "print_expr",
     "__version__",

@@ -1,4 +1,4 @@
-"""Text syntax for field elements: parser, evaluator, canonical printer.
+"""Text syntax for field elements: an evaluating parser and a canonical printer.
 
 Grammar (the indeterminate is spelled T):
 
@@ -14,12 +14,17 @@ Integer literals are reduced into the field: the least nonnegative
 residue mod p when s == 1, and the base-p digit encoding (which must lie
 in range(q)) for proper extensions.
 
+The parser evaluates as it reads, so each rule returns the exact value of
+its text.  The degree of a value is the larger of its numerator's and
+denominator's; no operation may build a value whose degree could pass
+MAX_EXPONENT.  A binary operator is refused when its operands' degrees sum
+past it, and '^' when |exponent| times the base's degree does; either is a
+ParseError at the operator, raised before the arithmetic runs.
+
 The printer emits the canonical form "num/(den)" with terms in decreasing
 degree and coefficients as canonical field integers; printing then parsing
 returns the identical value.
 """
-
-from dataclasses import dataclass
 
 from .errors import InputError
 from .field import GF
@@ -33,13 +38,6 @@ class ParseError(InputError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-@dataclass(frozen=True)
-class Expr:
-    op: str  # const | var | add | sub | mul | div | neg | pow
-    args: tuple["Expr", ...] = ()
-    value: int | None = None
 
 
 def _tokenize(text: str):
@@ -75,9 +73,10 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    def __init__(self, text: str, field: GF):
+        self.tokens = _tokenize(text)
         self.pos = 0
+        self.field = field
 
     def peek(self):
         return self.tokens[self.pos]
@@ -89,32 +88,39 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
+    def parse_expr(self) -> RatFunc:
+        value = self.parse_term()
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
+            op, _, pos = self.take()
             rhs = self.parse_term()
-            node = Expr("add" if op == "+" else "sub", (node, rhs))
-        return node
+            _check_degree(_degree(value) + _degree(rhs), pos)
+            value = value + rhs if op == "+" else value - rhs
+        return value
 
-    def parse_term(self) -> Expr:
-        node = self.parse_unary()
+    def parse_term(self) -> RatFunc:
+        value = self.parse_unary()
         while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
+            op, _, pos = self.take()
             rhs = self.parse_unary()
-            node = Expr("mul" if op == "*" else "div", (node, rhs))
-        return node
+            _check_degree(_degree(value) + _degree(rhs), pos)
+            if op == "*":
+                value = value * rhs
+            elif rhs.is_zero:
+                raise InputError("division by zero in expression")
+            else:
+                value = value / rhs
+        return value
 
-    def parse_unary(self) -> Expr:
+    def parse_unary(self) -> RatFunc:
         if self.peek()[0] == "-":
             self.take()
-            return Expr("neg", (self.parse_unary(),))
+            return -self.parse_unary()
         return self.parse_factor()
 
-    def parse_factor(self) -> Expr:
-        node = self.parse_atom()
+    def parse_factor(self) -> RatFunc:
+        value = self.parse_atom()
         if self.peek()[0] == "^":
-            self.take()
+            pos = self.take()[2]
             sign = 1
             if self.peek()[0] == "-":
                 self.take()
@@ -123,35 +129,58 @@ class _Parser:
             exponent = sign * tok[1]
             if abs(exponent) > MAX_EXPONENT:
                 raise ParseError(f"exponent exceeds the bound {MAX_EXPONENT}", tok[2])
-            node = Expr("pow", (node,), exponent)
-        return node
+            _check_degree(abs(exponent) * _degree(value), pos)
+            if value.is_zero and exponent < 0:
+                raise InputError("zero raised to a negative power")
+            value = value**exponent
+        return value
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self) -> RatFunc:
         kind, value, pos = self.peek()
         if kind == "int":
             self.take()
-            return Expr("const", (), value)
+            return RatFunc.constant(self.field, _literal(self.field, value))
         if kind == "var":
             self.take()
-            return Expr("var")
+            return RatFunc.t(self.field)
         if kind == "(":
             self.take()
-            node = self.parse_expr()
+            value = self.parse_expr()
             self.take(")")
-            return node
+            return value
         raise ParseError(f"expected a value, found {kind!r}", pos)
 
 
-def parse_expr(text: str) -> Expr:
-    """Parse one expression; the whole input must be consumed."""
+def _degree(x: RatFunc) -> int:
+    return max(x.num.degree(), x.den.degree())
+
+
+def _check_degree(degree: int, position: int) -> None:
+    if degree > MAX_EXPONENT:
+        raise ParseError(f"degree {degree} exceeds the bound {MAX_EXPONENT}", position)
+
+
+def _literal(field: GF, value: int) -> int:
+    if field.s == 1:
+        return value % field.p
+    if not 0 <= value < field.q:
+        raise InputError(
+            f"literal {value} is out of range for GF({field.q}); "
+            "use the base-p digit encoding in range(q)"
+        )
+    return value
+
+
+def parse_element(text: str, field: GF) -> RatFunc:
+    """The exact value of one expression; the whole input must be consumed."""
     if not text.strip():
         raise ParseError("empty expression", 0)
-    parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
+    parser = _Parser(text, field)
+    value = parser.parse_expr()
     kind, _, pos = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing {kind!r}", pos)
-    return node
+    return value
 
 
 def split_exprs(text: str) -> list[str]:
@@ -169,49 +198,6 @@ def split_exprs(text: str) -> list[str]:
             start = i + 1
     parts.append(text[start:])
     return [p.strip() for p in parts]
-
-
-def _literal(field: GF, value: int) -> int:
-    if field.s == 1:
-        return value % field.p
-    if not 0 <= value < field.q:
-        raise InputError(
-            f"literal {value} is out of range for GF({field.q}); "
-            "use the base-p digit encoding in range(q)"
-        )
-    return value
-
-
-def eval_expr(ast: Expr, field: GF) -> RatFunc:
-    """Exact evaluation to a canonical field element."""
-    if ast.op == "const":
-        return RatFunc.constant(field, _literal(field, ast.value))
-    if ast.op == "var":
-        return RatFunc.t(field)
-    if ast.op == "neg":
-        return -eval_expr(ast.args[0], field)
-    if ast.op == "pow":
-        base = eval_expr(ast.args[0], field)
-        if base.is_zero and ast.value < 0:
-            raise InputError("zero raised to a negative power")
-        return base**ast.value
-    lhs = eval_expr(ast.args[0], field)
-    rhs = eval_expr(ast.args[1], field)
-    if ast.op == "add":
-        return lhs + rhs
-    if ast.op == "sub":
-        return lhs - rhs
-    if ast.op == "mul":
-        return lhs * rhs
-    if ast.op == "div":
-        if rhs.is_zero:
-            raise InputError("division by zero in expression")
-        return lhs / rhs
-    raise InputError(f"unknown expression node {ast.op!r}")
-
-
-def parse_element(text: str, field: GF) -> RatFunc:
-    return eval_expr(parse_expr(text), field)
 
 
 def poly_text(a: Poly) -> str:

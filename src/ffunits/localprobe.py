@@ -152,20 +152,16 @@ def verify_obstruction(
     return True
 
 
-def _moduli(field, excluded, deg_bound: int, e_bound: int):
-    """(base, e) in (deg*e, deg, base, e) order, with bases outside excluded.
+def _moduli(deg_bound: int, e_bound: int):
+    """(deg, e) pairs in (deg*e, deg) order; each deg first comes with e == 1.
 
-    Each weight deg*e fixes e once deg is chosen, and monic_irreducibles
-    lists bases in sort-key order, so the walk needs no sort; a degree's
-    bases are listed only once the walk reaches it.
+    Each weight deg*e fixes e once deg is chosen, so the walk needs no sort.
     """
     for weight in range(1, deg_bound * e_bound + 1):
         for d in range(1, min(weight, deg_bound) + 1):
             e, rem = divmod(weight, d)
             if rem == 0 and e <= e_bound:
-                for base in monic_irreducibles(field, d):
-                    if base not in excluded:
-                        yield base, e
+                yield d, e
 
 
 def find_local_obstruction(
@@ -178,26 +174,40 @@ def find_local_obstruction(
 
     Moduli run over monic irreducibles outside the support of the equation
     and the group, up to the given degree, with exponents up to e_bound.
-    Past unitgroup.DEFAULT_GROUP_LIMIT residue elements searched in all
-    without an obstruction, the scan stops with ResourceLimitError.
+    A running total counts the residue elements searched without an
+    obstruction and, before a degree's bases are first listed, the q**deg
+    candidates that listing Rabin-tests; past unitgroup.DEFAULT_GROUP_LIMIT
+    the scan stops with ResourceLimitError.
     """
     if deg_bound < 1 or e_bound < 1:
         raise ValueError("bounds must be >= 1")
+    field = group.field
     excluded = {pl.poly for pl in group.support}
     for x in eq.b:
         excluded.update(pl.poly for pl in finite_support(x))
     searched, limit = 0, unitgroup.DEFAULT_GROUP_LIMIT
-    for base, e in _moduli(group.field, excluded, deg_bound, e_bound):
-        # bases outside the support keep every coefficient a unit
-        m = Modulus(base, e)
-        rg = residue_group(group, m)
-        if _search_residues(eq, rg) is None:
-            return ObstructionWitness(m, len(rg))
-        searched += len(rg)
+
+    def charge(count: int) -> None:
+        nonlocal searched
+        searched += count
         if searched > limit:
             raise ResourceLimitError(
                 f"residue-element total {searched} exceeds the configured bound {limit}"
             )
+
+    for d, e in _moduli(deg_bound, e_bound):
+        if e == 1:
+            charge(field.q**d)
+        # bases in sort-key order, Rabin-tested once per degree (memoized)
+        for base in monic_irreducibles(field, d):
+            if base in excluded:
+                continue
+            # bases outside the support keep every coefficient a unit
+            m = Modulus(base, e)
+            rg = residue_group(group, m)
+            if _search_residues(eq, rg) is None:
+                return ObstructionWitness(m, len(rg))
+            charge(len(rg))
     return None
 
 

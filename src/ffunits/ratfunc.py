@@ -1,5 +1,6 @@
 """The rational function field K = F_q(t): reduced fractions, places,
-valuations, divisor vectors and residue-ring reduction.
+valuations, divisor vectors (plain dicts from Place to nonzero exponent)
+and residue-ring reduction.
 
 Values are canonical: a RatFunc keeps a reduced fraction with monic
 denominator, so equality and hashing are structural.  Places of K over
@@ -161,43 +162,6 @@ class Place:
         return (0,) + self.poly.sort_key()
 
 
-@dataclass(frozen=True)
-class Divisor:
-    """Finitely supported Place -> exponent map; entries sorted, exponents nonzero."""
-
-    entries: tuple[tuple[Place, int], ...]
-
-    @classmethod
-    def from_dict(cls, d: dict[Place, int]) -> "Divisor":
-        items = [(pl, e) for pl, e in d.items() if e != 0]
-        items.sort(key=lambda pe: pe[0].sort_key())
-        return cls(tuple(items))
-
-    def as_dict(self) -> dict[Place, int]:
-        return dict(self.entries)
-
-    def get(self, place: Place) -> int:
-        for pl, e in self.entries:
-            if pl == place:
-                return e
-        return 0
-
-    def degree(self) -> int:
-        return sum(e * pl.degree() for pl, e in self.entries)
-
-    def __add__(self, other: "Divisor") -> "Divisor":
-        d = self.as_dict()
-        for pl, e in other.entries:
-            d[pl] = d.get(pl, 0) + e
-        return Divisor.from_dict(d)
-
-    def __neg__(self) -> "Divisor":
-        return Divisor(tuple((pl, -e) for pl, e in self.entries))
-
-    def finite_support(self) -> tuple[Place, ...]:
-        return tuple(pl for pl, _ in self.entries if not pl.is_infinite)
-
-
 def valuation(x: RatFunc, v: Place) -> int:
     """Order of vanishing of x at the place v."""
     if x.is_zero:
@@ -218,10 +182,11 @@ def valuation(x: RatFunc, v: Place) -> int:
     return mult(x.num) - mult(x.den)
 
 
-def divisor_vector(x: RatFunc) -> tuple[Divisor, int]:
-    """Full exponent map of x (finite places and infinity) plus its leading unit.
+def divisor_vector(x: RatFunc) -> tuple[dict[Place, int], int]:
+    """Exponent map of x (finite places and infinity, nonzero exponents only,
+    in place order) plus its leading unit.
 
-    x equals constant * prod(place.poly ** exponent) over the finite entries;
+    x equals constant * prod(place.poly ** exponent) over the finite places;
     the infinite exponent is determined by the degree-zero identity.
     """
     if x.is_zero:
@@ -231,27 +196,26 @@ def divisor_vector(x: RatFunc) -> tuple[Divisor, int]:
     for g, e in fn.factors:
         exps[Place.finite(g)] = e
     fd = factor(x.den)
-    for g, e in fd.factors:
-        pl = Place.finite(g)
-        exps[pl] = exps.get(pl, 0) - e
+    for g, e in fd.factors:  # the fraction is reduced: no place is in both
+        exps[Place.finite(g)] = -e
     inf = x.den.degree() - x.num.degree()
     if inf:
         exps[Place.at_infinity()] = inf
     constant = x.field.div(fn.unit, fd.unit)
-    return Divisor.from_dict(exps), constant
+    return dict(sorted(exps.items(), key=lambda pe: pe[0].sort_key())), constant
 
 
-def divisor_product(field: GF, divisor: Divisor, constant: int) -> RatFunc:
-    """Rebuild the element from its finite divisor entries and leading unit."""
+def divisor_product(field: GF, divisor: dict[Place, int], constant: int) -> RatFunc:
+    """Rebuild the element from its finite divisor exponents and leading unit."""
     out = RatFunc.constant(field, constant)
-    for pl, e in divisor.entries:
+    for pl, e in divisor.items():
         if not pl.is_infinite:
             out = out * RatFunc.from_poly(pl.poly) ** e
     return out
 
 
 def finite_support(x: RatFunc) -> tuple[Place, ...]:
-    return divisor_vector(x)[0].finite_support()
+    return tuple(pl for pl in divisor_vector(x)[0] if not pl.is_infinite)
 
 
 # -- finite-precision residue rings --

@@ -92,11 +92,9 @@ def build_presentation(gens) -> SubgroupPresentation:
         dv, const = divisor_vector(g)
         divisors.append(dv)
         constants.append(const)
-        support.update(dv.finite_support())
+        support.update(pl for pl in dv if not pl.is_infinite)
     places = tuple(sorted(support, key=lambda pl: pl.sort_key()))
-    matrix = tuple(
-        tuple(dv.get(pl) for pl in places) for dv in divisors
-    )
+    matrix = tuple(tuple(dv.get(pl, 0) for pl in places) for dv in divisors)
     return SubgroupPresentation(field, gens, places, matrix, tuple(constants))
 
 
@@ -104,7 +102,7 @@ def _exponent_target(x: RatFunc, group: SubgroupPresentation):
     """Exponents of x over the group support, or the first stray place."""
     dv, const = divisor_vector(x)
     target = [0] * len(group.support)
-    for pl, e in dv.entries:
+    for pl, e in dv.items():
         if pl.is_infinite:
             continue
         idx = group.place_index.get(pl)

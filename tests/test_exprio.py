@@ -3,66 +3,58 @@ import sys
 
 import pytest
 
-from ffunits import GF, RatFunc, exprio
+from ffunits import GF, Poly, RatFunc, exprio
 from ffunits.errors import InputError
-from ffunits.exprio import (
-    Expr,
-    ParseError,
-    parse_element,
-    parse_expr,
-    print_expr,
-    split_exprs,
-)
+from ffunits.exprio import ParseError, parse_element, print_expr, split_exprs
 
 from conftest import el, rand_ratfunc
 
 
+def poly(field, coeffs):
+    """The polynomial with the given coefficients, lowest degree first."""
+    return RatFunc.from_poly(Poly.from_coeffs(field, coeffs))
+
+
 def test_parse_structure(F3):
-    ast = parse_expr("1 - T")
-    assert ast == Expr("sub", (Expr("const", (), 1), Expr("var")))
-    assert parse_element("1 - T", F3) == el(F3, "2*T + 1")
-
-    ast = parse_expr("T^-1 * (1+T)")
-    assert ast.op == "mul"
-    assert ast.args[0] == Expr("pow", (Expr("var"),), -1)
-    assert ast.args[1] == Expr("add", (Expr("const", (), 1), Expr("var")))
-
-    ast = parse_expr("(T^2+T+1)/(T-1)")
-    assert ast.op == "div"
-
-
-def test_precedence(F2, F3):
-    assert parse_expr("1+T*T") == Expr(
-        "add", (Expr("const", (), 1), Expr("mul", (Expr("var"), Expr("var"))))
+    assert parse_element("1 - T", F3) == poly(F3, (1, 2))
+    assert parse_element("T^-1 * (1+T)", F3) == RatFunc.make(
+        Poly.from_coeffs(F3, (1, 1)), Poly.x(F3)
     )
-    assert parse_expr("-T^2") == Expr("neg", (Expr("pow", (Expr("var"),), 2),))
-    assert parse_element("-T^2", F3) == -el(F3, "T^2")
-    assert parse_element("1-T^2", F3) == el(F3, "1") - el(F3, "T^2")
-    with pytest.raises(ParseError):
-        parse_expr("T^2^3")
-    with pytest.raises(ParseError):
-        parse_expr("2T")
-    with pytest.raises(ParseError):
-        parse_expr("")
-    with pytest.raises(ParseError):
-        parse_expr("(1+T")
-    with pytest.raises(ParseError):
-        parse_expr("T^")
+    assert parse_element("(T^2+T+1)/(T-1)", F3) == RatFunc.make(
+        Poly.from_coeffs(F3, (1, 1, 1)), Poly.from_coeffs(F3, (2, 1))
+    )
 
 
-def test_bad_literals_are_parse_errors():
+def test_precedence(F3):
+    # left associativity: (1-T)-T = 1+T over GF(3), where 1-(T-T) would be 1
+    assert parse_element("1-T-T", F3) == poly(F3, (1, 1))
+    # (T/T)/T = 1/T, where T/(T/T) would be T
+    assert parse_element("T/T/T", F3) == RatFunc.t(F3).inverse()
+    # 1+(T*T) = T^2+1, where (1+T)*T would be T^2+T
+    assert parse_element("1+T*T", F3) == poly(F3, (1, 0, 1))
+    # -(T^2) = 2*T^2, where (-T)^2 would be T^2
+    assert parse_element("-T^2", F3) == poly(F3, (0, 0, 2))
+    assert parse_element("1-T^2", F3) == poly(F3, (1, 0, 2))
+    assert parse_element("2*T^-1", F3) == RatFunc.make(Poly.constant(F3, 2), Poly.x(F3))
+    for text, position in (("T^2^3", 3), ("2T", 1), ("", 0), ("(1+T", 4), ("T^", 2)):
+        with pytest.raises(ParseError) as excinfo:
+            parse_element(text, F3)
+        assert excinfo.value.position == position
+
+
+def test_bad_literals_are_parse_errors(F3):
     # str.isdigit also accepts superscripts, which int() rejects, and other
     # scripts' digits, which int() reads as numbers; int() also rejects a
     # literal longer than the interpreter's digit limit
     for text, position in (("T\u00b2", 1), ("1+\u00b2", 2), ("T^\u00b2", 2), ("\u0663", 0)):
         with pytest.raises(ParseError) as excinfo:
-            parse_expr(text)
+            parse_element(text, F3)
         assert excinfo.value.position == position
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:  # int() refuses longer digit strings; 0 means no limit
         text = "T + " + "1" * (limit + 1)
         with pytest.raises(ParseError, match="too long") as excinfo:
-            parse_expr(text)
+            parse_element(text, F3)
         assert excinfo.value.position == 4
 
 
@@ -86,15 +78,44 @@ def test_eval_examples(F3):
         parse_element("1/(T-T)", F3)
     with pytest.raises(InputError):
         parse_element("(T-T)^-2", F3)
+    # values are built as the text is read, so an evaluation error comes
+    # before a later syntax error
+    with pytest.raises(InputError, match="division by zero") as excinfo:
+        parse_element("1/(T-T) )", F3)
+    assert not isinstance(excinfo.value, ParseError)
 
 
-def test_exponent_bound(monkeypatch):
-    with pytest.raises(ParseError):
-        parse_expr("T^10000000")
+def test_exponent_bound(F3, monkeypatch):
+    with pytest.raises(ParseError) as excinfo:
+        parse_element("T^10000000", F3)
+    assert excinfo.value.position == 2
     monkeypatch.setattr(exprio, "MAX_EXPONENT", 3)
-    assert parse_expr("T^3") is not None
-    with pytest.raises(ParseError):
-        parse_expr("T^4")
+    assert parse_element("T^3", F3) == poly(F3, (0, 0, 0, 1))
+    with pytest.raises(ParseError) as excinfo:
+        parse_element("T^4", F3)
+    assert excinfo.value.position == 2
+
+
+def test_degree_bound(F3, monkeypatch):
+    """No operator may build a value past the degree bound: refused at the
+    operator, although every exponent literal is within it.
+    """
+    monkeypatch.setattr(exprio, "MAX_EXPONENT", 3)
+    assert parse_element("T^3", F3) == poly(F3, (0, 0, 0, 1))
+    assert parse_element("T^2*T", F3) == poly(F3, (0, 0, 0, 1))
+    assert parse_element("(T+1)^3", F3) == poly(F3, (1, 0, 0, 1))
+    assert parse_element("T^-3", F3) == RatFunc.make(Poly.one(F3), Poly.x(F3) ** 3)
+    for text, position in (
+        ("(T^2)^2", 5),
+        ("T^2*T^2", 3),
+        ("1/T^2 + 1/(T+1)^2", 6),
+        ("(T^2)^-2", 5),
+        ("T^2-T^2", 3),
+        ("T^2/T^2", 3),
+    ):
+        with pytest.raises(ParseError, match="exceeds the bound 3") as excinfo:
+            parse_element(text, F3)
+        assert excinfo.value.position == position
 
 
 def test_print_examples(F2):

@@ -174,7 +174,18 @@ def test_modulus_walk_matches_sorted_candidates():
         excluded = {monic_irreducibles(field, 1)[-1], monic_irreducibles(field, 2)[0]}
         for deg_bound in (1, 2, 3):
             for e_bound in (1, 2, 3):
-                walk = list(localprobe._moduli(field, excluded, deg_bound, e_bound))
+                pairs = list(localprobe._moduli(deg_bound, e_bound))
+                # each degree first comes with e == 1, where the scan charges it
+                seen = set()
+                for d, e in pairs:
+                    assert d in seen or e == 1
+                    seen.add(d)
+                walk = [
+                    (base, e)
+                    for d, e in pairs
+                    for base in monic_irreducibles(field, d)
+                    if base not in excluded
+                ]
                 assert walk == _sorted_moduli(field, excluded, deg_bound, e_bound)
 
 
@@ -229,6 +240,24 @@ def test_obstruction_scan_is_bounded(monkeypatch):
     out, err = io.StringIO(), io.StringIO()
     assert run_cli(argv, stdout=out, stderr=err) == 4
     assert out.getvalue() == "" and "exceeds the configured bound 2000" in err.getvalue()
+
+
+def test_obstruction_scan_charges_listed_candidates(monkeypatch):
+    """Listing a degree's bases Rabin-tests its q**deg candidates, so the scan
+    bound charges them before the degree is listed: with a trivial image the
+    residue groups alone would let the scan list about 16k candidates.
+    """
+    from ffunits import poly, unitgroup
+
+    monkeypatch.setattr(unitgroup, "DEFAULT_GROUP_LIMIT", 1000)
+    poly.monic_irreducibles.cache_clear()
+    poly.is_irreducible.cache_clear()
+    argv = ["skolem", "--p", "2", "--gens", "1", "--b", "T, 1+T", "--rhs", "1",
+            "--deg-bound", "30", "--e-bound", "1"]
+    out, err = io.StringIO(), io.StringIO()
+    assert run_cli(argv, stdout=out, stderr=err) == 4
+    assert out.getvalue() == "" and "exceeds the configured bound 1000" in err.getvalue()
+    assert poly.is_irreducible.cache_info().misses <= 1000
 
 
 def test_obstruction_scan_tests_each_polynomial_once(F3, monkeypatch):
