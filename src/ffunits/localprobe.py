@@ -175,9 +175,10 @@ def find_local_obstruction(
     Moduli run over monic irreducibles outside the support of the equation
     and the group, up to the given degree, with exponents up to e_bound.
     A running total counts the residue elements searched without an
-    obstruction and, before a degree's bases are first listed, the q**deg
-    candidates that listing Rabin-tests; past unitgroup.DEFAULT_GROUP_LIMIT
-    the scan stops with ResourceLimitError.
+    obstruction and, before a degree's bases are first listed, deg for each
+    of the q**deg candidates that listing Rabin-tests (a test costs about
+    deg modular powerings); past unitgroup.DEFAULT_GROUP_LIMIT the scan
+    stops with ResourceLimitError.
     """
     if deg_bound < 1 or e_bound < 1:
         raise ValueError("bounds must be >= 1")
@@ -197,7 +198,7 @@ def find_local_obstruction(
 
     for d, e in _moduli(deg_bound, e_bound):
         if e == 1:
-            charge(field.q**d)
+            charge(d * field.q**d)
         # bases in sort-key order, Rabin-tested once per degree (memoized)
         for base in monic_irreducibles(field, d):
             if base in excluded:

@@ -29,6 +29,17 @@ coordinate matrix of b*r depends only on (j, r_j).  So each decision
 multiplies out a word, and builds a row, the first time a tuple reads it,
 and every elimination of the tuple loop reads the rows from there.
 
+The verdict of b*r and its witness index set depend only on the orbit of r
+under r_j -> r0 * r_j * s_j, with r0 in the group and s_j in F_q(t**(p**m))
+(see wronskian).  Two tuples lie in one orbit iff their words have the same
+orbit key ((key(w_j) - key(w_1)) mod p**m for j >= 2, componentwise, with
+key = residue_key), so there are |R|**(M-1) orbits.  The first independent
+certificate of an orbit serves every later tuple of it, with no elimination,
+for b*r itself on both right-hand sides.  A dependent tuple still runs its
+own elimination, since its relation differs from tuple to tuple; the psi_j
+verdicts and the candidate of rhs 1 are not orbit invariant and stay per
+tuple.
+
 Inapplicable is a first-class outcome: the criterion is sufficient, not
 necessary, and nothing is escalated silently.  A failing tuple is retried
 with components scaled by p**m-th generator powers (which cannot change
@@ -49,6 +60,7 @@ from .unitgroup import (
     member,
     radical_member,
     representatives,
+    residue_key,
 )
 from .wronskian import (
     IndependenceCertificate,
@@ -176,12 +188,13 @@ def _confirm_failure(rhs: int, br, m: int, gen_powers) -> int:
     return MAX_DEPENDENCE_RETRIES
 
 
-def _inhomogeneous_record(eq, group, m, r, words, br, rows) -> TupleRecord:
+def _inhomogeneous_record(eq, group, m, r, words, br, rows, known) -> TupleRecord:
     """The rhs-1 record of one tuple: a failing tuple keeps only its psi_j
     verdicts, and a candidate (only an eligible tuple has one) is checked by
-    exact substitution and coordinatewise membership.
+    exact substitution and coordinatewise membership.  known is the
+    certificate of b*r when its orbit already holds one, else None.
     """
-    cert, psi_certs, candidate = unit_substitution_verdicts(br, m, rows)
+    cert, psi_certs, candidate = unit_substitution_verdicts(br, m, rows, known)
     if not any(c.independent for c in psi_certs):
         return TupleRecord(r, words, None, psi_certs)
     if candidate is None:
@@ -205,6 +218,7 @@ def decide(
     gen_powers = [g**pm for g in group.generators]
     reps = representatives(group, m)
     element = functools.cache(group.word_product)
+    key = functools.cache(lambda word: residue_key(group, word, m))
 
     @functools.cache
     def product_row(j: int, word):
@@ -213,13 +227,19 @@ def decide(
 
     records = []
     failure = None
+    independent = {}  # orbit -> the independent certificate of its first tuple
     for words in _tuple_space(reps, eq.arity):
         r = tuple(map(element, words))
         br, rows = zip(*(product_row(j, w) for j, w in enumerate(words)))
+        first = key(words[0])
+        orbit = tuple(tuple((a - b) % pm for a, b in zip(key(w), first)) for w in words[1:])
+        known = independent.get(orbit)
         if eq.rhs == 0:
-            rec = TupleRecord(r, words, independence_test(br, m, rows=rows))
+            rec = TupleRecord(r, words, known or independence_test(br, m, rows=rows))
         else:
-            rec = _inhomogeneous_record(eq, group, m, r, words, br, rows)
+            rec = _inhomogeneous_record(eq, group, m, r, words, br, rows, known)
+        if rec.certificate is not None and rec.certificate.independent:
+            independent.setdefault(orbit, rec.certificate)
         records.append(rec)
         if rec.fails and failure is None:
             retries = _confirm_failure(eq.rhs, br, m, gen_powers)

@@ -14,6 +14,15 @@ vector has nonzero determinant; that determinant is the checkable
 certificate.  Callers that test many vectors sharing components may pass
 the coordinate rows they already hold.
 
+Verdict and witness are shared by a whole orbit: for f nonzero and s_j in
+K_m = F_q(t**(p**m)), v and (f * v_j * s_j)_j have the same verdict and the
+same greedy witness index set.  By Leibniz, D(i)(f v) = sum_{k<=i} D(k)(f)
+D(i-k)(v), so rows 0..i of the derivative matrix of f*v are rows 0..i of
+that of v times an invertible lower-triangular matrix with f on the
+diagonal; and D(i)(s x) = s D(i)(x) for s in K_m and i < p**m, so s_j scales
+column j.  Every prefix of rows keeps its rank, so the greedy scan keeps
+the same rows, and independence is the case of all p**m rows.
+
 unit_substitution_verdicts answers, for any b, its own test, every unit
 substitution psi(j, b) (b with its j-th entry replaced by 1) and the
 candidate for b . c = 1.  For an independent b one more elimination
@@ -25,7 +34,9 @@ Then psi(j, b) is independent iff w_j != 0, a dependent psi(j, b) has
 the relation w with w_{M+1} moved into slot j, and the candidate is
 -w[:M].  Proof: b is independent, so w is, up to scale, the only relation
 among b and 1, and psi(j, b) is dependent iff some relation among b and 1
-puts no weight on b_j.
+puts no weight on b_j.  The witness of an independent psi(j, b) needs no
+derivative of 1: D(i)(1) = 0 for i > 0, so it is 0 followed by the greedy
+rows i >= 1 of b without its column j.
 """
 
 from dataclasses import dataclass
@@ -160,13 +171,14 @@ def _relation(rows, field) -> tuple[RatFunc, ...] | None:
     return None
 
 
-def _witness(b, pm: int) -> tuple[int, ...]:
+def _witness(b, pm: int, first: int = 0) -> tuple[int, ...]:
     """Greedy witness for an independent b: keep every derivative row
-    D(i)(b), i < pm, that grows the rank, until there are len(b) of them.
+    D(i)(b), first <= i < pm, that grows the rank, until there are len(b)
+    of them.
     """
     witness = _Echelon(b[0].field)
     indices: list[int] = []
-    for i in range(pm):
+    for i in range(first, pm):
         if witness.push([hasse_derivative(x, i) for x in b]):
             indices.append(i)
             if len(indices) == len(b):
@@ -174,6 +186,17 @@ def _witness(b, pm: int) -> tuple[int, ...]:
     raise InternalCheckError(
         "coordinate rank is full but no nonsingular derivative index set was found"
     )
+
+
+def _psi_witness(b, j: int, pm: int) -> tuple[int, ...]:
+    """_witness(psi(j, b), pm) for an independent psi(j, b).
+
+    D(i)(1) = 0 for i > 0, so row 0 is the only derivative row of psi(j, b)
+    with a nonzero entry in column j: the greedy scan keeps it, and then
+    the rows i >= 1 that grow the rank of b without its column j.
+    """
+    rest = (*b[: j - 1], *b[j:])
+    return (0, *_witness(rest, pm, first=1)) if rest else (0,)
 
 
 def independence_test(b, m: int, rows=None) -> IndependenceCertificate:
@@ -223,15 +246,17 @@ def _candidate(w):
     return None if any(x.is_zero for x in c) else c
 
 
-def unit_substitution_verdicts(b, m: int, rows):
+def unit_substitution_verdicts(b, m: int, rows, cert=None):
     """(independence_test(b, m), independence_test(psi(j, b), m) for every j,
     the candidate for b . c = 1) for b with coordinate rows rows.
 
-    An independent b takes one more elimination, and its candidate is
+    cert, when given, is taken as independence_test(b, m) without testing b
+    again.  An independent b takes one more elimination, and its candidate is
     candidate_solution(b, m); a dependent b has no candidate and takes one
     test per psi(j, b), over rows with the row of 1 in slot j.
     """
-    cert = independence_test(b, m, rows=rows)
+    if cert is None:
+        cert = independence_test(b, m, rows=rows)
     field = b[0].field
     if not cert.independent:
         one_row = (RatFunc.one(field), *(RatFunc.zero(field),) * (len(rows[0]) - 1))
@@ -245,7 +270,7 @@ def unit_substitution_verdicts(b, m: int, rows):
     certs = []
     for j in range(1, len(b) + 1):
         if w is None or not w[j - 1].is_zero:
-            certs.append(IndependenceCertificate(True, _witness(psi(j, b), pm), None))
+            certs.append(IndependenceCertificate(True, _psi_witness(b, j, pm), None))
             continue
         u = (*w[: j - 1], w[-1], *w[j:-1])
         last = next(x for x in reversed(u) if not x.is_zero)

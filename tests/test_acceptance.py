@@ -305,3 +305,32 @@ def test_criterion_8_determinism():
     assert first and first == second
     assert hashlib.sha256(first.encode()).hexdigest() == REPORT_BATTERY_SHA256
     _report(8, f"two full report batteries are byte-identical ({len(first)} bytes)")
+
+
+# sha256 of the run_cli output of solves with many tuples per orbit, pinned
+# before an orbit shared one certificate among its tuples: 256 tuples for
+# each rhs, 81 tuples of which 9 dependent (each printed by --verbose with
+# its own relation), and 27 tuples with M = 3
+_PAIR = ("solve", "--p", "2", "--gens", "1+T, 1+T+T^2", "--b", "T, 1", "--m", "2")
+ORBIT_REPORTS = (
+    ((*_PAIR, "--rhs", "0"), 0,
+     "acdea19308abaf52e256bb0e0881447e92e352ba410c5de6f61137a53dddce98"),
+    ((*_PAIR, "--rhs", "1"), 0,
+     "f6e740030b9f0e6bf322ccf1e39e4fbaa612c0f5824c7a5d8a2c4b3ff6d38b80"),
+    (("solve", "--p", "3", "--gens", "T, -T, 1-T", "--b", "1, 1", "--m", "1", "--verbose"), 2,
+     "7a1b92ee2bd5cf2ff5d4b7595d98134086fe6447e14c25e1a896bfcbe5c4b1a3"),
+    (("solve", "--p", "3", "--s", "1", "--gens", "T + 2",
+      "--b", "2*T + 2, T^2 + T, 2*T^3 + 2*T^2", "--rhs", "0", "--m", "1"), 0,
+     "82700ec3871fc0b3b5ab9b96740f1f70f23f7b40bc4186db6f6717c70a1fe432"),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest", ORBIT_REPORTS, ids=("p2-rhs0", "p2-rhs1", "p3-verbose", "p3-M3")
+)
+def test_orbit_heavy_reports_are_pinned(argv, code, digest):
+    import hashlib
+
+    out = io.StringIO()
+    assert run_cli(list(argv), stdout=out, stderr=io.StringIO()) == code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

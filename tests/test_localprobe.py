@@ -260,6 +260,29 @@ def test_obstruction_scan_charges_listed_candidates(monkeypatch):
     assert poly.is_irreducible.cache_info().misses <= 1000
 
 
+def test_obstruction_scan_charges_rabin_tests_by_degree(monkeypatch):
+    """A Rabin test of a degree-d candidate takes d modular powerings, so the
+    scan bound charges d for it: with a trivial image, the degrees of the
+    candidates tested stay within the bound (charging 1 per candidate, this
+    scan completes and tests candidates of degree sum 3,584).
+    """
+    from ffunits import poly, unitgroup
+
+    degrees = []
+    original = poly.is_irreducible
+    monkeypatch.setattr(poly, "is_irreducible", lambda a: degrees.append(a.degree()) or original(a))
+    monkeypatch.setattr(unitgroup, "DEFAULT_GROUP_LIMIT", 1000)
+    poly.monic_irreducibles.cache_clear()
+    argv = ["skolem", "--p", "2", "--gens", "1", "--b", "T, 1+T", "--rhs", "1",
+            "--deg-bound", "8", "--e-bound", "1"]
+    out, err = io.StringIO(), io.StringIO()
+    code = run_cli(argv, stdout=out, stderr=err)
+    poly.monic_irreducibles.cache_clear()
+    assert code == 4
+    assert out.getvalue() == "" and "exceeds the configured bound 1000" in err.getvalue()
+    assert 0 < sum(degrees) <= 1000
+
+
 def test_obstruction_scan_tests_each_polynomial_once(F3, monkeypatch):
     """The Rabin test runs once per polynomial: a modulus on a base that
     monic_irreducibles has tested reads the memo.

@@ -1,4 +1,5 @@
 import io
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from ffunits import (
     member,
     phi,
     psi,
+    representatives,
     with_unit_rhs,
 )
 from ffunits.cli import run_cli
@@ -427,3 +429,102 @@ def test_representatives_are_multiplied_out_when_a_tuple_reads_them(F2, monkeypa
     report = decide(Equation((t, RatFunc.one(F2)), 0), group, 2)
     assert report.outcome == "certified-empty"
     assert len(calls) <= report.repset_size
+
+
+def _orbit_cases():
+    """Seeded equations over GF(2), GF(3), GF(4) and GF(9) with M in {2, 3}.
+
+    A planted b_2 = b_1 * g with g in the group makes b*r dependent on the
+    orbits with r_2 / r_1 in g**-1 * K_m, and independent elsewhere.
+    """
+    f4 = GF(2, 2, (1, 1, 1))  # T^2 + T + 1
+    f9 = GF(3, 2, (1, 0, 1))  # T^2 + 1
+    rng = random.Random(4099)
+    for field, arity, m in (
+        (GF(2), 2, 1), (GF(2), 2, 2), (GF(2), 3, 2),
+        (GF(3), 2, 1), (GF(3), 3, 1),
+        (f4, 2, 1), (f4, 3, 1),
+        (f9, 2, 1), (f9, 3, 1),
+    ):
+        for planted in (False, True):
+            gens = (rand_ratfunc(rng, field, 2, True),)
+            try:
+                group = build_presentation(gens)
+            except ValueError:
+                continue
+            b = [rand_ratfunc(rng, field, 2, True) for _ in range(arity)]
+            if planted:
+                b[1] = b[0] * group.word_product((rng.randrange(1, 3),))
+            yield tuple(b), group, m
+
+
+def _per_tuple_records(eq, group, m):
+    """(words, certificate, psi certificates, candidate) of every tuple, each
+    tuple decided on its own with no rows, memo or orbit shared.
+    """
+    out = []
+    for words in itertools.product(representatives(group, m), repeat=eq.arity):
+        br = tuple(x * group.word_product(w) for x, w in zip(eq.b, words))
+        cert = independence_test(br, m)
+        if eq.rhs == 0:
+            out.append((words, cert, None, None))
+            continue
+        psi_certs = tuple(independence_test(psi(j, br), m) for j in range(1, eq.arity + 1))
+        if not any(c.independent for c in psi_certs):
+            cert = None
+        candidate = candidate_solution(br, m) if cert is not None and cert.independent else None
+        out.append((words, cert, psi_certs, candidate))
+    return out
+
+
+def test_orbit_memo_matches_per_tuple_decisions():
+    # every record of an exhaustive decide equals the per-tuple reference,
+    # whether its certificate came from its own elimination or from its
+    # orbit, and every certificate checks against its own vector
+    independent = dependent = 0
+    for b, group, m in _orbit_cases():
+        for rhs in (0, 1):
+            eq = Equation(b, rhs)
+            report = decide(eq, group, m, exhaustive=True)
+            got = [
+                (rec.r_words, rec.certificate, rec.psi_certificates, rec.candidate)
+                for rec in report.records
+            ]
+            assert got == _per_tuple_records(eq, group, m)
+            for rec in report.records:
+                br = tuple(x * y for x, y in zip(b, rec.r))
+                if rec.certificate is not None:
+                    assert verify_certificate(br, m, rec.certificate)
+                    independent += rec.certificate.independent
+                    dependent += not rec.certificate.independent
+                for j, c in enumerate(rec.psi_certificates or (), start=1):
+                    assert verify_certificate(psi(j, br), m, c)
+    assert independent > 300 and dependent > 50
+
+
+@pytest.mark.parametrize(
+    "p, gens, b, m",
+    (
+        (2, "1+T, 1+T+T^2", "T, 1", 2),
+        (3, "T + 2", "2*T + 2, T^2 + T, 2*T^3 + 2*T^2", 1),
+    ),
+    ids=("p2-M2", "p3-M3"),
+)
+def test_certified_rhs0_tests_one_tuple_per_orbit(p, gens, b, m, monkeypatch):
+    import ffunits.solver
+
+    calls = []
+    original = ffunits.solver.independence_test
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ffunits.solver, "independence_test", counted)
+    field = GF(p)
+    group = build_presentation(tuple(el(field, g) for g in gens.split(", ")))
+    eq = Equation(tuple(el(field, x) for x in b.split(", ")), 0)
+    report = decide(eq, group, m)
+    assert report.outcome == "certified-empty"
+    assert len(report.records) == report.repset_size**eq.arity >= 27
+    assert 0 < len(calls) <= report.repset_size ** (eq.arity - 1)

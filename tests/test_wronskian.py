@@ -6,6 +6,7 @@ import pytest
 from ffunits import (
     GF,
     RatFunc,
+    build_presentation,
     candidate_solution,
     coordinate_matrix,
     hasse_derivative,
@@ -13,9 +14,12 @@ from ffunits import (
     independence_test,
     wronskian_det_adj,
 )
+from ffunits.errors import InternalCheckError
 from ffunits.wronskian import (
     IndependenceCertificate,
     _Echelon,
+    _psi_witness,
+    _witness,
     psi,
     unit_substitution_verdicts,
     verify_certificate,
@@ -331,6 +335,67 @@ def test_unit_substitution_verdicts_match_separate_tests(F2, F3):
             candidates += want[2] is not None
     assert lemma > 100 and dependent_psi > 10 and candidates > 10
     assert dependent_b > 30 and dependent_b_psi > 10
+
+
+def test_psi_witness_is_the_greedy_witness_of_psi(F2, F3):
+    # row 0 is the only derivative row of psi(j, b) with a nonzero entry in
+    # column j, so the greedy scan over the rows of b without column j gives
+    # the rest of the witness
+    fields = (F2, F3, GF(2, 2, (1, 1, 1)), GF(3, 2, (1, 0, 1)))
+    rng = random.Random(977)
+    compared = 0
+    for field, m, M in itertools.product(fields, (1, 2), (1, 2, 3)):
+        pm = field.p**m
+        for trial in range(6):
+            b = [rand_ratfunc(rng, field, 2, True) for _ in range(M)]
+            if trial % 3 == 1:
+                b[0] = RatFunc.one(field)
+            b = tuple(b)
+            for j in range(1, M + 1):
+                if independence_test(psi(j, b), m).independent:
+                    assert _psi_witness(b, j, pm) == _witness(psi(j, b), pm)
+                    compared += 1
+    assert compared > 150
+
+
+def test_psi_witness_keeps_the_internal_check(F2):
+    # psi(1, (T, T^2)) = (1, T^2) is dependent at m = 1: no witness exists,
+    # and D(1)(T^2) = 0 leaves the scan without a second row
+    t = RatFunc.t(F2)
+    with pytest.raises(InternalCheckError):
+        _psi_witness((t, t * t), 1, 2)
+
+
+def test_certificate_is_shared_by_the_orbit():
+    # Leibniz: rows 0..i of the derivative matrix of f*v are rows 0..i of
+    # that of v times a lower-triangular matrix with f on the diagonal, and
+    # a subfield factor s_j scales column j; so v and (f v_j s_j)_j have
+    # the same verdict and the same greedy witness
+    fields = (GF(2), GF(3), GF(2, 2, (1, 1, 1)), GF(3, 2, (1, 0, 1)))
+    rng = random.Random(1811)
+    independent = dependent = 0
+    for field, m, M in itertools.product(fields, (1, 2), (2, 3)):
+        pm = field.p**m
+        gens = tuple(rand_ratfunc(rng, field, 2, True) for _ in range(2))
+        try:
+            group = build_presentation(gens)
+        except ValueError:
+            continue
+        for trial in range(4):
+            v = [rand_ratfunc(rng, field, 2, True) for _ in range(M)]
+            if trial % 2:
+                # planted dependence: v_2 is v_1 times a subfield element
+                v[1] = v[0] * rand_ratfunc(rng, field, 1, True) ** pm
+            word = [rng.randrange(-2, 3) for _ in gens]
+            f = group.word_product(word)
+            s = [rand_ratfunc(rng, field, 1, True) ** pm for _ in range(M)]
+            moved = tuple(f * x * y for x, y in zip(v, s))
+            a, b = independence_test(tuple(v), m), independence_test(moved, m)
+            assert a.independent == b.independent
+            assert a.index_set == b.index_set
+            independent += a.independent
+            dependent += not a.independent
+    assert independent > 20 and dependent > 20
 
 
 def test_candidate_scaling_by_subfield_units(F2):
