@@ -21,7 +21,7 @@ from functools import cached_property
 
 from . import unitgroup
 from .errors import ResourceLimitError
-from .poly import Poly, monic_irreducibles, poly_powmod
+from .poly import Poly, monic_irreducibles, poly_mulmod, poly_powmod
 from .ratfunc import Modulus, RatFunc, finite_support, reduce_mod, valuation
 from .solver import Equation, SolutionPoint
 from .unitgroup import SubgroupPresentation, closure
@@ -96,7 +96,7 @@ def residue_group(group: SubgroupPresentation, m: Modulus) -> ResidueGroup:
         _require_unit(g, m, "generator")
         gen_res.append(reduce_mod(g, m))
     one = Poly.one(group.field) % modpoly
-    found = closure(one, gen_res, lambda a, b: (a * b) % modpoly)
+    found = closure(one, gen_res, lambda a, b: poly_mulmod(a, b, modpoly))
     return ResidueGroup(m, tuple(found), tuple(found.values()))
 
 
@@ -122,10 +122,11 @@ def _search_residues(eq: Equation, rg: ResidueGroup) -> SLWitness | None:
     target = Poly.constant(field, eq.rhs) % modpoly
     arity = eq.arity
     for prefix in itertools.product(range(len(rg.elements)), repeat=arity - 1):
+        # each term is reduced, so their sum is too
         partial = Poly.zero(field)
         for bi, xi in zip(b_res, prefix):
-            partial = (partial + bi * rg.elements[xi]) % modpoly
-        need = ((target - partial) * inv_last) % modpoly
+            partial = partial + poly_mulmod(bi, rg.elements[xi], modpoly)
+        need = poly_mulmod(target - partial, inv_last, modpoly)
         j = rg.index.get(need)
         if j is not None:
             residues = tuple(rg.elements[i] for i in prefix) + (rg.elements[j],)
@@ -146,7 +147,7 @@ def verify_obstruction(
     for combo in itertools.product(rg.elements, repeat=eq.arity):
         acc = Poly.zero(field)
         for bi, xi in zip(b_res, combo):
-            acc = (acc + bi * xi) % modpoly
+            acc = acc + poly_mulmod(bi, xi, modpoly)
         if acc == target:
             return False
     return True
@@ -193,7 +194,8 @@ def find_local_obstruction(
         searched += count
         if searched > limit:
             raise ResourceLimitError(
-                f"residue-element total {searched} exceeds the configured bound {limit}"
+                f"scan charge {searched} (residue elements searched plus deg per "
+                f"degree-deg candidate) exceeds the configured bound {limit}"
             )
 
     for d, e in _moduli(deg_bound, e_bound):

@@ -2,16 +2,26 @@
 
 A polynomial is an immutable little-endian tuple of int-encoded F_q
 coefficients with no trailing zero; the zero polynomial carries the empty
-tuple.  The canonical sort key is (degree, coefficient tuple), which is
-the order used for factor lists, place enumeration and every other
-deterministic listing in the package.
+tuple.  ``Poly`` is a slotted immutable class on the ``Value`` base it
+shares with ``ratfunc.RatFunc``: equal polynomials over equal fields
+compare equal, and the hash is the hash of the coefficient tuple.
+The canonical sort key is (degree, coefficient tuple), which is the order
+used for factor lists, place enumeration and every other deterministic
+listing in the package.
 
-The arithmetic kernels (``+``, unary ``-``, ``*``, ``scale`` and
-``poly_divmod``) read the field's tables once per call and make no method
-call per coefficient.  Over a prime field they accumulate plain ints and
-reduce mod p once per output coefficient; over GF(2**s) they multiply
-through the log/exp tables and accumulate with XOR; over other extension
-fields they add through the Zech table (see ``field``).
+The arithmetic runs on plain coefficient lists.  ``_add_list``,
+``_mul_list`` and ``_divmod_list`` hold the coefficient loops, each with
+its field branches written once: over a prime field they accumulate plain
+ints and reduce mod p once per output coefficient; over GF(2**s) they
+multiply through the log/exp tables and accumulate with XOR; over other
+extension fields they add through the Zech table (see ``field``).  They
+read the field's tables once per call and make no method call per
+coefficient.  ``+``, ``-``, ``*``, ``scale``, ``poly_divmod``,
+``poly_mulmod`` (the product reduced in the same pass), ``poly_powmod``,
+``poly_gcd`` and ``poly_invmod`` (Euclid on coefficient lists) share them
+and build one ``Poly`` per result.  The public constructor checks for a trailing zero;
+``_trimmed`` drops trailing zeros itself and is the one place that builds
+a ``Poly`` without that check.
 
 Factorization runs the classical pipeline: squarefree split, then
 distinct-degree, then equal-degree (Cantor-Zassenhaus) splitting.  The
@@ -23,21 +33,54 @@ sorted and therefore identical for every seed.
 import functools
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 from .field import GF, prime_factors
 
 DEFAULT_SEED = 0
 
+_new = object.__new__
+_setattr = object.__setattr__
 
-@dataclass(frozen=True)
-class Poly:
-    field: GF
-    coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.coeffs and self.coeffs[-1] == 0:
+class Value:
+    """Base of the slotted immutable value classes (Poly, ratfunc.RatFunc).
+
+    A subclass sets its slots once with object.__setattr__; copying and
+    pickling rebuild the value through the public constructor.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Poly(Value):
+    """A polynomial over ``field`` with coefficient tuple ``coeffs``; immutable."""
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: GF, coeffs: tuple[int, ...]):
+        if coeffs and coeffs[-1] == 0:
             raise ValueError("trailing zero coefficient")
+        _setattr(self, "field", field)
+        _setattr(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not Poly:
+            return NotImplemented
+        return self.coeffs == other.coeffs and (self.field is other.field or self.field == other.field)
+
+    def __hash__(self):
+        # consistent with __eq__, which also requires equal coefficient tuples
+        return hash(self.coeffs)
 
     # -- constructors --
 
@@ -107,36 +150,18 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         self._same_field(other)
         f = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        p = f.p
-        if p == 2:
-            out = [x ^ y for x, y in zip(a, b)]
-        elif f.s == 1:
-            out = [(x + y) % p for x, y in zip(a, b)]
-        else:
-            exp, log, zech = f.exp_table, f.log_table, f.zech_table
-            out = []
-            for x, y in zip(a, b):
-                if x and y:
-                    lx = log[x]
-                    z = zech[log[y] - lx]
-                    out.append(0 if z < 0 else exp[lx + z])
-                else:
-                    out.append(x or y)
-        out += a[len(b):]
-        return _trimmed(f, out)
+        return _trimmed(f, _add_list(f, self.coeffs, other.coeffs))
 
     def __neg__(self) -> "Poly":
         f = self.field
         if f.p == 2:
             return self
-        exp, log, half = f.exp_table, f.log_table, (f.q - 1) // 2
-        return Poly(f, tuple(exp[log[c] + half] if c else 0 for c in self.coeffs))
+        return _trimmed(f, _neg_list(f, self.coeffs))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._same_field(other)
+        f = self.field
+        return _trimmed(f, _sub_list(f, self.coeffs, other.coeffs))
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._same_field(other)
@@ -144,36 +169,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(f)
-        out = [0] * (len(a) + len(b) - 1)
-        if f.s == 1:
-            for i, x in enumerate(a):
-                if x:
-                    for k, y in enumerate(b, i):
-                        out[k] += x * y
-            p = f.p
-            return _trimmed(f, [c % p for c in out])
-        exp, log, zech = f.exp_table, f.log_table, f.zech_table
-        lb = [log[y] for y in b]
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            lx = log[x]
-            if zech is None:  # p == 2
-                for k, ly in enumerate(lb, i):
-                    if ly is not None:
-                        out[k] ^= exp[lx + ly]
-                continue
-            for k, ly in enumerate(lb, i):
-                if ly is not None:
-                    t = lx + ly
-                    c = out[k]
-                    if c:
-                        lc = log[c]
-                        z = zech[t - lc]
-                        out[k] = 0 if z < 0 else exp[lc + z]
-                    else:
-                        out[k] = exp[t]
-        return _trimmed(f, out)
+        return _trimmed(f, _mul_list(f, a, b))
 
     def scale(self, c: int) -> "Poly":
         f = self.field
@@ -181,9 +177,7 @@ class Poly:
             return Poly.zero(f)
         if c == 1:
             return self
-        exp, log = f.exp_table, f.log_table
-        lc = log[c]
-        return Poly(f, tuple(exp[log[a] + lc] if a else 0 for a in self.coeffs))
+        return _trimmed(f, _scale_list(f, self.coeffs, c))
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
@@ -231,23 +225,110 @@ class Poly:
 
 
 def _trimmed(f: GF, out: list) -> Poly:
-    """The polynomial with coefficient list out, trailing zeros dropped (out is consumed)."""
+    """The polynomial with coefficient list out, trailing zeros dropped (out is consumed).
+
+    The only constructor that skips the trailing-zero check, which the
+    trimming makes redundant.
+    """
+    _trim(out)
+    a = _new(Poly)
+    _setattr(a, "field", f)
+    _setattr(a, "coeffs", tuple(out))
+    return a
+
+
+# -- coefficient-list kernels: inputs are sequences of encoded elements,
+# outputs fresh lists that may carry trailing zeros --
+
+
+def _trim(out: list) -> list:
     while out and out[-1] == 0:
         out.pop()
-    return Poly(f, tuple(out))
+    return out
 
 
-def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Euclidean division: a = q*b + r with deg r < deg b."""
-    a._same_field(b)
-    f = a.field
-    if b.is_zero:
-        raise ZeroDivisionError("division by zero polynomial")
-    if a.degree() < b.degree():
-        return Poly.zero(f), a
-    *low, lead = b.coeffs
+def _add_list(f: GF, a, b) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    p = f.p
+    if p == 2:
+        out = [x ^ y for x, y in zip(a, b)]
+    elif f.s == 1:
+        out = [(x + y) % p for x, y in zip(a, b)]
+    else:
+        exp, log, zech = f.exp_table, f.log_table, f.zech_table
+        out = []
+        for x, y in zip(a, b):
+            if x and y:
+                lx = log[x]
+                z = zech[log[y] - lx]
+                out.append(0 if z < 0 else exp[lx + z])
+            else:
+                out.append(x or y)
+    out += a[len(b):]
+    return out
+
+
+def _neg_list(f: GF, a) -> list:
+    exp, log, half = f.exp_table, f.log_table, (f.q - 1) // 2
+    return [exp[log[c] + half] if c else 0 for c in a]
+
+
+def _sub_list(f: GF, a, b) -> list:
+    return _add_list(f, a, b if f.p == 2 else _neg_list(f, b))
+
+
+def _scale_list(f: GF, a, c: int) -> list:
+    """The coefficients times the nonzero scalar c."""
+    exp, log = f.exp_table, f.log_table
+    lc = log[c]
+    return [exp[log[x] + lc] if x else 0 for x in a]
+
+
+def _mul_list(f: GF, a, b) -> list:
+    """The product's coefficients; a and b nonempty."""
+    out = [0] * (len(a) + len(b) - 1)
+    if f.s == 1:
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    out[k] += x * y
+        p = f.p
+        return [c % p for c in out]
+    exp, log, zech = f.exp_table, f.log_table, f.zech_table
+    lb = [log[y] for y in b]
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        lx = log[x]
+        if zech is None:  # p == 2
+            for k, ly in enumerate(lb, i):
+                if ly is not None:
+                    out[k] ^= exp[lx + ly]
+            continue
+        for k, ly in enumerate(lb, i):
+            if ly is not None:
+                t = lx + ly
+                c = out[k]
+                if c:
+                    lc = log[c]
+                    z = zech[t - lc]
+                    out[k] = 0 if z < 0 else exp[lc + z]
+                else:
+                    out[k] = exp[t]
+    return out
+
+
+def _divmod_list(f: GF, rem: list, b) -> tuple[list, list]:
+    """Quotient and remainder of rem by b, whose last coefficient is nonzero.
+
+    rem is consumed; the remainder has deg b entries, or rem's own when
+    that is shorter.
+    """
+    *low, lead = b
     db = len(low)
-    rem = list(a.coeffs)
+    if len(rem) <= db:
+        return [], rem
     quot = [0] * (len(rem) - db)
     if f.s == 1:
         # rem holds unreduced ints; each is reduced when it becomes a leading term
@@ -260,7 +341,7 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
                 quot[i] = q_i
                 for k, y in enumerate(low, i):
                     rem[k] -= q_i * y
-        return _trimmed(f, quot), _trimmed(f, [c % p for c in rem[:db]])
+        return quot, [c % p for c in rem[:db]]
     exp, log, zech = f.exp_table, f.log_table, f.zech_table
     n = f.q - 1
     lb = [log[y] for y in low]
@@ -287,63 +368,91 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
                     rem[k] = 0 if z < 0 else exp[lr + z]
                 else:
                     rem[k] = exp[t]
-    return _trimmed(f, quot), _trimmed(f, rem[:db])
+    return quot, rem[:db]
+
+
+def _mulmod_list(f: GF, a, b, m) -> list:
+    """Coefficients of a*b mod m (m with nonzero last coefficient)."""
+    if not a or not b:
+        return []
+    return _divmod_list(f, _mul_list(f, a, b), m)[1]
+
+
+def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Euclidean division: a = q*b + r with deg r < deg b."""
+    a._same_field(b)
+    f = a.field
+    if not b.coeffs:
+        raise ZeroDivisionError("division by zero polynomial")
+    if len(a.coeffs) < len(b.coeffs):
+        return Poly.zero(f), a
+    quot, rem = _divmod_list(f, list(a.coeffs), b.coeffs)
+    return _trimmed(f, quot), _trimmed(f, rem)
+
+
+def poly_mulmod(a: Poly, b: Poly, m: Poly) -> Poly:
+    """a*b mod m in one pass that builds only the remainder."""
+    a._same_field(b)
+    a._same_field(m)
+    if not m.coeffs:
+        raise ZeroDivisionError("division by zero polynomial")
+    f = a.field
+    return _trimmed(f, _mulmod_list(f, a.coeffs, b.coeffs, m.coeffs))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor."""
-    if a.is_zero and b.is_zero:
+    """Monic greatest common divisor, by Euclid on coefficient lists."""
+    a._same_field(b)
+    if not a.coeffs and not b.coeffs:
         raise ValueError("gcd of two zero polynomials")
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()[0]
-
-
-def poly_extgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Return (g, u, v) with g = gcd monic and u*a + v*b = g."""
     f = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.one(f), Poly.zero(f)
-    t0, t1 = Poly.zero(f), Poly.one(f)
-    while not r1.is_zero:
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero:
-        raise ValueError("gcd of two zero polynomials")
-    lc = r0.leading
-    if lc != 1:
-        inv = f.inv(lc)
-        r0, s0, t0 = r0.scale(inv), s0.scale(inv), t0.scale(inv)
-    return r0, s0, t0
+    x, y = list(a.coeffs), list(b.coeffs)
+    while y:
+        x, y = y, _trim(_divmod_list(f, x, y)[1])
+    if x[-1] != 1:
+        x = _scale_list(f, x, f.inv(x[-1]))
+    return _trimmed(f, x)
 
 
 def poly_invmod(a: Poly, m: Poly) -> Poly:
-    """Inverse of a modulo m; raises ZeroDivisionError when gcd(a, m) != 1."""
+    """Inverse of a modulo m; raises ZeroDivisionError when gcd(a, m) != 1.
+
+    Extended Euclid on coefficient lists that keeps only the cofactor u_i
+    with r_i = u_i * a mod m.
+    """
     if m.degree() < 1:
         raise ValueError("invalid modulus")
-    g, u, _ = poly_extgcd(a % m, m)
-    if not g.is_one:
+    a._same_field(m)
+    f = a.field
+    r0, r1 = list(m.coeffs), _trim(_divmod_list(f, list(a.coeffs), m.coeffs)[1])
+    u0, u1 = [], [1]
+    while r1:
+        q, r = _divmod_list(f, r0, r1)
+        r0, r1 = r1, _trim(r)
+        u0, u1 = u1, _trim(_sub_list(f, u0, _mul_list(f, q, u1)))
+    if len(r0) != 1:
         raise ZeroDivisionError("element is not invertible modulo the given polynomial")
-    return u % m
+    u = _scale_list(f, u0, f.inv(r0[0]))
+    return _trimmed(f, _divmod_list(f, u, m.coeffs)[1])
 
 
 def poly_powmod(base: Poly, exp: int, modulus: Poly) -> Poly:
-    """base**exp reduced mod modulus, by square and multiply."""
+    """base**exp reduced mod modulus, by square and multiply on coefficient lists."""
     if modulus.is_zero or modulus.degree() < 1:
         raise ValueError("invalid modulus")
     if exp < 0:
         raise ValueError("negative exponent")
-    result = Poly.one(base.field) % modulus
-    base = base % modulus
+    base._same_field(modulus)
+    f, m = base.field, modulus.coeffs
+    result = [1]
+    b = _divmod_list(f, list(base.coeffs), m)[1]
     while exp:
         if exp & 1:
-            result = (result * base) % modulus
+            result = _mulmod_list(f, result, b, m)
         exp >>= 1
         if exp:
-            base = (base * base) % modulus
-    return result
+            b = _mulmod_list(f, b, b, m)
+    return _trimmed(f, result)
 
 
 # -- factorization --

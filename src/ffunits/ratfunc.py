@@ -3,7 +3,11 @@ valuations, divisor vectors (plain dicts from Place to nonzero exponent)
 and residue-ring reduction.
 
 Values are canonical: a RatFunc keeps a reduced fraction with monic
-denominator, so equality and hashing are structural.  Places of K over
+denominator, so equality and hashing are structural.  RatFunc is a
+slotted immutable class like Poly.  The public constructor checks the
+canonical form; RatFunc.make reduces and then builds through the
+unchecked ``_canonical``, which is used only where the fraction is
+canonical by construction (make, negation and integer powers).  Places of K over
 F_q are the monic irreducible polynomials plus one place at infinity;
 local completions are never materialized, only the finite-precision
 residue rings F_q[t]/(base**e) described by Modulus.
@@ -15,27 +19,41 @@ from functools import cached_property
 from .field import GF
 from .poly import (
     Poly,
+    Value,
     factor,
     is_irreducible,
     poly_gcd,
     poly_invmod,
+    poly_mulmod,
 )
 
+_new = object.__new__
+_setattr = object.__setattr__
 
-@dataclass(frozen=True)
-class RatFunc:
-    """A reduced fraction num/den with monic denominator (zero is 0/1)."""
 
-    num: Poly
-    den: Poly
+class RatFunc(Value):
+    """A reduced fraction num/den with monic denominator (zero is 0/1); immutable."""
 
-    def __post_init__(self):
-        if self.den.is_zero:
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Poly, den: Poly):
+        if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if not self.den.is_monic:
+        if not den.is_monic:
             raise ValueError("denominator must be monic")
-        if self.num.is_zero and not self.den.is_one:
+        if num.is_zero and not den.is_one:
             raise ValueError("zero must be represented as 0/1")
+        _setattr(self, "num", num)
+        _setattr(self, "den", den)
+
+    def __eq__(self, other):
+        if other.__class__ is not RatFunc:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        # consistent with __eq__, which also requires equal coefficient tuples
+        return hash((self.num.coeffs, self.den.coeffs))
 
     @classmethod
     def make(cls, num: Poly, den: Poly) -> "RatFunc":
@@ -44,7 +62,7 @@ class RatFunc:
             raise ZeroDivisionError("zero denominator")
         f = num.field
         if num.is_zero:
-            return cls(num, Poly.one(f))
+            return _canonical(num, Poly.one(f))
         g = poly_gcd(num, den)
         if g.degree() > 0:
             num, den = num // g, den // g
@@ -52,7 +70,7 @@ class RatFunc:
         if lc != 1:
             inv = f.inv(lc)
             num, den = num.scale(inv), den.scale(inv)
-        return cls(num, den)
+        return _canonical(num, den)
 
     @classmethod
     def from_poly(cls, p: Poly) -> "RatFunc":
@@ -101,7 +119,7 @@ class RatFunc:
         return RatFunc.make(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
+        return _canonical(-self.num, self.den)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc.make(self.num * other.num, self.den * other.den)
@@ -121,7 +139,17 @@ class RatFunc:
             return RatFunc.one(self.field)
         base = self if e > 0 else self.inverse()
         # num and den stay coprime and the denominator stays monic
-        return RatFunc(base.num ** abs(e), base.den ** abs(e))
+        return _canonical(base.num ** abs(e), base.den ** abs(e))
+
+
+def _canonical(num: Poly, den: Poly) -> RatFunc:
+    """The RatFunc num/den without the constructor's checks, for fractions
+    that are reduced with monic denominator by construction.
+    """
+    x = _new(RatFunc)
+    _setattr(x, "num", num)
+    _setattr(x, "den", den)
+    return x
 
 
 # -- places and divisors --
@@ -256,4 +284,4 @@ def reduce_mod(x: RatFunc, m: Modulus) -> Poly:
         den_inv = poly_invmod(x.den, modpoly)
     except ZeroDivisionError:
         raise ZeroDivisionError("element has a pole at the modulus place") from None
-    return (x.num * den_inv) % modpoly
+    return poly_mulmod(x.num, den_inv, modpoly)

@@ -1,10 +1,13 @@
 """Differential tests of the F_q[T] kernels against code they share nothing with.
 
 Over prime fields the oracle is sympy's dense arithmetic over GF(p)
-(``sympy.polys.galoistools``, big-endian lists over ZZ).  Over GF(4),
-GF(8), GF(9) and GF(25) it is schoolbook arithmetic on the digit-rule
-reference field of ``test_field``, and the derivative jet is checked
-against its definition D(i)(sum a_k T^k) = sum C(k, i) a_k T^(k-i).
+(``sympy.polys.galoistools``, big-endian lists over ZZ), which also checks
+factorization and the irreducibility test.  Over GF(4), GF(8), GF(9) and
+GF(25) it is schoolbook arithmetic on the digit-rule reference field of
+``test_field``, and the derivative jet is checked against its definition
+D(i)(sum a_k T^k) = sum C(k, i) a_k T^(k-i).  Kernel results are built
+without the constructor's trailing-zero check, so every result is also
+checked for a trailing zero here.
 """
 
 import math
@@ -19,7 +22,8 @@ from hypothesis import strategies as st  # noqa: E402
 from sympy.polys.domains import ZZ  # noqa: E402
 from test_field import DigitRule  # noqa: E402
 
-from ffunits import GF, Poly, poly_divmod, poly_gcd  # noqa: E402
+from ffunits import GF, Poly, factor, is_irreducible, poly_divmod, poly_gcd, poly_powmod  # noqa: E402
+from ffunits.poly import poly_invmod, poly_mulmod  # noqa: E402
 from ffunits.hasse import poly_jet  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -40,8 +44,14 @@ def poly_triples(draw, fields):
     return f, draw(polys(f)), draw(polys(f)), draw(polys(f, 4))
 
 
+def co(a: Poly) -> tuple[int, ...]:
+    """The coefficient tuple of a kernel result, which must carry no trailing zero."""
+    assert not a.coeffs or a.coeffs[-1] != 0, f"trailing zero in {a!r}"
+    return a.coeffs
+
+
 def big(a: Poly) -> list[int]:
-    return list(reversed(a.coeffs))
+    return list(reversed(co(a)))
 
 
 @SETTINGS
@@ -61,6 +71,38 @@ def test_prime_field_kernels_match_galoistools(case):
         ac, bc = a * c, b * c
         assert big(poly_gcd(ac, bc)) == galoistools.gf_gcd(big(ac), big(bc), p, ZZ)
         assert big(poly_gcd(a, b)) == galoistools.gf_gcd(big(a), big(b), p, ZZ)
+    if not c.is_zero:
+        assert big(poly_mulmod(a, b, c)) == galoistools.gf_rem(
+            galoistools.gf_mul(big(a), big(b), p, ZZ), big(c), p, ZZ)
+    if c.degree() >= 1:
+        for n in (0, 1, 5, p**3 + 2):
+            assert big(poly_powmod(a, n, c)) == galoistools.gf_pow_mod(big(a), n, big(c), p, ZZ)
+        s, _, h = galoistools.gf_gcdex(big(a), big(c), p, ZZ)
+        if h == [1]:
+            assert big(poly_invmod(a, c)) == galoistools.gf_rem(s, big(c), p, ZZ)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                poly_invmod(a, c)
+
+
+@SETTINGS
+@given(st.sampled_from(list(PRIME_FIELDS.values())).flatmap(lambda f: polys(f, 9)))
+def test_factor_and_irreducibility_match_galoistools(a):
+    p = a.field.p
+    if a.is_zero:
+        return
+    fa = factor(a)
+    assert fa.unit == a.leading
+    assert all(co(g) and g.is_monic for g, _ in fa.factors)
+    got = sorted((big(g), e) for g, e in fa.factors)
+    if galoistools.gf_sqf_p(big(a), p, ZZ):
+        lc, want = galoistools.gf_factor_sqf(big(a), p, ZZ)
+        assert (fa.unit, got) == (lc, sorted((g, 1) for g in want))
+    else:
+        lc, want = galoistools.gf_factor(big(a), p, ZZ)
+        assert (fa.unit, got) == (lc, sorted(want))
+    if a.degree() >= 1:
+        assert is_irreducible(a) == galoistools.gf_irreducible_p(big(a), p, ZZ)
 
 
 def _trim(out):
@@ -112,19 +154,32 @@ def ref_gcd(F, a, b):
 def test_extension_kernels_match_digit_rule(case):
     f, a, b, c = case
     F = DigitRule(f.p, f.s, f.modulus)
-    A, B = a.coeffs, b.coeffs
-    assert (a + b).coeffs == ref_add(F, A, B)
-    assert (-a).coeffs == tuple(F.neg(x) for x in A)
-    assert (a - b).coeffs == ref_add(F, A, tuple(F.neg(x) for x in B))
-    assert (a * b).coeffs == ref_mul(F, A, B)
+    A, B, C = a.coeffs, b.coeffs, c.coeffs
+    assert co(a + b) == ref_add(F, A, B)
+    assert co(-a) == tuple(F.neg(x) for x in A)
+    assert co(a - b) == ref_add(F, A, tuple(F.neg(x) for x in B))
+    assert co(a * b) == ref_mul(F, A, B)
     for k in range(f.q):
-        assert a.scale(k).coeffs == _trim([F.mul(x, k) for x in A])
+        assert co(a.scale(k)) == _trim([F.mul(x, k) for x in A])
     if not b.is_zero:
         quot, rem = poly_divmod(a, b)
-        assert (quot.coeffs, rem.coeffs) == ref_divmod(F, A, B)
+        assert (co(quot), co(rem)) == ref_divmod(F, A, B)
     if not (a.is_zero and b.is_zero) and not c.is_zero:
         ac, bc = a * c, b * c
-        assert poly_gcd(ac, bc).coeffs == ref_gcd(F, ac.coeffs, bc.coeffs)
+        assert co(poly_gcd(ac, bc)) == ref_gcd(F, ac.coeffs, bc.coeffs)
+    if not c.is_zero:
+        assert co(poly_mulmod(a, b, c)) == ref_divmod(F, ref_mul(F, A, B), C)[1]
+    if c.degree() >= 1:
+        power = (1,)
+        for n in range(6):
+            assert co(poly_powmod(a, n, c)) == ref_divmod(F, power, C)[1]
+            power = ref_mul(F, power, A)
+        if poly_gcd(a, c).is_one:
+            inv = co(poly_invmod(a, c))
+            assert len(inv) < len(C) and ref_divmod(F, ref_mul(F, A, inv), C)[1] == (1,)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                poly_invmod(a, c)
 
 
 @SETTINGS
@@ -136,4 +191,4 @@ def test_poly_jet_matches_definition(case, order):
     assert len(jet) == order + 1
     for i, d in enumerate(jet):
         want = [F.mul(c, math.comb(k, i) % f.p) for k, c in enumerate(a.coeffs)][i:]
-        assert d.coeffs == _trim(want)
+        assert co(d) == _trim(want)

@@ -1,8 +1,10 @@
+import copy
+import pickle
 import random
 
 import pytest
 
-from ffunits import Modulus, Place, Poly, RatFunc, divisor_vector, reduce_mod, valuation
+from ffunits import GF, Modulus, Place, Poly, RatFunc, divisor_vector, poly_gcd, reduce_mod, valuation
 from ffunits.ratfunc import divisor_product, finite_support
 
 from conftest import el, pl, rand_ratfunc
@@ -172,3 +174,38 @@ def test_ratfunc_structural_invariants(F2, F3):
         RatFunc(pl(F3, "T"), pl(F3, "2*T"))  # denominator must be monic
     with pytest.raises(ValueError):
         RatFunc(Poly.zero(F3), pl(F3, "T"))  # zero is 0/1
+    # results are built without the constructor's checks, so they are checked here
+    F4 = GF(2, 2, (1, 1, 1))
+    rng = random.Random(14)
+    for field in (F2, F3, F4):
+        for _ in range(60):
+            x, y = rand_ratfunc(rng, field, 4), rand_ratfunc(rng, field, 4, nonzero=True)
+            for r in (x + y, x - y, x * y, x / y, y.inverse(), -x, y**-2):
+                for part in (r.num, r.den):
+                    assert not part.coeffs or part.coeffs[-1] != 0
+                assert r.den.is_monic and poly_gcd(r.num, r.den).is_one
+                assert not r.num.is_zero or r.den.is_one
+                assert RatFunc(r.num, r.den) == r
+
+
+def test_value_types_copy_pickle_and_stay_frozen(F3):
+    p = pl(F3, "T^2+2*T+1")
+    x = RatFunc.make(pl(F3, "T+2"), p)
+    for v in (p, x, Poly.zero(F3), RatFunc.one(F3)):
+        for twin in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v), copy.copy(v)):
+            assert twin == v and hash(twin) == hash(v)
+    # an equal field built separately gives equal values with equal hashes
+    G3 = GF(3)
+    assert G3 is not F3
+    p3, x3 = Poly(G3, p.coeffs), RatFunc(Poly(G3, x.num.coeffs), Poly(G3, x.den.coeffs))
+    assert (p3, x3) == (p, x) and (hash(p3), hash(x3)) == (hash(p), hash(x))
+    assert Poly(GF(5), p.coeffs) != p
+    for obj, attr in ((p, "coeffs"), (p, "field"), (x, "num"), (x, "den")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, getattr(obj, attr))
+        with pytest.raises(AttributeError):
+            delattr(obj, attr)
+    with pytest.raises(ValueError):
+        Poly(F3, (1, 0))
+    with pytest.raises(ValueError):
+        RatFunc(pl(F3, "1"), pl(F3, "2*T"))
