@@ -2,12 +2,13 @@
 
 Subcommands: factor, hasse, indep, repset, solve, skolem, probe.  run_cli
 fills each setting no flag gave from the instance file (flag, then file,
-then default), builds the field once and hands it to the subcommand.  Every
-run writes one JSON report to stdout and diagnostics to stderr.  Exit
-codes: 0 success or certified answer, 1 internal fault, 2 sound non-answer
-(inapplicable or nothing found), 3 input error, 4 resource limit.  Input
-errors are raised only while parsing and validating, so any other
-exception reaching run_cli is a fault in this package.
+then default), builds the field once (equal fields of later runs are one
+memoized GF) and hands it to the subcommand.  Every run writes one JSON
+report to stdout and diagnostics to stderr.  Exit codes: 0 success or
+certified answer, 1 internal fault, 2 sound non-answer (inapplicable or
+nothing found), 3 input error, 4 resource limit.  Input errors are raised
+only while parsing and validating, so any other exception reaching run_cli
+is a fault in this package.
 """
 
 import argparse
@@ -88,20 +89,23 @@ def _at_least(name: str, value, low: int):
     return value
 
 
+_field = functools.lru_cache(maxsize=16)(GF)
+
+
 def _build_field(args) -> GF:
     p = _setting(args, "p", required=True)
     s = int(_at_least("s", _setting(args, "s", default=1), 1))
     modulus_text = _setting(args, "modulus")
     try:
         if s == 1:
-            return GF(int(p))
+            return _field(int(p))
         if modulus_text is None:
             raise InputError("s > 1 requires a modulus polynomial")
-        base = GF(int(p))
+        base = _field(int(p))
         modulus = parse_element(str(modulus_text), base)
         if not modulus.den.is_one:
             raise InputError("the field modulus must be a polynomial")
-        return GF(int(p), s, modulus.num.coeffs)
+        return _field(int(p), s, modulus.num.coeffs)
     except ValueError as exc:
         raise InputError(str(exc)) from None
 

@@ -18,7 +18,9 @@ s > 1 they go through the Zech table ``zech_table[k] = log(1 + g**k)``
 The exp and Zech tables are doubled, so a sum of two logs, or a difference
 (a negative one counts from the end of the list), indexes them without
 reduction.  The base-p digit rule on the encoding survives only in the
-table builder.
+table builder, which multiplies the digit vectors as polynomials over
+F_p with the kernels of ``poly`` (the prime field's own tables need only
+products mod p).
 
 Tables are built once for each distinct (p, s, modulus), after the
 modulus has passed the irreducibility test, and a bounded module-level
@@ -41,17 +43,8 @@ MAX_FIELD_ORDER = 1 << 16
 
 
 def is_prime(n: int) -> bool:
-    """Primality by trial division (inputs here are desk-scale)."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Whether n is prime, i.e. its own only prime factor (never for n < 2)."""
+    return prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> list[int]:
@@ -73,39 +66,34 @@ def prime_factors(n: int) -> list[int]:
 def _tables(p: int, s: int, modulus: tuple[int, ...]):
     """(exp, log, zech) for F_p[X]/(modulus); the modulus must be irreducible.
 
-    The builder multiplies by the digit rule: schoolbook product of the
-    base-p digit vectors, reduced by the monic modulus.
+    For s > 1 the builder multiplies base-p digit vectors as polynomials
+    over F_p, reduced by the modulus, with the polynomial kernels.
     """
     q = p**s
     n = q - 1
 
-    def digits(a):
-        out = []
-        for _ in range(s):
-            a, r = divmod(a, p)
-            out.append(r)
-        return out
+    if s == 1:
 
-    def from_digits(ds):
-        out = 0
-        for d in reversed(ds):
-            out = out * p + d
-        return out
+        def mul(a, b):
+            return a * b % p
 
-    def mul(a, b):
-        prod = [0] * (2 * s - 1)
-        db = digits(b)
-        for i, ai in enumerate(digits(a)):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        for k in range(len(prod) - 1, s - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for j in range(s):
-                    prod[k - s + j] = (prod[k - s + j] - c * modulus[j]) % p
-        return from_digits(prod[:s])
+    else:
+        from . import poly  # deferred; poly imports this module
+
+        prime = GF(p)
+
+        def digits(a):
+            out = []
+            for _ in range(s):
+                a, r = divmod(a, p)
+                out.append(r)
+            return out
+
+        def mul(a, b):
+            out = 0
+            for d in reversed(poly._mulmod_list(prime, digits(a), digits(b), modulus)):
+                out = out * p + d
+            return out
 
     def power(a, e):
         r = 1

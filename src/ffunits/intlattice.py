@@ -4,8 +4,6 @@ Everything works on plain lists of Python ints, so coefficient growth is
 never a correctness concern.
 """
 
-from fractions import Fraction
-
 
 def _row_addmul(mat, aux, dst, src, c):
     if c:
@@ -82,12 +80,6 @@ def solve_left(rows, width, target):
 
 
 def in_rational_rowspan(rows, width, target) -> bool:
-    """Whether target lies in the Q-span of the rows."""
-    H, _, pivots = hnf_with_transform(rows, width)
-    resid = [Fraction(v) for v in target]
-    for i, c in enumerate(pivots):
-        if resid[c]:
-            k = resid[c] / H[i][c]
-            for j in range(width):
-                resid[j] -= k * H[i][j]
-    return not any(resid)
+    """Whether target lies in the Q-span of the rows: appending it adds no pivot."""
+    rank = len(hnf_with_transform(rows, width)[2])
+    return len(hnf_with_transform([*rows, target], width)[2]) == rank

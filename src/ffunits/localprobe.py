@@ -10,14 +10,14 @@ Frobenius powers watches a canonical convergent sequence stabilize at
 finite precision.
 
 The image is the closure of the reduced generators under multiplication,
-listed with nonnegative generator words.  The unit group of the residue
-ring is finite, so the powers of each generator reach its inverse and no
-inverse steps are taken.
+kept as the element-to-word dict that ``unitgroup.closure`` returns, with
+nonnegative generator words.  The unit group of the residue ring is
+finite, so the powers of each generator reach its inverse and no inverse
+steps are taken.
 """
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import unitgroup
 from .errors import ResourceLimitError
@@ -31,21 +31,17 @@ DEFAULT_BOX_LIMIT = 10**8
 
 @dataclass(frozen=True)
 class ResidueGroup:
-    """The full image of the group in a residue ring, with generator words.
+    """The full image of the group in a residue ring: each element with its
+    generator word, in the breadth-first order of ``unitgroup.closure``.
 
     The words are nonnegative: the image is finite, so no inverse steps.
     """
 
     modulus: Modulus
-    elements: tuple[Poly, ...]
-    words: tuple[tuple[int, ...], ...]
+    words: dict[Poly, tuple[int, ...]]
 
     def __len__(self):
-        return len(self.elements)
-
-    @cached_property
-    def index(self) -> dict[Poly, int]:
-        return {e: i for i, e in enumerate(self.elements)}
+        return len(self.words)
 
 
 @dataclass(frozen=True)
@@ -96,8 +92,7 @@ def residue_group(group: SubgroupPresentation, m: Modulus) -> ResidueGroup:
         _require_unit(g, m, "generator")
         gen_res.append(reduce_mod(g, m))
     one = Poly.one(group.field) % modpoly
-    found = closure(one, gen_res, lambda a, b: poly_mulmod(a, b, modpoly))
-    return ResidueGroup(m, tuple(found), tuple(found.values()))
+    return ResidueGroup(m, closure(one, gen_res, lambda a, b: poly_mulmod(a, b, modpoly)))
 
 
 def sl_search(eq: Equation, group: SubgroupPresentation, m: Modulus) -> SLWitness | None:
@@ -120,17 +115,16 @@ def _search_residues(eq: Equation, rg: ResidueGroup) -> SLWitness | None:
     b_res = [reduce_mod(x, m) for x in eq.b]
     inv_last = reduce_mod(eq.b[-1].inverse(), m)
     target = Poly.constant(field, eq.rhs) % modpoly
-    arity = eq.arity
-    for prefix in itertools.product(range(len(rg.elements)), repeat=arity - 1):
+    for prefix in itertools.product(rg.words.items(), repeat=eq.arity - 1):
         # each term is reduced, so their sum is too
         partial = Poly.zero(field)
-        for bi, xi in zip(b_res, prefix):
-            partial = partial + poly_mulmod(bi, rg.elements[xi], modpoly)
+        for bi, (xi, _) in zip(b_res, prefix):
+            partial = partial + poly_mulmod(bi, xi, modpoly)
         need = poly_mulmod(target - partial, inv_last, modpoly)
-        j = rg.index.get(need)
-        if j is not None:
-            residues = tuple(rg.elements[i] for i in prefix) + (rg.elements[j],)
-            words = tuple(rg.words[i] for i in prefix) + (rg.words[j],)
+        w = rg.words.get(need)
+        if w is not None:
+            residues = tuple(x for x, _ in prefix) + (need,)
+            words = tuple(wd for _, wd in prefix) + (w,)
             return SLWitness(m, residues, words)
     return None
 
@@ -144,7 +138,7 @@ def verify_obstruction(
     field = group.field
     b_res = [reduce_mod(x, witness.modulus) for x in eq.b]
     target = Poly.constant(field, eq.rhs) % modpoly
-    for combo in itertools.product(rg.elements, repeat=eq.arity):
+    for combo in itertools.product(rg.words, repeat=eq.arity):
         acc = Poly.zero(field)
         for bi, xi in zip(b_res, combo):
             acc = acc + poly_mulmod(bi, xi, modpoly)
@@ -177,9 +171,9 @@ def find_local_obstruction(
     and the group, up to the given degree, with exponents up to e_bound.
     A running total counts the residue elements searched without an
     obstruction and, before a degree's bases are first listed, deg for each
-    of the q**deg candidates that listing Rabin-tests (a test costs about
-    deg modular powerings); past unitgroup.DEFAULT_GROUP_LIMIT the scan
-    stops with ResourceLimitError.
+    of the q**deg candidates that listing tests for irreducibility (a test
+    takes at most deg modular powerings); past unitgroup.DEFAULT_GROUP_LIMIT
+    the scan stops with ResourceLimitError.
     """
     if deg_bound < 1 or e_bound < 1:
         raise ValueError("bounds must be >= 1")
@@ -201,7 +195,7 @@ def find_local_obstruction(
     for d, e in _moduli(deg_bound, e_bound):
         if e == 1:
             charge(d * field.q**d)
-        # bases in sort-key order, Rabin-tested once per degree (memoized)
+        # bases in sort-key order, tested once per degree (memoized)
         for base in monic_irreducibles(field, d):
             if base in excluded:
                 continue
@@ -264,10 +258,15 @@ def closure_probe(g: RatFunc, m: Modulus, n_max: int) -> StabilizationReport:
 
     The factorial-power exponent is never materialized: it is tracked
     modulo the residue-ring unit group order through the recurrence
-    p**(n!) = (p**((n-1)!))**n.
+    p**(n!) = (p**((n-1)!))**n.  One residue is kept per term, so n_max
+    past unitgroup.DEFAULT_GROUP_LIMIT is refused with ResourceLimitError,
+    the bound on a listed residue group.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    limit = unitgroup.DEFAULT_GROUP_LIMIT
+    if n_max > limit:
+        raise ResourceLimitError(f"n_max {n_max} exceeds the configured bound {limit}")
     _require_unit(g, m, "probe element")
     field = g.field
     d = m.base.degree()

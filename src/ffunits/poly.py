@@ -35,7 +35,7 @@ import itertools
 import random
 from dataclasses import FrozenInstanceError, dataclass
 
-from .field import GF, prime_factors
+from .field import GF
 
 DEFAULT_SEED = 0
 
@@ -475,26 +475,11 @@ class Factorization:
 
 @functools.lru_cache(maxsize=4096)
 def is_irreducible(a: Poly) -> bool:
-    """Rabin irreducibility test over F_q, memoized so each polynomial is tested once."""
+    """Irreducibility over F_q by the distinct-degree split, memoized per polynomial."""
     if a.is_zero or a.degree() < 1:
         raise ValueError("irreducibility is asked of nonconstant polynomials")
     f = a.monic()[0]
-    n = f.degree()
-    if n == 1:
-        return True
-    field = a.field
-    x = Poly.x(field)
-    # frob[k] = t**(q**k) mod f, computed by iterated q-th powering
-    frob = [x % f]
-    for _ in range(n):
-        frob.append(poly_powmod(frob[-1], field.q, f))
-    if frob[n] != x % f:
-        return False
-    for r in prime_factors(n):
-        g = poly_gcd(frob[n // r] - x, f)
-        if g.degree() != 0:
-            return False
-    return True
+    return _distinct_degree_split(f) == [(f.degree(), f)]
 
 
 def _pth_root(a: Poly) -> Poly:
@@ -536,7 +521,13 @@ def _squarefree_split(f: Poly) -> list[tuple[Poly, int]]:
 
 
 def _distinct_degree_split(f: Poly) -> list[tuple[int, Poly]]:
-    """Split monic squarefree f into (degree d, product of degree-d irreducibles)."""
+    """Split monic squarefree f into (degree d, product of degree-d irreducibles).
+
+    On any monic nonconstant f the split is [(deg f, f)] exactly when f is
+    irreducible: a reducible f has a monic irreducible factor of degree
+    d <= deg f / 2, which divides T**(q**d) - T, so the split finds a
+    factor by step d whether or not f is squarefree.
+    """
     field = f.field
     x = Poly.x(field)
     out = []

@@ -267,6 +267,21 @@ def test_resource_limit_exit_code(monkeypatch):
     assert code == 4 and "exceeds the configured bound 5" in err
 
 
+def test_probe_terms_are_bounded(monkeypatch):
+    # one residue is kept per term, so n_max is held to the residue-group bound
+    start = time.perf_counter()
+    code, out, err = run(["probe", "--p", "3", "--g", "T", "--base", "T^2+1", "--n-max", "100001"])
+    assert code == 4 and out == "" and "exceeds the configured bound 100000" in err
+    assert time.perf_counter() - start < 1.0
+    from ffunits import unitgroup
+
+    monkeypatch.setattr(unitgroup, "DEFAULT_GROUP_LIMIT", 10)
+    code, doc = run_json(["probe", "--p", "3", "--g", "T", "--base", "T^2+1", "--n-max", "10"])
+    assert code in (0, 2) and len(doc["residues"]) == 10
+    code, out, err = run(["probe", "--p", "3", "--g", "T", "--base", "T^2+1", "--n-max", "11"])
+    assert code == 4 and "exceeds the configured bound 10" in err
+
+
 def test_seed_is_not_an_option(tmp_path):
     # factor's seed cannot change a report, so it is neither a flag nor an instance key
     code, out, err = run(["solve", "--p", "2", "--gens", "1+T", "--b", "T, 1", "--m", "1",

@@ -251,3 +251,13 @@ def test_huge_characteristic_is_refused_before_primality(monkeypatch):
     monkeypatch.setattr(field, "is_prime", lambda n: pytest.fail(f"primality tested for {n}"))
     with pytest.raises(ResourceLimitError, match="characteristic"):
         GF(10**18 + 3)
+
+
+def test_is_prime_matches_sieve():
+    n = 10_000
+    sieve = [False, False] + [True] * (n - 2)
+    for d in range(2, int(n**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = [False] * len(sieve[d * d :: d])
+    assert [k for k in range(n) if field.is_prime(k)] == [k for k in range(n) if sieve[k]]
+    assert not any(field.is_prime(k) for k in (-1, -2, -7, -10_007))

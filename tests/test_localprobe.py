@@ -53,14 +53,14 @@ def test_residue_group_examples(F2, F3):
         pl(F2, "T^2+T^3"),
     }
     assert powers == expected
-    assert set(rg.elements) == expected
-    assert pl(F2, "T") not in rg.elements
-    for res, word in zip(rg.elements, rg.words):
+    assert set(rg.words) == expected
+    assert pl(F2, "T") not in rg.words
+    for res, word in rg.words.items():
         assert reduce_mod(g2.word_product(word), m2) == res
 
     g3 = build_presentation((el(F3, "T"),))
     rg = residue_group(g3, Modulus(pl(F3, "T+1"), 1))
-    assert set(rg.elements) == {pl(F3, "1"), pl(F3, "2")}
+    assert set(rg.words) == {pl(F3, "1"), pl(F3, "2")}
 
 
 def _residue_image_with_inverses(group, m):
@@ -93,8 +93,8 @@ def test_residue_group_matches_search_with_inverses(F2, F3):
             group = build_presentation(gens)
             rg = residue_group(group, m)
             reference = _residue_image_with_inverses(group, m)
-            assert set(rg.elements) == reference and len(rg) == len(reference)
-            for res, word in zip(rg.elements, rg.words):
+            assert set(rg.words) == reference and len(rg) == len(reference)
+            for res, word in rg.words.items():
                 assert len(word) == n and min(word) >= 0
                 assert reduce_mod(group.word_product(word), m) == res
             checked += len(rg) > n + 1
@@ -243,7 +243,7 @@ def test_obstruction_scan_is_bounded(monkeypatch):
 
 
 def test_obstruction_scan_charges_listed_candidates(monkeypatch):
-    """Listing a degree's bases Rabin-tests its q**deg candidates, so the scan
+    """Listing a degree's bases tests its q**deg candidates, so the scan
     bound charges them before the degree is listed: with a trivial image the
     residue groups alone would let the scan list about 16k candidates.
     """
@@ -261,10 +261,11 @@ def test_obstruction_scan_charges_listed_candidates(monkeypatch):
 
 
 def test_obstruction_scan_charges_rabin_tests_by_degree(monkeypatch):
-    """A Rabin test of a degree-d candidate takes d modular powerings, so the
-    scan bound charges d for it: with a trivial image, the degrees of the
-    candidates tested stay within the bound (charging 1 per candidate, this
-    scan completes and tests candidates of degree sum 3,584).
+    """The irreducibility test of a degree-d candidate takes at most d
+    modular powerings, so the scan bound charges d for it: with a trivial
+    image, the degrees of the candidates tested stay within the bound
+    (charging 1 per candidate, this scan completes and tests candidates of
+    degree sum 3,584).
     """
     from ffunits import poly, unitgroup
 
@@ -284,7 +285,7 @@ def test_obstruction_scan_charges_rabin_tests_by_degree(monkeypatch):
 
 
 def test_obstruction_scan_tests_each_polynomial_once(F3, monkeypatch):
-    """The Rabin test runs once per polynomial: a modulus on a base that
+    """The irreducibility test runs once per polynomial: a modulus on a base that
     monic_irreducibles has tested reads the memo.
     """
     from ffunits import poly

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from ffunits import GF, Poly, factor, is_irreducible, poly_divmod, poly_gcd, poly_powmod
+from ffunits.field import prime_factors
 from ffunits.poly import Factorization, monic_irreducibles, poly_invmod
 
 from conftest import pl, rand_poly
@@ -162,6 +164,43 @@ def test_is_irreducible_against_trial_division(F3):
             continue
         has_small_factor = any(_divides(g, a) for g in monics if g.degree() <= a.degree() // 2)
         assert is_irreducible(a) == (not has_small_factor)
+
+
+def rabin_is_irreducible(a: Poly) -> bool:
+    """Rabin's test: f of degree n is irreducible iff T**(q**n) = T mod f and
+    gcd(T**(q**(n/r)) - T, f) = 1 for every prime r dividing n.
+    """
+    field = a.field
+    f = a.monic()[0]
+    n = f.degree()
+    x = Poly.x(field)
+    frob = [x % f]  # frob[k] = T**(q**k) mod f
+    for _ in range(n):
+        frob.append(poly_powmod(frob[-1], field.q, f))
+    if frob[n] != x % f:
+        return False
+    return all(poly_gcd(frob[n // r] - x, f).degree() == 0 for r in prime_factors(n))
+
+
+@pytest.mark.parametrize(
+    "field, max_deg",
+    [(GF(2), 8), (GF(3), 5), (GF(2, 2, (1, 1, 1)), 4), (GF(3, 2, (1, 0, 1)), 3)],
+    ids=["GF2", "GF3", "GF4", "GF9"],
+)
+def test_is_irreducible_matches_rabin(field, max_deg):
+    # every polynomial of degree 1..max_deg, any leading coefficient, so
+    # non-monic and non-squarefree inputs (squares, p-th powers) are included
+    kinds = set()
+    for n in range(1, max_deg + 1):
+        for low in itertools.product(range(field.q), repeat=n):
+            for lead in range(1, field.q):
+                a = Poly(field, low + (lead,))
+                expect = rabin_is_irreducible(a)
+                assert is_irreducible(a) == expect, a
+                kinds.add((expect, lead == 1, poly_gcd(a, a.derivative()).degree() > 0))
+    leads = {True} if field.q == 2 else {True, False}
+    for monic in leads:
+        assert (True, monic, False) in kinds and (False, monic, True) in kinds
 
 
 def test_is_irreducible_rejects_constants(F2):
