@@ -10,6 +10,7 @@ from .wronskian import (
     candidate_solution,
     coordinate_matrix,
     independence_test,
+    psi,
     wronskian_det_adj,
 )
 from .unitgroup import (
@@ -28,7 +29,6 @@ from .solver import (
     decide,
     m2_shortcut,
     phi,
-    psi,
     with_unit_rhs,
 )
 from .localprobe import (

@@ -6,6 +6,12 @@ additive, satisfies the Leibniz rule coefficientwise, is iterative
 (D(i)D(j) = C(i+j,i) D(i+j) mod p), and for every m >= 1 the joint kernel
 of D(1), ..., D(p**m - 1) is exactly the subfield F_q(t**(p**m)).
 
+The coordinates of x over F_q(t**(p**m)) come as one integral row: the
+p**m numerator slices of x.num * x.den**(p**m - 1) over the relabeled
+den**(p**m), a single monic denominator, with no fraction reduced.  The
+elimination kernel in wronskian clears denominators anyway, so reducing
+each coordinate first would be work it undoes.
+
 Membership in that subfield is always decided twice here, once through the
 derivative kernel and once through the exponent pattern of the reduced
 fraction; a disagreement raises InternalCheckError since the two routes
@@ -20,7 +26,7 @@ from functools import lru_cache
 
 from .errors import InternalCheckError, ResourceLimitError
 from .field import GF
-from .poly import Poly
+from .poly import Poly, _trimmed
 from .ratfunc import RatFunc
 
 MAX_PRIME_POWER = 1 << 16
@@ -149,12 +155,15 @@ def inflate(x: RatFunc, k: int) -> RatFunc:
     return RatFunc(stretch(x.num), stretch(x.den))
 
 
-def subfield_coordinates(x: RatFunc, m: int) -> tuple[RatFunc, ...]:
-    """Coordinates of x in the basis 1, t, ..., t**(p**m - 1) over F_q(t**(p**m)).
+def subfield_coordinates(x: RatFunc, m: int) -> tuple[tuple[Poly, ...], Poly]:
+    """Integral coordinates (nums, den_hat) of x in the basis 1, t, ...,
+    t**(p**m - 1) over F_q(t**(p**m)).
 
-    Coordinate r is returned relabeled along a(t**(p**m)) -> a(t), so the
-    results live in K and ordinary linear algebra over K applies.  The
-    defining identity is x = sum(inflate(c_r, p**m) * t**r).
+    Coordinate r is nums[r] / den_hat, relabeled along a(t**(p**m)) -> a(t)
+    so that it lives in K and ordinary linear algebra over K applies; the
+    defining identity is x = sum(inflate(nums[r] / den_hat, p**m) * t**r).
+    The fractions are left unreduced: den_hat is the monic common
+    denominator of the row, which the elimination kernel clears anyway.
     """
     pm = prime_power(x.field, m)
     f = x.field
@@ -162,6 +171,5 @@ def subfield_coordinates(x: RatFunc, m: int) -> tuple[RatFunc, ...]:
     # in characteristic p, den**pm = sum(c_k**pm * t**(k*pm)), so its
     # relabeling is den with every coefficient raised to the pm-th power
     den_hat = Poly(f, tuple(f.frobenius(c, m) for c in x.den.coeffs))
-    return tuple(
-        RatFunc.make(Poly.from_coeffs(f, num.coeffs[r::pm]), den_hat) for r in range(pm)
-    )
+    coeffs = num.coeffs
+    return tuple(_trimmed(f, list(coeffs[r::pm])) for r in range(pm)), den_hat

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from . import unitgroup
 from .errors import ResourceLimitError
+from .hasse import MAX_PRIME_POWER
 from .poly import Poly, monic_irreducibles, poly_mulmod, poly_powmod
 from .ratfunc import Modulus, RatFunc, finite_support, reduce_mod, valuation
 from .solver import Equation, SolutionPoint
@@ -260,13 +261,20 @@ def closure_probe(g: RatFunc, m: Modulus, n_max: int) -> StabilizationReport:
     modulo the residue-ring unit group order through the recurrence
     p**(n!) = (p**((n-1)!))**n.  One residue is kept per term, so n_max
     past unitgroup.DEFAULT_GROUP_LIMIT is refused with ResourceLimitError,
-    the bound on a listed residue group.
+    the bound on a listed residue group.  Each term is a powering modulo
+    base**e, so a modulus degree deg(base) * e past hasse.MAX_PRIME_POWER
+    is refused the same way, before any powering.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     limit = unitgroup.DEFAULT_GROUP_LIMIT
     if n_max > limit:
         raise ResourceLimitError(f"n_max {n_max} exceeds the configured bound {limit}")
+    degree = m.base.degree() * m.exponent
+    if degree > MAX_PRIME_POWER:
+        raise ResourceLimitError(
+            f"modulus degree {degree} exceeds the supported bound {MAX_PRIME_POWER}"
+        )
     _require_unit(g, m, "probe element")
     field = g.field
     d = m.base.degree()

@@ -5,12 +5,31 @@ and residue-ring reduction.
 Values are canonical: a RatFunc keeps a reduced fraction with monic
 denominator, so equality and hashing are structural.  RatFunc is a
 slotted immutable class like Poly.  The public constructor checks the
-canonical form; RatFunc.make reduces and then builds through the
-unchecked ``_canonical``, which is used only where the fraction is
-canonical by construction (make, negation and integer powers).  Places of K over
-F_q are the monic irreducible polynomials plus one place at infinity;
-local completions are never materialized, only the finite-precision
-residue rings F_q[t]/(base**e) described by Modulus.
+canonical form; everything else builds through the unchecked
+``_canonical``, which is used only where the fraction is canonical by
+construction.
+
+RatFunc.make reduces num/den by one gcd, skipped when den is constant.
+The field operations never take the gcd of a whole product; they cancel
+across the factors instead (Henrici, J. ACM 3, 1956), so each result is
+reduced because its inputs are:
+
+* a*b and a/b cancel gcd(n1, d2) and gcd(n2, d1), where a/b is a times
+  the inverse d2/n2 of b: n1 is coprime to d1 and n2 to d2, so no factor
+  is left in common.
+* a+b and a-b with g = gcd(d1, d2): when g = 1, n1*d2 + n2*d1 shares no
+  factor with d1 (it would divide n1*d2) nor with d2, so the fraction over
+  d1*d2 is reduced with no gcd of the sum (and no gcd at all when a
+  denominator is 1).  Otherwise the sum n1*(d2/g) + n2*(d1/g) over
+  (d1/g)*d2 can share only factors of g with its denominator, and one gcd
+  with g cancels them (equal denominators give g = d1 without a gcd).
+
+Denominators stay monic: every gcd is monic, and an inverse is scaled by
+the inverse of its leading coefficient.
+
+Places of K over F_q are the monic irreducible polynomials plus one place
+at infinity; local completions are never materialized, only the
+finite-precision residue rings F_q[t]/(base**e) described by Modulus.
 """
 
 from dataclasses import dataclass, field
@@ -63,9 +82,10 @@ class RatFunc(Value):
         f = num.field
         if num.is_zero:
             return _canonical(num, Poly.one(f))
-        g = poly_gcd(num, den)
-        if g.degree() > 0:
-            num, den = num // g, den // g
+        if den.degree() > 0:
+            g = poly_gcd(num, den)
+            if g.degree() > 0:
+                num, den = num // g, den // g
         lc = den.leading
         if lc != 1:
             inv = f.inv(lc)
@@ -113,26 +133,27 @@ class RatFunc(Value):
     # -- field operations --
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc.make(self.num * other.den + other.num * self.den, self.den * other.den)
+        return _sum(self.num, self.den, other.num, other.den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc.make(self.num * other.den - other.num * self.den, self.den * other.den)
+        return _sum(self.num, self.den, -other.num, other.den)
 
     def __neg__(self) -> "RatFunc":
         return _canonical(-self.num, self.den)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc.make(self.num * other.num, self.den * other.den)
+        return _product(self.num, self.den, other.num, other.den)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero:
             raise ZeroDivisionError("division by zero")
-        return RatFunc.make(self.num * other.den, self.den * other.num)
+        n2, d2 = _inverted(other)
+        return _product(self.num, self.den, n2, d2)
 
     def inverse(self) -> "RatFunc":
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
-        return RatFunc.make(self.den, self.num)
+        return _canonical(*_inverted(self))
 
     def __pow__(self, e: int) -> "RatFunc":
         if e == 0:
@@ -150,6 +171,63 @@ def _canonical(num: Poly, den: Poly) -> RatFunc:
     _setattr(x, "num", num)
     _setattr(x, "den", den)
     return x
+
+
+def _inverted(x: RatFunc) -> tuple[Poly, Poly]:
+    """den/num of a nonzero x, scaled to a monic denominator."""
+    lc = x.num.leading
+    if lc == 1:
+        return x.den, x.num
+    inv = x.field.inv(lc)
+    return x.den.scale(inv), x.num.scale(inv)
+
+
+def _product(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> RatFunc:
+    """(n1/d1) * (n2/d2) for reduced fractions with monic denominators."""
+    n1._same_field(n2)
+    if not n1.coeffs:
+        return _canonical(n1, d1)
+    if not n2.coeffs:
+        return _canonical(n2, d2)
+    if len(n1.coeffs) > 1 and d2.coeffs != (1,):
+        g = poly_gcd(n1, d2)
+        if len(g.coeffs) > 1:
+            n1, d2 = n1 // g, d2 // g
+    if len(n2.coeffs) > 1 and d1.coeffs != (1,):
+        g = poly_gcd(n2, d1)
+        if len(g.coeffs) > 1:
+            n2, d1 = n2 // g, d1 // g
+    return _canonical(n1 * n2, d1 * d2)
+
+
+def _sum(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> RatFunc:
+    """n1/d1 + n2/d2 for reduced fractions with monic denominators."""
+    n1._same_field(n2)
+    if not n1.coeffs:
+        return _canonical(n2, d2)
+    if not n2.coeffs:
+        return _canonical(n1, d1)
+    g = None  # what num and den may share: a factor of gcd(d1, d2)
+    if d1.coeffs == (1,):
+        num, den = (n1 if d2.coeffs == (1,) else n1 * d2) + n2, d2
+    elif d2.coeffs == (1,):
+        num, den = n1 + n2 * d1, d1
+    elif d1 == d2:
+        num, den, g = n1 + n2, d1, d1
+    else:
+        g = poly_gcd(d1, d2)
+        if len(g.coeffs) == 1:
+            num, den, g = n1 * d2 + n2 * d1, d1 * d2, None
+        else:
+            e1 = d1 // g
+            num, den = n1 * (d2 // g) + n2 * e1, e1 * d2
+    if not num.coeffs:
+        return _canonical(num, Poly.one(num.field))
+    if g is not None:
+        h = poly_gcd(num, g)
+        if len(h.coeffs) > 1:
+            num, den = num // h, den // h
+    return _canonical(num, den)
 
 
 # -- places and divisors --

@@ -43,7 +43,11 @@ tuple.
 Inapplicable is a first-class outcome: the criterion is sufficient, not
 necessary, and nothing is escalated silently.  A failing tuple is retried
 with components scaled by p**m-th generator powers (which cannot change
-dependence over the subfield) purely to catch arithmetic bugs.
+dependence over the subfield) purely to catch arithmetic bugs.  Each
+re-test recomputes the coordinate rows of its scaled vector (for rhs 1,
+once, shared by its psi_j stacks) and decides rank only
+(wronskian.independence_verdict): the verdict is all it compares, so it
+reads no relation and builds no witness.
 """
 
 import dataclasses
@@ -64,8 +68,10 @@ from .unitgroup import (
 )
 from .wronskian import (
     IndependenceCertificate,
+    coordinate_matrix,
     independence_test,
-    psi,
+    independence_verdict,
+    psi_rows,
     unit_substitution_verdicts,
 )
 
@@ -179,9 +185,9 @@ def _confirm_failure(rhs: int, br, m: int, gen_powers) -> int:
     if not gen_powers:
         return 0
     for k in range(MAX_DEPENDENCE_RETRIES):
-        v = _scaled(br, gen_powers, k)
-        tested = (v,) if rhs == 0 else (psi(j, v) for j in range(1, len(v) + 1))
-        if any(independence_test(u, m).independent for u in tested):
+        rows = coordinate_matrix(_scaled(br, gen_powers, k), m)
+        stacks = (rows,) if rhs == 0 else (psi_rows(rows, j) for j in range(1, len(rows) + 1))
+        if any(independence_verdict(s) for s in stacks):
             raise InternalCheckError(
                 "dependence verdict changed under a p**m-th power scaling"
             )

@@ -1,9 +1,13 @@
 """Linear independence over F_q(t**(p**m)) with two-sided certificates.
 
 Every linear-algebra question here goes through one fraction-free echelon
-kernel over F_q[t] (Bareiss elimination, one row at a time): a row has its
-denominators cleared and its content stripped, then is reduced against the
-stored pivot rows with every division checked for exactness.
+kernel over F_q[t] (Bareiss elimination, one row at a time) on integral
+rows: polynomial entries over one common denominator.  A row has its
+content stripped, then is reduced against the stored pivot rows with every
+division checked for exactness.  Coordinate rows arrive integral from
+hasse.subfield_coordinates; derivative rows are RatFunc rows, cleared over
+the lcm of their denominators first.  The primitive row does not depend on
+the common denominator chosen, so neither do the pivots and relations.
 
 The decision eliminates the coordinate matrix of the vector in the basis
 1, t, ..., t**(p**m - 1); a row that adds no rank yields the exact
@@ -12,7 +16,8 @@ witness index set I = {0 = i_1 < ... < i_M < p**m} is then produced
 greedily so that the matrix of higher derivatives D(i_l) applied to the
 vector has nonzero determinant; that determinant is the checkable
 certificate.  Callers that test many vectors sharing components may pass
-the coordinate rows they already hold.
+the coordinate rows they already hold, and independence_verdict decides
+rank alone, with no relation or witness.
 
 Verdict and witness are shared by a whole orbit: for f nonzero and s_j in
 K_m = F_q(t**(p**m)), v and (f * v_j * s_j)_j have the same verdict and the
@@ -67,23 +72,49 @@ def _check_components(b) -> RatFunc:
     return b[0]
 
 
-def coordinate_matrix(b, m: int) -> list[list[RatFunc]]:
-    """Row j holds the relabeled coordinates of b[j] over F_q(t**(p**m))."""
+def coordinate_matrix(b, m: int) -> list[tuple[tuple[Poly, ...], Poly]]:
+    """Row j is the integral row (nums, den) of the relabeled coordinates
+    of b[j] over F_q(t**(p**m)), coordinate r being nums[r] / den.
+    """
     _check_components(b)
-    return [list(subfield_coordinates(x, m)) for x in b]
+    return [subfield_coordinates(x, m) for x in b]
+
+
+def psi_rows(rows, j: int):
+    """The coordinate rows of psi(j, b) from those of b: row j becomes the
+    row of 1, which is (1, 0, ..., 0) over 1.
+    """
+    nums, den = rows[0]
+    zero, one = Poly.zero(den.field), Poly.one(den.field)
+    one_row = ((one, *(zero,) * (len(nums) - 1)), one)
+    return (*rows[: j - 1], one_row, *rows[j:])
+
+
+def _cleared(row) -> tuple[list[Poly], Poly]:
+    """The integral form (entries times den, den) of a RatFunc row, den
+    being the lcm of its denominators.
+    """
+    lcm = Poly.one(row[0].field)
+    for d in dict.fromkeys(x.den for x in row):
+        if not d.is_one:
+            lcm = lcm * (d // poly_gcd(lcm, d))
+    return [a.num if a.den == lcm else a.num * (lcm // a.den) for a in row], lcm
 
 
 class _Echelon:
     """Fraction-free row echelon form over F_q[t], grown one row at a time.
 
-    A pushed RatFunc row is multiplied by num/den (the lcm of its distinct
-    denominators over its content) and reduced against the stored pivot
-    rows.  After the step with pivot k every entry is the (k+1)-minor on the
-    pivot columns so far plus its own column, so the division by the
-    previous pivot is exact (Sylvester's identity).  With slots > 0, row i
-    carries trailing combination slots starting as the unit vector e_i;
-    they are never pivots, and a row that adds no rank ends up holding there
-    a left-kernel vector of the rows pushed so far.
+    A pushed row is integral: polynomial entries nums with the monic
+    polynomial den they stand over, for the K-row nums / den.  Its content
+    is stripped, and the primitive row left is reduced against the stored
+    pivot rows; the primitive row does not depend on which common
+    denominator den the K-row was written over.  After the step with
+    pivot k every entry is the (k+1)-minor on the pivot columns so far plus
+    its own column, so the division by the previous pivot is exact
+    (Sylvester's identity).  With slots > 0, row i carries trailing
+    combination slots starting as the unit vector e_i; they are never
+    pivots, and a row that adds no rank ends up holding there a left-kernel
+    vector of the rows pushed so far.
     """
 
     def __init__(self, field, slots: int = 0):
@@ -94,20 +125,20 @@ class _Echelon:
         self.kernel: list[Poly] | None = None
 
     def push(self, row) -> bool:
-        """Reduce row; store it and return True when it grows the rank."""
+        """Reduce the integral row (nums, den); store it and return True
+        when it grows the rank.
+        """
+        nums, den = row
         zero, one = Poly.zero(self.field), Poly.one(self.field)
-        lcm = one
-        for d in dict.fromkeys(x.den for x in row):
-            if not d.is_one:
-                lcm = lcm * (d // poly_gcd(lcm, d))
-        x = [a.num if a.den == lcm else a.num * (lcm // a.den) for a in row]
         content = zero
-        for a in x:
+        for a in nums:
             if not (a.is_zero or content.is_one):
                 content = poly_gcd(content, a)
         if content.degree() > 0:
-            x = [a // content for a in x]
-        self.scales.append((lcm, content if content.degree() > 0 else one))
+            x = [a // content for a in nums]
+        else:
+            x, content = list(nums), one
+        self.scales.append((den, content))
         width = len(x)
         x += [one if k == len(self.scales) - 1 else zero for k in range(self.slots)]
         prev = one
@@ -130,7 +161,7 @@ class _Echelon:
         return False
 
     def relation(self) -> tuple[RatFunc, ...]:
-        """The last pushed row's left-kernel vector over the RatFunc rows.
+        """The last pushed row's left-kernel vector over the K-rows nums / den.
 
         Its weight on that row is 1; rows never pushed get weight 0.
         """
@@ -146,7 +177,7 @@ class _Echelon:
 def _det(rows) -> RatFunc:
     """Exact determinant of a square RatFunc matrix."""
     echelon = _Echelon(rows[0][0].field)
-    if not all(echelon.push(row) for row in rows):
+    if not all(echelon.push(_cleared(row)) for row in rows):
         return RatFunc.zero(echelon.field)
     # the last pivot is the determinant of the scaled rows with the columns
     # taken in pivot order
@@ -179,7 +210,7 @@ def _witness(b, pm: int, first: int = 0) -> tuple[int, ...]:
     witness = _Echelon(b[0].field)
     indices: list[int] = []
     for i in range(first, pm):
-        if witness.push([hasse_derivative(x, i) for x in b]):
+        if witness.push(_cleared([hasse_derivative(x, i) for x in b])):
             indices.append(i)
             if len(indices) == len(b):
                 return tuple(indices)
@@ -215,6 +246,15 @@ def independence_test(b, m: int, rows=None) -> IndependenceCertificate:
     return IndependenceCertificate(True, _witness(b, pm), None)
 
 
+def independence_verdict(rows) -> bool:
+    """Whether the integral coordinate rows have full row rank: the verdict
+    of independence_test alone, from an elimination that keeps no
+    combination slots and builds no relation or witness.
+    """
+    echelon = _Echelon(rows[0][1].field)
+    return all(echelon.push(row) for row in rows)
+
+
 def psi(j: int, a):
     """Replace the j-th component (1-indexed) by 1, keep the others."""
     if not 1 <= j <= len(a):
@@ -228,12 +268,12 @@ def _unit_relation(rows, field, pm: int) -> tuple[RatFunc, ...] | None:
     independent with coordinate rows rows; None when the stack is
     independent.
     """
-    tail = _relation([row[1:] for row in rows], field)
+    tail = _relation([(nums[1:], den) for nums, den in rows], field)
     if tail is None:
         return None
     head = RatFunc.zero(field)
-    for w, row in zip(tail, rows):
-        head = head - w * row[0]
+    for w, (nums, den) in zip(tail, rows):
+        head = head - w * RatFunc.make(nums[0], den)
     if head.is_zero:
         raise InternalCheckError("relation of the coordinate rows of an independent vector")
     return (*(inflate(w / head, pm) for w in tail), RatFunc.one(head.field))
@@ -259,10 +299,8 @@ def unit_substitution_verdicts(b, m: int, rows, cert=None):
         cert = independence_test(b, m, rows=rows)
     field = b[0].field
     if not cert.independent:
-        one_row = (RatFunc.one(field), *(RatFunc.zero(field),) * (len(rows[0]) - 1))
         psi_certs = tuple(
-            independence_test(psi(j, b), m, rows=(*rows[: j - 1], one_row, *rows[j:]))
-            for j in range(1, len(b) + 1)
+            independence_test(psi(j, b), m, rows=psi_rows(rows, j)) for j in range(1, len(b) + 1)
         )
         return cert, psi_certs, None
     pm = prime_power(field, m)

@@ -47,6 +47,11 @@ def rand_ratfunc(rng: random.Random, field: GF, max_deg: int, nonzero: bool = Fa
             return x
 
 
+def coordinate_fractions(rows):
+    """Integral coordinate rows (nums, den) as RatFunc rows, entry r being make(nums[r], den)."""
+    return [[RatFunc.make(n, den) for n in nums] for nums, den in rows]
+
+
 def sympy_element(x: RatFunc):
     """x as an element of sympy's GF(p)(T): an oracle sharing no code with ffunits.
 

@@ -38,7 +38,7 @@ from ffunits.wronskian import (
     verify_certificate,
 )
 
-from conftest import el, pl, rand_ratfunc, sympy_matrix
+from conftest import coordinate_fractions, el, pl, rand_ratfunc, sympy_matrix
 
 
 def _report(n, detail):
@@ -237,7 +237,7 @@ def test_criterion_6_wronskian_oracle_equivalence(F2, F3):
         M = rng.choice((2, 3))
         b = tuple(rand_ratfunc(rng, field, 4, True) for _ in range(M))
         cert = independence_test(b, m)
-        rank = sympy_matrix(coordinate_matrix(b, m)).rank()
+        rank = sympy_matrix(coordinate_fractions(coordinate_matrix(b, m))).rank()
         assert cert.independent == (rank == M)
         assert verify_certificate(b, m, cert)
         if cert.independent:

@@ -282,6 +282,25 @@ def test_probe_terms_are_bounded(monkeypatch):
     assert code == 4 and "exceeds the configured bound 10" in err
 
 
+def test_probe_modulus_degree_is_bounded(monkeypatch):
+    # every term is a powering modulo base**e, so deg(base) * e is held to
+    # hasse.MAX_PRIME_POWER before anything is powered
+    start = time.perf_counter()
+    code, out, err = run(["probe", "--p", "3", "--g", "T+2", "--base", "T^2+T+2", "--e", "40000"])
+    assert code == 4 and out == "" and "modulus degree 80000 exceeds the supported bound 65536" in err
+    code, out, err = run(["probe", "--p", "3", "--g", "T+2", "--base", "T^2+T+2", "--e", "32769"])
+    assert code == 4 and "modulus degree 65538" in err
+    assert time.perf_counter() - start < 1.0
+    from ffunits import localprobe
+
+    monkeypatch.setattr(localprobe, "MAX_PRIME_POWER", 8)
+    argv = ["probe", "--p", "3", "--g", "T+2", "--base", "T^2+T+2", "--n-max", "3", "--e"]
+    code, doc = run_json(argv + ["4"])
+    assert code in (0, 2) and doc["modulus"]["exponent"] == 4 and len(doc["residues"]) == 3
+    code, out, err = run(argv + ["5"])
+    assert code == 4 and "modulus degree 10 exceeds the supported bound 8" in err
+
+
 def test_seed_is_not_an_option(tmp_path):
     # factor's seed cannot change a report, so it is neither a flag nor an instance key
     code, out, err = run(["solve", "--p", "2", "--gens", "1+T", "--b", "T, 1", "--m", "1",

@@ -7,7 +7,6 @@ import pytest
 from ffunits import (
     GF,
     Equation,
-    IndependenceCertificate,
     RatFunc,
     auto_m,
     build_presentation,
@@ -137,21 +136,14 @@ def test_inhomogeneous_inapplicable(F3):
 
 @pytest.mark.parametrize("rhs", (0, 1))
 def test_retest_that_disagrees_is_an_internal_fault(F3, rhs, monkeypatch):
-    # the scaled re-test of the first failing tuple is the only caller of
-    # solver.independence_test without rows; make it answer independent
+    # the scaled re-tests of the first failing tuple are the only callers of
+    # solver.independence_verdict; make it answer independent
     import ffunits.solver
-
-    original = ffunits.solver.independence_test
-
-    def disagreeing(b, m, rows=None):
-        if rows is None:
-            return IndependenceCertificate(True, None, None)
-        return original(b, m, rows=rows)
 
     group = build_presentation((el(F3, "T"), el(F3, "-T"), el(F3, "1-T")))
     eq = Equation((RatFunc.one(F3), RatFunc.one(F3)), rhs)
     assert decide(eq, group, 1).outcome == "inapplicable"
-    monkeypatch.setattr(ffunits.solver, "independence_test", disagreeing)
+    monkeypatch.setattr(ffunits.solver, "independence_verdict", lambda rows: True)
     with pytest.raises(InternalCheckError, match="dependence verdict changed"):
         decide(eq, group, 1)
     out, err = io.StringIO(), io.StringIO()

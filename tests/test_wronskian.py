@@ -17,27 +17,35 @@ from ffunits import (
 from ffunits.errors import InternalCheckError
 from ffunits.wronskian import (
     IndependenceCertificate,
+    _cleared,
     _Echelon,
     _psi_witness,
     _witness,
+    independence_verdict,
     psi,
+    psi_rows,
     unit_substitution_verdicts,
     verify_certificate,
     wronskian_matrix,
 )
 
-from conftest import el, rand_ratfunc, sympy_element, sympy_matrix
+from conftest import coordinate_fractions, el, rand_ratfunc, sympy_element, sympy_matrix
 
 
 def test_coordinate_matrix_examples(F2):
     one, t = RatFunc.one(F2), RatFunc.t(F2)
-    assert coordinate_matrix((one, t), 1) == [[one, RatFunc.zero(F2)], [RatFunc.zero(F2), one]]
-    m = coordinate_matrix((el(F2, "1+T^2"), t), 1)
+    m = coordinate_fractions(coordinate_matrix((one, t), 1))
+    assert m == [[one, RatFunc.zero(F2)], [RatFunc.zero(F2), one]]
+    m = coordinate_fractions(coordinate_matrix((el(F2, "1+T^2"), t), 1))
     assert m == [[el(F2, "1+T"), RatFunc.zero(F2)], [RatFunc.zero(F2), one]]
     # oracle: T + T^2 = 1*(T^2) + (T^2)^0... re-expansion check is in test_hasse;
     # here the frozen matrix from re-deriving the coordinates by hand
-    m = coordinate_matrix((el(F2, "T+T^2"), el(F2, "1+T")), 1)
+    m = coordinate_fractions(coordinate_matrix((el(F2, "T+T^2"), el(F2, "1+T")), 1))
     assert m == [[t, one], [one, one]]
+    # the integral row is left unreduced: 1/(1+T^2) lies in F_2(T^2), and its
+    # 0-th coordinate 1/(1+T) comes as (1+T)/(1+T^2)
+    [(nums, den)] = coordinate_matrix((el(F2, "1/(1+T^2)"),), 1)
+    assert nums == (el(F2, "1+T").num, el(F2, "0").num) and den == el(F2, "1+T^2").num
 
 
 def test_independence_examples(F2):
@@ -93,7 +101,7 @@ def test_oracle_equivalence_sample(F2, F3):
         M = rng.choice((2, 3))
         b = tuple(rand_ratfunc(rng, field, 4, True) for _ in range(M))
         cert = independence_test(b, m)
-        rank = sympy_matrix(coordinate_matrix(b, m)).rank()
+        rank = sympy_matrix(coordinate_fractions(coordinate_matrix(b, m))).rank()
         assert cert.independent == (rank == M)
         assert verify_certificate(b, m, cert)
 
@@ -136,8 +144,6 @@ def test_adjugate_identity(F2, F3):
 def test_adjugate_first_column_is_unit_substituted_det(F2):
     # the j-th entry of adj * e1 equals the determinant after replacing
     # column j by the derivatives of 1
-    from ffunits.solver import psi
-
     b = (el(F2, "T+T^2"), el(F2, "1+T"))
     det, adj = wronskian_det_adj(b, (0, 1), 1)
     for j in range(2):
@@ -220,8 +226,8 @@ def _witness_candidate(b, m, I):
     one, zero = RatFunc.one(field), RatFunc.zero(field)
     echelon = _Echelon(field, slots=len(b) + 1)
     for x in b:
-        assert echelon.push([hasse_derivative(x, i) for i in I])
-    assert not echelon.push([one] + [zero] * (len(b) - 1))
+        assert echelon.push(_cleared([hasse_derivative(x, i) for i in I]))
+    assert not echelon.push(_cleared([one] + [zero] * (len(b) - 1)))
     c = tuple(-w for w in echelon.relation()[:-1])
     if any(cj.is_zero for cj in c):
         return None
@@ -335,6 +341,60 @@ def test_unit_substitution_verdicts_match_separate_tests(F2, F3):
             candidates += want[2] is not None
     assert lemma > 100 and dependent_psi > 10 and candidates > 10
     assert dependent_b > 30 and dependent_b_psi > 10
+
+
+def _random_battery(seed: int):
+    """(b, m) over GF(2), GF(3), GF(4), GF(9): random vectors, vectors with
+    b_1 = 1, and vectors with a planted subfield dependence b_2 = b_1 * s.
+    """
+    fields = (GF(2), GF(3), GF(2, 2, (1, 1, 1)), GF(3, 2, (1, 0, 1)))
+    rng = random.Random(seed)
+    for field, m, M in itertools.product(fields, (0, 1, 2), (1, 2, 3)):
+        pm = field.p**m
+        for trial in range(6):
+            b = [rand_ratfunc(rng, field, 2, True) for _ in range(M)]
+            if trial % 3 == 1:
+                b[0] = RatFunc.one(field)
+            if trial % 3 == 2 and M > 1:
+                b[1] = b[0] * rand_ratfunc(rng, field, 1, True) ** pm
+            yield tuple(b), m
+
+
+def test_integral_rows_eliminate_as_their_cleared_fractions():
+    # the RatFunc row nums/den, cleared over the lcm of its reduced
+    # denominators, has the same primitive part as (nums, den) itself, so
+    # both forms give the same pivots, kernels and relations
+    pushes = relations = 0
+    for b, m in _random_battery(1291):
+        rows = coordinate_matrix(b, m)
+        integral = _Echelon(b[0].field, slots=len(rows))
+        cleared = _Echelon(b[0].field, slots=len(rows))
+        for row, fractions in zip(rows, coordinate_fractions(rows)):
+            grew = integral.push(row)
+            assert cleared.push(_cleared(fractions)) == grew
+            assert integral.pivots == cleared.pivots
+            pushes += 1
+            if not grew:
+                assert integral.kernel == cleared.kernel
+                assert integral.relation() == cleared.relation()
+                relations += 1
+                break
+    assert pushes > 300 and relations > 50
+
+
+def test_independence_verdict_matches_the_certificates():
+    # the rank-only verdict of the re-tests agrees with independence_test on
+    # b and with every psi_j verdict of unit_substitution_verdicts
+    verdicts = {True: 0, False: 0}
+    for b, m in _random_battery(1301):
+        rows = coordinate_matrix(b, m)
+        cert, psi_certs, _ = unit_substitution_verdicts(b, m, rows)
+        assert independence_verdict(rows) == cert.independent == independence_test(b, m).independent
+        verdicts[cert.independent] += 1
+        for j, c in enumerate(psi_certs, 1):
+            assert independence_verdict(psi_rows(rows, j)) == c.independent
+            verdicts[c.independent] += 1
+    assert min(verdicts.values()) > 100
 
 
 def test_psi_witness_is_the_greedy_witness_of_psi(F2, F3):
