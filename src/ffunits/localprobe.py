@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from . import unitgroup
 from .errors import ResourceLimitError
-from .hasse import MAX_PRIME_POWER
 from .poly import Poly, monic_irreducibles, poly_mulmod, poly_powmod
 from .ratfunc import Modulus, RatFunc, finite_support, reduce_mod, valuation
 from .solver import Equation, SolutionPoint
@@ -262,22 +261,25 @@ def closure_probe(g: RatFunc, m: Modulus, n_max: int) -> StabilizationReport:
     p**(n!) = (p**((n-1)!))**n.  One residue is kept per term, so n_max
     past unitgroup.DEFAULT_GROUP_LIMIT is refused with ResourceLimitError,
     the bound on a listed residue group.  Each term is a powering modulo
-    base**e, so a modulus degree deg(base) * e past hasse.MAX_PRIME_POWER
-    is refused the same way, before any powering.
+    base**e, of degree D = deg(base) * e, to an exponent below the unit
+    group order, which has about D * log2(q) bits; so the probe is charged
+    n_max * D**3 * q.bit_length(), an upper bound on its powering work, and
+    refused the same way past DEFAULT_BOX_LIMIT, before any powering.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     limit = unitgroup.DEFAULT_GROUP_LIMIT
     if n_max > limit:
         raise ResourceLimitError(f"n_max {n_max} exceeds the configured bound {limit}")
-    degree = m.base.degree() * m.exponent
-    if degree > MAX_PRIME_POWER:
-        raise ResourceLimitError(
-            f"modulus degree {degree} exceeds the supported bound {MAX_PRIME_POWER}"
-        )
-    _require_unit(g, m, "probe element")
     field = g.field
     d = m.base.degree()
+    charge = n_max * (d * m.exponent) ** 3 * field.q.bit_length()
+    if charge > DEFAULT_BOX_LIMIT:
+        raise ResourceLimitError(
+            f"probe charge {charge} (n_max * (deg(base) * e)**3 * bits of q) "
+            f"exceeds the configured bound {DEFAULT_BOX_LIMIT}"
+        )
+    _require_unit(g, m, "probe element")
     order = (field.q**d - 1) * field.q ** (d * (m.exponent - 1))
     g_res = reduce_mod(g, m)
     modpoly = m.poly

@@ -197,8 +197,9 @@ def _confirm_failure(rhs: int, br, m: int, gen_powers) -> int:
 def _inhomogeneous_record(eq, group, m, r, words, br, rows, known) -> TupleRecord:
     """The rhs-1 record of one tuple: a failing tuple keeps only its psi_j
     verdicts, and a candidate (only an eligible tuple has one) is checked by
-    exact substitution and coordinatewise membership.  known is the
-    certificate of b*r when its orbit already holds one, else None.
+    exact substitution, which must give 1, and kept on coordinatewise
+    membership.  known is the certificate of b*r when its orbit already
+    holds one, else None.
     """
     cert, psi_certs, candidate = unit_substitution_verdicts(br, m, rows, known)
     if not any(c.independent for c in psi_certs):
@@ -209,8 +210,11 @@ def _inhomogeneous_record(eq, group, m, r, words, br, rows, known) -> TupleRecor
     acc = RatFunc.zero(group.field)
     for x, y in zip(eq.b, point):
         acc = acc + x * y
+    if not acc.is_one:
+        # the candidate is read off a relation with weight 1 on the row of 1
+        raise InternalCheckError("candidate does not satisfy b . x = 1")
     witnesses = tuple(member(x, group) for x in point)
-    kept = acc.is_one and all(w.member for w in witnesses)
+    kept = all(w.member for w in witnesses)
     return TupleRecord(r, words, cert, psi_certs, candidate, point, kept, witnesses)
 
 

@@ -2,12 +2,14 @@
 
 Every linear-algebra question here goes through one fraction-free echelon
 kernel over F_q[t] (Bareiss elimination, one row at a time) on integral
-rows: polynomial entries over one common denominator.  A row has its
-content stripped, then is reduced against the stored pivot rows with every
-division checked for exactness.  Coordinate rows arrive integral from
+rows: polynomial entries over one common denominator.  A row is reduced as
+given against the stored pivot rows, with every division checked for
+exactness.  Coordinate rows arrive integral from
 hasse.subfield_coordinates; derivative rows are RatFunc rows, cleared over
-the lcm of their denominators first.  The primitive row does not depend on
-the common denominator chosen, so neither do the pivots and relations.
+the lcm of their denominators first.  A row written over another common
+denominator changes the pivots, not the answers: relations and
+determinants are values over K, rescaled by the row denominators and put
+in lowest terms by RatFunc.make, so they do not depend on it.
 
 The decision eliminates the coordinate matrix of the vector in the basis
 1, t, ..., t**(p**m - 1); a row that adds no rank yields the exact
@@ -44,6 +46,7 @@ derivative of 1: D(i)(1) = 0 for i > 0, so it is 0 followed by the greedy
 rows i >= 1 of b without its column j.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import InternalCheckError
@@ -105,23 +108,24 @@ class _Echelon:
     """Fraction-free row echelon form over F_q[t], grown one row at a time.
 
     A pushed row is integral: polynomial entries nums with the monic
-    polynomial den they stand over, for the K-row nums / den.  Its content
-    is stripped, and the primitive row left is reduced against the stored
-    pivot rows; the primitive row does not depend on which common
-    denominator den the K-row was written over.  After the step with
+    polynomial den they stand over, for the K-row nums / den.  nums is
+    reduced as given against the stored pivot rows, and den is kept for
+    relation() and _det to scale back to the K-rows.  After the step with
     pivot k every entry is the (k+1)-minor on the pivot columns so far plus
     its own column, so the division by the previous pivot is exact
-    (Sylvester's identity).  With slots > 0, row i carries trailing
-    combination slots starting as the unit vector e_i; they are never
-    pivots, and a row that adds no rank ends up holding there a left-kernel
-    vector of the rows pushed so far.
+    (Sylvester's identity) for any polynomial rows.  The row's content is
+    not stripped: that takes a gcd per entry, and on the benchmark's
+    traffic the gcds cost more than the smaller entries save.  With
+    slots > 0, row i carries trailing combination slots starting as the
+    unit vector e_i; they are never pivots, and a row that adds no rank
+    ends up holding there a left-kernel vector of the rows pushed so far.
     """
 
     def __init__(self, field, slots: int = 0):
         self.field = field
         self.slots = slots
         self.pivots: list[tuple[int, list[Poly]]] = []
-        self.scales: list[tuple[Poly, Poly]] = []
+        self.dens: list[Poly] = []
         self.kernel: list[Poly] | None = None
 
     def push(self, row) -> bool:
@@ -130,17 +134,9 @@ class _Echelon:
         """
         nums, den = row
         zero, one = Poly.zero(self.field), Poly.one(self.field)
-        content = zero
-        for a in nums:
-            if not (a.is_zero or content.is_one):
-                content = poly_gcd(content, a)
-        if content.degree() > 0:
-            x = [a // content for a in nums]
-        else:
-            x, content = list(nums), one
-        self.scales.append((den, content))
-        width = len(x)
-        x += [one if k == len(self.scales) - 1 else zero for k in range(self.slots)]
+        self.dens.append(den)
+        width = len(nums)
+        x = [*nums, *(one if k == len(self.dens) - 1 else zero for k in range(self.slots))]
         prev = one
         for col, prow in self.pivots:
             p, c = prow[col], x[col]
@@ -165,12 +161,9 @@ class _Echelon:
 
         Its weight on that row is 1; rows never pushed get weight 0.
         """
-        w, (n_i, d_i) = self.kernel, self.scales[-1]
-        w_i = w[len(self.scales) - 1]
-        out = [
-            RatFunc.make(w_j * n_j * d_i, d_j * w_i * n_i)
-            for w_j, (n_j, d_j) in zip(w, self.scales)
-        ]
+        w, d_i = self.kernel, self.dens[-1]
+        w_i = w[len(self.dens) - 1]
+        out = [RatFunc.make(w_j * d_j, w_i * d_i) for w_j, d_j in zip(w, self.dens)]
         return tuple(out) + (RatFunc.zero(self.field),) * (self.slots - len(out))
 
 
@@ -179,13 +172,12 @@ def _det(rows) -> RatFunc:
     echelon = _Echelon(rows[0][0].field)
     if not all(echelon.push(_cleared(row)) for row in rows):
         return RatFunc.zero(echelon.field)
-    # the last pivot is the determinant of the scaled rows with the columns
+    # the last pivot is the determinant of the cleared rows with the columns
     # taken in pivot order
     cols = [col for col, _ in echelon.pivots]
     inversions = sum(a > b for k, a in enumerate(cols) for b in cols[k + 1 :])
-    num, den = echelon.pivots[-1][1][cols[-1]], Poly.one(echelon.field)
-    for n_k, d_k in echelon.scales:
-        num, den = num * d_k, den * n_k
+    num = echelon.pivots[-1][1][cols[-1]]
+    den = math.prod(echelon.dens, start=Poly.one(echelon.field))
     return RatFunc.make(-num if inversions % 2 else num, den)
 
 

@@ -310,8 +310,15 @@ def test_criterion_8_determinism():
 # sha256 of the run_cli output of solves with many tuples per orbit, pinned
 # before an orbit shared one certificate among its tuples: 256 tuples for
 # each rhs, 81 tuples of which 9 dependent (each printed by --verbose with
-# its own relation), and 27 tuples with M = 3
+# its own relation), and 27 tuples with M = 3.  The extension-field solves
+# were pinned while the elimination kernel still stripped each row's
+# content: over GF(9), 81 tuples for each rhs; over GF(4), 256 for each rhs;
+# and one --verbose solve over each, with 9 and 4 dependent relations
 _PAIR = ("solve", "--p", "2", "--gens", "1+T, 1+T+T^2", "--b", "T, 1", "--m", "2")
+_GF9 = ("solve", "--p", "3", "--s", "2", "--modulus", "T^2+1")
+_GF4 = ("solve", "--p", "2", "--s", "2", "--modulus", "T^2+T+1")
+_GF9_PAIR = (*_GF9, "--gens", "T+1, T^2+T+2", "--b", "T, 1", "--m", "1")
+_GF4_PAIR = (*_GF4, "--gens", "T+1, T^2+T+2", "--b", "T, 1", "--m", "2")
 ORBIT_REPORTS = (
     ((*_PAIR, "--rhs", "0"), 0,
      "acdea19308abaf52e256bb0e0881447e92e352ba410c5de6f61137a53dddce98"),
@@ -322,11 +329,26 @@ ORBIT_REPORTS = (
     (("solve", "--p", "3", "--s", "1", "--gens", "T + 2",
       "--b", "2*T + 2, T^2 + T, 2*T^3 + 2*T^2", "--rhs", "0", "--m", "1"), 0,
      "82700ec3871fc0b3b5ab9b96740f1f70f23f7b40bc4186db6f6717c70a1fe432"),
+    ((*_GF9_PAIR, "--rhs", "0"), 0,
+     "0555769f68a3e136d2d11c47c8701c58e19142da5c5ba5d14d9d40f46f2ea27a"),
+    ((*_GF9_PAIR, "--rhs", "1"), 0,
+     "dd5fda5e0d202cf946bc7e3d5245f3d66ae9be482e591179abccf22d23cb15a0"),
+    ((*_GF4_PAIR, "--rhs", "0"), 0,
+     "0c7203b00ade77fc179e5eeedd2d60e24e2b0f0ee55b7e49757d0a8d82d77036"),
+    ((*_GF4_PAIR, "--rhs", "1"), 0,
+     "4e09ec449a800dad5e3a0a79ffabe173b40ac563b764584da5bb161ff74e27c6"),
+    ((*_GF9, "--gens", "T, T+1", "--b", "1, 1", "--m", "1", "--verbose"), 2,
+     "b5bb9b19e83f80002d7c94b2b1decd27a59d8ed66e3fdf43926db57fee0bbef0"),
+    ((*_GF4, "--gens", "T, T+1", "--b", "1, 1", "--m", "1", "--verbose"), 2,
+     "5ecfe56f3d0a3a11c6967c3d8a760d80ffbae8b386dfb0c669c4fa21fa2e47f9"),
 )
 
 
 @pytest.mark.parametrize(
-    "argv, code, digest", ORBIT_REPORTS, ids=("p2-rhs0", "p2-rhs1", "p3-verbose", "p3-M3")
+    "argv, code, digest", ORBIT_REPORTS, ids=(
+        "p2-rhs0", "p2-rhs1", "p3-verbose", "p3-M3",
+        "gf9-rhs0", "gf9-rhs1", "gf4-rhs0", "gf4-rhs1", "gf9-verbose", "gf4-verbose",
+    ),
 )
 def test_orbit_heavy_reports_are_pinned(argv, code, digest):
     import hashlib

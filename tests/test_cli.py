@@ -283,22 +283,34 @@ def test_probe_terms_are_bounded(monkeypatch):
 
 
 def test_probe_modulus_degree_is_bounded(monkeypatch):
-    # every term is a powering modulo base**e, so deg(base) * e is held to
-    # hasse.MAX_PRIME_POWER before anything is powered
+    # every term is a powering modulo base**e to an exponent of about
+    # deg(base) * e * log2(q) bits, so n_max * (deg(base) * e)**3 * bits of q
+    # is held to localprobe.DEFAULT_BOX_LIMIT before anything is powered
     start = time.perf_counter()
     code, out, err = run(["probe", "--p", "3", "--g", "T+2", "--base", "T^2+T+2", "--e", "40000"])
-    assert code == 4 and out == "" and "modulus degree 80000 exceeds the supported bound 65536" in err
+    assert code == 4 and out == "" and "exceeds the configured bound 100000000" in err
     code, out, err = run(["probe", "--p", "3", "--g", "T+2", "--base", "T^2+T+2", "--e", "32769"])
-    assert code == 4 and "modulus degree 65538" in err
+    assert code == 4 and f"probe charge {6 * 65538**3 * 2} " in err
     assert time.perf_counter() - start < 1.0
     from ffunits import localprobe
 
-    monkeypatch.setattr(localprobe, "MAX_PRIME_POWER", 8)
-    argv = ["probe", "--p", "3", "--g", "T+2", "--base", "T^2+T+2", "--n-max", "3", "--e"]
-    code, doc = run_json(argv + ["4"])
+    argv = ["probe", "--p", "3", "--g", "T+2", "--base", "T^2+T+2", "--n-max", "3", "--e", "4"]
+    charge = 3 * 8**3 * 2
+    monkeypatch.setattr(localprobe, "DEFAULT_BOX_LIMIT", charge)
+    code, doc = run_json(argv)
     assert code in (0, 2) and doc["modulus"]["exponent"] == 4 and len(doc["residues"]) == 3
-    code, out, err = run(argv + ["5"])
-    assert code == 4 and "modulus degree 10 exceeds the supported bound 8" in err
+    monkeypatch.setattr(localprobe, "DEFAULT_BOX_LIMIT", charge - 1)
+    code, out, err = run(argv)
+    assert code == 4 and f"probe charge {charge} " in err and f"bound {charge - 1}" in err
+
+
+def test_probe_at_the_default_length_is_bounded():
+    # a modulus of degree 800 is far below 2**16, but its six terms would
+    # take tens of seconds of powering, the last ones about D**3 each
+    start = time.perf_counter()
+    code, out, err = run(["probe", "--p", "3", "--g", "T+2", "--base", "T^2+T+2", "--e", "400"])
+    assert code == 4 and out == "" and f"probe charge {6 * 800**3 * 2} " in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_seed_is_not_an_option(tmp_path):

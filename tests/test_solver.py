@@ -1,5 +1,7 @@
 import io
 import itertools
+import json
+import os
 import random
 
 import pytest
@@ -148,6 +150,31 @@ def test_retest_that_disagrees_is_an_internal_fault(F3, rhs, monkeypatch):
         decide(eq, group, 1)
     out, err = io.StringIO(), io.StringIO()
     argv = ["solve", "--p", "3", "--gens", "T, -T, 1-T", "--b", "1, 1", "--rhs", str(rhs), "--m", "1"]
+    assert run_cli(argv, stdout=out, stderr=err) == 1
+    assert out.getvalue() == "" and "internal check failed" in err.getvalue()
+
+
+def test_candidate_that_misses_the_right_hand_side_is_an_internal_fault(monkeypatch):
+    # the candidate is read off a relation with weight 1 on the row of 1, so
+    # b . x = 1 holds by construction; a corrupted candidate must stop the
+    # run, not be dropped from a certified solution set
+    import ffunits.solver
+
+    verdicts = ffunits.solver.unit_substitution_verdicts
+
+    def corrupted(b, m, rows, cert=None):
+        cert, psi_certs, c = verdicts(b, m, rows, cert)
+        if c is not None:
+            c = (c[0] * RatFunc.t(b[0].field) ** b[0].field.p**m, *c[1:])
+        return cert, psi_certs, c
+
+    path = os.path.join(os.path.dirname(__file__), "..", "instances", "p2-certified.toy")
+    argv = ["solve", "--instance", path]
+    out = io.StringIO()
+    assert run_cli(argv, stdout=out, stderr=io.StringIO()) == 0
+    assert len(json.loads(out.getvalue())["solutions"]) == 2
+    monkeypatch.setattr(ffunits.solver, "unit_substitution_verdicts", corrupted)
+    out, err = io.StringIO(), io.StringIO()
     assert run_cli(argv, stdout=out, stderr=err) == 1
     assert out.getvalue() == "" and "internal check failed" in err.getvalue()
 

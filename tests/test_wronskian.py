@@ -29,7 +29,7 @@ from ffunits.wronskian import (
     wronskian_matrix,
 )
 
-from conftest import coordinate_fractions, el, rand_ratfunc, sympy_element, sympy_matrix
+from conftest import coordinate_fractions, el, rand_poly, rand_ratfunc, sympy_element, sympy_matrix
 
 
 def test_coordinate_matrix_examples(F2):
@@ -362,8 +362,8 @@ def _random_battery(seed: int):
 
 def test_integral_rows_eliminate_as_their_cleared_fractions():
     # the RatFunc row nums/den, cleared over the lcm of its reduced
-    # denominators, has the same primitive part as (nums, den) itself, so
-    # both forms give the same pivots, kernels and relations
+    # denominators, is (nums, den) over another common denominator: the
+    # pivots differ, the verdicts and relations over K do not
     pushes = relations = 0
     for b, m in _random_battery(1291):
         rows = coordinate_matrix(b, m)
@@ -372,11 +372,31 @@ def test_integral_rows_eliminate_as_their_cleared_fractions():
         for row, fractions in zip(rows, coordinate_fractions(rows)):
             grew = integral.push(row)
             assert cleared.push(_cleared(fractions)) == grew
-            assert integral.pivots == cleared.pivots
             pushes += 1
             if not grew:
-                assert integral.kernel == cleared.kernel
                 assert integral.relation() == cleared.relation()
+                relations += 1
+                break
+    assert pushes > 300 and relations > 50
+
+
+def test_rows_scaled_by_a_polynomial_eliminate_alike():
+    # rows are eliminated as given, content and all: (nums * f, den * f)
+    # stands for the same K-row as (nums, den), so it must give the same
+    # verdicts and the same relations
+    rng = random.Random(1297)
+    pushes = relations = 0
+    for b, m in _random_battery(1291):
+        field = b[0].field
+        plain = _Echelon(field, slots=len(b))
+        scaled = _Echelon(field, slots=len(b))
+        for nums, den in coordinate_matrix(b, m):
+            f = rand_poly(rng, field, 3, nonzero=True).monic()[0]
+            grew = plain.push((nums, den))
+            assert scaled.push((tuple(a * f for a in nums), den * f)) == grew
+            pushes += 1
+            if not grew:
+                assert scaled.relation() == plain.relation()
                 relations += 1
                 break
     assert pushes > 300 and relations > 50
