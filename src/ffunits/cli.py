@@ -251,6 +251,9 @@ def _cmd_probe(args, field: GF) -> tuple[dict, int]:
     if not base.den.is_one:
         raise InputError("the modulus base must be a polynomial")
     _at_least("n_max", args.n_max, 1)
+    # the bounds need only deg(base), so a base too large to probe is
+    # refused before Modulus tests it for irreducibility
+    localprobe.check_probe_bounds(field.q, base.num.degree(), args.e, args.n_max)
     try:
         modulus = Modulus(base.num.monic()[0], args.e)
     except ValueError as exc:

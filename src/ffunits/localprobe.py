@@ -253,32 +253,43 @@ def sg_search(
     return tuple(found.values())
 
 
-def closure_probe(g: RatFunc, m: Modulus, n_max: int) -> StabilizationReport:
-    """Residues of g**(p**(n!)) for n = 1..n_max, with the stabilization index.
+def check_probe_bounds(q: int, degree: int, exponent: int, n_max: int) -> None:
+    """Refuse with ResourceLimitError a probe of n_max terms over F_q modulo
+    base**exponent, base of the given degree, that is past its bounds.
 
-    The factorial-power exponent is never materialized: it is tracked
-    modulo the residue-ring unit group order through the recurrence
-    p**(n!) = (p**((n-1)!))**n.  One residue is kept per term, so n_max
-    past unitgroup.DEFAULT_GROUP_LIMIT is refused with ResourceLimitError,
-    the bound on a listed residue group.  Each term is a powering modulo
-    base**e, of degree D = deg(base) * e, to an exponent below the unit
-    group order, which has about D * log2(q) bits; so the probe is charged
+    One residue is kept per term, so n_max past
+    unitgroup.DEFAULT_GROUP_LIMIT is refused, the bound on a listed residue
+    group.  Each term is a powering modulo base**e, of degree
+    D = deg(base) * e, to an exponent below the unit group order, which has
+    about D * log2(q) bits; so the probe is charged
     n_max * D**3 * q.bit_length(), an upper bound on its powering work, and
-    refused the same way past DEFAULT_BOX_LIMIT, before any powering.
+    refused past DEFAULT_BOX_LIMIT.  It needs only the degree of the base,
+    so a caller can apply it before the base is tested for irreducibility.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     limit = unitgroup.DEFAULT_GROUP_LIMIT
     if n_max > limit:
         raise ResourceLimitError(f"n_max {n_max} exceeds the configured bound {limit}")
-    field = g.field
-    d = m.base.degree()
-    charge = n_max * (d * m.exponent) ** 3 * field.q.bit_length()
+    charge = n_max * (degree * exponent) ** 3 * q.bit_length()
     if charge > DEFAULT_BOX_LIMIT:
         raise ResourceLimitError(
             f"probe charge {charge} (n_max * (deg(base) * e)**3 * bits of q) "
             f"exceeds the configured bound {DEFAULT_BOX_LIMIT}"
         )
+
+
+def closure_probe(g: RatFunc, m: Modulus, n_max: int) -> StabilizationReport:
+    """Residues of g**(p**(n!)) for n = 1..n_max, with the stabilization index.
+
+    The factorial-power exponent is never materialized: it is tracked
+    modulo the residue-ring unit group order through the recurrence
+    p**(n!) = (p**((n-1)!))**n.  The probe is held to check_probe_bounds
+    before any powering.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    field = g.field
+    d = m.base.degree()
+    check_probe_bounds(field.q, d, m.exponent, n_max)
     _require_unit(g, m, "probe element")
     order = (field.q**d - 1) * field.q ** (d * (m.exponent - 1))
     g_res = reduce_mod(g, m)

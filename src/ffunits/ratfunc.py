@@ -268,24 +268,27 @@ class Place:
         return (0,) + self.poly.sort_key()
 
 
+def multiplicity(a: Poly, p: Poly) -> tuple[int, Poly]:
+    """(k, a / p**k) for the largest k with p**k dividing the nonzero a,
+    found by exact trial division (p of positive degree).
+    """
+    count = 0
+    while True:
+        q, r = divmod(a, p)
+        if r.coeffs:
+            return count, a
+        count += 1
+        a = q
+
+
 def valuation(x: RatFunc, v: Place) -> int:
     """Order of vanishing of x at the place v."""
     if x.is_zero:
         raise ValueError("valuation of zero")
     if v.is_infinite:
         return x.den.degree() - x.num.degree()
-
-    def mult(p: Poly) -> int:
-        count = 0
-        while True:
-            q, r = divmod(p, v.poly)
-            if not r.is_zero:
-                return count
-            count += 1
-            p = q
-
     # the fraction is reduced, so at most one of the two counts is nonzero
-    return mult(x.num) - mult(x.den)
+    return multiplicity(x.num, v.poly)[0] - multiplicity(x.den, v.poly)[0]
 
 
 def divisor_vector(x: RatFunc) -> tuple[dict[Place, int], int]:

@@ -181,10 +181,16 @@ def _scaled(br, gen_powers, k: int):
 
 
 def _confirm_failure(rhs: int, br, m: int, gen_powers) -> int:
-    """Re-test a failing tuple under subfield-unit scalings; bugs surface here."""
+    """Re-test a failing tuple under subfield-unit scalings; bugs surface here.
+
+    _scaled has period len(gen_powers) in k and the re-test is
+    deterministic, so scaling k + n gives the verdict of scaling k: each
+    distinct scaled vector is re-tested once, and the count returned is
+    that of the scalings covered, MAX_DEPENDENCE_RETRIES.
+    """
     if not gen_powers:
         return 0
-    for k in range(MAX_DEPENDENCE_RETRIES):
+    for k in range(min(len(gen_powers), MAX_DEPENDENCE_RETRIES)):
         rows = coordinate_matrix(_scaled(br, gen_powers, k), m)
         stacks = (rows,) if rhs == 0 else (psi_rows(rows, j) for j in range(1, len(rows) + 1))
         if any(independence_verdict(s) for s in stacks):

@@ -5,10 +5,16 @@ finite places supporting the group and its leading unit in F_q*.  The
 infinite place is deliberately excluded from the exponent lattice: the
 degree-zero identity of principal divisors makes it redundant.
 
-Membership reduces to an integer-lattice solve (Hermite normal form) plus
-an exact coset computation for the F_q* constants, so witnesses always
-reconstruct the queried element exactly; the coset search is closure, the
-breadth-first closure of a finite group that also lists residue images.
+Every element of the group is a unit away from its support, so membership
+factors nothing: the exponents of x at the support places are read by
+trial division, and x has a stray place exactly when what the divisions
+leave of it is not constant.  A stray place is named only on request
+(MembershipWitness.obstruction_place), by factoring that leftover part.
+Otherwise membership reduces to an integer-lattice solve (Hermite normal
+form) plus an exact coset computation for the F_q* constants, so witnesses
+always reconstruct the queried element exactly; the coset search is
+closure, the breadth-first closure of a finite group that also lists
+residue images.
 Radical membership is lattice saturation; the torsion part is automatic
 because F_q* is finite.
 
@@ -30,7 +36,7 @@ from .errors import InternalCheckError, ResourceLimitError
 from .field import GF
 from .hasse import in_power_subfield, prime_power
 from .intlattice import hnf_with_transform, in_rational_rowspan, solve_left
-from .ratfunc import Place, RatFunc, divisor_vector
+from .ratfunc import Place, RatFunc, divisor_vector, finite_support, multiplicity
 
 DEFAULT_REPSET_LIMIT = 100_000
 DEFAULT_GROUP_LIMIT = 100_000
@@ -43,10 +49,6 @@ class SubgroupPresentation:
     support: tuple[Place, ...]
     exponent_matrix: tuple[tuple[int, ...], ...]
     constants: tuple[int, ...]
-
-    @cached_property
-    def place_index(self) -> dict[Place, int]:
-        return {pl: i for i, pl in enumerate(self.support)}
 
     def word_product(self, word) -> RatFunc:
         """The exact element prod(generator**exponent)."""
@@ -67,14 +69,29 @@ class SubgroupPresentation:
 
 @dataclass(frozen=True)
 class MembershipWitness:
+    """A member's reconstructing word, or why x is not a member: a support
+    place where the exponent lattice fails (lattice_place), the part of x
+    off the group's support (off_support), or an unreachable F_q* constant.
+    """
+
     member: bool
     word: tuple[int, ...] | None = None
-    obstruction_place: Place | None = None
+    lattice_place: Place | None = None
     constant_mismatch: bool = False
+    off_support: RatFunc | None = None
 
     @property
     def verdict(self) -> str:
         return "member" if self.member else "non-member"
+
+    @cached_property
+    def obstruction_place(self) -> Place | None:
+        """The place that excludes x: for a stray, the least place of
+        off_support in Place.sort_key order, found by factoring it here.
+        """
+        if self.off_support is None:
+            return self.lattice_place
+        return finite_support(self.off_support)[0]
 
 
 def build_presentation(gens) -> SubgroupPresentation:
@@ -99,17 +116,24 @@ def build_presentation(gens) -> SubgroupPresentation:
 
 
 def _exponent_target(x: RatFunc, group: SubgroupPresentation):
-    """Exponents of x over the group support, or the first stray place."""
-    dv, const = divisor_vector(x)
-    target = [0] * len(group.support)
-    for pl, e in dv.items():
-        if pl.is_infinite:
-            continue
-        idx = group.place_index.get(pl)
-        if idx is None:
-            return None, const, pl
-        target[idx] = e
-    return target, const, None
+    """Exponents of x over the group support, its leading unit, and the part
+    of x off the support (None when that part is constant).
+
+    The exponents are read by trial division at the support places.  The
+    denominator and every place are monic, so the leading unit is that of
+    the numerator, and what the divisions leave of x is its part at the
+    other finite places.
+    """
+    num, den = x.num, x.den
+    target = []
+    for pl in group.support:
+        k, num = multiplicity(num, pl.poly)
+        if not k:  # the fraction is reduced: a place divides num or den, not both
+            k, den = multiplicity(den, pl.poly)
+            k = -k
+        target.append(k)
+    off = None if len(num.coeffs) == 1 and len(den.coeffs) == 1 else RatFunc(num, den)
+    return target, x.num.leading, off
 
 
 def closure(one, steps, mul) -> dict:
@@ -138,14 +162,14 @@ def member(x: RatFunc, group: SubgroupPresentation) -> MembershipWitness:
     """Exact membership with a reconstructing word or a concrete obstruction."""
     if x.is_zero:
         raise ValueError("membership is asked of nonzero elements")
-    target, const, stray = _exponent_target(x, group)
-    if stray is not None:
-        return MembershipWitness(False, obstruction_place=stray)
+    target, const, off = _exponent_target(x, group)
+    if off is not None:
+        return MembershipWitness(False, off_support=off)
     word0, kernel, failing = solve_left(
         [list(r) for r in group.exponent_matrix], len(group.support), target
     )
     if word0 is None:
-        return MembershipWitness(False, obstruction_place=group.support[failing])
+        return MembershipWitness(False, lattice_place=group.support[failing])
     f = group.field
     need = f.div(const, group.word_constant(word0))
     combo = closure(1, [group.word_constant(w) for w in kernel], f.mul).get(need)
@@ -170,8 +194,8 @@ def radical_member(x: RatFunc, group: SubgroupPresentation) -> bool:
     """
     if x.is_zero:
         raise ValueError("radical membership is asked of nonzero elements")
-    target, _, stray = _exponent_target(x, group)
-    if stray is not None:
+    target, _, off = _exponent_target(x, group)
+    if off is not None:
         return False
     return in_rational_rowspan(
         [list(r) for r in group.exponent_matrix], len(group.support), target

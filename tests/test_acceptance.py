@@ -313,7 +313,10 @@ def test_criterion_8_determinism():
 # its own relation), and 27 tuples with M = 3.  The extension-field solves
 # were pinned while the elimination kernel still stripped each row's
 # content: over GF(9), 81 tuples for each rhs; over GF(4), 256 for each rhs;
-# and one --verbose solve over each, with 9 and 4 dependent relations
+# and one --verbose solve over each, with 9 and 4 dependent relations.
+# Two rhs-1 solves over prime fields were pinned while membership still
+# factored every candidate: their candidates are members, strays and (over
+# F_3) constant mismatches
 _PAIR = ("solve", "--p", "2", "--gens", "1+T, 1+T+T^2", "--b", "T, 1", "--m", "2")
 _GF9 = ("solve", "--p", "3", "--s", "2", "--modulus", "T^2+1")
 _GF4 = ("solve", "--p", "2", "--s", "2", "--modulus", "T^2+T+1")
@@ -341,6 +344,10 @@ ORBIT_REPORTS = (
      "b5bb9b19e83f80002d7c94b2b1decd27a59d8ed66e3fdf43926db57fee0bbef0"),
     ((*_GF4, "--gens", "T, T+1", "--b", "1, 1", "--m", "1", "--verbose"), 2,
      "5ecfe56f3d0a3a11c6967c3d8a760d80ffbae8b386dfb0c669c4fa21fa2e47f9"),
+    (("solve", "--p", "3", "--gens", "T+1, T^2+1", "--b", "T, 2", "--m", "1", "--rhs", "1"), 0,
+     "d4332b90008af8e2ea43b738401a9c02172c2422a8572a501fa7f567b5ed5b3c"),
+    (("solve", "--p", "2", "--gens", "1+T, 1+T+T^2", "--b", "T^2, 1+T", "--m", "2", "--rhs", "1"), 0,
+     "455bca46740b3fd2fbfd9e01e6a16941c5cbcdc8bc335c276f3ea14d863aa8f9"),
 )
 
 
@@ -348,6 +355,7 @@ ORBIT_REPORTS = (
     "argv, code, digest", ORBIT_REPORTS, ids=(
         "p2-rhs0", "p2-rhs1", "p3-verbose", "p3-M3",
         "gf9-rhs0", "gf9-rhs1", "gf4-rhs0", "gf4-rhs1", "gf9-verbose", "gf4-verbose",
+        "p3-members", "p2-members",
     ),
 )
 def test_orbit_heavy_reports_are_pinned(argv, code, digest):

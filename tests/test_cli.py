@@ -313,6 +313,30 @@ def test_probe_at_the_default_length_is_bounded():
     assert time.perf_counter() - start < 1.0
 
 
+def test_probe_charge_comes_before_the_base_test(monkeypatch):
+    # the charge needs only deg(base), so a base of degree 400 (charge
+    # 6 * 400**3 * 2) is refused before its irreducibility test, which took
+    # seconds; a base of degree 200 is within the charge and still tested
+    from ffunits import ratfunc
+
+    tested = []
+    original = ratfunc.is_irreducible
+
+    def recorded(a):
+        tested.append(a.degree())
+        if a.degree() > 200:
+            raise AssertionError("the base was tested before the probe was charged")
+        return original(a)
+
+    monkeypatch.setattr(ratfunc, "is_irreducible", recorded)
+    start = time.perf_counter()
+    code, out, err = run(["probe", "--p", "3", "--g", "T+2", "--base", "T^400+T+2"])
+    assert code == 4 and out == "" and f"probe charge {6 * 400**3 * 2} " in err
+    assert time.perf_counter() - start < 1.0 and tested == []
+    code, out, err = run(["probe", "--p", "3", "--g", "T+2", "--base", "T^200+T+2"])
+    assert code == 3 and "modulus base must be monic irreducible" in err and tested == [200]
+
+
 def test_seed_is_not_an_option(tmp_path):
     # factor's seed cannot change a report, so it is neither a flag nor an instance key
     code, out, err = run(["solve", "--p", "2", "--gens", "1+T", "--b", "T, 1", "--m", "1",

@@ -154,6 +154,27 @@ def test_retest_that_disagrees_is_an_internal_fault(F3, rhs, monkeypatch):
     assert out.getvalue() == "" and "internal check failed" in err.getvalue()
 
 
+@pytest.mark.parametrize("n, verdicts", ((1, 1), (3, 3), (8, 8), (9, 8)))
+def test_retests_cover_each_distinct_scaling_once(F3, n, verdicts, monkeypatch):
+    # the k-th re-test scales b*r by a rotation of the n generator powers, so
+    # scaling k + n repeats scaling k: min(n, 8) re-tests cover all 8 scalings
+    import ffunits.solver
+
+    calls = []
+    original = ffunits.solver.independence_verdict
+
+    def counted(rows):
+        calls.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(ffunits.solver, "independence_verdict", counted)
+    group = build_presentation(tuple(el(F3, f"T^{i}") for i in range(1, n + 1)))
+    report = decide(Equation((RatFunc.one(F3), RatFunc.one(F3)), 0), group, 1)
+    assert report.outcome == "inapplicable"
+    assert report.failure.retries == MAX_DEPENDENCE_RETRIES == 8
+    assert len(calls) == verdicts
+
+
 def test_candidate_that_misses_the_right_hand_side_is_an_internal_fault(monkeypatch):
     # the candidate is read off a relation with weight 1 on the row of 1, so
     # b . x = 1 holds by construction; a corrupted candidate must stop the

@@ -8,6 +8,7 @@ from ffunits import (
     GF,
     Place,
     RatFunc,
+    divisor_vector,
     build_presentation,
     in_power_subfield,
     kernel_element_check,
@@ -15,10 +16,10 @@ from ffunits import (
     radical_member,
     representatives,
 )
-from ffunits import unitgroup
+from ffunits import poly, ratfunc, unitgroup
 from ffunits.errors import ResourceLimitError
 from ffunits.hasse import prime_power
-from ffunits.intlattice import solve_left
+from ffunits.intlattice import in_rational_rowspan, solve_left
 from ffunits.unitgroup import SubgroupPresentation, residue_key
 
 from conftest import el, pl, rand_ratfunc
@@ -93,11 +94,35 @@ def test_member_reconstruction_roundtrip(F2, F3):
             assert g.word_product(w.word) == x
 
 
+def _factoring_exponent_target(x, group):
+    """Reference for the exponent reading: the one member used before trial
+    division, which factors x completely and maps its places onto the
+    support.  Returns (target, constant, None), or (None, constant, the
+    least stray place in place order).
+    """
+    dv, const = divisor_vector(x)
+    index = {place: i for i, place in enumerate(group.support)}
+    target = [0] * len(group.support)
+    for place, e in dv.items():
+        if place.is_infinite:
+            continue
+        idx = index.get(place)
+        if idx is None:
+            return None, const, place
+        target[idx] = e
+    return target, const, None
+
+
 def _member_word_by_queue_search(x, group):
-    """Reference for member's word: the lattice solve, then the F_q* constant
-    reached from the kernel words by the queue search member used before closure."""
-    target, const, _ = unitgroup._exponent_target(x, group)
+    """Reference for member's word: the factoring exponent reading, the
+    lattice solve, then the F_q* constant reached from the kernel words by
+    the queue search member used before closure; None for a non-member."""
+    target, const, _ = _factoring_exponent_target(x, group)
+    if target is None:
+        return None
     word0, kernel, _ = solve_left([list(r) for r in group.exponent_matrix], len(group.support), target)
+    if word0 is None:
+        return None
     f = group.field
     kernel_constants = [group.word_constant(w) for w in kernel]
     reached = {1: [0] * len(kernel)}
@@ -141,6 +166,85 @@ def test_member_words_match_queue_search(F3):
             assert w.word == _member_word_by_queue_search(x, g)
             outcomes.add(w.member)
     assert outcomes == {True, False}
+
+
+def _oracle_candidates(rng, group):
+    """Elements to ask membership of: members with high exponents, their
+    F_q* multiples (constant mismatches), products of support places
+    (lattice failures), strays (times an off-support place or a random
+    fraction), and p-th powers of all of these.
+    """
+    f = group.field
+    word = tuple(rng.randrange(-9, 10) for _ in group.generators)
+    x = group.word_product(word)
+    c = RatFunc.constant(f, rng.randrange(1, f.q))
+    on_support = RatFunc.one(f)
+    for place in group.support:
+        on_support = on_support * RatFunc.from_poly(place.poly) ** rng.randrange(-12, 13)
+    others = [g for d in (1, 2, 3) for g in poly.monic_irreducibles(f, d)
+              if Place.finite(g) not in group.support]
+    other = RatFunc.from_poly(rng.choice(others))
+    strays = (x * other ** rng.choice((-3, -1, 1, 2)),
+              x / rand_ratfunc(rng, f, 3, nonzero=True))
+    base = (x, c * x, c * on_support, *strays)
+    return base + tuple(y**f.p for y in base)
+
+
+def test_member_matches_factoring_oracle():
+    """member, which reads exponents by trial division, against the factoring
+    exponent reading: the verdict, the word and the obstruction place.
+    """
+    fields = (GF(2), GF(3), GF(2, 2, (1, 1, 1)), GF(3, 2, (1, 0, 1)))
+    rng = random.Random(151)
+    outcomes = {}
+    for _ in range(48):
+        field = rng.choice(fields)
+        group = build_presentation(_random_generators(rng, field, rng.randint(1, 4)))
+        matrix = [list(r) for r in group.exponent_matrix]
+        for x in _oracle_candidates(rng, group):
+            if x.is_zero:
+                continue
+            w = member(x, group)
+            target, const, stray = _factoring_exponent_target(x, group)
+            assert w.word == _member_word_by_queue_search(x, group)
+            assert w.member == (w.word is not None)
+            if stray is not None:
+                kind = "stray"
+                assert w.obstruction_place == stray and not w.constant_mismatch
+            elif (solved := solve_left(matrix, len(group.support), target))[0] is None:
+                kind = "lattice"
+                assert w.obstruction_place == group.support[solved[2]]
+                assert not w.member and not w.constant_mismatch
+            else:
+                kind = "member" if w.member else "constant"
+                assert w.obstruction_place is None and w.constant_mismatch == (not w.member)
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+            assert radical_member(x, group) == (stray is None and in_rational_rowspan(
+                matrix, len(group.support), target))
+    assert set(outcomes) == {"member", "constant", "lattice", "stray"}
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_member_factors_nothing(F3, monkeypatch):
+    calls = []
+    original = ratfunc.factor
+
+    def counted(a, *args):
+        calls.append(a)
+        return original(a, *args)
+
+    monkeypatch.setattr(poly, "factor", counted)
+    monkeypatch.setattr(ratfunc, "factor", counted)
+    g = build_presentation((el(F3, "T^2"), el(F3, "(1+T)^3/T")))
+    calls.clear()
+    assert member(el(F3, "(1+T)^9/T^7"), g).member
+    stray = member(el(F3, "(1+T)^3*(T^2+1)/(T*(T+2)^4)"), g)
+    assert not stray.member and calls == []
+    # the stray place is found by factoring the part of x off the support,
+    # and only when it is read
+    assert stray.off_support == el(F3, "(T^2+1)/(T+2)^4")
+    assert stray.obstruction_place == Place.finite(pl(F3, "T+2"))
+    assert calls
 
 
 def test_member_rejects_zero(F2):
