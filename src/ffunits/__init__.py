@@ -17,9 +17,7 @@ from .unitgroup import (
     MembershipWitness,
     SubgroupPresentation,
     build_presentation,
-    kernel_element_check,
     member,
-    radical_member,
     representatives,
 )
 from .solver import (
@@ -27,9 +25,6 @@ from .solver import (
     Equation,
     auto_m,
     decide,
-    m2_shortcut,
-    phi,
-    with_unit_rhs,
 )
 from .localprobe import (
     ObstructionWitness,
@@ -71,17 +66,12 @@ __all__ = [
     "MembershipWitness",
     "build_presentation",
     "member",
-    "radical_member",
     "representatives",
-    "kernel_element_check",
     "Equation",
     "CertifiedReport",
     "psi",
-    "phi",
-    "with_unit_rhs",
     "decide",
     "auto_m",
-    "m2_shortcut",
     "ResidueGroup",
     "ObstructionWitness",
     "residue_group",

@@ -305,9 +305,11 @@ def _cmd_hasse(args, field: GF) -> tuple[dict, int]:
     doc = {"outcome": "ok", "field": _field_json(field), "input": print_expr(x)}
     if args.order is not None:
         doc["order"] = args.order
+        hassemod.check_jet_bounds(x, args.order, "jet order")
         doc["derivatives"] = [print_expr(c) for c in hassemod.taylor_jet(x, args.order)]
     else:
         doc["index"] = args.i if args.i is not None else 1
+        hassemod.check_jet_bounds(x, doc["index"], "derivative index")
         doc["derivative"] = print_expr(hassemod.hasse_derivative(x, doc["index"]))
     doc["command"] = "hasse"
     return doc, EXIT_OK

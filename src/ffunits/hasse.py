@@ -19,14 +19,16 @@ are independent.
 
 Jets are memoized per (element, order).  The cache is a transparent memo
 over pure functions, so answers are identical with or without it and
-concurrent readers are safe.
+concurrent readers are safe.  The hasse command charges a jet before it
+expands it (check_jet_bounds); the solver's own jets stop at order
+p**m - 1 and are not charged.
 """
 
 from functools import lru_cache
 
 from .errors import InternalCheckError, ResourceLimitError
 from .field import GF
-from .poly import Poly, _trimmed
+from .poly import DEFAULT_BOX_LIMIT, Poly, _trimmed
 from .ratfunc import RatFunc
 
 MAX_PRIME_POWER = 1 << 16
@@ -86,10 +88,11 @@ def _jet_coeffs(x: RatFunc, order: int) -> tuple[RatFunc, ...]:
     den_jet = poly_jet(x.den, order)
     # match powers of u in x(t+u) * den(t+u) = num(t+u), one order at a time
     inv0 = RatFunc.make(Poly.one(x.field), x.den)
+    d = x.den.degree()
     out = []
     for i in range(order + 1):
         acc = RatFunc.from_poly(num_jet[i])
-        for k in range(1, i + 1):
+        for k in range(1, min(i, d) + 1):  # D(k) of den is 0 past its degree
             if not den_jet[k].is_zero:
                 acc = acc - RatFunc.from_poly(den_jet[k]) * out[i - k]
         out.append(acc * inv0)
@@ -103,6 +106,27 @@ def _check_order(order: int, what: str):
     if order >= MAX_PRIME_POWER:
         raise ResourceLimitError(
             f"{what} {order} exceeds the supported bound {MAX_PRIME_POWER - 1}"
+        )
+
+
+def check_jet_bounds(x: RatFunc, order: int, what: str) -> None:
+    """Refuse with ResourceLimitError a jet of x to this order past its
+    bounds: the order bound, then a work charge read from the degrees alone.
+
+    Entry i is a fraction of degree at most S(i) = deg(num) + (i + 1) * deg(den),
+    found with at most min(i, deg(den)) + 1 products and sums of such
+    fractions, each reduced by a gcd of about S(i)**2 operations; so the jet
+    is charged (order + 1) * (min(order, deg(den)) + 1) * (S(order) + 1)**2,
+    an upper bound on that work, and refused past DEFAULT_BOX_LIMIT.
+    """
+    _check_order(order, what)
+    num, den = x.num.degree(), x.den.degree()
+    charge = (order + 1) * (min(order, den) + 1) * (num + (order + 1) * den + 1) ** 2
+    if charge > DEFAULT_BOX_LIMIT:
+        raise ResourceLimitError(
+            f"jet charge {charge} ((order + 1) * (min(order, deg(den)) + 1) * "
+            f"(deg(num) + (order + 1) * deg(den) + 1)**2) "
+            f"exceeds the configured bound {DEFAULT_BOX_LIMIT}"
         )
 
 

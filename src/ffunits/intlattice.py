@@ -1,4 +1,4 @@
-"""Exact integer row-lattice routines: Hermite form, solving, rational span.
+"""Exact integer row-lattice routines: Hermite form and solving.
 
 Everything works on plain lists of Python ints, so coefficient growth is
 never a correctness concern.
@@ -77,9 +77,3 @@ def solve_left(rows, width, target):
             for j in range(m):
                 word[j] += y[i] * U[i][j]
     return tuple(word), kernel, None
-
-
-def in_rational_rowspan(rows, width, target) -> bool:
-    """Whether target lies in the Q-span of the rows: appending it adds no pivot."""
-    rank = len(hnf_with_transform(rows, width)[2])
-    return len(hnf_with_transform([*rows, target], width)[2]) == rank

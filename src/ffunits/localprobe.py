@@ -21,12 +21,10 @@ from dataclasses import dataclass
 
 from . import unitgroup
 from .errors import ResourceLimitError
-from .poly import Poly, monic_irreducibles, poly_mulmod, poly_powmod
+from .poly import DEFAULT_BOX_LIMIT, Poly, monic_irreducibles, poly_mulmod, poly_powmod
 from .ratfunc import Modulus, RatFunc, finite_support, reduce_mod, valuation
 from .solver import Equation, SolutionPoint
 from .unitgroup import SubgroupPresentation, closure
-
-DEFAULT_BOX_LIMIT = 10**8
 
 
 @dataclass(frozen=True)

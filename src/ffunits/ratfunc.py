@@ -314,15 +314,6 @@ def divisor_vector(x: RatFunc) -> tuple[dict[Place, int], int]:
     return dict(sorted(exps.items(), key=lambda pe: pe[0].sort_key())), constant
 
 
-def divisor_product(field: GF, divisor: dict[Place, int], constant: int) -> RatFunc:
-    """Rebuild the element from its finite divisor exponents and leading unit."""
-    out = RatFunc.constant(field, constant)
-    for pl, e in divisor.items():
-        if not pl.is_infinite:
-            out = out * RatFunc.from_poly(pl.poly) ** e
-    return out
-
-
 def finite_support(x: RatFunc) -> tuple[Place, ...]:
     return tuple(pl for pl in divisor_vector(x)[0] if not pl.is_infinite)
 

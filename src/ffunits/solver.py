@@ -62,7 +62,6 @@ from .unitgroup import (
     MembershipWitness,
     SubgroupPresentation,
     member,
-    radical_member,
     representatives,
     residue_key,
 )
@@ -98,26 +97,6 @@ class Equation:
     @property
     def arity(self) -> int:
         return len(self.b)
-
-
-def with_unit_rhs(b, c: RatFunc) -> Equation:
-    """Normalize b . x = c (c nonzero) to an rhs-1 equation by scaling b."""
-    if c.is_zero:
-        return Equation(tuple(b), 0)
-    inv = c.inverse()
-    return Equation(tuple(x * inv for x in b), 1)
-
-
-def phi(i: int, a):
-    """Drop the i-th component (1-indexed) and divide the rest by -a_i."""
-    if len(a) < 2:
-        raise ValueError("phi needs at least two components")
-    if not 1 <= i <= len(a):
-        raise IndexError("component index out of range")
-    pivot = a[i - 1]
-    if pivot.is_zero:
-        raise ZeroDivisionError("pivot component is zero")
-    return tuple(-(x / pivot) for k, x in enumerate(a) if k != i - 1)
 
 
 @dataclass(frozen=True)
@@ -295,34 +274,3 @@ def auto_m(
             return report
         failures.append((m, report.failure))
     return dataclasses.replace(report, auto_failures=tuple(failures))
-
-
-@dataclass(frozen=True)
-class ShortcutReport:
-    """Radical-membership reading of the two-term criteria (advisory only)."""
-
-    ratio_in_radical: bool
-    first_in_radical: bool
-    second_in_radical: bool
-
-    @property
-    def homogeneous_hypothesis_implied(self) -> bool:
-        return not self.ratio_in_radical
-
-    @property
-    def inhomogeneous_hypothesis_implied(self) -> bool:
-        return not (self.first_in_radical and self.second_in_radical)
-
-
-def m2_shortcut(b, group: SubgroupPresentation) -> ShortcutReport:
-    """For two-term equations, test the radical shortcuts for both criteria."""
-    b = tuple(b)
-    if len(b) != 2:
-        raise ValueError("the shortcut applies to two-term equations only")
-    if b[0].is_zero or b[1].is_zero:
-        raise ValueError("coefficients must be nonzero")
-    return ShortcutReport(
-        ratio_in_radical=radical_member(b[0] / b[1], group),
-        first_in_radical=radical_member(b[0], group),
-        second_in_radical=radical_member(b[1], group),
-    )

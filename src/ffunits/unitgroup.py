@@ -15,8 +15,6 @@ form) plus an exact coset computation for the F_q* constants, so witnesses
 always reconstruct the queried element exactly; the coset search is
 closure, the breadth-first closure of a finite group that also lists
 residue images.
-Radical membership is lattice saturation; the torsion part is automatic
-because F_q* is finite.
 
 Representative sets of the quotient by the subgroup of elements lying in
 F_q(t**(p**m)) are read off the Hermite form of the lattice of words whose
@@ -34,8 +32,8 @@ from functools import cached_property
 
 from .errors import InternalCheckError, ResourceLimitError
 from .field import GF
-from .hasse import in_power_subfield, prime_power
-from .intlattice import hnf_with_transform, in_rational_rowspan, solve_left
+from .hasse import prime_power
+from .intlattice import hnf_with_transform, solve_left
 from .ratfunc import Place, RatFunc, divisor_vector, finite_support, multiplicity
 
 DEFAULT_REPSET_LIMIT = 100_000
@@ -79,10 +77,6 @@ class MembershipWitness:
     lattice_place: Place | None = None
     constant_mismatch: bool = False
     off_support: RatFunc | None = None
-
-    @property
-    def verdict(self) -> str:
-        return "member" if self.member else "non-member"
 
     @cached_property
     def obstruction_place(self) -> Place | None:
@@ -186,22 +180,6 @@ def member(x: RatFunc, group: SubgroupPresentation) -> MembershipWitness:
     return MembershipWitness(True, word=word)
 
 
-def radical_member(x: RatFunc, group: SubgroupPresentation) -> bool:
-    """Whether some positive power of x is a member (lattice saturation).
-
-    Torsion never obstructs: once n * exponents(x) lies in the lattice, a
-    further (q-1)-th power moves the leftover F_q* constant to 1.
-    """
-    if x.is_zero:
-        raise ValueError("radical membership is asked of nonzero elements")
-    target, _, off = _exponent_target(x, group)
-    if off is not None:
-        return False
-    return in_rational_rowspan(
-        [list(r) for r in group.exponent_matrix], len(group.support), target
-    )
-
-
 def representatives(group: SubgroupPresentation, m: int) -> tuple[tuple[int, ...], ...]:
     """Deterministic representatives of the quotient mod F_q(t**(p**m))-members,
     as generator words in lexicographic order.
@@ -232,17 +210,3 @@ def residue_key(group: SubgroupPresentation, word, m: int) -> tuple[int, ...]:
         sum(w * group.exponent_matrix[g][c] for g, w in enumerate(word)) % pm
         for c in range(len(group.support))
     )
-
-
-def kernel_element_check(x: RatFunc, group: SubgroupPresentation, m: int) -> bool:
-    """Whether a member x lies in F_q(t**(p**m)); cross-checked two ways."""
-    witness = member(x, group)
-    if not witness.member:
-        raise ValueError("kernel test is only defined for members of the group")
-    by_lattice = all(v == 0 for v in residue_key(group, witness.word, m))
-    by_subfield = in_power_subfield(x, m)
-    if by_lattice != by_subfield:
-        raise InternalCheckError(
-            f"kernel tests disagree for {x!r}: lattice {by_lattice}, subfield {by_subfield}"
-        )
-    return by_lattice

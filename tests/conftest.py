@@ -3,7 +3,11 @@ import random
 import pytest
 
 from ffunits import GF, Poly, RatFunc
+from ffunits.errors import InternalCheckError
 from ffunits.exprio import parse_element
+from ffunits.hasse import in_power_subfield
+from ffunits.intlattice import hnf_with_transform
+from ffunits.unitgroup import SubgroupPresentation, _exponent_target, member, residue_key
 
 
 @pytest.fixture(scope="session")
@@ -76,3 +80,39 @@ def sympy_matrix(rows):
     K = FF(rows[0][0].field.p).frac_field(Symbol("T"))
     entries = [[sympy_element(x) for x in row] for row in rows]
     return DomainMatrix(entries, (len(rows), len(rows[0])), K)
+
+
+def in_rational_rowspan(rows, width, target) -> bool:
+    """Whether target lies in the Q-span of the rows: appending it adds no pivot."""
+    rank = len(hnf_with_transform(rows, width)[2])
+    return len(hnf_with_transform([*rows, target], width)[2]) == rank
+
+
+def radical_member(x: RatFunc, group: SubgroupPresentation) -> bool:
+    """Whether some positive power of x is a member (lattice saturation).
+
+    Torsion never obstructs: once n * exponents(x) lies in the lattice, a
+    further (q-1)-th power moves the leftover F_q* constant to 1.
+    """
+    if x.is_zero:
+        raise ValueError("radical membership is asked of nonzero elements")
+    target, _, off = _exponent_target(x, group)
+    if off is not None:
+        return False
+    return in_rational_rowspan(
+        [list(r) for r in group.exponent_matrix], len(group.support), target
+    )
+
+
+def kernel_element_check(x: RatFunc, group: SubgroupPresentation, m: int) -> bool:
+    """Whether a member x lies in F_q(t**(p**m)); cross-checked two ways."""
+    witness = member(x, group)
+    if not witness.member:
+        raise ValueError("kernel test is only defined for members of the group")
+    by_lattice = all(v == 0 for v in residue_key(group, witness.word, m))
+    by_subfield = in_power_subfield(x, m)
+    if by_lattice != by_subfield:
+        raise InternalCheckError(
+            f"kernel tests disagree for {x!r}: lattice {by_lattice}, subfield {by_subfield}"
+        )
+    return by_lattice

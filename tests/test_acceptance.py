@@ -19,7 +19,6 @@ from ffunits import (
     closure_probe,
     decide,
     find_local_obstruction,
-    kernel_element_check,
     poly_powmod,
     representatives,
     residue_group,
@@ -38,7 +37,7 @@ from ffunits.wronskian import (
     verify_certificate,
 )
 
-from conftest import coordinate_fractions, el, pl, rand_ratfunc, sympy_matrix
+from conftest import coordinate_fractions, el, kernel_element_check, pl, rand_ratfunc, sympy_matrix
 
 
 def _report(n, detail):

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from ffunits import GF, RatFunc
 from ffunits.cli import parse_instance_text, run_cli
 
 INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
@@ -335,6 +336,68 @@ def test_probe_charge_comes_before_the_base_test(monkeypatch):
     assert time.perf_counter() - start < 1.0 and tested == []
     code, out, err = run(["probe", "--p", "3", "--g", "T+2", "--base", "T^200+T+2"])
     assert code == 3 and "modulus base must be monic irreducible" in err and tested == [200]
+
+
+def test_hasse_jet_work_is_bounded(monkeypatch):
+    # the jet is charged (order + 1) * (min(order, deg den) + 1) *
+    # (deg num + (order + 1) * deg den + 1)**2 before any expansion: order
+    # 1000 of 1/(1+T+T^2) took 20 s and order 2000 ran past two minutes
+    from ffunits import hasse
+
+    monkeypatch.setattr(hasse, "_jet_coeffs", lambda *a: pytest.fail("jet expanded"))
+    start = time.perf_counter()
+    for flag in ("--order", "--i"):
+        code, out, err = run(["hasse", "--p", "2", "--x", "1/(1+T+T^2)", flag, "2000"])
+        assert code == 4 and out == "" and f"jet charge {2001 * 3 * 4003**2} " in err
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.undo()
+    # a polynomial has deg den = 0, so even a long jet of it is cheap and allowed
+    code, doc = run_json(["hasse", "--p", "2", "--x", "T", "--order", "8000"])
+    assert code == 0 and doc["derivatives"][:3] == ["T", "1", "0"]
+    argv = ["hasse", "--p", "3", "--x", "T/(1+T^2)", "--order", "5"]
+    charge = 6 * 3 * (1 + 6 * 2 + 1) ** 2
+    monkeypatch.setattr(hasse, "DEFAULT_BOX_LIMIT", charge)
+    code, doc = run_json(argv)
+    assert code == 0 and len(doc["derivatives"]) == 6
+    monkeypatch.setattr(hasse, "DEFAULT_BOX_LIMIT", charge - 1)
+    code, out, err = run(argv)
+    assert code == 4 and f"jet charge {charge} " in err and f"bound {charge - 1}" in err
+    # only the command is charged: the library and the solver's scans are not
+    monkeypatch.setattr(hasse, "DEFAULT_BOX_LIMIT", 0)
+    x = RatFunc.t(GF(3)).inverse()
+    assert hasse.taylor_jet(x, 8)[8] == x**9
+    code, doc = run_json(["solve", "--instance", os.path.join(INSTANCES, "p2-certified.toy")])
+    assert code == 0 and doc["outcome"] == "certified-solutions"
+
+
+def test_factor_work_is_bounded(monkeypatch):
+    # factoring is charged deg**3 * bits of q before any split: T^1000+T+1
+    # took 41 s, and repset on it did not finish in 200 s
+    from ffunits import poly
+
+    monkeypatch.setattr(poly, "_squarefree_split", lambda *a: pytest.fail("factoring started"))
+    start = time.perf_counter()
+    charge = f"factoring charge {1000**3 * 2} "
+    code, out, err = run(["factor", "--p", "2", "--poly", "T^1000+T+1"])
+    assert code == 4 and out == "" and charge in err
+    # the one check covers the factoring of every command
+    for argv in (
+        ["repset", "--p", "2", "--gens", "T^1000+T+1", "--m", "16"],
+        ["solve", "--p", "2", "--gens", "T^1000+T+1", "--b", "T, 1", "--m", "1"],
+        ["skolem", "--p", "2", "--gens", "T^1000+T+1", "--b", "T, 1", "--rhs", "0"],
+    ):
+        code, out, err = run(argv)
+        assert code == 4 and out == "" and charge in err, argv
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.undo()
+    argv = ["factor", "--p", "3", "--poly", "T^5+2*T+1"]
+    charge = 5**3 * 2
+    monkeypatch.setattr(poly, "DEFAULT_BOX_LIMIT", charge)
+    code, doc = run_json(argv)
+    assert code == 0 and doc["factors"]
+    monkeypatch.setattr(poly, "DEFAULT_BOX_LIMIT", charge - 1)
+    code, out, err = run(argv)
+    assert code == 4 and f"factoring charge {charge} " in err and f"bound {charge - 1}" in err
 
 
 def test_seed_is_not_an_option(tmp_path):

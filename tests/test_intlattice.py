@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
-from ffunits.intlattice import in_rational_rowspan, solve_left
+from ffunits.intlattice import solve_left
+
+from conftest import in_rational_rowspan
 
 
 def fraction_in_rowspan(rows, width, target) -> bool:

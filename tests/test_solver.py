@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -15,20 +16,61 @@ from ffunits import (
     candidate_solution,
     decide,
     independence_test,
-    m2_shortcut,
     member,
-    phi,
     psi,
     representatives,
-    with_unit_rhs,
 )
 from ffunits.cli import run_cli
 from ffunits.errors import InternalCheckError
 from ffunits.localprobe import sg_search
 from ffunits.solver import MAX_DEPENDENCE_RETRIES
+from ffunits.unitgroup import SubgroupPresentation
 from ffunits.wronskian import verify_certificate
 
-from conftest import el, rand_ratfunc
+from conftest import el, radical_member, rand_ratfunc
+
+
+def phi(i: int, a):
+    """Drop the i-th component (1-indexed) and divide the rest by -a_i."""
+    if len(a) < 2:
+        raise ValueError("phi needs at least two components")
+    if not 1 <= i <= len(a):
+        raise IndexError("component index out of range")
+    pivot = a[i - 1]
+    if pivot.is_zero:
+        raise ZeroDivisionError("pivot component is zero")
+    return tuple(-(x / pivot) for k, x in enumerate(a) if k != i - 1)
+
+
+@dataclass(frozen=True)
+class ShortcutReport:
+    """Radical-membership reading of the two-term criteria (advisory only)."""
+
+    ratio_in_radical: bool
+    first_in_radical: bool
+    second_in_radical: bool
+
+    @property
+    def homogeneous_hypothesis_implied(self) -> bool:
+        return not self.ratio_in_radical
+
+    @property
+    def inhomogeneous_hypothesis_implied(self) -> bool:
+        return not (self.first_in_radical and self.second_in_radical)
+
+
+def m2_shortcut(b, group: SubgroupPresentation) -> ShortcutReport:
+    """For two-term equations, test the radical shortcuts for both criteria."""
+    b = tuple(b)
+    if len(b) != 2:
+        raise ValueError("the shortcut applies to two-term equations only")
+    if b[0].is_zero or b[1].is_zero:
+        raise ValueError("coefficients must be nonzero")
+    return ShortcutReport(
+        ratio_in_radical=radical_member(b[0] / b[1], group),
+        first_in_radical=radical_member(b[0], group),
+        second_in_radical=radical_member(b[1], group),
+    )
 
 
 def test_psi_phi_examples(F2):
@@ -53,13 +95,6 @@ def test_equation_validation(F2):
         Equation((RatFunc.zero(F2),), 0)
     with pytest.raises(ValueError):
         Equation((), 0)
-
-
-def test_with_unit_rhs(F2):
-    t = RatFunc.t(F2)
-    eq = with_unit_rhs((t, RatFunc.one(F2)), t)
-    assert eq.rhs == 1
-    assert eq.b == (RatFunc.one(F2), t.inverse())
 
 
 @pytest.fixture(scope="module")

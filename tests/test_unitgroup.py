@@ -11,18 +11,16 @@ from ffunits import (
     divisor_vector,
     build_presentation,
     in_power_subfield,
-    kernel_element_check,
     member,
-    radical_member,
     representatives,
 )
 from ffunits import poly, ratfunc, unitgroup
 from ffunits.errors import ResourceLimitError
 from ffunits.hasse import prime_power
-from ffunits.intlattice import in_rational_rowspan, solve_left
+from ffunits.intlattice import solve_left
 from ffunits.unitgroup import SubgroupPresentation, residue_key
 
-from conftest import el, pl, rand_ratfunc
+from conftest import el, in_rational_rowspan, kernel_element_check, pl, radical_member, rand_ratfunc
 
 
 def test_build_presentation_examples(F2, F3):
