@@ -28,7 +28,6 @@ from .solver import (
 )
 from .localprobe import (
     ObstructionWitness,
-    ResidueGroup,
     closure_probe,
     find_local_obstruction,
     residue_group,
@@ -72,7 +71,6 @@ __all__ = [
     "psi",
     "decide",
     "auto_m",
-    "ResidueGroup",
     "ObstructionWitness",
     "residue_group",
     "sl_search",

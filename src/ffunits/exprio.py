@@ -19,13 +19,19 @@ its text.  The degree of a value is the larger of its numerator's and
 denominator's; no operation may build a value whose degree could pass
 MAX_EXPONENT.  A binary operator is refused when its operands' degrees sum
 past it, and '^' when |exponent| times the base's degree does; either is a
-ParseError at the operator, raised before the arithmetic runs.
+ParseError at the operator, raised before the arithmetic runs.  Each
+operator is then charged, also before it runs, times bits(q): (d1 + 1) *
+(d2 + 1) for operands of degrees d1 and d2 (a product, or the gcd of a
+sum's denominators), and (D + 1)**2 for a power of degree D, or D + 1 when
+the base is a single term; past errors.DEFAULT_BOX_LIMIT, the parse stops
+with ResourceLimitError.
 
 The printer emits the canonical form "num/(den)" with terms in decreasing
 degree and coefficients as canonical field integers; printing then parsing
 returns the identical value.
 """
 
+from . import errors
 from .errors import InputError
 from .field import GF
 from .ratfunc import RatFunc
@@ -77,6 +83,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.field = field
+        self.bits = field.q.bit_length()
 
     def peek(self):
         return self.tokens[self.pos]
@@ -93,7 +100,8 @@ class _Parser:
         while self.peek()[0] in ("+", "-"):
             op, _, pos = self.take()
             rhs = self.parse_term()
-            _check_degree(_degree(value) + _degree(rhs), pos)
+            d1, d2 = _degree(value), _degree(rhs)
+            self.check(d1 + d2, (d1 + 1) * (d2 + 1), pos)
             value = value + rhs if op == "+" else value - rhs
         return value
 
@@ -102,7 +110,8 @@ class _Parser:
         while self.peek()[0] in ("*", "/"):
             op, _, pos = self.take()
             rhs = self.parse_unary()
-            _check_degree(_degree(value) + _degree(rhs), pos)
+            d1, d2 = _degree(value), _degree(rhs)
+            self.check(d1 + d2, (d1 + 1) * (d2 + 1), pos)
             if op == "*":
                 value = value * rhs
             elif rhs.is_zero:
@@ -129,11 +138,21 @@ class _Parser:
             exponent = sign * tok[1]
             if abs(exponent) > MAX_EXPONENT:
                 raise ParseError(f"exponent exceeds the bound {MAX_EXPONENT}", tok[2])
-            _check_degree(abs(exponent) * _degree(value), pos)
+            degree = abs(exponent) * _degree(value)
+            # a power of a single term is a single term
+            self.check(degree, degree + 1 if _is_term(value) else (degree + 1) ** 2, pos)
             if value.is_zero and exponent < 0:
                 raise InputError("zero raised to a negative power")
             value = value**exponent
         return value
+
+    def check(self, degree: int, work: int, position: int) -> None:
+        """Refuse a result degree past MAX_EXPONENT, then charge the work."""
+        if degree > MAX_EXPONENT:
+            raise ParseError(f"degree {degree} exceeds the bound {MAX_EXPONENT}", position)
+        work *= self.bits
+        if work > errors.DEFAULT_BOX_LIMIT:
+            errors.refuse("parse charge", work, errors.DEFAULT_BOX_LIMIT)
 
     def parse_atom(self) -> RatFunc:
         kind, value, pos = self.peek()
@@ -155,9 +174,8 @@ def _degree(x: RatFunc) -> int:
     return max(x.num.degree(), x.den.degree())
 
 
-def _check_degree(degree: int, position: int) -> None:
-    if degree > MAX_EXPONENT:
-        raise ParseError(f"degree {degree} exceeds the bound {MAX_EXPONENT}", position)
+def _is_term(x: RatFunc) -> bool:
+    return not any(x.num.coeffs[:-1]) and not any(x.den.coeffs[:-1])
 
 
 def _literal(field: GF, value: int) -> int:

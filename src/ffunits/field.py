@@ -27,8 +27,8 @@ modulus has passed the irreducibility test, and a bounded module-level
 memo keeps those of the most recent fields; equal GF instances share
 them.  They are plain attributes, not dataclass fields, so equality,
 hashing and repr depend on (p, s, modulus) alone.  A field with
-q > MAX_FIELD_ORDER is refused with ResourceLimitError (CLI exit 4), which
-keeps every table to a few MB.
+q > errors.MAX_FIELD_ORDER is refused with ResourceLimitError (CLI exit 4),
+which keeps every table to a few MB.
 
 GF instances are immutable and hashable; every operation is a pure
 function of its arguments, so concurrent use needs no locking.
@@ -37,9 +37,8 @@ function of its arguments, so concurrent use needs no locking.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InternalCheckError, ResourceLimitError
-
-MAX_FIELD_ORDER = 1 << 16
+from . import errors
+from .errors import InternalCheckError
 
 
 def is_prime(n: int) -> bool:
@@ -144,10 +143,8 @@ class GF:
 
     def __post_init__(self):
         # q >= p, so a huge p is refused before trial division would stall on it
-        if self.p > MAX_FIELD_ORDER:
-            raise ResourceLimitError(
-                f"characteristic {self.p} exceeds the supported field-order bound {MAX_FIELD_ORDER}"
-            )
+        if self.p > errors.MAX_FIELD_ORDER:
+            errors.refuse("characteristic", self.p, errors.MAX_FIELD_ORDER)
         if not is_prime(self.p):
             raise ValueError(f"characteristic {self.p} is not prime")
         if self.s < 1:
@@ -162,8 +159,8 @@ class GF:
             raise ValueError("modulus must be monic of degree s over F_p")
         object.__setattr__(self, "modulus", mod)
         q = self.p**self.s
-        if q > MAX_FIELD_ORDER:
-            raise ResourceLimitError(f"field order {q} exceeds the supported bound {MAX_FIELD_ORDER}")
+        if q > errors.MAX_FIELD_ORDER:
+            errors.refuse("field order", q, errors.MAX_FIELD_ORDER)
         if self.s > 1:
             from . import poly  # deferred; poly imports this module
 

@@ -19,19 +19,19 @@ are independent.
 
 Jets are memoized per (element, order).  The cache is a transparent memo
 over pure functions, so answers are identical with or without it and
-concurrent readers are safe.  The hasse command charges a jet before it
-expands it (check_jet_bounds); the solver's own jets stop at order
-p**m - 1 and are not charged.
+concurrent readers are safe.  p**m and every jet order are held to
+errors.MAX_PRIME_POWER.  The hasse command also charges a jet against
+errors.DEFAULT_BOX_LIMIT before it expands it (check_jet_bounds); the
+solver's own jets stop at order p**m - 1 and are not charged.
 """
 
 from functools import lru_cache
 
-from .errors import InternalCheckError, ResourceLimitError
+from . import errors
+from .errors import InternalCheckError
 from .field import GF
-from .poly import DEFAULT_BOX_LIMIT, Poly, _trimmed
+from .poly import Poly, _trimmed
 from .ratfunc import RatFunc
-
-MAX_PRIME_POWER = 1 << 16
 
 
 def prime_power(field: GF, m: int) -> int:
@@ -39,8 +39,8 @@ def prime_power(field: GF, m: int) -> int:
     if m < 0:
         raise ValueError("m must be nonnegative")
     pm = field.p**m
-    if pm > MAX_PRIME_POWER:
-        raise ResourceLimitError(f"p**m = {pm} exceeds the supported bound {MAX_PRIME_POWER}")
+    if pm > errors.MAX_PRIME_POWER:
+        errors.refuse("p**m", pm, errors.MAX_PRIME_POWER)
     return pm
 
 
@@ -103,10 +103,8 @@ def _check_order(order: int, what: str):
     # the solver never needs a jet past p**m - 1 <= MAX_PRIME_POWER - 1
     if order < 0:
         raise ValueError(f"{what} must be nonnegative")
-    if order >= MAX_PRIME_POWER:
-        raise ResourceLimitError(
-            f"{what} {order} exceeds the supported bound {MAX_PRIME_POWER - 1}"
-        )
+    if order >= errors.MAX_PRIME_POWER:
+        errors.refuse(what, order, errors.MAX_PRIME_POWER - 1)
 
 
 def check_jet_bounds(x: RatFunc, order: int, what: str) -> None:
@@ -117,17 +115,13 @@ def check_jet_bounds(x: RatFunc, order: int, what: str) -> None:
     found with at most min(i, deg(den)) + 1 products and sums of such
     fractions, each reduced by a gcd of about S(i)**2 operations; so the jet
     is charged (order + 1) * (min(order, deg(den)) + 1) * (S(order) + 1)**2,
-    an upper bound on that work, and refused past DEFAULT_BOX_LIMIT.
+    an upper bound on that work, and refused past errors.DEFAULT_BOX_LIMIT.
     """
     _check_order(order, what)
     num, den = x.num.degree(), x.den.degree()
     charge = (order + 1) * (min(order, den) + 1) * (num + (order + 1) * den + 1) ** 2
-    if charge > DEFAULT_BOX_LIMIT:
-        raise ResourceLimitError(
-            f"jet charge {charge} ((order + 1) * (min(order, deg(den)) + 1) * "
-            f"(deg(num) + (order + 1) * deg(den) + 1)**2) "
-            f"exceeds the configured bound {DEFAULT_BOX_LIMIT}"
-        )
+    if charge > errors.DEFAULT_BOX_LIMIT:
+        errors.refuse("jet charge", charge, errors.DEFAULT_BOX_LIMIT)
 
 
 def taylor_jet(x: RatFunc, order: int) -> tuple[RatFunc, ...]:

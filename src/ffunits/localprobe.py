@@ -13,33 +13,19 @@ The image is the closure of the reduced generators under multiplication,
 kept as the element-to-word dict that ``unitgroup.closure`` returns, with
 nonnegative generator words.  The unit group of the residue ring is
 finite, so the powers of each generator reach its inverse and no inverse
-steps are taken.
+steps are taken.  A residue group, a probe's terms and a scan's running
+total are held to errors.DEFAULT_GROUP_LIMIT; the word box of sg_search and
+a probe's powering charge to errors.DEFAULT_BOX_LIMIT.
 """
 
 import itertools
 from dataclasses import dataclass
 
-from . import unitgroup
-from .errors import ResourceLimitError
-from .poly import DEFAULT_BOX_LIMIT, Poly, monic_irreducibles, poly_mulmod, poly_powmod
+from . import errors
+from .poly import Poly, monic_irreducibles, poly_mulmod, poly_powmod
 from .ratfunc import Modulus, RatFunc, finite_support, reduce_mod, valuation
 from .solver import Equation, SolutionPoint
 from .unitgroup import SubgroupPresentation, closure
-
-
-@dataclass(frozen=True)
-class ResidueGroup:
-    """The full image of the group in a residue ring: each element with its
-    generator word, in the breadth-first order of ``unitgroup.closure``.
-
-    The words are nonnegative: the image is finite, so no inverse steps.
-    """
-
-    modulus: Modulus
-    words: dict[Poly, tuple[int, ...]]
-
-    def __len__(self):
-        return len(self.words)
 
 
 @dataclass(frozen=True)
@@ -79,8 +65,9 @@ def _require_unit(x: RatFunc, m: Modulus, what: str):
         raise ValueError(f"{what} is not a unit at the modulus place")
 
 
-def residue_group(group: SubgroupPresentation, m: Modulus) -> ResidueGroup:
-    """Close the reduced generators under multiplication.
+def residue_group(group: SubgroupPresentation, m: Modulus) -> dict[Poly, tuple[int, ...]]:
+    """The full image of the group in a residue ring: each element with its
+    generator word, in the breadth-first order of ``unitgroup.closure``.
 
     The image is finite, so the powers of a generator reach its inverse.
     """
@@ -90,7 +77,7 @@ def residue_group(group: SubgroupPresentation, m: Modulus) -> ResidueGroup:
         _require_unit(g, m, "generator")
         gen_res.append(reduce_mod(g, m))
     one = Poly.one(group.field) % modpoly
-    return ResidueGroup(m, closure(one, gen_res, lambda a, b: poly_mulmod(a, b, modpoly)))
+    return closure(one, gen_res, lambda a, b: poly_mulmod(a, b, modpoly))
 
 
 def sl_search(eq: Equation, group: SubgroupPresentation, m: Modulus) -> SLWitness | None:
@@ -102,24 +89,23 @@ def sl_search(eq: Equation, group: SubgroupPresentation, m: Modulus) -> SLWitnes
     """
     for x in eq.b:
         _require_unit(x, m, "equation coefficient")
-    return _search_residues(eq, residue_group(group, m))
+    return _search_residues(eq, m, residue_group(group, m))
 
 
-def _search_residues(eq: Equation, rg: ResidueGroup) -> SLWitness | None:
+def _search_residues(eq: Equation, m: Modulus, words: dict) -> SLWitness | None:
     """The box search of sl_search over an already built residue group."""
-    m = rg.modulus
     modpoly = m.poly
     field = m.base.field
     b_res = [reduce_mod(x, m) for x in eq.b]
     inv_last = reduce_mod(eq.b[-1].inverse(), m)
     target = Poly.constant(field, eq.rhs) % modpoly
-    for prefix in itertools.product(rg.words.items(), repeat=eq.arity - 1):
+    for prefix in itertools.product(words.items(), repeat=eq.arity - 1):
         # each term is reduced, so their sum is too
         partial = Poly.zero(field)
         for bi, (xi, _) in zip(b_res, prefix):
             partial = partial + poly_mulmod(bi, xi, modpoly)
         need = poly_mulmod(target - partial, inv_last, modpoly)
-        w = rg.words.get(need)
+        w = words.get(need)
         if w is not None:
             residues = tuple(x for x, _ in prefix) + (need,)
             words = tuple(wd for _, wd in prefix) + (w,)
@@ -136,7 +122,7 @@ def verify_obstruction(
     field = group.field
     b_res = [reduce_mod(x, witness.modulus) for x in eq.b]
     target = Poly.constant(field, eq.rhs) % modpoly
-    for combo in itertools.product(rg.words, repeat=eq.arity):
+    for combo in itertools.product(rg, repeat=eq.arity):
         acc = Poly.zero(field)
         for bi, xi in zip(b_res, combo):
             acc = acc + poly_mulmod(bi, xi, modpoly)
@@ -170,7 +156,7 @@ def find_local_obstruction(
     A running total counts the residue elements searched without an
     obstruction and, before a degree's bases are first listed, deg for each
     of the q**deg candidates that listing tests for irreducibility (a test
-    takes at most deg modular powerings); past unitgroup.DEFAULT_GROUP_LIMIT
+    takes at most deg modular powerings); past errors.DEFAULT_GROUP_LIMIT
     the scan stops with ResourceLimitError.
     """
     if deg_bound < 1 or e_bound < 1:
@@ -179,16 +165,13 @@ def find_local_obstruction(
     excluded = {pl.poly for pl in group.support}
     for x in eq.b:
         excluded.update(pl.poly for pl in finite_support(x))
-    searched, limit = 0, unitgroup.DEFAULT_GROUP_LIMIT
+    searched, limit = 0, errors.DEFAULT_GROUP_LIMIT
 
     def charge(count: int) -> None:
         nonlocal searched
         searched += count
         if searched > limit:
-            raise ResourceLimitError(
-                f"scan charge {searched} (residue elements searched plus deg per "
-                f"degree-deg candidate) exceeds the configured bound {limit}"
-            )
+            errors.refuse("scan charge", searched, limit)
 
     for d, e in _moduli(deg_bound, e_bound):
         if e == 1:
@@ -200,7 +183,7 @@ def find_local_obstruction(
             # bases outside the support keep every coefficient a unit
             m = Modulus(base, e)
             rg = residue_group(group, m)
-            if _search_residues(eq, rg) is None:
+            if _search_residues(eq, m, rg) is None:
                 return ObstructionWitness(m, len(rg))
             charge(len(rg))
     return None
@@ -219,8 +202,9 @@ def sg_search(
     if word_bound < 1:
         raise ValueError("word bound must be >= 1")
     n = len(group.generators)
-    if (2 * word_bound + 1) ** (n * eq.arity) > DEFAULT_BOX_LIMIT:
-        raise ResourceLimitError("word box exceeds the configured bound")
+    box = (2 * word_bound + 1) ** (n * eq.arity)
+    if box > errors.DEFAULT_BOX_LIMIT:
+        errors.refuse("word box", box, errors.DEFAULT_BOX_LIMIT)
     powers = [
         {e: g**e for e in range(-word_bound, word_bound + 1)} for g in group.generators
     ]
@@ -255,24 +239,19 @@ def check_probe_bounds(q: int, degree: int, exponent: int, n_max: int) -> None:
     """Refuse with ResourceLimitError a probe of n_max terms over F_q modulo
     base**exponent, base of the given degree, that is past its bounds.
 
-    One residue is kept per term, so n_max past
-    unitgroup.DEFAULT_GROUP_LIMIT is refused, the bound on a listed residue
-    group.  Each term is a powering modulo base**e, of degree
+    One residue is kept per term, so n_max past errors.DEFAULT_GROUP_LIMIT
+    is refused, the bound on a listed residue group.  Each term is a powering modulo base**e, of degree
     D = deg(base) * e, to an exponent below the unit group order, which has
     about D * log2(q) bits; so the probe is charged
     n_max * D**3 * q.bit_length(), an upper bound on its powering work, and
-    refused past DEFAULT_BOX_LIMIT.  It needs only the degree of the base,
+    refused past errors.DEFAULT_BOX_LIMIT.  It needs only the degree of the base,
     so a caller can apply it before the base is tested for irreducibility.
     """
-    limit = unitgroup.DEFAULT_GROUP_LIMIT
-    if n_max > limit:
-        raise ResourceLimitError(f"n_max {n_max} exceeds the configured bound {limit}")
+    if n_max > errors.DEFAULT_GROUP_LIMIT:
+        errors.refuse("n_max", n_max, errors.DEFAULT_GROUP_LIMIT)
     charge = n_max * (degree * exponent) ** 3 * q.bit_length()
-    if charge > DEFAULT_BOX_LIMIT:
-        raise ResourceLimitError(
-            f"probe charge {charge} (n_max * (deg(base) * e)**3 * bits of q) "
-            f"exceeds the configured bound {DEFAULT_BOX_LIMIT}"
-        )
+    if charge > errors.DEFAULT_BOX_LIMIT:
+        errors.refuse("probe charge", charge, errors.DEFAULT_BOX_LIMIT)
 
 
 def closure_probe(g: RatFunc, m: Modulus, n_max: int) -> StabilizationReport:

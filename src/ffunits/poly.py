@@ -29,7 +29,7 @@ equal-degree stage draws from a seeded generator, so a fixed seed makes
 the whole run reproducible; the returned factor list is canonically
 sorted and therefore identical for every seed.  A factorization is charged
 an upper bound on its work before it starts and refused past
-DEFAULT_BOX_LIMIT, the one work bound that hasse and localprobe also read.
+errors.DEFAULT_BOX_LIMIT.
 """
 
 import functools
@@ -37,11 +37,10 @@ import itertools
 import random
 from dataclasses import FrozenInstanceError, dataclass
 
-from .errors import ResourceLimitError
+from . import errors
 from .field import GF
 
 DEFAULT_SEED = 0
-DEFAULT_BOX_LIMIT = 10**8
 
 _new = object.__new__
 _setattr = object.__setattr__
@@ -595,17 +594,14 @@ def factor(a: Poly, seed: int = DEFAULT_SEED) -> Factorization:
     The distinct-degree split takes about deg/2 powerings to the q-th
     power, each of about deg**2 * log2(q) coefficient operations, so a
     factorization is charged deg**3 * q.bit_length(), an upper bound on that
-    work, and refused past DEFAULT_BOX_LIMIT before anything is split.
+    work, and refused past errors.DEFAULT_BOX_LIMIT before anything is split.
     """
     if a.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     field = a.field
     charge = a.degree() ** 3 * field.q.bit_length()
-    if charge > DEFAULT_BOX_LIMIT:
-        raise ResourceLimitError(
-            f"factoring charge {charge} (deg**3 * bits of q) "
-            f"exceeds the configured bound {DEFAULT_BOX_LIMIT}"
-        )
+    if charge > errors.DEFAULT_BOX_LIMIT:
+        errors.refuse("factoring charge", charge, errors.DEFAULT_BOX_LIMIT)
     monic, unit = a.monic()
     if monic.degree() == 0:
         return Factorization(field, unit, ())

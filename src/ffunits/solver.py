@@ -27,7 +27,8 @@ those of every psi_j and the candidate.
 The representative set is a list of generator words, and row j of the
 coordinate matrix of b*r depends only on (j, r_j).  So each decision
 multiplies out a word, and builds a row, the first time a tuple reads it,
-and every elimination of the tuple loop reads the rows from there.
+and every elimination of the tuple loop reads the rows from there.  The
+|R|**M tuples are held to errors.DEFAULT_TUPLE_LIMIT before the loop starts.
 
 The verdict of b*r and its witness index set depend only on the orbit of r
 under r_j -> r0 * r_j * s_j, with r0 in the group and s_j in F_q(t**(p**m))
@@ -55,7 +56,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .errors import InternalCheckError, ResourceLimitError
+from . import errors
+from .errors import InternalCheckError
 from .hasse import prime_power, subfield_coordinates
 from .ratfunc import RatFunc
 from .unitgroup import (
@@ -74,7 +76,6 @@ from .wronskian import (
     unit_substitution_verdicts,
 )
 
-DEFAULT_TUPLE_LIMIT = 1_000_000
 MAX_DEPENDENCE_RETRIES = 8
 
 
@@ -147,10 +148,8 @@ class CertifiedReport:
 
 def _tuple_space(reps, arity: int):
     total = len(reps) ** arity
-    if total > DEFAULT_TUPLE_LIMIT:
-        raise ResourceLimitError(
-            f"{total} representative tuples exceed the configured bound {DEFAULT_TUPLE_LIMIT}"
-        )
+    if total > errors.DEFAULT_TUPLE_LIMIT:
+        errors.refuse("representative tuple count", total, errors.DEFAULT_TUPLE_LIMIT)
     return itertools.product(reps, repeat=arity)
 
 

@@ -22,7 +22,8 @@ exponents vanish mod p**m, with no scan over words: each residue class is
 listed once, by its lexicographically smallest nonnegative generator word,
 so the listing is deterministic.  A representative set is that list of
 words: a reader multiplies out (word_product) or keys (residue_key) only
-the words it uses.
+the words it uses.  A representative set and a closure each list at most
+errors.DEFAULT_GROUP_LIMIT elements.
 """
 
 import itertools
@@ -30,14 +31,12 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InternalCheckError, ResourceLimitError
+from . import errors
+from .errors import InternalCheckError
 from .field import GF
 from .hasse import prime_power
 from .intlattice import hnf_with_transform, solve_left
 from .ratfunc import Place, RatFunc, divisor_vector, finite_support, multiplicity
-
-DEFAULT_REPSET_LIMIT = 100_000
-DEFAULT_GROUP_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -136,6 +135,7 @@ def closure(one, steps, mul) -> dict:
     search trying the steps in order finds.  The powers of a step reach its
     inverse, so no inverse steps are needed.
     """
+    limit = errors.DEFAULT_GROUP_LIMIT
     found = {one: (0,) * len(steps)}
     queue = [one]
     for cur in queue:  # the loop also visits elements appended during it
@@ -145,10 +145,8 @@ def closure(one, steps, mul) -> dict:
             if nxt not in found:
                 found[nxt] = word[:i] + (word[i] + 1,) + word[i + 1 :]
                 queue.append(nxt)
-                if len(found) > DEFAULT_GROUP_LIMIT:
-                    raise ResourceLimitError(
-                        f"finite group exceeds the configured bound {DEFAULT_GROUP_LIMIT}"
-                    )
+                if len(found) > limit:
+                    errors.refuse("listed group size", len(found), limit)
     return found
 
 
@@ -197,10 +195,9 @@ def representatives(group: SubgroupPresentation, m: int) -> tuple[tuple[int, ...
     rows += [[pm * (i == j) for j in range(k + n)] for i in range(k)]
     H, _, pivots = hnf_with_transform(rows, k + n)
     sizes = [H[i][c] for i, c in enumerate(pivots) if c >= k]
-    if math.prod(sizes) > DEFAULT_REPSET_LIMIT:
-        raise ResourceLimitError(
-            f"representative set exceeds the configured bound {DEFAULT_REPSET_LIMIT}"
-        )
+    size = math.prod(sizes)
+    if size > errors.DEFAULT_GROUP_LIMIT:
+        errors.refuse("representative set size", size, errors.DEFAULT_GROUP_LIMIT)
     return tuple(itertools.product(*map(range, sizes)))
 
 

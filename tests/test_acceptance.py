@@ -96,14 +96,14 @@ def test_criterion_2_local_global_witness(worked, F2):
 
     rg = residue_group(group, witness.modulus)
     assert len(rg) == 6
-    assert pl(F2, "T") not in rg.words
+    assert pl(F2, "T") not in rg
 
     # exhaustive 36-pair recheck
     checked = 0
     modpoly = witness.modulus.poly
     b_res = [reduce_mod(x, witness.modulus) for x in b]
-    for x1 in rg.words:
-        for x2 in rg.words:
+    for x1 in rg:
+        for x2 in rg:
             acc = (b_res[0] * x1 + b_res[1] * x2) % modpoly
             assert not acc.is_zero
             checked += 1

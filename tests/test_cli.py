@@ -260,9 +260,9 @@ def test_resource_limit_exit_code(monkeypatch):
         assert code == 4 and "65535" in err
         assert time.perf_counter() - start < 1.0
     # so are the residue images of the obstruction scan
-    from ffunits import unitgroup
+    from ffunits import errors
 
-    monkeypatch.setattr(unitgroup, "DEFAULT_GROUP_LIMIT", 5)
+    monkeypatch.setattr(errors, "DEFAULT_GROUP_LIMIT", 5)
     code, out, err = run(["skolem", "--instance", os.path.join(INSTANCES, "p2-certified.toy"),
                           "--rhs", "0", "--deg-bound", "2", "--e-bound", "2"])
     assert code == 4 and "exceeds the configured bound 5" in err
@@ -274,9 +274,9 @@ def test_probe_terms_are_bounded(monkeypatch):
     code, out, err = run(["probe", "--p", "3", "--g", "T", "--base", "T^2+1", "--n-max", "100001"])
     assert code == 4 and out == "" and "exceeds the configured bound 100000" in err
     assert time.perf_counter() - start < 1.0
-    from ffunits import unitgroup
+    from ffunits import errors
 
-    monkeypatch.setattr(unitgroup, "DEFAULT_GROUP_LIMIT", 10)
+    monkeypatch.setattr(errors, "DEFAULT_GROUP_LIMIT", 10)
     code, doc = run_json(["probe", "--p", "3", "--g", "T", "--base", "T^2+1", "--n-max", "10"])
     assert code in (0, 2) and len(doc["residues"]) == 10
     code, out, err = run(["probe", "--p", "3", "--g", "T", "--base", "T^2+1", "--n-max", "11"])
@@ -286,21 +286,21 @@ def test_probe_terms_are_bounded(monkeypatch):
 def test_probe_modulus_degree_is_bounded(monkeypatch):
     # every term is a powering modulo base**e to an exponent of about
     # deg(base) * e * log2(q) bits, so n_max * (deg(base) * e)**3 * bits of q
-    # is held to localprobe.DEFAULT_BOX_LIMIT before anything is powered
+    # is held to errors.DEFAULT_BOX_LIMIT before anything is powered
     start = time.perf_counter()
     code, out, err = run(["probe", "--p", "3", "--g", "T+2", "--base", "T^2+T+2", "--e", "40000"])
     assert code == 4 and out == "" and "exceeds the configured bound 100000000" in err
     code, out, err = run(["probe", "--p", "3", "--g", "T+2", "--base", "T^2+T+2", "--e", "32769"])
     assert code == 4 and f"probe charge {6 * 65538**3 * 2} " in err
     assert time.perf_counter() - start < 1.0
-    from ffunits import localprobe
+    from ffunits import errors
 
     argv = ["probe", "--p", "3", "--g", "T+2", "--base", "T^2+T+2", "--n-max", "3", "--e", "4"]
     charge = 3 * 8**3 * 2
-    monkeypatch.setattr(localprobe, "DEFAULT_BOX_LIMIT", charge)
+    monkeypatch.setattr(errors, "DEFAULT_BOX_LIMIT", charge)
     code, doc = run_json(argv)
     assert code in (0, 2) and doc["modulus"]["exponent"] == 4 and len(doc["residues"]) == 3
-    monkeypatch.setattr(localprobe, "DEFAULT_BOX_LIMIT", charge - 1)
+    monkeypatch.setattr(errors, "DEFAULT_BOX_LIMIT", charge - 1)
     code, out, err = run(argv)
     assert code == 4 and f"probe charge {charge} " in err and f"bound {charge - 1}" in err
 
@@ -342,7 +342,7 @@ def test_hasse_jet_work_is_bounded(monkeypatch):
     # the jet is charged (order + 1) * (min(order, deg den) + 1) *
     # (deg num + (order + 1) * deg den + 1)**2 before any expansion: order
     # 1000 of 1/(1+T+T^2) took 20 s and order 2000 ran past two minutes
-    from ffunits import hasse
+    from ffunits import errors, hasse
 
     monkeypatch.setattr(hasse, "_jet_coeffs", lambda *a: pytest.fail("jet expanded"))
     start = time.perf_counter()
@@ -356,14 +356,14 @@ def test_hasse_jet_work_is_bounded(monkeypatch):
     assert code == 0 and doc["derivatives"][:3] == ["T", "1", "0"]
     argv = ["hasse", "--p", "3", "--x", "T/(1+T^2)", "--order", "5"]
     charge = 6 * 3 * (1 + 6 * 2 + 1) ** 2
-    monkeypatch.setattr(hasse, "DEFAULT_BOX_LIMIT", charge)
+    monkeypatch.setattr(errors, "DEFAULT_BOX_LIMIT", charge)
     code, doc = run_json(argv)
     assert code == 0 and len(doc["derivatives"]) == 6
-    monkeypatch.setattr(hasse, "DEFAULT_BOX_LIMIT", charge - 1)
+    monkeypatch.setattr(errors, "DEFAULT_BOX_LIMIT", charge - 1)
     code, out, err = run(argv)
     assert code == 4 and f"jet charge {charge} " in err and f"bound {charge - 1}" in err
     # only the command is charged: the library and the solver's scans are not
-    monkeypatch.setattr(hasse, "DEFAULT_BOX_LIMIT", 0)
+    monkeypatch.setattr(hasse, "check_jet_bounds", lambda *a: pytest.fail("jet charged"))
     x = RatFunc.t(GF(3)).inverse()
     assert hasse.taylor_jet(x, 8)[8] == x**9
     code, doc = run_json(["solve", "--instance", os.path.join(INSTANCES, "p2-certified.toy")])
@@ -373,7 +373,7 @@ def test_hasse_jet_work_is_bounded(monkeypatch):
 def test_factor_work_is_bounded(monkeypatch):
     # factoring is charged deg**3 * bits of q before any split: T^1000+T+1
     # took 41 s, and repset on it did not finish in 200 s
-    from ffunits import poly
+    from ffunits import errors, poly
 
     monkeypatch.setattr(poly, "_squarefree_split", lambda *a: pytest.fail("factoring started"))
     start = time.perf_counter()
@@ -392,12 +392,48 @@ def test_factor_work_is_bounded(monkeypatch):
     monkeypatch.undo()
     argv = ["factor", "--p", "3", "--poly", "T^5+2*T+1"]
     charge = 5**3 * 2
-    monkeypatch.setattr(poly, "DEFAULT_BOX_LIMIT", charge)
+    monkeypatch.setattr(errors, "DEFAULT_BOX_LIMIT", charge)
     code, doc = run_json(argv)
     assert code == 0 and doc["factors"]
-    monkeypatch.setattr(poly, "DEFAULT_BOX_LIMIT", charge - 1)
+    monkeypatch.setattr(errors, "DEFAULT_BOX_LIMIT", charge - 1)
     code, out, err = run(argv)
     assert code == 4 and f"factoring charge {charge} " in err and f"bound {charge - 1}" in err
+
+
+def test_parse_work_is_bounded(monkeypatch):
+    # each operator is charged before its arithmetic: this power parsed for
+    # 3.8 s at exponent 4,000, and the sum spent 4.5 s in the gcd of its
+    # denominators before the jet charge refused it
+    from ffunits import ratfunc
+
+    original_pow, original_sum = ratfunc.RatFunc.__pow__, ratfunc._sum
+
+    def power(x, e):
+        if abs(e) * max(x.num.degree(), x.den.degree()) > 1000:
+            pytest.fail("power built before the parse was charged")
+        return original_pow(x, e)
+
+    def summed(n1, d1, n2, d2):
+        if max(a.degree() for a in (n1, d1, n2, d2)) > 1000:
+            pytest.fail("sum built before the parse was charged")
+        return original_sum(n1, d1, n2, d2)
+
+    for target, name, patch, argv in (
+        (ratfunc.RatFunc, "__pow__", power, ["factor", "--p", "65521", "--poly", "(1+T+T^2)^20000"]),
+        (ratfunc, "_sum", summed,
+         ["hasse", "--p", "65521", "--x", "1/T^100000 + 1/(T+1)^300", "--i", "0"]),
+    ):
+        monkeypatch.setattr(target, name, patch)
+        start = time.perf_counter()
+        code, out, err = run(argv)
+        assert code == 4 and out == "" and "parse charge" in err, argv
+        assert time.perf_counter() - start < 1.0
+        monkeypatch.undo()
+    # a single term powers to a single term, so it is charged its degree only
+    code, out, err = run(["factor", "--p", "2", "--poly", "T^1000+T+1"])
+    assert code == 4 and "factoring charge" in err
+    code, doc = run_json(["hasse", "--p", "2", "--x", "T", "--order", "8000"])
+    assert code == 0 and doc["derivatives"][:3] == ["T", "1", "0"]
 
 
 def test_seed_is_not_an_option(tmp_path):

@@ -3,8 +3,8 @@ import sys
 
 import pytest
 
-from ffunits import GF, Poly, RatFunc, exprio
-from ffunits.errors import InputError
+from ffunits import GF, Poly, RatFunc, errors, exprio
+from ffunits.errors import InputError, ResourceLimitError
 from ffunits.exprio import ParseError, parse_element, print_expr, split_exprs
 
 from conftest import el, rand_ratfunc
@@ -116,6 +116,28 @@ def test_degree_bound(F3, monkeypatch):
         with pytest.raises(ParseError, match="exceeds the bound 3") as excinfo:
             parse_element(text, F3)
         assert excinfo.value.position == position
+
+
+def test_parse_charge(F3, monkeypatch):
+    """Every operator is charged before it runs, times bits(q) = 2 over F_3:
+    a parse whose largest charge is the bound runs, and one unit less
+    refuses it.
+    """
+    for text, charge in (
+        ("T^3", 4 * 2),  # a power of a single term: D + 1
+        ("(1+T)^3", 4**2 * 2),  # a power of any other value: (D + 1)**2
+        ("T^3 + T^3", 4 * 4 * 2),  # (d1 + 1) * (d2 + 1)
+    ):
+        monkeypatch.setattr(errors, "DEFAULT_BOX_LIMIT", charge)
+        parse_element(text, F3)
+        monkeypatch.setattr(errors, "DEFAULT_BOX_LIMIT", charge - 1)
+        with pytest.raises(ResourceLimitError, match=f"parse charge {charge} "):
+            parse_element(text, F3)
+    # the degree bound is an input error, and comes first
+    monkeypatch.setattr(exprio, "MAX_EXPONENT", 3)
+    monkeypatch.setattr(errors, "DEFAULT_BOX_LIMIT", 0)
+    with pytest.raises(ParseError, match="exceeds the bound 3"):
+        parse_element("T^4", F3)
 
 
 def test_print_examples(F2):

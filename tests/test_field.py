@@ -1,6 +1,6 @@
 import pytest
 
-from ffunits import GF, field
+from ffunits import GF, errors, field
 from ffunits.errors import InternalCheckError, ResourceLimitError
 
 
@@ -243,7 +243,7 @@ def test_field_order_bound(monkeypatch):
         GF(2, 17, modulus)
     with pytest.raises(ResourceLimitError):
         GF(65537)
-    assert field.MAX_FIELD_ORDER == 1 << 16
+    assert errors.MAX_FIELD_ORDER == 1 << 16
 
 
 def test_huge_characteristic_is_refused_before_primality(monkeypatch):

@@ -3,9 +3,8 @@ import random
 import pytest
 
 from ffunits import GF, RatFunc, hasse_derivative, in_power_subfield, taylor_jet
-from ffunits.errors import ResourceLimitError
+from ffunits.errors import MAX_PRIME_POWER, ResourceLimitError
 from ffunits.hasse import (
-    MAX_PRIME_POWER,
     _jet_coeffs,
     binom_mod,
     inflate,

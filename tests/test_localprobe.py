@@ -21,7 +21,7 @@ from ffunits import (
     sg_search,
     sl_search,
 )
-from ffunits import localprobe
+from ffunits import errors, localprobe
 from ffunits.errors import ResourceLimitError
 from ffunits.cli import run_cli
 from ffunits.localprobe import verify_obstruction
@@ -53,14 +53,14 @@ def test_residue_group_examples(F2, F3):
         pl(F2, "T^2+T^3"),
     }
     assert powers == expected
-    assert set(rg.words) == expected
-    assert pl(F2, "T") not in rg.words
-    for res, word in rg.words.items():
+    assert set(rg) == expected
+    assert pl(F2, "T") not in rg
+    for res, word in rg.items():
         assert reduce_mod(g2.word_product(word), m2) == res
 
     g3 = build_presentation((el(F3, "T"),))
     rg = residue_group(g3, Modulus(pl(F3, "T+1"), 1))
-    assert set(rg.words) == {pl(F3, "1"), pl(F3, "2")}
+    assert set(rg) == {pl(F3, "1"), pl(F3, "2")}
 
 
 def _residue_image_with_inverses(group, m):
@@ -93,8 +93,8 @@ def test_residue_group_matches_search_with_inverses(F2, F3):
             group = build_presentation(gens)
             rg = residue_group(group, m)
             reference = _residue_image_with_inverses(group, m)
-            assert set(rg.words) == reference and len(rg) == len(reference)
-            for res, word in rg.words.items():
+            assert set(rg) == reference and len(rg) == len(reference)
+            for res, word in rg.items():
                 assert len(word) == n and min(word) >= 0
                 assert reduce_mod(group.word_product(word), m) == res
             checked += len(rg) > n + 1
@@ -227,8 +227,6 @@ def test_obstruction_scan_builds_each_residue_group_once(F2, F3, monkeypatch):
 
 def test_obstruction_scan_is_bounded(monkeypatch):
     """A scan that finds nothing stops once its residue groups outgrow the group bound."""
-    from ffunits import unitgroup
-
     argv = ["skolem", "--p", "3", "--gens", "T+1", "--b", "1, -1", "--rhs", "0",
             "--deg-bound", "5", "--e-bound", "1"]
     # solvable at every modulus: 79 moduli with 9,118 residue elements in all
@@ -236,7 +234,7 @@ def test_obstruction_scan_is_bounded(monkeypatch):
     assert run_cli(argv, stdout=out, stderr=err) == 2
     assert json.loads(out.getvalue())["outcome"] == "none-found"
     # no single residue group reaches 2,000 elements, only their total does
-    monkeypatch.setattr(unitgroup, "DEFAULT_GROUP_LIMIT", 2000)
+    monkeypatch.setattr(errors, "DEFAULT_GROUP_LIMIT", 2000)
     out, err = io.StringIO(), io.StringIO()
     assert run_cli(argv, stdout=out, stderr=err) == 4
     assert out.getvalue() == "" and "exceeds the configured bound 2000" in err.getvalue()
@@ -247,9 +245,9 @@ def test_obstruction_scan_charges_listed_candidates(monkeypatch):
     bound charges them before the degree is listed: with a trivial image the
     residue groups alone would let the scan list about 16k candidates.
     """
-    from ffunits import poly, unitgroup
+    from ffunits import poly
 
-    monkeypatch.setattr(unitgroup, "DEFAULT_GROUP_LIMIT", 1000)
+    monkeypatch.setattr(errors, "DEFAULT_GROUP_LIMIT", 1000)
     poly.monic_irreducibles.cache_clear()
     poly.is_irreducible.cache_clear()
     argv = ["skolem", "--p", "2", "--gens", "1", "--b", "T, 1+T", "--rhs", "1",
@@ -267,12 +265,12 @@ def test_obstruction_scan_charges_rabin_tests_by_degree(monkeypatch):
     (charging 1 per candidate, this scan completes and tests candidates of
     degree sum 3,584).
     """
-    from ffunits import poly, unitgroup
+    from ffunits import poly
 
     degrees = []
     original = poly.is_irreducible
     monkeypatch.setattr(poly, "is_irreducible", lambda a: degrees.append(a.degree()) or original(a))
-    monkeypatch.setattr(unitgroup, "DEFAULT_GROUP_LIMIT", 1000)
+    monkeypatch.setattr(errors, "DEFAULT_GROUP_LIMIT", 1000)
     poly.monic_irreducibles.cache_clear()
     argv = ["skolem", "--p", "2", "--gens", "1", "--b", "T, 1+T", "--rhs", "1",
             "--deg-bound", "8", "--e-bound", "1"]
@@ -338,7 +336,7 @@ def test_sg_search_x_plus_y(F3):
 
 def test_sg_search_resource_guard(F3, monkeypatch):
     g3 = build_presentation((el(F3, "T"), el(F3, "-T"), el(F3, "1-T")))
-    monkeypatch.setattr(localprobe, "DEFAULT_BOX_LIMIT", 100)
+    monkeypatch.setattr(errors, "DEFAULT_BOX_LIMIT", 100)
     with pytest.raises(ResourceLimitError):
         sg_search(Equation((RatFunc.one(F3), RatFunc.one(F3)), 0), g3, 8)
 

@@ -14,7 +14,7 @@ from ffunits import (
     member,
     representatives,
 )
-from ffunits import poly, ratfunc, unitgroup
+from ffunits import errors, poly, ratfunc, unitgroup
 from ffunits.errors import ResourceLimitError
 from ffunits.hasse import prime_power
 from ffunits.intlattice import solve_left
@@ -318,7 +318,7 @@ def test_representative_completeness(F2, F3):
 
 def test_representatives_resource_guard(F2, monkeypatch):
     g = build_presentation((el(F2, "1+T"), el(F2, "T")))
-    monkeypatch.setattr(unitgroup, "DEFAULT_REPSET_LIMIT", 2)
+    monkeypatch.setattr(errors, "DEFAULT_GROUP_LIMIT", 2)
     with pytest.raises(ResourceLimitError):
         representatives(g, 2)
 
@@ -327,11 +327,11 @@ def test_representatives_bound_counts_classes_not_words(F3, monkeypatch):
     # 27**5 words in the box, but only 27 classes: the key is sum(i * w_i) mod 27,
     # and T^5 alone reaches every class since 5 is a unit mod 27
     g = build_presentation(tuple(el(F3, f"T^{i}") for i in range(1, 6)))
-    monkeypatch.setattr(unitgroup, "DEFAULT_REPSET_LIMIT", 27)
+    monkeypatch.setattr(errors, "DEFAULT_GROUP_LIMIT", 27)
     reps = representatives(g, 3)
     assert reps == tuple((0, 0, 0, 0, j) for j in range(27))
     assert [residue_key(g, w, 3) for w in reps] == [(5 * j % 27,) for j in range(27)]
-    monkeypatch.setattr(unitgroup, "DEFAULT_REPSET_LIMIT", 26)
+    monkeypatch.setattr(errors, "DEFAULT_GROUP_LIMIT", 26)
     with pytest.raises(ResourceLimitError, match="exceeds the configured bound 26"):
         representatives(g, 3)
 
