@@ -38,46 +38,7 @@ from .exprio import parse_element, print_expr
 
 __version__ = "0.1.0"
 
+# the public names are the classes and functions bound above, each declared once
 __all__ = [
-    "GF",
-    "Poly",
-    "Factorization",
-    "factor",
-    "is_irreducible",
-    "poly_divmod",
-    "poly_gcd",
-    "poly_powmod",
-    "RatFunc",
-    "Place",
-    "Modulus",
-    "valuation",
-    "divisor_vector",
-    "reduce_mod",
-    "taylor_jet",
-    "hasse_derivative",
-    "in_power_subfield",
-    "IndependenceCertificate",
-    "coordinate_matrix",
-    "independence_test",
-    "wronskian_det_adj",
-    "candidate_solution",
-    "SubgroupPresentation",
-    "MembershipWitness",
-    "build_presentation",
-    "member",
-    "representatives",
-    "Equation",
-    "CertifiedReport",
-    "psi",
-    "decide",
-    "auto_m",
-    "ObstructionWitness",
-    "residue_group",
-    "sl_search",
-    "find_local_obstruction",
-    "sg_search",
-    "closure_probe",
-    "parse_element",
-    "print_expr",
-    "__version__",
-]
+    name for name, value in list(globals().items()) if callable(value) and not name.startswith("_")
+] + ["__version__"]

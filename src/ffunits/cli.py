@@ -1,14 +1,15 @@
 """Command-line interface: instance files, subcommands, JSON certificate reports.
 
-Subcommands: factor, hasse, indep, repset, solve, skolem, probe.  run_cli
-fills each setting no flag gave from the instance file (flag, then file,
-then default), builds the field once (equal fields of later runs are one
-memoized GF) and hands it to the subcommand.  Every run writes one JSON
-report to stdout and diagnostics to stderr.  Exit codes: 0 success or
-certified answer, 1 internal fault, 2 sound non-answer (inapplicable or
-nothing found), 3 input error, 4 resource limit.  Input errors are raised
-only while parsing and validating, so any other exception reaching run_cli
-is a fault in this package.
+Subcommands: factor, hasse, indep, repset, solve, skolem, probe; only solve
+and skolem take --timing.  run_cli fills each setting no flag gave from the
+instance file (flag, then file, then default; m and m_max are one choice of
+precision, so a flag for either overrides both), builds the field once
+(equal fields of later runs are one memoized GF) and hands it to the
+subcommand.  Every run writes one JSON report to stdout and diagnostics to
+stderr.  Exit codes: 0 success or certified answer, 1 internal fault, 2
+sound non-answer (inapplicable or nothing found), 3 input error, 4 resource
+limit.  Input errors are raised only while parsing and validating, so any
+other exception reaching run_cli is a fault in this package.
 """
 
 import argparse
@@ -34,6 +35,7 @@ EXIT_RESOURCE = 4
 
 _INT_KEYS = {"p", "s", "rhs", "m", "m_max", "word_bound", "deg_bound", "e_bound"}
 _STR_KEYS = {"modulus", "gens", "b"}
+_PRECISION_KEYS = {"m", "m_max"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -357,7 +359,6 @@ def _add_common(sub):
     sub.add_argument("--p", type=int, help="field characteristic")
     sub.add_argument("--s", type=int, help="extension degree (default 1)")
     sub.add_argument("--modulus", help="defining polynomial over F_p when s > 1")
-    sub.add_argument("--timing", action="store_true", help="include timing_ms in the report")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,6 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, help="fixed subfield precision")
     sp.add_argument("--m-max", dest="m_max", type=int, help="scan m = 1..m_max (default 3)")
     sp.add_argument("--verbose", action="store_true", help="evaluate every tuple even after a failure")
+    sp.add_argument("--timing", action="store_true", help="include timing_ms in the report")
     sp.set_defaults(handler=_cmd_solve)
 
     sp = subs.add_parser("skolem", help="search for a congruence obstruction")
@@ -381,6 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rhs", type=int, help="0 or 1")
     sp.add_argument("--deg-bound", dest="deg_bound", type=int, help="max modulus base degree")
     sp.add_argument("--e-bound", dest="e_bound", type=int, help="max modulus exponent")
+    sp.add_argument("--timing", action="store_true", help="include timing_ms in the report")
     sp.set_defaults(handler=_cmd_skolem)
 
     sp = subs.add_parser("probe", help="watch g**(p**(n!)) stabilize in a residue ring")
@@ -429,8 +432,11 @@ def run_cli(argv=None, stdout=None, stderr=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     try:
         args = _parser().parse_args(argv)
+        flags = {key for key in _INT_KEYS | _STR_KEYS if getattr(args, key, None) is not None}
+        if flags & _PRECISION_KEYS:  # one choice: a flag for either overrides both
+            flags |= _PRECISION_KEYS
         for key, value in _load_instance(args).items():
-            if getattr(args, key, None) is None:  # a flag overrides the file
+            if key not in flags:  # a flag overrides the file
                 setattr(args, key, value)
         doc, code = args.handler(args, _build_field(args))
     except InputError as exc:

@@ -24,7 +24,9 @@ operator is then charged, also before it runs, times bits(q): (d1 + 1) *
 (d2 + 1) for operands of degrees d1 and d2 (a product, or the gcd of a
 sum's denominators), and (D + 1)**2 for a power of degree D, or D + 1 when
 the base is a single term; past errors.DEFAULT_BOX_LIMIT, the parse stops
-with ResourceLimitError.
+with ResourceLimitError.  The parser recurses once per parenthesis, so
+parentheses may nest at most MAX_NESTING deep, a ParseError at the one
+past it; a run of unary minus signs is read in a loop.
 
 The printer emits the canonical form "num/(den)" with terms in decreasing
 degree and coefficients as canonical field integers; printing then parsing
@@ -38,6 +40,7 @@ from .ratfunc import RatFunc
 from .poly import Poly
 
 MAX_EXPONENT = 10**6
+MAX_NESTING = 100  # 5 frames a level: half of Python's default recursion limit
 
 
 class ParseError(InputError):
@@ -82,6 +85,7 @@ class _Parser:
     def __init__(self, text: str, field: GF):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.field = field
         self.bits = field.q.bit_length()
 
@@ -121,10 +125,12 @@ class _Parser:
         return value
 
     def parse_unary(self) -> RatFunc:
-        if self.peek()[0] == "-":
+        negate = False
+        while self.peek()[0] == "-":  # a loop, so a run of signs takes no stack
             self.take()
-            return -self.parse_unary()
-        return self.parse_factor()
+            negate = not negate
+        value = self.parse_factor()
+        return -value if negate else value
 
     def parse_factor(self) -> RatFunc:
         value = self.parse_atom()
@@ -164,8 +170,12 @@ class _Parser:
             return RatFunc.t(self.field)
         if kind == "(":
             self.take()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", pos)
             value = self.parse_expr()
             self.take(")")
+            self.depth -= 1
             return value
         raise ParseError(f"expected a value, found {kind!r}", pos)
 

@@ -177,9 +177,6 @@ class GF:
             raise ValueError(f"{a!r} is not an element of GF({self.q})")
         return a
 
-    def elements(self):
-        return range(self.q)
-
     # -- ring operations --
 
     def add(self, a: int, b: int) -> int:
@@ -193,14 +190,6 @@ class GF:
         la = log[a]
         z = self.zech_table[log[b] - la]
         return 0 if z < 0 else self.exp_table[la + z]
-
-    def neg(self, a: int) -> int:
-        if self.p == 2 or not a:
-            return a
-        return self.exp_table[self.log_table[a] + (self.q - 1) // 2]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if not a or not b:

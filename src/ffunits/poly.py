@@ -211,14 +211,6 @@ class Poly(Value):
             return self, 1
         return self.scale(self.field.inv(lc)), lc
 
-    def evaluate(self, a: int) -> int:
-        f = self.field
-        f.check(a)
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, a), c)
-        return acc
-
     def derivative(self) -> "Poly":
         f = self.field
         out = []
@@ -468,12 +460,6 @@ class Factorization:
     field: GF
     unit: int
     factors: tuple[tuple[Poly, int], ...]
-
-    def expand(self) -> Poly:
-        out = Poly.constant(self.field, self.unit)
-        for g, e in self.factors:
-            out = out * g**e
-        return out
 
 
 @functools.lru_cache(maxsize=4096)

@@ -8,8 +8,8 @@ degree-zero identity of principal divisors makes it redundant.
 Every element of the group is a unit away from its support, so membership
 factors nothing: the exponents of x at the support places are read by
 trial division, and x has a stray place exactly when what the divisions
-leave of it is not constant.  A stray place is named only on request
-(MembershipWitness.obstruction_place), by factoring that leftover part.
+leave of it is not constant.  The witness keeps that leftover part
+(off_support) and names no stray place; nothing in the package reads one.
 Otherwise membership reduces to an integer-lattice solve (Hermite normal
 form) plus an exact coset computation for the F_q* constants, so witnesses
 always reconstruct the queried element exactly; the coset search is
@@ -29,14 +29,13 @@ errors.DEFAULT_GROUP_LIMIT elements.
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import errors
 from .errors import InternalCheckError
 from .field import GF
 from .hasse import prime_power
 from .intlattice import hnf_with_transform, solve_left
-from .ratfunc import Place, RatFunc, divisor_vector, finite_support, multiplicity
+from .ratfunc import Place, RatFunc, divisor_vector, multiplicity
 
 
 @dataclass(frozen=True)
@@ -76,15 +75,6 @@ class MembershipWitness:
     lattice_place: Place | None = None
     constant_mismatch: bool = False
     off_support: RatFunc | None = None
-
-    @cached_property
-    def obstruction_place(self) -> Place | None:
-        """The place that excludes x: for a stray, the least place of
-        off_support in Place.sort_key order, found by factoring it here.
-        """
-        if self.off_support is None:
-            return self.lattice_place
-        return finite_support(self.off_support)[0]
 
 
 def build_presentation(gens) -> SubgroupPresentation:

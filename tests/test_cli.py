@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from ffunits import GF, RatFunc
+from ffunits import GF, RatFunc, exprio
 from ffunits.cli import parse_instance_text, run_cli
 
 INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
@@ -94,6 +94,29 @@ def test_timing_flag_adds_only_timing():
         assert doc["timing_ms"] is None
         assert type(timed["timing_ms"]) is int and timed["timing_ms"] >= 0
         assert {**timed, "timing_ms": None} == doc
+
+
+def test_timing_is_a_flag_of_solve_and_skolem_only():
+    for argv in (
+        ["factor", "--p", "3", "--poly", "T"],
+        ["hasse", "--p", "2", "--x", "T"],
+        ["indep", "--p", "2", "--b", "T, 1+T", "--m", "1"],
+        ["repset", "--p", "3", "--gens", "T", "--m", "1"],
+        ["probe", "--p", "3", "--g", "T", "--base", "T^2+1"],
+    ):
+        assert run(argv)[0] == 0, argv
+        code, out, err = run(argv + ["--timing"])
+        assert code == 3 and "--timing" in err and not out, argv
+
+
+def test_nesting_is_bounded():
+    nested = "(" * exprio.MAX_NESTING + "T" + ")" * exprio.MAX_NESTING
+    assert run_json(["factor", "--p", "2", f"--poly={nested}"])[1]["input"] == "T"
+    code, out, err = run(["factor", "--p", "2", f"--poly=({nested})"])
+    assert code == 3 and not out
+    assert f"nest deeper than {exprio.MAX_NESTING} (at position {exprio.MAX_NESTING})" in err
+    # a run of unary minus signs takes no stack
+    assert run_json(["factor", "--p", "3", "--poly=" + "-" * 10_000 + "T"])[1]["input"] == "T"
 
 
 def test_probe_subcommand():
@@ -452,6 +475,16 @@ def test_flag_overrides_instance(tmp_path):
     path.write_text("p = 2\ngens = 1 + T\nb = T, 1\nrhs = 1\nm = 1\n")
     code, doc = run_json(["solve", "--instance", str(path), "--rhs", "0"])
     assert doc["outcome"] == "certified-empty"
+    # m and m_max are one choice of precision: a flag for either overrides both
+    gap = os.path.join(INSTANCES, "p3-closure-gap.toy")
+    with open(gap, encoding="utf-8") as handle:
+        path.write_text(handle.read() + "m = 1\n")
+    code, doc = run_json(["solve", "--instance", str(path), "--m-max", "2"])
+    assert code == 2 and [f["m"] for f in doc["auto_failures"]] == [1, 2]
+    assert run(["solve", "--instance", str(path), "--m-max", "2"]) == run(
+        ["solve", "--instance", gap, "--m-max", "2"])
+    code, doc = run_json(["solve", "--instance", gap, "--m", "1"])
+    assert code == 2 and doc["m"] == 1 and doc["auto_failures"] == []
 
 
 def test_reports_are_deterministic():

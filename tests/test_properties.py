@@ -1,0 +1,96 @@
+"""Derandomized properties: element texts never fault the command line, and
+the certified decision agrees with the word-box search that shares no code
+with it.
+"""
+
+import io
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from ffunits import GF, Equation, Poly, RatFunc, build_presentation, decide, member  # noqa: E402
+from ffunits.cli import run_cli  # noqa: E402
+from ffunits.localprobe import sg_search  # noqa: E402
+
+SETTINGS = dict(deadline=None, derandomize=True, database=None)
+
+# the tokens of the grammar, with exponents below 20 and a space
+TOKENS = st.one_of(
+    st.sampled_from(["T", "+", "-", "*", "/", "(", ")", " "]),
+    st.integers(0, 99).map(str),
+    st.tuples(st.sampled_from(["^", "^-"]), st.integers(0, 19)).map(lambda t: f"{t[0]}{t[1]}"),
+)
+
+
+@st.composite
+def element_texts(draw):
+    text = "".join(draw(st.lists(TOKENS, max_size=20)))
+    if draw(st.booleans()):
+        depth = draw(st.integers(0, 300))
+        return "(" * depth + text + ")" * depth
+    return "-" * draw(st.integers(0, 2000)) + text
+
+
+def exit_code(argv):
+    return run_cli(argv, stdout=io.StringIO(), stderr=io.StringIO())
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(element_texts())
+def test_element_texts_never_fault(text):
+    assert exit_code(["factor", "--p", "2", f"--poly={text}"]) in (0, 2, 3, 4)
+    argv = ["solve", "--p", "3", "--gens", "T+1", f"--b={text}, 1", "--rhs", "0", "--m", "1"]
+    assert exit_code(argv) in (0, 2, 3, 4)
+
+
+# GF(2), GF(3), GF(4) = F_2[X]/(X^2+X+1) and GF(9) = F_3[X]/(X^2+1)
+FIELDS = (GF(2), GF(3), GF(2, 2, (1, 1, 1)), GF(3, 2, (1, 0, 1)))
+
+
+def polys(field, nonzero=False):
+    coeffs = st.lists(st.integers(0, field.q - 1), min_size=1, max_size=3)
+    if nonzero:
+        coeffs = coeffs.filter(any)
+    return coeffs.map(lambda cs: Poly.from_coeffs(field, cs))
+
+
+def units(field):
+    """Nonzero elements of degree at most 2, as conftest.rand_ratfunc draws them."""
+    return st.tuples(polys(field, True), polys(field, True)).map(lambda nd: RatFunc.make(*nd))
+
+
+@st.composite
+def instances(draw):
+    field = draw(st.sampled_from(FIELDS))
+    gens = draw(st.lists(units(field), min_size=1, max_size=2))
+    arity = draw(st.sampled_from((2, 3)))
+    b = tuple(draw(st.lists(units(field), min_size=arity, max_size=arity)))
+    # p**m < M leaves every instance inapplicable, so GF(2) and GF(4) take m = 2 at M = 3
+    m = 2 if field.p == 2 and arity == 3 else 1
+    return build_presentation(gens), Equation(b, draw(st.sampled_from((0, 1)))), m
+
+
+@settings(max_examples=100, **SETTINGS)
+@given(instances())
+def test_decide_agrees_with_sg_search(instance):
+    group, eq, m = instance
+    report = decide(eq, group, m)  # an InternalCheckError fails the example
+    if report.outcome == "inapplicable":
+        return
+    brute = sg_search(eq, group, 4 if eq.arity == 2 else 2)
+    if report.outcome == "certified-empty":
+        assert brute == ()
+        return
+    got = {s.coords for s in report.solutions}
+    assert {s.coords for s in brute} <= got
+    for s in report.solutions:
+        acc = RatFunc.zero(group.field)
+        for bb, x in zip(eq.b, s.coords):
+            acc = acc + bb * x
+        assert acc.is_one
+        assert all(member(x, group).member for x in s.coords)
+    assert len(got) <= report.bound

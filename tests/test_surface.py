@@ -1,24 +1,34 @@
-"""Every top-level definition in ``src/ffunits`` is reached by a command or
-by the benchmark.
+"""Every top-level definition in ``src/ffunits``, and every non-dunder
+member of its classes, is reached by a command or by the benchmark.
 
 Reachability is read from the source with ``ast`` and run to a fixpoint.
 The roots are ``cli.main`` (the console script), the module-level code of
 every module other than its imports and definitions, and every name,
 attribute or string identifier in ``bench/*.py`` except ``test_*``; a bench
-name reaches a definition of that name in any module.  A reached
-definition reaches what its whole source names: a bare name through its
-module's own definitions and ``from .x import y`` bindings, and
-``mod.name`` through ``from . import mod``.  Imports alone reach nothing,
-so an export of ``__init__`` that nothing runs is still unreached.
+name reaches a definition or a member of that name in any module.  Reached
+code reaches what it names: a bare name through its module's own
+definitions and ``from .x import y`` bindings, and ``mod.name`` through
+``from . import mod``.  Imports alone reach nothing, so an export of
+``__init__`` that nothing runs is still unreached.
+
+The code of a reached function is its whole source; the code of a reached
+class is its source less its non-dunder methods, which the interpreter
+calls only by name.  Such a member (a method, property or classmethod) of a
+reached class is reached when reached code reads its name as an attribute,
+when it is a bench name, or when it overrides a method of a base class from
+outside the package (``argparse`` calls ``cli._Parser.error``); the code of
+a reached member is its whole source.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ffunits"
 BENCH = ROOT / "bench"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+METHODS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _modules():
@@ -42,6 +52,30 @@ def _bindings(modules):
     return defs, imported, aliases
 
 
+def _is_member(node):
+    return isinstance(node, METHODS) and not node.name.startswith("__")
+
+
+def _members(defs):
+    """(module, class, name) -> method node, for every non-dunder method."""
+    return {
+        (mod, cls, node.name): node
+        for mod in defs
+        for cls, class_node in defs[mod].items()
+        if isinstance(class_node, ast.ClassDef)
+        for node in class_node.body
+        if _is_member(node)
+    }
+
+
+def _code(node):
+    """The nodes a reached definition runs: a class less its named members."""
+    if not isinstance(node, ast.ClassDef):
+        return [node]
+    return [*node.decorator_list, *node.bases, *node.keywords,
+            *(sub for sub in node.body if not _is_member(sub))]
+
+
 def _resolve(mod, name, defs, imported):
     """The definition a name bound in mod refers to, following re-exports."""
     while name not in defs.get(mod, {}):
@@ -51,19 +85,29 @@ def _resolve(mod, name, defs, imported):
     return mod, name
 
 
-def _references(mod, node, defs, imported, aliases):
-    out = set()
-    for sub in ast.walk(node):
+def _references(mod, nodes, defs, imported, aliases):
+    """The definitions and the attribute names that the code in nodes reads."""
+    out, attrs = set(), set()
+    for sub in (sub for node in nodes for sub in ast.walk(node)):
         if isinstance(sub, ast.Name):
             out.add(_resolve(mod, sub.id, defs, imported))
-        elif (
-            isinstance(sub, ast.Attribute)
-            and isinstance(sub.value, ast.Name)
-            and sub.value.id in aliases[mod]
-        ):
-            out.add(_resolve(aliases[mod][sub.value.id], sub.attr, defs, imported))
+        elif isinstance(sub, ast.Attribute):
+            if isinstance(sub.value, ast.Name) and sub.value.id in aliases[mod]:
+                out.add(_resolve(aliases[mod][sub.value.id], sub.attr, defs, imported))
+            elif isinstance(sub.ctx, ast.Load):
+                attrs.add(sub.attr)
     out.discard(None)
-    return out
+    return out, attrs
+
+
+def _overrides_outside(mod, cls, name):
+    """Whether a base class from outside the package defines mod.cls.name."""
+    live = getattr(importlib.import_module(f"ffunits.{mod}"), cls)
+    return any(
+        name in vars(base)
+        for base in live.__mro__[1:]
+        if not base.__module__.startswith("ffunits")
+    )
 
 
 def _bench_names():
@@ -85,21 +129,33 @@ def _bench_names():
 def unreached_definitions():
     modules = _modules()
     defs, imported, aliases = _bindings(modules)
+    members = _members(defs)
     bench = _bench_names()
-    todo = {("cli", "main")}
-    todo |= {(mod, name) for mod in defs for name in defs[mod] if name in bench}
+    reached, attrs, todo = set(), set(bench), [("cli", "main")]
+    todo += [(mod, name) for mod in defs for name in defs[mod] if name in bench]
     for mod, tree in modules.items():
-        for node in tree.body:
-            if not isinstance(node, (*DEFS, ast.Import, ast.ImportFrom)):
-                todo |= _references(mod, node, defs, imported, aliases)
-    reached = set()
+        body = [node for node in tree.body if not isinstance(node, (*DEFS, ast.Import, ast.ImportFrom))]
+        refs, read = _references(mod, body, defs, imported, aliases)
+        todo += refs
+        attrs |= read
     while todo:
-        key = todo.pop()
-        if key not in reached:
+        while todo:
+            key = todo.pop()
+            if key in reached:
+                continue
             reached.add(key)
-            mod, name = key
-            todo |= _references(mod, defs[mod][name], defs, imported, aliases)
-    return sorted(f"{mod}.{name}" for mod in defs for name in defs[mod] if (mod, name) not in reached)
+            mod, *path = key
+            node = members[key] if len(path) == 2 else defs[mod][path[0]]
+            refs, read = _references(mod, _code(node), defs, imported, aliases)
+            todo += refs
+            attrs |= read
+        todo = [
+            key for key in members
+            if key not in reached and (key[0], key[1]) in reached
+            and (key[2] in attrs or _overrides_outside(*key))
+        ]
+    everything = [(mod, name) for mod in defs for name in defs[mod]] + list(members)
+    return sorted(".".join(key) for key in everything if key not in reached)
 
 
 def test_every_definition_is_reached_by_a_command_or_the_benchmark():
