@@ -9,23 +9,35 @@ an oracle for the certified results.  The probe of iterated-factorial
 Frobenius powers watches a canonical convergent sequence stabilize at
 finite precision.
 
-The image is the closure of the reduced generators under multiplication,
-kept as the element-to-word dict that ``unitgroup.closure`` returns, with
-nonnegative generator words.  The unit group of the residue ring is
-finite, so the powers of each generator reach its inverse and no inverse
-steps are taken.  A residue group, a probe's terms and a scan's running
-total are held to errors.DEFAULT_GROUP_LIMIT; the word box of sg_search and
-a probe's powering charge to errors.DEFAULT_BOX_LIMIT.
+The image is listed by cosets of the subgroups generated step by step,
+with the products on coefficient tuples, and kept as an element-to-word
+dict.  The words are coset words: nonnegative, each rebuilding its
+residue, but not in general the first word a breadth-first search finds.
+The unit group of the residue ring is finite, so the powers of each
+generator reach its inverse and no inverse steps are taken.  A residue
+group, a probe's terms and a scan's running total are held to
+errors.DEFAULT_GROUP_LIMIT; the word box of sg_search and a probe's
+powering charge to errors.DEFAULT_BOX_LIMIT.
 """
 
 import itertools
 from dataclasses import dataclass
 
 from . import errors
-from .poly import Poly, monic_irreducibles, poly_mulmod, poly_powmod
+from .poly import (
+    Poly,
+    _add_list,
+    _mulmod_list,
+    _neg_list,
+    _trim,
+    _trimmed,
+    monic_irreducibles,
+    poly_mulmod,
+    poly_powmod,
+)
 from .ratfunc import Modulus, RatFunc, finite_support, reduce_mod, valuation
 from .solver import Equation, SolutionPoint
-from .unitgroup import SubgroupPresentation, closure
+from .unitgroup import SubgroupPresentation
 
 
 @dataclass(frozen=True)
@@ -67,17 +79,40 @@ def _require_unit(x: RatFunc, m: Modulus, what: str):
 
 def residue_group(group: SubgroupPresentation, m: Modulus) -> dict[Poly, tuple[int, ...]]:
     """The full image of the group in a residue ring: each element with its
-    generator word, in the breadth-first order of ``unitgroup.closure``.
+    coset word, which is nonnegative and rebuilds the residue.
 
-    The image is finite, so the powers of a generator reach its inverse.
+    The image is listed by cosets, as in Dimino's enumeration for an abelian
+    group: for each reduced generator g not yet in the listed subgroup H,
+    the cosets H*g, H*g**2, ... are appended until a power of g lands in H.
+    The cosets are disjoint, so each product is a new element, and the
+    listing takes |H| - 1 modular products on coefficient tuples in all.
+    The element h*g_i**k gets the word of h with k at position i, which is
+    not in general the first word a breadth-first search finds.  The image
+    is finite, so the powers of a generator reach its inverse and no
+    inverse steps are taken.  The size is checked after each insert, so a
+    refusal names the first size past the bound.
     """
-    modpoly = m.poly
-    gen_res = []
+    field = group.field
+    mod = m.poly.coeffs
+    steps = []
     for g in group.generators:
         _require_unit(g, m, "generator")
-        gen_res.append(reduce_mod(g, m))
-    one = Poly.one(group.field) % modpoly
-    return closure(one, gen_res, lambda a, b: poly_mulmod(a, b, modpoly))
+        steps.append(reduce_mod(g, m).coeffs)
+    limit = errors.DEFAULT_GROUP_LIMIT
+    one = (1,)
+    found = {one: (0,) * len(steps)}
+    for i, g in enumerate(steps):
+        subgroup = list(found.items())
+        power, k = g, 1
+        while power not in found:
+            for x, w in subgroup:  # the identity comes first, and one * power is power
+                y = power if x is one else tuple(_trim(_mulmod_list(field, x, power, mod)))
+                found[y] = w[:i] + (k,) + w[i + 1 :]
+                if len(found) > limit:
+                    errors.refuse("listed group size", len(found), limit)
+            power = tuple(_trim(_mulmod_list(field, power, g, mod)))
+            k += 1
+    return {Poly(field, x): w for x, w in found.items()}
 
 
 def sl_search(eq: Equation, group: SubgroupPresentation, m: Modulus) -> SLWitness | None:
@@ -93,23 +128,30 @@ def sl_search(eq: Equation, group: SubgroupPresentation, m: Modulus) -> SLWitnes
 
 
 def _search_residues(eq: Equation, m: Modulus, words: dict) -> SLWitness | None:
-    """The box search of sl_search over an already built residue group."""
-    modpoly = m.poly
+    """The box search of sl_search over an already built residue group.
+
+    The equation is divided by b_M once per modulus: the last coordinate is
+    rhs/b_M + sum(-b_i/b_M * x_i), so a box point costs M - 1 modular
+    products on coefficient tuples.  The witness words are those of the
+    residue group, coset words.
+    """
     field = m.base.field
-    b_res = [reduce_mod(x, m) for x in eq.b]
-    inv_last = reduce_mod(eq.b[-1].inverse(), m)
-    target = Poly.constant(field, eq.rhs) % modpoly
+    mod = m.poly.coeffs
+    inv_last = reduce_mod(eq.b[-1].inverse(), m).coeffs
+    neg_inv = _neg_list(field, inv_last)
+    scaled = [_trim(_mulmod_list(field, reduce_mod(x, m).coeffs, neg_inv, mod)) for x in eq.b[:-1]]
+    target = list(inv_last) if eq.rhs else []
     for prefix in itertools.product(words.items(), repeat=eq.arity - 1):
         # each term is reduced, so their sum is too
-        partial = Poly.zero(field)
-        for bi, (xi, _) in zip(b_res, prefix):
-            partial = partial + poly_mulmod(bi, xi, modpoly)
-        need = poly_mulmod(target - partial, inv_last, modpoly)
+        need = target
+        for c, (x, _) in zip(scaled, prefix):
+            need = _add_list(field, need, _mulmod_list(field, c, x.coeffs, mod))
+        need = _trimmed(field, need)
         w = words.get(need)
         if w is not None:
             residues = tuple(x for x, _ in prefix) + (need,)
-            words = tuple(wd for _, wd in prefix) + (w,)
-            return SLWitness(m, residues, words)
+            found = tuple(wd for _, wd in prefix) + (w,)
+            return SLWitness(m, residues, found)
     return None
 
 

@@ -157,8 +157,6 @@ class Poly(Value):
 
     def __neg__(self) -> "Poly":
         f = self.field
-        if f.p == 2:
-            return self
         return _trimmed(f, _neg_list(f, self.coeffs))
 
     def __sub__(self, other: "Poly") -> "Poly":
@@ -265,12 +263,15 @@ def _add_list(f: GF, a, b) -> list:
 
 
 def _neg_list(f: GF, a) -> list:
+    if f.p == 2:  # -1 == 1
+        return list(a)
+    # -1 is g**((q - 1) / 2) for a generator g of the multiplicative group
     exp, log, half = f.exp_table, f.log_table, (f.q - 1) // 2
     return [exp[log[c] + half] if c else 0 for c in a]
 
 
 def _sub_list(f: GF, a, b) -> list:
-    return _add_list(f, a, b if f.p == 2 else _neg_list(f, b))
+    return _add_list(f, a, _neg_list(f, b))
 
 
 def _scale_list(f: GF, a, c: int) -> list:

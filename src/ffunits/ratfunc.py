@@ -348,10 +348,13 @@ class Modulus:
 
 
 def reduce_mod(x: RatFunc, m: Modulus) -> Poly:
-    """Image of x in F_q[t]/(base**e); requires the denominator invertible there."""
+    """Image of x in F_q[t]/(base**e); requires the denominator invertible there.
+
+    A polynomial (denominator 1) is reduced by one division.
+    """
     modpoly = m.poly
-    if x.is_zero:
-        return Poly.zero(x.field)
+    if x.den.is_one:
+        return x.num % modpoly
     try:
         den_inv = poly_invmod(x.den, modpoly)
     except ZeroDivisionError:

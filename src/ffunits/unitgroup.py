@@ -13,8 +13,9 @@ leave of it is not constant.  The witness keeps that leftover part
 Otherwise membership reduces to an integer-lattice solve (Hermite normal
 form) plus an exact coset computation for the F_q* constants, so witnesses
 always reconstruct the queried element exactly; the coset search is
-closure, the breadth-first closure of a finite group that also lists
-residue images.
+closure, the breadth-first closure of a finite group.  closure serves
+membership only: residue images (``localprobe.residue_group``) are listed
+by cosets, and solution words depend on closure's breadth-first words.
 
 Representative sets of the quotient by the subgroup of elements lying in
 F_q(t**(p**m)) are read off the Hermite form of the lattice of words whose
@@ -123,7 +124,8 @@ def closure(one, steps, mul) -> dict:
     """The subgroup of a finite group generated by steps, each element with
     the first nonnegative word (one exponent per step) that a breadth-first
     search trying the steps in order finds.  The powers of a step reach its
-    inverse, so no inverse steps are needed.
+    inverse, so no inverse steps are needed.  Membership reads its F_q*
+    constants here, and solution words depend on these words.
     """
     limit = errors.DEFAULT_GROUP_LIMIT
     found = {one: (0,) * len(steps)}

@@ -25,8 +25,9 @@ from ffunits import errors, localprobe
 from ffunits.errors import ResourceLimitError
 from ffunits.cli import run_cli
 from ffunits.localprobe import verify_obstruction
-from ffunits.poly import monic_irreducibles
+from ffunits.poly import monic_irreducibles, poly_mulmod
 from ffunits.ratfunc import reduce_mod, valuation
+from ffunits.unitgroup import closure
 
 from conftest import el, pl, rand_ratfunc
 
@@ -99,6 +100,73 @@ def test_residue_group_matches_search_with_inverses(F2, F3):
                 assert reduce_mod(group.word_product(word), m) == res
             checked += len(rg) > n + 1
     assert checked > 40  # most images are larger than their generator steps
+
+
+def _coset_groups():
+    """Groups of 2 and 3 generators over GF(4) and GF(9), each with a modulus base**2."""
+    rng = random.Random(29)
+    F4, F9 = GF(2, 2, (1, 1, 1)), GF(3, 2, (1, 0, 1))
+    for field, d in ((F4, 1), (F4, 2), (F9, 1)):
+        for base in monic_irreducibles(field, d)[:2]:
+            m = Modulus(base, 2)
+            for n in (2, 3):
+                gens = []
+                while len(gens) < n:
+                    g = rand_ratfunc(rng, field, 2, nonzero=True)
+                    if valuation(g, m.place) == 0:
+                        gens.append(g)
+                yield build_presentation(gens), m
+
+
+def _chain_sizes(group, m):
+    """|H_i| for the subgroups H_i generated by the first i reduced generators,
+    by the breadth-first closure."""
+    steps = [reduce_mod(g, m) for g in group.generators]
+    one = Poly.one(group.field)
+    mul = lambda a, b: poly_mulmod(a, b, m.poly)  # noqa: E731
+    return [len(closure(one, steps[:i], mul)) for i in range(len(steps) + 1)]
+
+
+def test_residue_group_takes_about_one_product_per_element(monkeypatch):
+    """The coset listing makes at most |H| + n * (cosets) modular products,
+    where a breadth-first closure makes n * |H|: one per listed element
+    after the identity, and one per generator it reduces."""
+    from ffunits import poly
+
+    calls = []
+
+    def counting(f, a, b, m, original=poly._mulmod_list):
+        calls.append(1)
+        return original(f, a, b, m)
+
+    monkeypatch.setattr(poly, "_mulmod_list", counting)
+    monkeypatch.setattr(localprobe, "_mulmod_list", counting, raising=False)
+    for group, m in _coset_groups():
+        sizes = _chain_sizes(group, m)
+        cosets = sum(b // a - 1 for a, b in zip(sizes, sizes[1:]))
+        n = len(group.generators)
+        calls.clear()
+        rg = residue_group(group, m)
+        assert len(rg) == sizes[-1] > 1
+        assert len(calls) <= len(rg) + n * cosets
+        assert len(calls) <= len(rg) - 1 + n
+
+
+def test_residue_group_refuses_at_the_first_size_past_the_bound(monkeypatch):
+    group, m = max(_coset_groups(), key=lambda gm: _chain_sizes(*gm)[-1])
+    size = len(residue_group(group, m))
+    assert size == 60  # cosets of 1, 6 and 12 elements, so most bounds fall inside one
+    refusals = []
+    original = errors.refuse
+    monkeypatch.setattr(errors, "refuse", lambda *a: refusals.append(a) or original(*a))
+    monkeypatch.setattr(errors, "DEFAULT_GROUP_LIMIT", size)
+    assert len(residue_group(group, m)) == size
+    # every bound inside the listing, mid-coset ones too, names the size just past it
+    for limit in range(1, size):
+        monkeypatch.setattr(errors, "DEFAULT_GROUP_LIMIT", limit)
+        with pytest.raises(ResourceLimitError, match=f"^listed group size {limit + 1} exceeds"):
+            residue_group(group, m)
+    assert refusals == [("listed group size", k + 1, k) for k in range(1, size)]
 
 
 def test_residue_group_rejects_bad_place(F2):

@@ -5,7 +5,7 @@ import pytest
 
 from ffunits import GF, Poly, factor, is_irreducible, poly_divmod, poly_gcd, poly_powmod
 from ffunits.field import prime_factors
-from ffunits.poly import monic_irreducibles, poly_invmod
+from ffunits.poly import _add_list, _neg_list, _sub_list, _trim, monic_irreducibles, poly_invmod
 
 from conftest import pl, rand_poly
 
@@ -25,6 +25,21 @@ def expand(fac) -> Poly:
     for g, e in fac.factors:
         out = out * g**e
     return out
+
+
+@pytest.mark.parametrize(
+    "field", [GF(2), GF(3), GF(2, 2, (1, 1, 1)), GF(3, 2, (1, 0, 1))], ids=["GF2", "GF3", "GF4", "GF9"]
+)
+def test_negation_cancels(field):
+    """a + (-a) == 0 through the negation kernel, subtraction and Poly.__neg__;
+    in characteristic 2, over GF(4) too, negation is the identity."""
+    for cs in itertools.product(range(field.q), repeat=3):
+        assert _trim(_add_list(field, cs, _neg_list(field, cs))) == []
+        assert _trim(_sub_list(field, cs, cs)) == []
+        a = Poly.from_coeffs(field, cs)
+        assert (a + (-a)).is_zero and -(-a) == a
+        if field.p == 2:
+            assert _neg_list(field, cs) == list(cs) and -a == a
 
 
 def test_divmod_examples(F2, F3):

@@ -1,9 +1,11 @@
-"""Derandomized properties: element texts never fault the command line, and
-the certified decision agrees with the word-box search that shares no code
-with it.
+"""Derandomized properties: element texts never fault the command line, the
+certified decision agrees with the word-box search that shares no code with
+it, and the obstruction scan agrees with a breadth-first scan kept here as
+its oracle.
 """
 
 import io
+import itertools
 
 import pytest
 
@@ -12,9 +14,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ffunits import GF, Equation, Poly, RatFunc, build_presentation, decide, member  # noqa: E402
+from ffunits import GF, Equation, Modulus, Poly, RatFunc, build_presentation, decide, member  # noqa: E402
 from ffunits.cli import run_cli  # noqa: E402
-from ffunits.localprobe import sg_search  # noqa: E402
+from ffunits.localprobe import find_local_obstruction, residue_group, sg_search  # noqa: E402
+from ffunits.poly import poly_mulmod, poly_powmod  # noqa: E402
+from ffunits.ratfunc import finite_support, reduce_mod  # noqa: E402
+from ffunits.unitgroup import closure  # noqa: E402
+from test_localprobe import _sorted_moduli  # noqa: E402
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
@@ -94,3 +100,65 @@ def test_decide_agrees_with_sg_search(instance):
         assert acc.is_one
         assert all(member(x, group).member for x in s.coords)
     assert len(got) <= report.bound
+
+
+def _oracle_image(group, m):
+    """The residue image by the breadth-first closure over poly_mulmod."""
+    steps = [reduce_mod(g, m) for g in group.generators]
+    return closure(Poly.one(group.field), steps, lambda a, b: poly_mulmod(a, b, m.poly))
+
+
+def _oracle_solvable(eq, m, image):
+    """The box search with M products per point: the last coordinate is
+    (rhs - sum(b_i * x_i)) / b_M, looked up in the image."""
+    mod = m.poly
+    b = [reduce_mod(x, m) for x in eq.b]
+    inv_last = reduce_mod(eq.b[-1].inverse(), m)
+    target = Poly.constant(m.base.field, eq.rhs)
+    for prefix in itertools.product(image, repeat=eq.arity - 1):
+        partial = Poly.zero(m.base.field)
+        for bi, xi in zip(b, prefix):
+            partial = partial + poly_mulmod(bi, xi, mod)
+        if poly_mulmod(target - partial, inv_last, mod) in image:
+            return True
+    return False
+
+
+@st.composite
+def scans(draw):
+    field = draw(st.sampled_from(FIELDS))
+    gens = draw(st.lists(units(field), min_size=1, max_size=3))
+    arity = draw(st.sampled_from((2, 3)))
+    b = tuple(draw(st.lists(units(field), min_size=arity, max_size=arity)))
+    deg_bound, e_bound = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    if field.q == 9 and deg_bound == e_bound == 2:
+        # up to 36 residue groups of 6,480 elements: past the scan charge
+        e_bound = 1
+    return build_presentation(gens), Equation(b, draw(st.sampled_from((0, 1)))), deg_bound, e_bound
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(scans())
+def test_obstruction_scan_agrees_with_breadth_first_scan(scan):
+    group, eq, deg_bound, e_bound = scan
+    excluded = {pl.poly for pl in group.support}
+    for x in eq.b:
+        excluded.update(pl.poly for pl in finite_support(x))
+    expected = None
+    for base, e in _sorted_moduli(group.field, excluded, deg_bound, e_bound):
+        m = Modulus(base, e)
+        image = _oracle_image(group, m)
+        listed = residue_group(group, m)
+        assert set(listed) == set(image)
+        steps = [reduce_mod(g, m) for g in group.generators]
+        for res, word in listed.items():
+            assert min(word) >= 0
+            rebuilt = Poly.one(group.field)
+            for step, k in zip(steps, word):
+                rebuilt = poly_mulmod(rebuilt, poly_powmod(step, k, m.poly), m.poly)
+            assert rebuilt == res
+        if not _oracle_solvable(eq, m, image):
+            expected = (m, len(image))
+            break
+    witness = find_local_obstruction(eq, group, deg_bound, e_bound)
+    assert (None if witness is None else (witness.modulus, witness.group_size)) == expected
