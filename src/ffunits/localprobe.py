@@ -9,6 +9,15 @@ an oracle for the certified results.  The probe of iterated-factorial
 Frobenius powers watches a canonical convergent sequence stabilize at
 finite precision.
 
+The global search runs its word box on residues modulo one auxiliary
+irreducible base that divides no input, and confirms each hit in exact
+arithmetic, so it returns exactly what the plain exact search returns.
+As an oracle it still shares with the solver the field, polynomial and
+rational-function arithmetic (RatFunc products and quotients, reduce_mod,
+the memoized irreducibility test) and the generator list of the
+presentation; it uses no derivative, elimination, representative set or
+membership test.
+
 The image is listed by cosets of the subgroups generated step by step,
 with the products on coefficient tuples, and kept as an element-to-word
 dict.  The words are coset words: nonnegative, each rebuilding its
@@ -20,10 +29,12 @@ errors.DEFAULT_GROUP_LIMIT; the word box of sg_search and a probe's
 powering charge to errors.DEFAULT_BOX_LIMIT.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from . import errors
+from .field import GF
 from .poly import (
     Poly,
     _add_list,
@@ -31,6 +42,7 @@ from .poly import (
     _neg_list,
     _trim,
     _trimmed,
+    is_irreducible,
     monic_irreducibles,
     poly_mulmod,
     poly_powmod,
@@ -38,6 +50,9 @@ from .poly import (
 from .ratfunc import Modulus, RatFunc, finite_support, reduce_mod, valuation
 from .solver import Equation, SolutionPoint
 from .unitgroup import SubgroupPresentation
+
+# the auxiliary residue field of sg_search has at least this many elements
+_RESIDUE_FIELD_SIZE = 2**10
 
 
 @dataclass(frozen=True)
@@ -130,10 +145,25 @@ def sl_search(eq: Equation, group: SubgroupPresentation, m: Modulus) -> SLWitnes
 def _search_residues(eq: Equation, m: Modulus, words: dict) -> SLWitness | None:
     """The box search of sl_search over an already built residue group.
 
-    The equation is divided by b_M once per modulus: the last coordinate is
-    rhs/b_M + sum(-b_i/b_M * x_i), so a box point costs M - 1 modular
-    products on coefficient tuples.  The witness words are those of the
-    residue group, coset words.
+    The witness words are those of the residue group, coset words.
+    """
+    for prefix, need in _box_needs(eq, m, words.items()):
+        w = words.get(need)
+        if w is not None:
+            residues = tuple(x for x, _ in prefix) + (need,)
+            found = tuple(wd for _, wd in prefix) + (w,)
+            return SLWitness(m, residues, found)
+    return None
+
+
+def _box_needs(eq: Equation, m: Modulus, entries):
+    """Each point of the box over the first M - 1 coordinates, with the
+    residue its last coordinate needs.
+
+    entries are (residue, payload) pairs, the residues reduced modulo m and
+    the points drawn in itertools.product order.  The equation is divided
+    by b_M once per call: the last coordinate is rhs/b_M + sum(-b_i/b_M * x_i),
+    so a point costs M - 1 modular products on coefficient tuples.
     """
     field = m.base.field
     mod = m.poly.coeffs
@@ -141,18 +171,12 @@ def _search_residues(eq: Equation, m: Modulus, words: dict) -> SLWitness | None:
     neg_inv = _neg_list(field, inv_last)
     scaled = [_trim(_mulmod_list(field, reduce_mod(x, m).coeffs, neg_inv, mod)) for x in eq.b[:-1]]
     target = list(inv_last) if eq.rhs else []
-    for prefix in itertools.product(words.items(), repeat=eq.arity - 1):
+    for prefix in itertools.product(entries, repeat=eq.arity - 1):
         # each term is reduced, so their sum is too
         need = target
         for c, (x, _) in zip(scaled, prefix):
             need = _add_list(field, need, _mulmod_list(field, c, x.coeffs, mod))
-        need = _trimmed(field, need)
-        w = words.get(need)
-        if w is not None:
-            residues = tuple(x for x, _ in prefix) + (need,)
-            found = tuple(wd for _, wd in prefix) + (w,)
-            return SLWitness(m, residues, found)
-    return None
+        yield prefix, _trimmed(field, need)
 
 
 def verify_obstruction(
@@ -231,15 +255,64 @@ def find_local_obstruction(
     return None
 
 
+def _residue_bases(field: GF):
+    """Monic irreducibles with a nonzero constant term, degree by degree from
+    the least d with q**d >= _RESIDUE_FIELD_SIZE, each degree in sort-key order.
+    """
+    q = field.q
+    d = 1
+    while q**d < _RESIDUE_FIELD_SIZE:
+        d += 1
+    for degree in itertools.count(d):
+        for low in itertools.product(range(1, q), *[range(q)] * (degree - 1)):
+            base = Poly(field, low + (1,))
+            if is_irreducible(base):
+                yield base
+
+
+@functools.lru_cache(maxsize=64)
+def _first_residue_modulus(field: GF) -> Modulus:
+    """The first residue base as a modulus, memoized per field."""
+    return Modulus(next(_residue_bases(field)), 1)
+
+
+def _residue_modulus(field: GF, elements) -> Modulus:
+    """The first residue base that divides no numerator or denominator of
+    the elements, as a modulus of exponent 1.
+
+    Reduction modulo such a base is a ring homomorphism on every fraction
+    built from the elements and their inverses, so equal values have equal
+    residues.  The memoized first base almost always qualifies; past it
+    the scan resumes, and it ends because the elements have finitely many
+    places.
+    """
+    first = _first_residue_modulus(field)
+    for base in itertools.chain([first.base], _residue_bases(field)):
+        if all((p % base).coeffs for x in elements for p in (x.num, x.den)):
+            return first if base is first.base else Modulus(base, 1)
+
+
 def sg_search(
     eq: Equation, group: SubgroupPresentation, word_bound: int
 ) -> tuple[SolutionPoint, ...]:
     """All exact solutions with per-coordinate words in [-B, B]**generators.
 
     This is the independent oracle for the certified solver: plain word
-    enumeration and exact arithmetic, no derivatives anywhere.  The last
-    coordinate is solved for and looked up in the word-box value table,
-    which finds exactly the solutions of the full box enumeration.
+    enumeration, no derivatives, no elimination and no membership test.
+    The last coordinate is solved for and looked up among the values of
+    the word box, which finds exactly the solutions of the full box
+    enumeration.  Each value of the box appears once, with its first word
+    in itertools.product order, and the points come in itertools.product
+    order over those values.
+
+    The box is searched on residues modulo one auxiliary irreducible base
+    f (see _residue_modulus) and each hit is confirmed exactly.  The words
+    are bucketed by residue, and exact values are built only to tell apart
+    the words of one bucket.  A box point whose last coordinate needs a
+    residue that lands in a bucket is rebuilt in exact arithmetic and
+    compared with that bucket's values.  Equal values have equal residues,
+    so no solution is lost.  The word box is charged before any of this
+    work.
     """
     if word_bound < 1:
         raise ValueError("word bound must be >= 1")
@@ -247,34 +320,61 @@ def sg_search(
     box = (2 * word_bound + 1) ** (n * eq.arity)
     if box > errors.DEFAULT_BOX_LIMIT:
         errors.refuse("word box", box, errors.DEFAULT_BOX_LIMIT)
-    powers = [
-        {e: g**e for e in range(-word_bound, word_bound + 1)} for g in group.generators
-    ]
-    table: dict[RatFunc, tuple[int, ...]] = {}
-    for word in itertools.product(range(-word_bound, word_bound + 1), repeat=n):
-        value = RatFunc.one(group.field)
-        for i, e in enumerate(word):
-            if e:
-                value = value * powers[i][e]
-        table.setdefault(value, word)
-    values = list(table.items())
     field = group.field
+    m = _residue_modulus(field, group.generators + eq.b)
+    mod = m.poly.coeffs
+    exponents = range(-word_bound, word_bound + 1)
+    # each word with its residue, in itertools.product order
+    table = [((), Poly.one(field))]
+    for g in group.generators:
+        powers = {}
+        for sign, h in ((1, g), (-1, g.inverse())):
+            step = reduce_mod(h, m).coeffs
+            power = (1,)
+            for e in range(1, word_bound + 1):
+                power = tuple(_trim(_mulmod_list(field, power, step, mod)))
+                powers[sign * e] = power
+        table = [
+            (w + (e,), x if e == 0 else _trimmed(field, _mulmod_list(field, x.coeffs, powers[e], mod)))
+            for w, x in table
+            for e in exponents
+        ]
+
+    exact: dict[tuple[int, ...], RatFunc] = {}
+
+    def value(word: tuple[int, ...]) -> RatFunc:
+        if word not in exact:
+            x = RatFunc.one(field)
+            for g, e in zip(group.generators, word):
+                if e:
+                    x = x * g**e
+            exact[word] = x
+        return exact[word]
+
+    # the first word of each distinct value, bucketed by residue
+    buckets: dict[Poly, list[tuple[int, ...]]] = {}
+    entries = []
+    for word, x in table:
+        bucket = buckets.setdefault(x, [])
+        if not any(value(w) == value(word) for w in bucket):
+            bucket.append(word)
+            entries.append((x, word))
     target = RatFunc.constant(field, eq.rhs)
-    b_last = eq.b[-1]
-    found: dict[tuple[RatFunc, ...], SolutionPoint] = {}
-    for prefix in itertools.product(values, repeat=eq.arity - 1):
-        acc = RatFunc.zero(field)
-        for bi, (xi, _) in zip(eq.b, prefix):
-            acc = acc + bi * xi
-        need = (target - acc) / b_last
-        if need.is_zero:
+    found = []
+    for prefix, need in _box_needs(eq, m, entries):
+        bucket = buckets.get(need)
+        if bucket is None:
             continue
-        w = table.get(need)
-        if w is not None:
-            point = tuple(x for x, _ in prefix) + (need,)
-            words = tuple(wd for _, wd in prefix) + (w,)
-            found.setdefault(point, SolutionPoint(point, words))
-    return tuple(found.values())
+        coords = tuple(value(w) for _, w in prefix)
+        acc = RatFunc.zero(field)
+        for bi, xi in zip(eq.b, coords):
+            acc = acc + bi * xi
+        last = (target - acc) / eq.b[-1]
+        for w in bucket:
+            if value(w) == last:
+                found.append(SolutionPoint(coords + (last,), tuple(wd for _, wd in prefix) + (w,)))
+                break
+    return tuple(found)
 
 
 def check_probe_bounds(q: int, degree: int, exponent: int, n_max: int) -> None:

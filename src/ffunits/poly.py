@@ -157,6 +157,8 @@ class Poly(Value):
 
     def __neg__(self) -> "Poly":
         f = self.field
+        if f.p == 2:  # -1 == 1, and a polynomial is immutable
+            return self
         return _trimmed(f, _neg_list(f, self.coeffs))
 
     def __sub__(self, other: "Poly") -> "Poly":

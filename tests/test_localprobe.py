@@ -405,8 +405,29 @@ def test_sg_search_x_plus_y(F3):
 def test_sg_search_resource_guard(F3, monkeypatch):
     g3 = build_presentation((el(F3, "T"), el(F3, "-T"), el(F3, "1-T")))
     monkeypatch.setattr(errors, "DEFAULT_BOX_LIMIT", 100)
-    with pytest.raises(ResourceLimitError):
+
+    def work(*args):
+        raise AssertionError("work before the word-box refusal")
+
+    # the refusal comes before any residue base is chosen or any element reduced
+    for name in ("_residue_modulus", "_first_residue_modulus", "_residue_bases", "reduce_mod", "_mulmod_list"):
+        monkeypatch.setattr(localprobe, name, work)
+    with pytest.raises(ResourceLimitError, match="word box"):
         sg_search(Equation((RatFunc.one(F3), RatFunc.one(F3)), 0), g3, 8)
+
+
+def test_sg_search_moves_past_an_excluded_residue_base(F3):
+    from test_properties import plain_sg_search  # the exact oracle
+
+    first, second = itertools.islice(localprobe._residue_bases(F3), 2)
+    f, t, one = RatFunc.from_poly(first), RatFunc.t(F3), RatFunc.one(F3)
+    # the first base divides a generator, then a coefficient
+    for gens, b in (((f, t, one - t), (one, one)), ((t, one - f * t), (f, one))):
+        group, eq = build_presentation(gens), Equation(b, 1)
+        assert localprobe._residue_modulus(F3, group.generators + eq.b).base == second
+        for bound in (1, 2):
+            sols = sg_search(eq, group, bound)
+            assert sols and sols == plain_sg_search(eq, group, bound)
 
 
 def test_closure_probe_examples(F3):

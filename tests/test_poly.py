@@ -32,14 +32,15 @@ def expand(fac) -> Poly:
 )
 def test_negation_cancels(field):
     """a + (-a) == 0 through the negation kernel, subtraction and Poly.__neg__;
-    in characteristic 2, over GF(4) too, negation is the identity."""
+    in characteristic 2, over GF(4) too, negation is the identity, and
+    Poly.__neg__ returns the polynomial itself."""
     for cs in itertools.product(range(field.q), repeat=3):
         assert _trim(_add_list(field, cs, _neg_list(field, cs))) == []
         assert _trim(_sub_list(field, cs, cs)) == []
         a = Poly.from_coeffs(field, cs)
         assert (a + (-a)).is_zero and -(-a) == a
         if field.p == 2:
-            assert _neg_list(field, cs) == list(cs) and -a == a
+            assert _neg_list(field, cs) == list(cs) and -a is a
 
 
 def test_divmod_examples(F2, F3):

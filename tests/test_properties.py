@@ -1,7 +1,8 @@
 """Derandomized properties: element texts never fault the command line, the
-certified decision agrees with the word-box search that shares no code with
-it, and the obstruction scan agrees with a breadth-first scan kept here as
-its oracle.
+certified decision agrees with the word-box search that shares only the
+arithmetic with it, the word-box search on residues agrees with the plain
+exact search kept here as its oracle, and the obstruction scan agrees with
+a breadth-first scan kept here as its oracle.
 """
 
 import io
@@ -16,9 +17,11 @@ from hypothesis import strategies as st  # noqa: E402
 
 from ffunits import GF, Equation, Modulus, Poly, RatFunc, build_presentation, decide, member  # noqa: E402
 from ffunits.cli import run_cli  # noqa: E402
-from ffunits.localprobe import find_local_obstruction, residue_group, sg_search  # noqa: E402
-from ffunits.poly import poly_mulmod, poly_powmod  # noqa: E402
+from ffunits import localprobe  # noqa: E402
+from ffunits.localprobe import _residue_bases, find_local_obstruction, residue_group, sg_search  # noqa: E402
+from ffunits.poly import monic_irreducibles, poly_mulmod, poly_powmod  # noqa: E402
 from ffunits.ratfunc import finite_support, reduce_mod  # noqa: E402
+from ffunits.solver import SolutionPoint  # noqa: E402
 from ffunits.unitgroup import closure  # noqa: E402
 from test_localprobe import _sorted_moduli  # noqa: E402
 
@@ -87,7 +90,7 @@ def test_decide_agrees_with_sg_search(instance):
     report = decide(eq, group, m)  # an InternalCheckError fails the example
     if report.outcome == "inapplicable":
         return
-    brute = sg_search(eq, group, 4 if eq.arity == 2 else 2)
+    brute = sg_search(eq, group, 8 if eq.arity == 2 else 3)
     if report.outcome == "certified-empty":
         assert brute == ()
         return
@@ -100,6 +103,74 @@ def test_decide_agrees_with_sg_search(instance):
         assert acc.is_one
         assert all(member(x, group).member for x in s.coords)
     assert len(got) <= report.bound
+
+
+def plain_sg_search(eq, group, word_bound):
+    """The word-box search in exact arithmetic alone: the value of every word,
+    the first word of each value in itertools.product order, and the last
+    coordinate solved for and looked up in that table."""
+    powers = [
+        {e: g**e for e in range(-word_bound, word_bound + 1)} for g in group.generators
+    ]
+    table = {}
+    for word in itertools.product(range(-word_bound, word_bound + 1), repeat=len(group.generators)):
+        value = RatFunc.one(group.field)
+        for i, e in enumerate(word):
+            if e:
+                value = value * powers[i][e]
+        table.setdefault(value, word)
+    target = RatFunc.constant(group.field, eq.rhs)
+    found = {}
+    for prefix in itertools.product(table.items(), repeat=eq.arity - 1):
+        acc = RatFunc.zero(group.field)
+        for bi, (xi, _) in zip(eq.b, prefix):
+            acc = acc + bi * xi
+        need = (target - acc) / eq.b[-1]
+        if need.is_zero:
+            continue
+        w = table.get(need)
+        if w is not None:
+            point = tuple(x for x, _ in prefix) + (need,)
+            words = tuple(wd for _, wd in prefix) + (w,)
+            found.setdefault(point, SolutionPoint(point, words))
+    return tuple(found.values())
+
+
+def _low_degree_bases(field):
+    """Residue bases of degree 1 to 3 first, a residue field of q to q**3
+    elements, so that values share buckets; then the default bases."""
+    low = (monic_irreducibles(field, d) for d in (1, 2, 3))
+    return itertools.chain(*low, _residue_bases(field))
+
+
+@st.composite
+def searches(draw):
+    """An instance and a word bound; for half of them b_M is set so that a
+    point of the word box solves the equation."""
+    group, eq, _ = draw(instances())
+    bound = draw(st.integers(1, 3 if eq.arity == 2 else 2))
+    if draw(st.booleans()):
+        word = st.tuples(*[st.integers(-bound, bound)] * len(group.generators))
+        xs = [group.word_product(draw(word)) for _ in eq.b]
+        rest = RatFunc.constant(group.field, eq.rhs)
+        for bi, xi in zip(eq.b, xs[:-1]):
+            rest = rest - bi * xi
+        if not rest.is_zero:
+            eq = Equation(eq.b[:-1] + (rest / xs[-1],), eq.rhs)
+    return group, eq, bound
+
+
+@pytest.mark.parametrize("low_degree", [False, True], ids=["default-base", "low-degree-base"])
+@settings(max_examples=100, **SETTINGS)
+@given(searches())
+def test_sg_search_agrees_with_plain_search(low_degree, search):
+    group, eq, bound = search
+    with pytest.MonkeyPatch.context() as mp:
+        if low_degree:
+            mp.setattr(localprobe, "_residue_bases", _low_degree_bases)
+            mp.setattr(localprobe, "_first_residue_modulus", lambda f: Modulus(next(_low_degree_bases(f)), 1))
+        got = sg_search(eq, group, bound)
+    assert got == plain_sg_search(eq, group, bound)
 
 
 def _oracle_image(group, m):
