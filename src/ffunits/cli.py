@@ -252,6 +252,8 @@ def _cmd_probe(args, field: GF) -> tuple[dict, int]:
     base = parse_element(args.base, field)
     if not base.den.is_one:
         raise InputError("the modulus base must be a polynomial")
+    if base.is_zero:
+        raise InputError("the modulus base must be a nonzero polynomial")
     _at_least("n_max", args.n_max, 1)
     # the bounds need only deg(base), so a base too large to probe is
     # refused before Modulus tests it for irreducibility
@@ -260,7 +262,7 @@ def _cmd_probe(args, field: GF) -> tuple[dict, int]:
         modulus = Modulus(base.num.monic()[0], args.e)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    if g.is_zero or valuation(g, modulus.place) != 0:
+    if g.is_zero or valuation(g, modulus.base) != 0:
         raise InputError("probe element is not a unit at the modulus place")
     report = localprobe.closure_probe(g, modulus, args.n_max)
     doc = {

@@ -47,7 +47,7 @@ from .poly import (
     poly_mulmod,
     poly_powmod,
 )
-from .ratfunc import Modulus, RatFunc, finite_support, reduce_mod, valuation
+from .ratfunc import Modulus, RatFunc, divisor_vector, reduce_mod, valuation
 from .solver import Equation, SolutionPoint
 from .unitgroup import SubgroupPresentation
 
@@ -88,7 +88,7 @@ class StabilizationReport:
 
 
 def _require_unit(x: RatFunc, m: Modulus, what: str):
-    if x.is_zero or valuation(x, m.place) != 0:
+    if x.is_zero or valuation(x, m.base) != 0:
         raise ValueError(f"{what} is not a unit at the modulus place")
 
 
@@ -228,9 +228,9 @@ def find_local_obstruction(
     if deg_bound < 1 or e_bound < 1:
         raise ValueError("bounds must be >= 1")
     field = group.field
-    excluded = {pl.poly for pl in group.support}
+    excluded = set(group.support)
     for x in eq.b:
-        excluded.update(pl.poly for pl in finite_support(x))
+        excluded.update(divisor_vector(x)[0])
     searched, limit = 0, errors.DEFAULT_GROUP_LIMIT
 
     def charge(count: int) -> None:

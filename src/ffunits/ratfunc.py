@@ -1,6 +1,6 @@
-"""The rational function field K = F_q(t): reduced fractions, places,
-valuations, divisor vectors (plain dicts from Place to nonzero exponent)
-and residue-ring reduction.
+"""The rational function field K = F_q(t): reduced fractions, valuations,
+divisor vectors (plain dicts from place to nonzero exponent) and
+residue-ring reduction.
 
 Values are canonical: a RatFunc keeps a reduced fraction with monic
 denominator, so equality and hashing are structural.  RatFunc is a
@@ -27,12 +27,12 @@ reduced because its inputs are:
 Denominators stay monic: every gcd is monic, and an inverse is scaled by
 the inverse of its leading coefficient.
 
-Places of K over F_q are the monic irreducible polynomials plus one place
-at infinity; local completions are never materialized, only the
-finite-precision residue rings F_q[t]/(base**e) described by Modulus.
+A place of K over F_q is held as its monic irreducible Poly.  Local
+completions are never materialized, only the finite-precision residue
+rings F_q[t]/(base**e) described by Modulus.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .field import GF
@@ -230,42 +230,7 @@ def _sum(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> RatFunc:
     return _canonical(num, den)
 
 
-# -- places and divisors --
-
-
-@dataclass(frozen=True)
-class Place:
-    """A place of F_q(t): a monic irreducible polynomial, or None for infinity."""
-
-    poly: Poly | None = None
-
-    def __post_init__(self):
-        if self.poly is not None:
-            if not self.poly.is_monic:
-                raise ValueError("finite places carry monic polynomials")
-            if not is_irreducible(self.poly):
-                raise ValueError("finite places carry irreducible polynomials")
-
-    @classmethod
-    def at_infinity(cls) -> "Place":
-        return cls(None)
-
-    @classmethod
-    def finite(cls, poly: Poly) -> "Place":
-        return cls(poly)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.poly is None
-
-    def degree(self) -> int:
-        return 1 if self.poly is None else self.poly.degree()
-
-    def sort_key(self):
-        # finite places first, then the unique infinite place
-        if self.poly is None:
-            return (1, 0, ())
-        return (0,) + self.poly.sort_key()
+# -- valuations and divisors --
 
 
 def multiplicity(a: Poly, p: Poly) -> tuple[int, Poly]:
@@ -281,41 +246,27 @@ def multiplicity(a: Poly, p: Poly) -> tuple[int, Poly]:
         a = q
 
 
-def valuation(x: RatFunc, v: Place) -> int:
-    """Order of vanishing of x at the place v."""
+def valuation(x: RatFunc, place: Poly) -> int:
+    """Order of vanishing of x at a place, given as its monic irreducible."""
     if x.is_zero:
         raise ValueError("valuation of zero")
-    if v.is_infinite:
-        return x.den.degree() - x.num.degree()
     # the fraction is reduced, so at most one of the two counts is nonzero
-    return multiplicity(x.num, v.poly)[0] - multiplicity(x.den, v.poly)[0]
+    return multiplicity(x.num, place)[0] - multiplicity(x.den, place)[0]
 
 
-def divisor_vector(x: RatFunc) -> tuple[dict[Place, int], int]:
-    """Exponent map of x (finite places and infinity, nonzero exponents only,
-    in place order) plus its leading unit.
-
-    x equals constant * prod(place.poly ** exponent) over the finite places;
-    the infinite exponent is determined by the degree-zero identity.
+def divisor_vector(x: RatFunc) -> tuple[dict[Poly, int], int]:
+    """Exponent map of x over the finite places (monic irreducibles, nonzero
+    exponents only, in Poly.sort_key order) plus its leading unit:
+    x equals constant * prod(place ** exponent).
     """
     if x.is_zero:
         raise ValueError("divisor of zero")
-    exps: dict[Place, int] = {}
-    fn = factor(x.num)
-    for g, e in fn.factors:
-        exps[Place.finite(g)] = e
-    fd = factor(x.den)
-    for g, e in fd.factors:  # the fraction is reduced: no place is in both
-        exps[Place.finite(g)] = -e
-    inf = x.den.degree() - x.num.degree()
-    if inf:
-        exps[Place.at_infinity()] = inf
+    fn, fd = factor(x.num), factor(x.den)
+    # the fraction is reduced: no place divides both
+    exps = dict(fn.factors)
+    exps.update((g, -e) for g, e in fd.factors)
     constant = x.field.div(fn.unit, fd.unit)
     return dict(sorted(exps.items(), key=lambda pe: pe[0].sort_key())), constant
-
-
-def finite_support(x: RatFunc) -> tuple[Place, ...]:
-    return tuple(pl for pl in divisor_vector(x)[0] if not pl.is_infinite)
 
 
 # -- finite-precision residue rings --
@@ -327,17 +278,13 @@ class Modulus:
 
     base: Poly
     exponent: int
-    place: Place = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.exponent < 1:
             raise ValueError("modulus exponent must be >= 1")
-        # the place checks its polynomial, so the base is tested only once
-        try:
-            place = Place.finite(self.base)
-        except ValueError:
-            raise ValueError("modulus base must be monic irreducible") from None
-        object.__setattr__(self, "place", place)
+        base = self.base
+        if not base.is_monic or base.degree() < 1 or not is_irreducible(base):
+            raise ValueError("modulus base must be monic irreducible")
 
     @cached_property
     def poly(self) -> Poly:

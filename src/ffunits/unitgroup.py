@@ -1,9 +1,8 @@
 """Finitely generated subgroups of the unit group of F_q(t), given by generators.
 
 A presentation records, for each generator, its exponent vector over the
-finite places supporting the group and its leading unit in F_q*.  The
-infinite place is deliberately excluded from the exponent lattice: the
-degree-zero identity of principal divisors makes it redundant.
+places supporting the group (monic irreducible polynomials, in
+Poly.sort_key order) and its leading unit in F_q*.
 
 Every element of the group is a unit away from its support, so membership
 factors nothing: the exponents of x at the support places are read by
@@ -36,14 +35,15 @@ from .errors import InternalCheckError
 from .field import GF
 from .hasse import prime_power
 from .intlattice import hnf_with_transform, solve_left
-from .ratfunc import Place, RatFunc, divisor_vector, multiplicity
+from .poly import Poly
+from .ratfunc import RatFunc, divisor_vector, multiplicity
 
 
 @dataclass(frozen=True)
 class SubgroupPresentation:
     field: GF
     generators: tuple[RatFunc, ...]
-    support: tuple[Place, ...]
+    support: tuple[Poly, ...]
     exponent_matrix: tuple[tuple[int, ...], ...]
     constants: tuple[int, ...]
 
@@ -73,7 +73,7 @@ class MembershipWitness:
 
     member: bool
     word: tuple[int, ...] | None = None
-    lattice_place: Place | None = None
+    lattice_place: Poly | None = None
     constant_mismatch: bool = False
     off_support: RatFunc | None = None
 
@@ -86,15 +86,15 @@ def build_presentation(gens) -> SubgroupPresentation:
     field = gens[0].field
     divisors = []
     constants = []
-    support: set[Place] = set()
+    support: set[Poly] = set()
     for g in gens:
         if g.is_zero:
             raise ValueError("generators must be nonzero")
         dv, const = divisor_vector(g)
         divisors.append(dv)
         constants.append(const)
-        support.update(pl for pl in dv if not pl.is_infinite)
-    places = tuple(sorted(support, key=lambda pl: pl.sort_key()))
+        support.update(dv)
+    places = tuple(sorted(support, key=Poly.sort_key))
     matrix = tuple(tuple(dv.get(pl, 0) for pl in places) for dv in divisors)
     return SubgroupPresentation(field, gens, places, matrix, tuple(constants))
 
@@ -111,9 +111,9 @@ def _exponent_target(x: RatFunc, group: SubgroupPresentation):
     num, den = x.num, x.den
     target = []
     for pl in group.support:
-        k, num = multiplicity(num, pl.poly)
+        k, num = multiplicity(num, pl)
         if not k:  # the fraction is reduced: a place divides num or den, not both
-            k, den = multiplicity(den, pl.poly)
+            k, den = multiplicity(den, pl)
             k = -k
         target.append(k)
     off = None if len(num.coeffs) == 1 and len(den.coeffs) == 1 else RatFunc(num, den)

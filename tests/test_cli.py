@@ -221,6 +221,10 @@ def test_input_errors():
     assert code == 3
     code, out, err = run(["probe", "--p", "2", "--g", "T", "--base", "T^2+1"])
     assert code == 3 and "modulus base must be monic irreducible" in err
+    code, out, err = run(["probe", "--p", "2", "--g", "T", "--base", "1"])
+    assert code == 3 and "modulus base must be monic irreducible" in err
+    code, out, err = run(["probe", "--p", "2", "--g", "T", "--base", "2*T^2+2"])
+    assert code == 3 and "the modulus base must be a nonzero polynomial" in err
     code, out, err = run(["indep", "--b", "T^2^3", "--m", "1", "--p", "2"])
     assert code == 3 and "position" in err
     # a superscript two passes str.isdigit but is not a literal

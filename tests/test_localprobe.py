@@ -89,7 +89,7 @@ def test_residue_group_matches_search_with_inverses(F2, F3):
             gens = []
             while len(gens) < n:
                 g = rand_ratfunc(rng, field, 2, nonzero=True)
-                if valuation(g, m.place) == 0:
+                if valuation(g, m.base) == 0:
                     gens.append(g)
             group = build_presentation(gens)
             rg = residue_group(group, m)
@@ -113,7 +113,7 @@ def _coset_groups():
                 gens = []
                 while len(gens) < n:
                     g = rand_ratfunc(rng, field, 2, nonzero=True)
-                    if valuation(g, m.place) == 0:
+                    if valuation(g, m.base) == 0:
                         gens.append(g)
                 yield build_presentation(gens), m
 
@@ -223,6 +223,18 @@ def test_find_local_obstruction(F2, F3):
 
     with pytest.raises(ValueError):
         find_local_obstruction(eq0, g2, 0, 1)
+
+
+def test_find_local_obstruction_skips_coefficient_poles(F3):
+    # T is a place only of the denominator of b_1: the scan skips it, where
+    # 1/T has no residue, and goes on to T+2 (T+1 is the group's support)
+    group = build_presentation((el(F3, "T+1"),))
+    eq = Equation((el(F3, "1/T"), RatFunc.one(F3)), 0)
+    assert find_local_obstruction(eq, group, 1, 2) is None
+    witness = find_local_obstruction(eq, group, 2, 2)
+    assert witness.modulus == Modulus(pl(F3, "T^2+2*T+2"), 1)
+    assert witness.group_size == 4
+    assert verify_obstruction(witness, eq, group)
 
 
 def _sorted_moduli(field, excluded, deg_bound, e_bound):

@@ -20,7 +20,7 @@ from ffunits.cli import run_cli  # noqa: E402
 from ffunits import localprobe  # noqa: E402
 from ffunits.localprobe import _residue_bases, find_local_obstruction, residue_group, sg_search  # noqa: E402
 from ffunits.poly import monic_irreducibles, poly_mulmod, poly_powmod  # noqa: E402
-from ffunits.ratfunc import finite_support, reduce_mod  # noqa: E402
+from ffunits.ratfunc import divisor_vector, reduce_mod  # noqa: E402
 from ffunits.solver import SolutionPoint  # noqa: E402
 from ffunits.unitgroup import closure  # noqa: E402
 from test_localprobe import _sorted_moduli  # noqa: E402
@@ -83,8 +83,31 @@ def instances(draw):
     return build_presentation(gens), Equation(b, draw(st.sampled_from((0, 1)))), m
 
 
+def planted(draw, group, eq, bound):
+    """eq with b_M set, where the draw allows it, so that a point of the
+    word box of the given bound solves it."""
+    word = st.tuples(*[st.integers(-bound, bound)] * len(group.generators))
+    xs = [group.word_product(draw(word)) for _ in eq.b]
+    rest = RatFunc.constant(group.field, eq.rhs)
+    for bi, xi in zip(eq.b, xs[:-1]):
+        rest = rest - bi * xi
+    if rest.is_zero:
+        return eq
+    return Equation(eq.b[:-1] + (rest / xs[-1],), eq.rhs)
+
+
+@st.composite
+def decisions(draw):
+    """An instance; for about half of those with rhs 1, b_M is set so that a
+    point of words up to 2, inside the searched box, solves the equation."""
+    group, eq, m = draw(instances())
+    if eq.rhs and draw(st.booleans()):
+        eq = planted(draw, group, eq, 2)
+    return group, eq, m
+
+
 @settings(max_examples=100, **SETTINGS)
-@given(instances())
+@given(decisions())
 def test_decide_agrees_with_sg_search(instance):
     group, eq, m = instance
     report = decide(eq, group, m)  # an InternalCheckError fails the example
@@ -150,13 +173,7 @@ def searches(draw):
     group, eq, _ = draw(instances())
     bound = draw(st.integers(1, 3 if eq.arity == 2 else 2))
     if draw(st.booleans()):
-        word = st.tuples(*[st.integers(-bound, bound)] * len(group.generators))
-        xs = [group.word_product(draw(word)) for _ in eq.b]
-        rest = RatFunc.constant(group.field, eq.rhs)
-        for bi, xi in zip(eq.b, xs[:-1]):
-            rest = rest - bi * xi
-        if not rest.is_zero:
-            eq = Equation(eq.b[:-1] + (rest / xs[-1],), eq.rhs)
+        eq = planted(draw, group, eq, bound)
     return group, eq, bound
 
 
@@ -212,9 +229,9 @@ def scans(draw):
 @given(scans())
 def test_obstruction_scan_agrees_with_breadth_first_scan(scan):
     group, eq, deg_bound, e_bound = scan
-    excluded = {pl.poly for pl in group.support}
+    excluded = set(group.support)
     for x in eq.b:
-        excluded.update(pl.poly for pl in finite_support(x))
+        excluded.update(divisor_vector(x)[0])
     expected = None
     for base, e in _sorted_moduli(group.field, excluded, deg_bound, e_bound):
         m = Modulus(base, e)

@@ -4,18 +4,19 @@ import random
 
 import pytest
 
-from ffunits import GF, Modulus, Place, Poly, RatFunc, divisor_vector, poly_gcd, reduce_mod, valuation
-from ffunits.ratfunc import finite_support
+from ffunits import GF, Modulus, Poly, RatFunc, divisor_vector, is_irreducible, poly_gcd, reduce_mod, valuation
 
 from conftest import el, pl, rand_ratfunc
 
 
-def divisor_product(field: GF, divisor: dict[Place, int], constant: int) -> RatFunc:
-    """Rebuild the element from its finite divisor exponents and leading unit."""
+FIELDS = (GF(2), GF(3), GF(2, 2, (1, 1, 1)), GF(3, 2, (1, 0, 1)))
+
+
+def divisor_product(field: GF, divisor: dict[Poly, int], constant: int) -> RatFunc:
+    """Rebuild the element from its divisor exponents and leading unit."""
     out = RatFunc.constant(field, constant)
-    for pl, e in divisor.items():
-        if not pl.is_infinite:
-            out = out * RatFunc.from_poly(pl.poly) ** e
+    for place, e in divisor.items():
+        out = out * RatFunc.from_poly(place) ** e
     return out
 
 
@@ -41,16 +42,16 @@ def test_field_ops(F2, F3):
 
 def test_valuation_examples(F2):
     x = el(F2, "T^2/(T+1)")
-    assert valuation(x, Place.finite(pl(F2, "T"))) == 2
-    assert valuation(x, Place.at_infinity()) == -1
-    assert valuation(x, Place.finite(pl(F2, "T+1"))) == -1
+    assert valuation(x, pl(F2, "T")) == 2
+    assert valuation(x, pl(F2, "T+1")) == -1
+    assert valuation(x, pl(F2, "T^2+T+1")) == 0
     with pytest.raises(ValueError):
-        valuation(RatFunc.zero(F2), Place.at_infinity())
+        valuation(RatFunc.zero(F2), pl(F2, "T"))
 
 
 def test_valuation_is_additive(F3):
     rng = random.Random(5)
-    places = [Place.finite(pl(F3, "T")), Place.finite(pl(F3, "T+1")), Place.at_infinity()]
+    places = [pl(F3, "T"), pl(F3, "T+1"), pl(F3, "T^2+1")]
     for _ in range(80):
         x = rand_ratfunc(rng, F3, 4, nonzero=True)
         y = rand_ratfunc(rng, F3, 4, nonzero=True)
@@ -63,41 +64,39 @@ def test_divisor_examples(F2, F3):
     assert pl(F3, "T+2").scale(2) == pl(F3, "1-T")
     dv, c = divisor_vector(el(F3, "1-T"))
     assert c == 2
-    assert dv == {Place.finite(pl(F3, "T+2")): 1, Place.at_infinity(): -1}
+    assert dv == {pl(F3, "T+2"): 1}
 
     dv, c = divisor_vector(el(F2, "T"))
     assert c == 1
-    assert dv == {Place.finite(pl(F2, "T")): 1, Place.at_infinity(): -1}
+    assert dv == {pl(F2, "T"): 1}
 
     dv, c = divisor_vector(el(F3, "-1"))
     assert c == 2 and dv == {}
 
-    # only nonzero exponents: T/(T+1) has degree zero, so no entry at infinity
     dv, c = divisor_vector(el(F2, "T/(T+1)"))
-    assert dv == {Place.finite(pl(F2, "T")): 1, Place.finite(pl(F2, "T+1")): -1}
+    assert dv == {pl(F2, "T"): 1, pl(F2, "T+1"): -1}
     # entries run in place order, the numerator's places not first
     dv, c = divisor_vector(el(F2, "(T+1)/T^2"))
-    assert list(dv.items()) == [
-        (Place.finite(pl(F2, "T")), -2),
-        (Place.finite(pl(F2, "T+1")), 1),
-        (Place.at_infinity(), 1),
-    ]
+    assert list(dv.items()) == [(pl(F2, "T"), -2), (pl(F2, "T+1"), 1)]
+    dv, c = divisor_vector(el(F3, "2*(T^2+1)/(T*(T+2)^3)"))
+    assert list(dv.items()) == [(pl(F3, "T"), -1), (pl(F3, "T+2"), -3), (pl(F3, "T^2+1"), 1)]
+    assert c == 2
 
     with pytest.raises(ValueError):
         divisor_vector(RatFunc.zero(F2))
 
 
-def test_divisor_properties(F2, F3):
+def test_divisor_properties():
     rng = random.Random(17)
-    for field in (F2, F3):
+    for field in FIELDS:
         for _ in range(60):
             x = rand_ratfunc(rng, field, 5, nonzero=True)
             y = rand_ratfunc(rng, field, 5, nonzero=True)
             dx, cx = divisor_vector(x)
             dy, cy = divisor_vector(y)
             assert 0 not in dx.values()
-            # degree-zero identity, infinity included with degree 1
-            assert sum(e * place.degree() for place, e in dx.items()) == 0
+            # the finite places carry the whole degree of x
+            assert sum(e * place.degree() for place, e in dx.items()) == x.num.degree() - x.den.degree()
             # multiplicativity
             dxy, cxy = divisor_vector(x * y)
             total = {place: dx.get(place, 0) + dy.get(place, 0) for place in dx.keys() | dy.keys()}
@@ -107,8 +106,17 @@ def test_divisor_properties(F2, F3):
             assert divisor_product(field, dx, cx) == x
 
 
-def test_finite_support(F2):
-    assert {p.poly for p in finite_support(el(F2, "T^2/(T+1)"))} == {pl(F2, "T"), pl(F2, "T+1")}
+def test_divisor_keys_are_sorted_monic_irreducibles(F2):
+    assert list(divisor_vector(el(F2, "T^2/(T+1)"))[0]) == [pl(F2, "T"), pl(F2, "T+1")]
+    rng = random.Random(23)
+    for field in FIELDS:
+        for _ in range(40):
+            x = rand_ratfunc(rng, field, 6, nonzero=True)
+            dv, c = divisor_vector(x)
+            places = list(dv)
+            assert all(type(p) is Poly and p.is_monic and p.degree() >= 1 and is_irreducible(p) for p in places)
+            assert places == sorted(places, key=Poly.sort_key)
+            assert c != 0 and divisor_product(field, dv, c) == x
 
 
 def test_reduce_mod_examples(F2, F3):
@@ -144,18 +152,15 @@ def test_reduce_mod_is_ring_hom(F2, F3):
             assert reduce_mod(x * y, m) == (reduce_mod(x, m) * reduce_mod(y, m)) % m.poly
 
 
-def test_place_validation(F2):
-    with pytest.raises(ValueError):
-        Place.finite(pl(F2, "T^2+1"))  # reducible
-    with pytest.raises(ValueError):
-        Place.finite(Poly.from_coeffs(F2, (1,)))  # constant
-    assert Place.at_infinity().degree() == 1
-    assert Place.finite(pl(F2, "T")).degree() == 1
-
-
-def test_modulus_validation(F2):
-    with pytest.raises(ValueError):
-        Modulus(pl(F2, "T^2+1"), 1)
+def test_modulus_validation(F2, F3):
+    for base in (
+        pl(F2, "T^2+1"),  # reducible
+        Poly.from_coeffs(F2, (1,)),  # constant
+        Poly.zero(F2),
+        pl(F3, "2*T+1"),  # irreducible, not monic
+    ):
+        with pytest.raises(ValueError, match="modulus base must be monic irreducible"):
+            Modulus(base, 1)
     with pytest.raises(ValueError):
         Modulus(pl(F2, "T"), 0)
     m = Modulus(pl(F2, "T^2+T+1"), 2)
@@ -170,7 +175,7 @@ def test_modulus_tests_its_base_once(F2, monkeypatch):
     monkeypatch.setattr(ratfunc, "is_irreducible", lambda a: calls.append(a) or original(a))
     base = pl(F2, "T^2+T+1")
     m = Modulus(base, 2)
-    assert m.place.poly == base and m.place is m.place
+    assert m.base == base and m.poly == base**2
     assert calls == [base]
     with pytest.raises(ValueError, match="modulus base must be monic irreducible"):
         Modulus(pl(F2, "T^2+1"), 1)
