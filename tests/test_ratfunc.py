@@ -152,7 +152,8 @@ def test_reduce_mod_is_ring_hom(F2, F3):
             assert reduce_mod(x * y, m) == (reduce_mod(x, m) * reduce_mod(y, m)) % m.poly
 
 
-def test_modulus_validation(F2, F3):
+def test_place_validation(F2, F3):
+    # a place enters the program from outside only as a modulus base
     for base in (
         pl(F2, "T^2+1"),  # reducible
         Poly.from_coeffs(F2, (1,)),  # constant
@@ -161,6 +162,12 @@ def test_modulus_validation(F2, F3):
     ):
         with pytest.raises(ValueError, match="modulus base must be monic irreducible"):
             Modulus(base, 1)
+    assert Modulus(pl(F2, "T"), 1).base.degree() == 1
+
+
+def test_modulus_validation(F2):
+    with pytest.raises(ValueError):
+        Modulus(pl(F2, "T^2+1"), 1)
     with pytest.raises(ValueError):
         Modulus(pl(F2, "T"), 0)
     m = Modulus(pl(F2, "T^2+T+1"), 2)
