@@ -14,7 +14,6 @@ from .wronskian import (
     wronskian_det_adj,
 )
 from .unitgroup import (
-    MembershipWitness,
     SubgroupPresentation,
     build_presentation,
     member,

@@ -12,7 +12,10 @@ Grammar (the indeterminate is spelled T):
 unary minus, so -T^2 parses as -(T^2); chained '^' needs parentheses.
 Integer literals are reduced into the field: the least nonnegative
 residue mod p when s == 1, and the base-p digit encoding (which must lie
-in range(q)) for proper extensions.
+in range(q)) for proper extensions.  The text is split into tokens by one
+compiled pattern (_TOKEN): a literal is a run of ASCII digits, whitespace
+is any Unicode whitespace, and any other character is refused at its
+position.
 
 The parser evaluates as it reads, so each rule returns the exact value of
 its text.  The degree of a value is the larger of its numerator's and
@@ -33,6 +36,8 @@ degree and coefficients as canonical field integers; printing then parsing
 returns the identical value.
 """
 
+import re
+
 from . import errors
 from .errors import InputError
 from .field import GF
@@ -49,34 +54,26 @@ class ParseError(InputError):
         self.position = position
 
 
+# a token: an ASCII digit run, a symbol, or any other character but
+# whitespace, which the tokenizer refuses
+_TOKEN = re.compile(r"([0-9]+)|([T+*/^()-])|(\S)")
+
+
 def _tokenize(text: str):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for match in _TOKEN.finditer(text):  # finditer skips the whitespace between tokens
+        digits, symbol, other = match.groups()
+        i = match.start(match.lastindex)
+        if other is not None:
+            raise ParseError(f"unexpected character {other!r}", i)
+        if symbol is not None:
+            tokens.append(("var" if symbol == "T" else symbol, None, i))
             continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
-            try:
-                value = int(text[i:j])
-            except ValueError:  # more digits than sys.get_int_max_str_digits()
-                raise ParseError("integer literal too long", i) from None
-            tokens.append(("int", value, i))
-            i = j
-            continue
-        if ch == "T":
-            tokens.append(("var", None, i))
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            tokens.append((ch, None, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+        try:
+            value = int(digits)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ParseError("integer literal too long", i) from None
+        tokens.append(("int", value, i))
     tokens.append(("end", None, len(text)))
     return tokens
 

@@ -25,6 +25,7 @@ errors.DEFAULT_BOX_LIMIT before it expands it (check_jet_bounds); the
 solver's own jets stop at order p**m - 1 and are not charged.
 """
 
+import math
 from functools import lru_cache
 
 from . import errors
@@ -49,18 +50,10 @@ def binom_mod(n: int, k: int, p: int) -> int:
     if k < 0 or k > n:
         return 0
     r = 1
-    while k:
-        nd, kd = n % p, k % p
-        if kd > nd:
-            return 0
-        # digits are < p, so the small factorial quotient is exact
-        num = den = 1
-        for i in range(kd):
-            num *= nd - i
-            den *= i + 1
-        r = r * (num // den) % p
-        n //= p
-        k //= p
+    while k and r:
+        n, nd = divmod(n, p)
+        k, kd = divmod(k, p)
+        r = r * math.comb(nd, kd) % p  # comb is 0 when kd > nd
     return r
 
 

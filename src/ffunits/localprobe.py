@@ -14,9 +14,13 @@ irreducible base that divides no input, and confirms each hit in exact
 arithmetic, so it returns exactly what the plain exact search returns.
 As an oracle it still shares with the solver the field, polynomial and
 rational-function arithmetic (RatFunc products and quotients, reduce_mod,
-the memoized irreducibility test) and the generator list of the
-presentation; it uses no derivative, elimination, representative set or
-membership test.
+the memoized irreducibility test) and the generators and word_product of
+the presentation; it uses no derivative, elimination, representative set
+or membership test.
+
+Nothing here factors: the obstruction scan and the auxiliary base of the
+global search keep a base only when it divides no numerator or
+denominator of the inputs, one division test for both.
 
 The image is listed by cosets of the subgroups generated step by step,
 with the products on coefficient tuples, and kept as an element-to-word
@@ -47,7 +51,7 @@ from .poly import (
     poly_mulmod,
     poly_powmod,
 )
-from .ratfunc import Modulus, RatFunc, divisor_vector, reduce_mod, valuation
+from .ratfunc import Modulus, RatFunc, reduce_mod, valuation
 from .solver import Equation, SolutionPoint
 from .unitgroup import SubgroupPresentation
 
@@ -76,8 +80,6 @@ class ObstructionWitness:
 class StabilizationReport:
     """Iterated-factorial Frobenius powers of g, observed at one modulus."""
 
-    element: RatFunc
-    modulus: Modulus
     residues: tuple[Poly, ...]
     stable_index: int  # least 1-based n with all later observed terms equal
     stable_value: Poly
@@ -217,20 +219,20 @@ def find_local_obstruction(
 ) -> ObstructionWitness | None:
     """First modulus (by (deg*e, deg, base, e)) where the congruence has no solution.
 
-    Moduli run over monic irreducibles outside the support of the equation
-    and the group, up to the given degree, with exponents up to e_bound.
-    A running total counts the residue elements searched without an
-    obstruction and, before a degree's bases are first listed, deg for each
-    of the q**deg candidates that listing tests for irreducibility (a test
-    takes at most deg modular powerings); past errors.DEFAULT_GROUP_LIMIT
-    the scan stops with ResourceLimitError.
+    Moduli run over monic irreducibles that divide no numerator or
+    denominator of a generator or coefficient (_divides_none), so nothing is
+    factored, up to the given degree, with exponents up to e_bound.  A
+    running total counts the residue elements searched without an
+    obstruction; before a degree's bases are first listed, deg for each of
+    the q**deg candidates that listing tests for irreducibility (a test
+    takes at most deg modular powerings); and before each modulus base**e is
+    built, its degree deg*e.  Past errors.DEFAULT_GROUP_LIMIT the scan stops
+    with ResourceLimitError.
     """
     if deg_bound < 1 or e_bound < 1:
         raise ValueError("bounds must be >= 1")
     field = group.field
-    excluded = set(group.support)
-    for x in eq.b:
-        excluded.update(divisor_vector(x)[0])
+    elements = group.generators + eq.b
     searched, limit = 0, errors.DEFAULT_GROUP_LIMIT
 
     def charge(count: int) -> None:
@@ -239,14 +241,14 @@ def find_local_obstruction(
         if searched > limit:
             errors.refuse("scan charge", searched, limit)
 
+    kept = {}  # degree -> its bases that keep every generator and coefficient a unit
     for d, e in _moduli(deg_bound, e_bound):
         if e == 1:
             charge(d * field.q**d)
-        # bases in sort-key order, tested once per degree (memoized)
-        for base in monic_irreducibles(field, d):
-            if base in excluded:
-                continue
-            # bases outside the support keep every coefficient a unit
+            # bases in sort-key order, tested once per degree (memoized)
+            kept[d] = [b for b in monic_irreducibles(field, d) if _divides_none(b, elements)]
+        for base in kept[d]:
+            charge(d * e)
             m = Modulus(base, e)
             rg = residue_group(group, m)
             if _search_residues(eq, m, rg) is None:
@@ -276,6 +278,11 @@ def _first_residue_modulus(field: GF) -> Modulus:
     return Modulus(next(_residue_bases(field)), 1)
 
 
+def _divides_none(base: Poly, elements) -> bool:
+    """Whether base divides no numerator or denominator of the elements."""
+    return all((p % base).coeffs for x in elements for p in (x.num, x.den))
+
+
 def _residue_modulus(field: GF, elements) -> Modulus:
     """The first residue base that divides no numerator or denominator of
     the elements, as a modulus of exponent 1.
@@ -288,7 +295,7 @@ def _residue_modulus(field: GF, elements) -> Modulus:
     """
     first = _first_residue_modulus(field)
     for base in itertools.chain([first.base], _residue_bases(field)):
-        if all((p % base).coeffs for x in elements for p in (x.num, x.den)):
+        if _divides_none(base, elements):
             return first if base is first.base else Modulus(base, 1)
 
 
@@ -307,10 +314,10 @@ def sg_search(
 
     The box is searched on residues modulo one auxiliary irreducible base
     f (see _residue_modulus) and each hit is confirmed exactly.  The words
-    are bucketed by residue, and exact values are built only to tell apart
-    the words of one bucket.  A box point whose last coordinate needs a
-    residue that lands in a bucket is rebuilt in exact arithmetic and
-    compared with that bucket's values.  Equal values have equal residues,
+    are bucketed by residue, and exact values (word_product, memoized) are
+    built only to tell apart the words of one bucket.  A box point whose
+    last coordinate needs a residue that lands in a bucket is rebuilt in
+    exact arithmetic and compared with that bucket's values.  Equal values have equal residues,
     so no solution is lost.  The word box is charged before any of this
     work.
     """
@@ -340,17 +347,7 @@ def sg_search(
             for e in exponents
         ]
 
-    exact: dict[tuple[int, ...], RatFunc] = {}
-
-    def value(word: tuple[int, ...]) -> RatFunc:
-        if word not in exact:
-            x = RatFunc.one(field)
-            for g, e in zip(group.generators, word):
-                if e:
-                    x = x * g**e
-            exact[word] = x
-        return exact[word]
-
+    value = functools.cache(group.word_product)
     # the first word of each distinct value, bucketed by residue
     buckets: dict[Poly, list[tuple[int, ...]]] = {}
     entries = []
@@ -423,4 +420,4 @@ def closure_probe(g: RatFunc, m: Modulus, n_max: int) -> StabilizationReport:
     n0 = len(residues)
     while n0 > 1 and residues[n0 - 2] == stable:
         n0 -= 1
-    return StabilizationReport(g, m, tuple(residues), n0, stable)
+    return StabilizationReport(tuple(residues), n0, stable)

@@ -25,11 +25,11 @@ a ``Poly`` without that check.
 
 Factorization runs the classical pipeline: squarefree split, then
 distinct-degree, then equal-degree (Cantor-Zassenhaus) splitting.  The
-equal-degree stage draws from a seeded generator, so a fixed seed makes
-the whole run reproducible; the returned factor list is canonically
-sorted and therefore identical for every seed.  A factorization is charged
-an upper bound on its work before it starts and refused past
-errors.DEFAULT_BOX_LIMIT.
+equal-degree stage draws from a generator seeded with the fixed
+DEFAULT_SEED, so the whole run is reproducible; the returned factor list
+is canonically sorted and therefore identical for every seed.  A
+factorization is charged an upper bound on its work before it starts and
+refused past errors.DEFAULT_BOX_LIMIT.
 """
 
 import functools
@@ -577,7 +577,7 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     return _equal_degree_split(g, d, rng) + _equal_degree_split(f // g, d, rng)
 
 
-def factor(a: Poly, seed: int = DEFAULT_SEED) -> Factorization:
+def factor(a: Poly) -> Factorization:
     """Complete factorization into monic irreducibles over F_q.
 
     The distinct-degree split takes about deg/2 powerings to the q-th
@@ -594,7 +594,7 @@ def factor(a: Poly, seed: int = DEFAULT_SEED) -> Factorization:
     monic, unit = a.monic()
     if monic.degree() == 0:
         return Factorization(field, unit, ())
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     found: list[tuple[Poly, int]] = []
     for part, mult in _squarefree_split(monic):
         for d, prod in _distinct_degree_split(part):

@@ -124,9 +124,6 @@ class RatFunc(Value):
     def is_one(self) -> bool:
         return self.num.is_one and self.den.is_one
 
-    def sort_key(self):
-        return (self.den.sort_key(), self.num.sort_key())
-
     def __repr__(self):
         return f"RatFunc({list(self.num.coeffs)} / {list(self.den.coeffs)}, q={self.field.q})"
 

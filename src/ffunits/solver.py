@@ -60,13 +60,7 @@ from . import errors
 from .errors import InternalCheckError
 from .hasse import prime_power, subfield_coordinates
 from .ratfunc import RatFunc
-from .unitgroup import (
-    MembershipWitness,
-    SubgroupPresentation,
-    member,
-    representatives,
-    residue_key,
-)
+from .unitgroup import SubgroupPresentation, member, representatives, residue_key
 from .wronskian import (
     IndependenceCertificate,
     coordinate_matrix,
@@ -115,7 +109,7 @@ class TupleRecord:
     candidate: tuple[RatFunc, ...] | None = None
     point: tuple[RatFunc, ...] | None = None
     kept: bool = False
-    member_witnesses: tuple[MembershipWitness, ...] | None = None
+    member_words: tuple[tuple[int, ...] | None, ...] | None = None
 
     @property
     def fails(self) -> bool:
@@ -197,9 +191,9 @@ def _inhomogeneous_record(eq, group, m, r, words, br, rows, known) -> TupleRecor
     if not acc.is_one:
         # the candidate is read off a relation with weight 1 on the row of 1
         raise InternalCheckError("candidate does not satisfy b . x = 1")
-    witnesses = tuple(member(x, group) for x in point)
-    kept = all(w.member for w in witnesses)
-    return TupleRecord(r, words, cert, psi_certs, candidate, point, kept, witnesses)
+    member_words = tuple(member(x, group) for x in point)
+    kept = None not in member_words
+    return TupleRecord(r, words, cert, psi_certs, candidate, point, kept, member_words)
 
 
 def decide(
@@ -246,8 +240,8 @@ def decide(
     if failure is not None:
         outcome = "inapplicable"
     elif eq.rhs == 1:
-        kept = {rec.point: rec.member_witnesses for rec in records if rec.kept}
-        solutions = tuple(SolutionPoint(p, tuple(w.word for w in ws)) for p, ws in kept.items())
+        kept = {rec.point: rec.member_words for rec in records if rec.kept}
+        solutions = tuple(SolutionPoint(p, ws) for p, ws in kept.items())
         bound = sum(
             rec.certificate.independent and all(c.independent for c in rec.psi_certificates)
             for rec in records

@@ -7,11 +7,11 @@ Poly.sort_key order) and its leading unit in F_q*.
 Every element of the group is a unit away from its support, so membership
 factors nothing: the exponents of x at the support places are read by
 trial division, and x has a stray place exactly when what the divisions
-leave of it is not constant.  The witness keeps that leftover part
-(off_support) and names no stray place; nothing in the package reads one.
-Otherwise membership reduces to an integer-lattice solve (Hermite normal
-form) plus an exact coset computation for the F_q* constants, so witnesses
-always reconstruct the queried element exactly; the coset search is
+leave of it is not constant.  Otherwise membership reduces to an
+integer-lattice solve (Hermite normal form) plus an exact coset
+computation for the F_q* constants.  member returns the word of a member,
+checked to reconstruct the queried element exactly, or None; the reason a
+non-member fails is not kept, since nothing reads it.  The coset search is
 closure, the breadth-first closure of a finite group.  closure serves
 membership only: residue images (``localprobe.residue_group``) are listed
 by cosets, and solution words depend on closure's breadth-first words.
@@ -64,20 +64,6 @@ class SubgroupPresentation:
         return out
 
 
-@dataclass(frozen=True)
-class MembershipWitness:
-    """A member's reconstructing word, or why x is not a member: a support
-    place where the exponent lattice fails (lattice_place), the part of x
-    off the group's support (off_support), or an unreachable F_q* constant.
-    """
-
-    member: bool
-    word: tuple[int, ...] | None = None
-    lattice_place: Poly | None = None
-    constant_mismatch: bool = False
-    off_support: RatFunc | None = None
-
-
 def build_presentation(gens) -> SubgroupPresentation:
     """Compute support, exponent matrix and constants from the generators."""
     gens = tuple(gens)
@@ -100,8 +86,8 @@ def build_presentation(gens) -> SubgroupPresentation:
 
 
 def _exponent_target(x: RatFunc, group: SubgroupPresentation):
-    """Exponents of x over the group support, its leading unit, and the part
-    of x off the support (None when that part is constant).
+    """Exponents of x over the group support, its leading unit, and whether
+    x has a place off the support.
 
     The exponents are read by trial division at the support places.  The
     denominator and every place are monic, so the leading unit is that of
@@ -116,8 +102,7 @@ def _exponent_target(x: RatFunc, group: SubgroupPresentation):
             k, den = multiplicity(den, pl)
             k = -k
         target.append(k)
-    off = None if len(num.coeffs) == 1 and len(den.coeffs) == 1 else RatFunc(num, den)
-    return target, x.num.leading, off
+    return target, x.num.leading, len(num.coeffs) > 1 or len(den.coeffs) > 1
 
 
 def closure(one, steps, mul) -> dict:
@@ -142,23 +127,24 @@ def closure(one, steps, mul) -> dict:
     return found
 
 
-def member(x: RatFunc, group: SubgroupPresentation) -> MembershipWitness:
-    """Exact membership with a reconstructing word or a concrete obstruction."""
+def member(x: RatFunc, group: SubgroupPresentation) -> tuple[int, ...] | None:
+    """The word that rebuilds x from the generators, or None when x is not
+    in the group.
+    """
     if x.is_zero:
         raise ValueError("membership is asked of nonzero elements")
-    target, const, off = _exponent_target(x, group)
-    if off is not None:
-        return MembershipWitness(False, off_support=off)
-    word0, kernel, failing = solve_left(
-        [list(r) for r in group.exponent_matrix], len(group.support), target
-    )
+    target, const, stray = _exponent_target(x, group)
+    if stray:
+        return None
+    matrix = [list(r) for r in group.exponent_matrix]
+    word0, kernel, _ = solve_left(matrix, len(group.support), target)
     if word0 is None:
-        return MembershipWitness(False, lattice_place=group.support[failing])
+        return None
     f = group.field
     need = f.div(const, group.word_constant(word0))
     combo = closure(1, [group.word_constant(w) for w in kernel], f.mul).get(need)
     if combo is None:
-        return MembershipWitness(False, constant_mismatch=True)
+        return None
     word = list(word0)
     for c, krow in zip(combo, kernel):
         if c:
@@ -167,7 +153,7 @@ def member(x: RatFunc, group: SubgroupPresentation) -> MembershipWitness:
     word = tuple(word)
     if group.word_product(word) != x:
         raise InternalCheckError("membership word failed to reconstruct the element")
-    return MembershipWitness(True, word=word)
+    return word
 
 
 def representatives(group: SubgroupPresentation, m: int) -> tuple[tuple[int, ...], ...]:

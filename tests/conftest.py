@@ -96,8 +96,8 @@ def radical_member(x: RatFunc, group: SubgroupPresentation) -> bool:
     """
     if x.is_zero:
         raise ValueError("radical membership is asked of nonzero elements")
-    target, _, off = _exponent_target(x, group)
-    if off is not None:
+    target, _, stray = _exponent_target(x, group)
+    if stray:
         return False
     return in_rational_rowspan(
         [list(r) for r in group.exponent_matrix], len(group.support), target
@@ -106,10 +106,10 @@ def radical_member(x: RatFunc, group: SubgroupPresentation) -> bool:
 
 def kernel_element_check(x: RatFunc, group: SubgroupPresentation, m: int) -> bool:
     """Whether a member x lies in F_q(t**(p**m)); cross-checked two ways."""
-    witness = member(x, group)
-    if not witness.member:
+    word = member(x, group)
+    if word is None:
         raise ValueError("kernel test is only defined for members of the group")
-    by_lattice = all(v == 0 for v in residue_key(group, witness.word, m))
+    by_lattice = all(v == 0 for v in residue_key(group, word, m))
     by_subfield = in_power_subfield(x, m)
     if by_lattice != by_subfield:
         raise InternalCheckError(

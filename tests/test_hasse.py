@@ -19,10 +19,10 @@ from conftest import el, rand_ratfunc
 def test_binom_mod_matches_pascal():
     import math
 
-    for p in (2, 3, 5):
-        for n in range(30):
-            for k in range(n + 1):
-                assert binom_mod(n, k, p) == math.comb(n, k) % p
+    for p in (2, 3, 5, 7, 65521):
+        for n in range(200):
+            for k in range(-2, n + 3):
+                assert binom_mod(n, k, p) == (math.comb(n, k) % p if k >= 0 else 0)
 
 
 def test_derivative_examples(F2, F3):

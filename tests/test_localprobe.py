@@ -338,6 +338,39 @@ def test_obstruction_scan_charges_listed_candidates(monkeypatch):
     assert poly.is_irreducible.cache_info().misses <= 1000
 
 
+def test_obstruction_scan_charges_each_modulus_its_degree():
+    """Building base**e and its residue group takes time that grows with the
+    modulus degree d*e, so the scan charges d*e before each modulus: with a
+    trivial image and the one base T^2+T+1 kept, e up to 100,000 stops at
+    e = 316 instead of building moduli of degree up to 200,000.
+    """
+    argv = ["skolem", "--p", "2", "--gens", "1", "--b", "T, 1+T", "--rhs", "1",
+            "--deg-bound", "2", "--e-bound", "100000"]
+    out, err = io.StringIO(), io.StringIO()
+    assert run_cli(argv, stdout=out, stderr=err) == 4
+    # 10 for listing degrees 1 and 2, 2e + 1 for each e up to 315 (the modulus
+    # and its one residue element), then 632 before the modulus of e = 316
+    assert out.getvalue() == "" and "scan charge 100497 exceeds" in err.getvalue()
+
+
+def test_skolem_does_not_factor_coefficients(monkeypatch):
+    """A base is kept when it divides no numerator or denominator of the
+    generators and coefficients, so a coefficient of degree 500, past the
+    factoring charge, is read by division only.
+    """
+    from ffunits import ratfunc
+
+    degrees = []
+    original = ratfunc.factor
+    monkeypatch.setattr(ratfunc, "factor", lambda a: degrees.append(a.degree()) or original(a))
+    argv = ["skolem", "--p", "2", "--gens", "1+T", "--b", "T^500+T+1, 1", "--rhs", "0",
+            "--deg-bound", "2", "--e-bound", "1"]
+    out, err = io.StringIO(), io.StringIO()
+    assert run_cli(argv, stdout=out, stderr=err) == 2, err.getvalue()
+    assert json.loads(out.getvalue())["outcome"] == "none-found"
+    assert degrees and max(degrees) < 500
+
+
 def test_obstruction_scan_charges_rabin_tests_by_degree(monkeypatch):
     """The irreducibility test of a degree-d candidate takes at most d
     modular powerings, so the scan bound charges d for it: with a trivial
@@ -400,7 +433,7 @@ def test_sg_search_examples(F2):
         assert acc.is_one
         for x, w in zip(s.coords, s.words):
             assert g2.word_product(w) == x
-            assert member(x, g2).member
+            assert member(x, g2) is not None
 
     eq0 = Equation((RatFunc.t(F2), RatFunc.one(F2)), 0)
     assert sg_search(eq0, g2, 8) == ()

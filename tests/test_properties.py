@@ -1,4 +1,5 @@
 """Derandomized properties: element texts never fault the command line, the
+tokenizer agrees with the hand-written scanner kept here as its oracle, the
 certified decision agrees with the word-box search that shares only the
 arithmetic with it, the word-box search on residues agrees with the plain
 exact search kept here as its oracle, and the obstruction scan agrees with
@@ -18,6 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 from ffunits import GF, Equation, Modulus, Poly, RatFunc, build_presentation, decide, member  # noqa: E402
 from ffunits.cli import run_cli  # noqa: E402
 from ffunits import localprobe  # noqa: E402
+from ffunits.exprio import ParseError, _tokenize  # noqa: E402
 from ffunits.localprobe import _residue_bases, find_local_obstruction, residue_group, sg_search  # noqa: E402
 from ffunits.poly import monic_irreducibles, poly_mulmod, poly_powmod  # noqa: E402
 from ffunits.ratfunc import divisor_vector, reduce_mod  # noqa: E402
@@ -58,6 +60,65 @@ def test_element_texts_never_fault(text):
 
 # GF(2), GF(3), GF(4) = F_2[X]/(X^2+X+1) and GF(9) = F_3[X]/(X^2+1)
 FIELDS = (GF(2), GF(3), GF(2, 2, (1, 1, 1)), GF(3, 2, (1, 0, 1)))
+
+
+def scanner_tokens(text):
+    """The tokens of text by a character-by-character scan: the oracle of
+    _tokenize's compiled pattern.
+    """
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if "0" <= ch <= "9":
+            j = i
+            while j < len(text) and "0" <= text[j] <= "9":
+                j += 1
+            try:
+                value = int(text[i:j])
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise ParseError("integer literal too long", i) from None
+            tokens.append(("int", value, i))
+            i = j
+            continue
+        if ch == "T":
+            tokens.append(("var", None, i))
+            i += 1
+            continue
+        if ch in "+-*/^()":
+            tokens.append((ch, None, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", None, len(text)))
+    return tokens
+
+
+# grammar symbols, Unicode digits and whitespace, stray characters, any short
+# text, and literals around the default limit of 4,300 digits on int()
+SCANNER_PIECES = st.one_of(
+    st.sampled_from(["T", "+", "-", "*", "/", "^", "(", ")", " ", "\t", "\n"]),
+    st.sampled_from(["\u00a0", "\u3000", "\u2028", "\u00b2", "\u0663", "\uff11", "t", ",", "."]),
+    st.text(max_size=3),
+    st.integers(0, 10**30).map(str),
+    st.integers(4290, 5000).map(lambda n: "7" * n),
+)
+
+
+def _scan(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(st.lists(SCANNER_PIECES, max_size=12).map("".join))
+def test_tokenize_matches_the_scanner(text):
+    assert _scan(_tokenize, text) == _scan(scanner_tokens, text)
 
 
 def polys(field, nonzero=False):
@@ -124,7 +185,7 @@ def test_decide_agrees_with_sg_search(instance):
         for bb, x in zip(eq.b, s.coords):
             acc = acc + bb * x
         assert acc.is_one
-        assert all(member(x, group).member for x in s.coords)
+        assert all(member(x, group) is not None for x in s.coords)
     assert len(got) <= report.bound
 
 

@@ -22,15 +22,6 @@ from ffunits.unitgroup import SubgroupPresentation, residue_key
 from conftest import el, in_rational_rowspan, kernel_element_check, pl, radical_member, rand_ratfunc
 
 
-def obstruction_place(w):
-    """The place that excludes x: w.lattice_place, or for a stray the least
-    place of w.off_support in Poly.sort_key order, found by factoring it.
-    """
-    if w.off_support is None:
-        return w.lattice_place
-    return next(iter(divisor_vector(w.off_support)[0]))
-
-
 def test_build_presentation_examples(F2, F3):
     g = build_presentation((el(F3, "T"), el(F3, "-T"), el(F3, "1-T")))
     assert g.support == (pl(F3, "T"), pl(F3, "T+2"))
@@ -55,32 +46,28 @@ def test_build_presentation_examples(F2, F3):
 
 def test_member_examples(F2, F3):
     g3 = build_presentation((el(F3, "T"), el(F3, "-T"), el(F3, "1-T")))
-    w = member(el(F3, "T-1"), g3)
-    assert w.member
-    assert g3.word_product(w.word) == el(F3, "T-1")
+    word = member(el(F3, "T-1"), g3)
+    assert word is not None
+    assert g3.word_product(word) == el(F3, "T-1")
 
     g2 = build_presentation((el(F2, "1+T"),))
-    w = member(el(F2, "T"), g2)
-    assert not w.member
-    assert obstruction_place(w) == pl(F2, "T")
-
-    w = member(el(F2, "(1+T)^-1"), g2)
-    assert w.member and w.word == (-1,)
+    assert member(el(F2, "T"), g2) is None
+    assert member(el(F2, "(1+T)^-1"), g2) == (-1,)
 
 
 def test_member_constant_coset(F3):
     # exponents solvable but the F_q* constant unreachable
     g = build_presentation((el(F3, "T^2"),))
-    w = member(el(F3, "-T^2"), g)
-    assert not w.member and w.constant_mismatch
+    assert member(el(F3, "-T^2"), g) is None
 
     g = build_presentation((el(F3, "-T"),))
-    assert not member(el(F3, "T"), g).member
-    assert member(el(F3, "T^2"), g).member  # (-T)^2 = T^2
+    assert member(el(F3, "T"), g) is None
+    assert member(el(F3, "T^2"), g) == (2,)  # (-T)^2 = T^2
 
     # the coset becomes reachable through a kernel word
     g = build_presentation((el(F3, "T"), el(F3, "-T"), el(F3, "1-T")))
-    assert member(el(F3, "-1"), g).member  # (-T) / T
+    word = member(el(F3, "-1"), g)  # (-T) / T
+    assert word is not None and g.word_product(word) == el(F3, "-1")
 
 
 def test_member_reconstruction_roundtrip(F2, F3):
@@ -95,9 +82,7 @@ def test_member_reconstruction_roundtrip(F2, F3):
         for _ in range(34):
             word = tuple(rng.randrange(-4, 5) for _ in range(n))
             x = g.word_product(word)
-            w = member(x, g)
-            assert w.member
-            assert g.word_product(w.word) == x
+            assert g.word_product(member(x, g)) == x
 
 
 def _factoring_exponent_target(x, group):
@@ -166,9 +151,9 @@ def test_member_words_match_queue_search(F3):
         for _ in range(30):
             c = RatFunc.constant(g.field, rng.randrange(1, g.field.q))
             x = c * g.word_product(tuple(rng.randrange(-3, 4) for _ in g.generators))
-            w = member(x, g)
-            assert w.word == _member_word_by_queue_search(x, g)
-            outcomes.add(w.member)
+            word = member(x, g)
+            assert word == _member_word_by_queue_search(x, g)
+            outcomes.add(word is not None)
     assert outcomes == {True, False}
 
 
@@ -196,7 +181,7 @@ def _oracle_candidates(rng, group):
 
 def test_member_matches_factoring_oracle():
     """member, which reads exponents by trial division, against the factoring
-    exponent reading: the verdict, the word and the obstruction place.
+    exponent reading: the verdict and the word, for each kind of candidate.
     """
     fields = (GF(2), GF(3), GF(2, 2, (1, 1, 1)), GF(3, 2, (1, 0, 1)))
     rng = random.Random(151)
@@ -208,20 +193,17 @@ def test_member_matches_factoring_oracle():
         for x in _oracle_candidates(rng, group):
             if x.is_zero:
                 continue
-            w = member(x, group)
+            word = member(x, group)
             target, const, stray = _factoring_exponent_target(x, group)
-            assert w.word == _member_word_by_queue_search(x, group)
-            assert w.member == (w.word is not None)
+            assert word == _member_word_by_queue_search(x, group)
             if stray is not None:
                 kind = "stray"
-                assert obstruction_place(w) == stray and not w.constant_mismatch
-            elif (solved := solve_left(matrix, len(group.support), target))[0] is None:
+                assert word is None
+            elif solve_left(matrix, len(group.support), target)[0] is None:
                 kind = "lattice"
-                assert obstruction_place(w) == group.support[solved[2]]
-                assert not w.member and not w.constant_mismatch
+                assert word is None
             else:
-                kind = "member" if w.member else "constant"
-                assert obstruction_place(w) is None and w.constant_mismatch == (not w.member)
+                kind = "constant" if word is None else "member"
             outcomes[kind] = outcomes.get(kind, 0) + 1
             assert radical_member(x, group) == (stray is None and in_rational_rowspan(
                 matrix, len(group.support), target))
@@ -241,13 +223,11 @@ def test_member_factors_nothing(F3, monkeypatch):
     monkeypatch.setattr(ratfunc, "factor", counted)
     g = build_presentation((el(F3, "T^2"), el(F3, "(1+T)^3/T")))
     calls.clear()
-    assert member(el(F3, "(1+T)^9/T^7"), g).member
-    stray = member(el(F3, "(1+T)^3*(T^2+1)/(T*(T+2)^4)"), g)
-    assert not stray.member and calls == []
-    # a reader that wants the stray place factors the part of x off the
-    # support, and the counter sees it
-    assert stray.off_support == el(F3, "(T^2+1)/(T+2)^4")
-    assert obstruction_place(stray) == pl(F3, "T+2")
+    assert member(el(F3, "(1+T)^9/T^7"), g) == (-2, 3)
+    assert member(el(F3, "(1+T)^3*(T^2+1)/(T*(T+2)^4)"), g) is None
+    assert calls == []
+    # the counter is live: a factorization through ratfunc is seen
+    divisor_vector(el(F3, "(T^2+1)/(T+2)^4"))
     assert calls
 
 
