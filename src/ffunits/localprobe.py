@@ -219,9 +219,9 @@ def find_local_obstruction(
 ) -> ObstructionWitness | None:
     """First modulus (by (deg*e, deg, base, e)) where the congruence has no solution.
 
-    Moduli run over monic irreducibles that divide no numerator or
-    denominator of a generator or coefficient (_divides_none), so nothing is
-    factored, up to the given degree, with exponents up to e_bound.  A
+    Moduli run over monic irreducibles up to the given degree, with
+    exponents up to e_bound, that divide no numerator or denominator of a
+    generator or coefficient (_divides_none, so nothing is factored).  A
     running total counts the residue elements searched without an
     obstruction; before a degree's bases are first listed, deg for each of
     the q**deg candidates that listing tests for irreducibility (a test
