@@ -122,9 +122,12 @@ def _elements(text: str, field: GF, what: str) -> tuple[RatFunc, ...]:
     return tuple(out)
 
 
+def _generators(args, field: GF) -> tuple[RatFunc, ...]:
+    return _elements(_setting(args, "gens", required=True), field, "generator")
+
+
 def _group(args, field: GF) -> unitgroup.SubgroupPresentation:
-    gens_text = _setting(args, "gens", required=True)
-    return unitgroup.build_presentation(_elements(gens_text, field, "generator"))
+    return unitgroup.build_presentation(_generators(args, field))
 
 
 def _equation(args, field: GF) -> solver.Equation:
@@ -221,7 +224,8 @@ def _cmd_solve(args, field: GF) -> tuple[dict, int]:
 
 
 def _cmd_skolem(args, field: GF) -> tuple[dict, int]:
-    group = _group(args, field)
+    # the scan reads the generators alone, so none is factored
+    group = unitgroup.generated_group(_generators(args, field))
     eq = _equation(args, field)
     deg_bound = int(_at_least("deg_bound", _setting(args, "deg_bound", default=2), 1))
     e_bound = int(_at_least("e_bound", _setting(args, "e_bound", default=2), 1))

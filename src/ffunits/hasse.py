@@ -129,14 +129,31 @@ def hasse_derivative(x: RatFunc, i: int) -> RatFunc:
     return _jet_coeffs(x, i)[i]
 
 
-def _exponents_divisible(a: Poly, pm: int) -> bool:
-    return all(c == 0 for k, c in enumerate(a.coeffs) if k % pm)
+def subfield_level(x: RatFunc) -> int | None:
+    """The largest k with x in F_q(t**(p**k)), or None for a constant x.
+
+    Read from the exponents of the reduced fraction: x lies in that
+    subfield iff p**k divides every exponent of its numerator and
+    denominator, so k is the p-adic valuation of their gcd.
+    """
+    g = 0
+    for a in (x.num, x.den):
+        for k, c in enumerate(a.coeffs):
+            if c:
+                g = math.gcd(g, k)
+    if not g:
+        return None
+    p, level = x.field.p, 0
+    while g % p == 0:
+        g, level = g // p, level + 1
+    return level
 
 
 def in_power_subfield(x: RatFunc, m: int) -> bool:
     """Whether x lies in F_q(t**(p**m)), decided by two independent routes."""
     pm = prime_power(x.field, m)
-    structural = _exponents_divisible(x.num, pm) and _exponents_divisible(x.den, pm)
+    level = subfield_level(x)
+    structural = level is None or level >= m
     jets = _jet_coeffs(x, pm - 1) if pm > 1 else ()
     kernel = all(jets[l].is_zero for l in range(1, pm))
     if structural != kernel:

@@ -15,7 +15,7 @@ arithmetic, so it returns exactly what the plain exact search returns.
 As an oracle it still shares with the solver the field, polynomial and
 rational-function arithmetic (RatFunc products and quotients, reduce_mod,
 the memoized irreducibility test) and the generators and word_product of
-the presentation; it uses no derivative, elimination, representative set
+the group; it uses no derivative, elimination, representative set
 or membership test.
 
 Nothing here factors: the obstruction scan and the auxiliary base of the
@@ -53,7 +53,7 @@ from .poly import (
 )
 from .ratfunc import Modulus, RatFunc, reduce_mod, valuation
 from .solver import Equation, SolutionPoint
-from .unitgroup import SubgroupPresentation
+from .unitgroup import GeneratedGroup
 
 # the auxiliary residue field of sg_search has at least this many elements
 _RESIDUE_FIELD_SIZE = 2**10
@@ -94,7 +94,7 @@ def _require_unit(x: RatFunc, m: Modulus, what: str):
         raise ValueError(f"{what} is not a unit at the modulus place")
 
 
-def residue_group(group: SubgroupPresentation, m: Modulus) -> dict[Poly, tuple[int, ...]]:
+def residue_group(group: GeneratedGroup, m: Modulus) -> dict[Poly, tuple[int, ...]]:
     """The full image of the group in a residue ring: each element with its
     coset word, which is nonnegative and rebuilds the residue.
 
@@ -132,7 +132,7 @@ def residue_group(group: SubgroupPresentation, m: Modulus) -> dict[Poly, tuple[i
     return {Poly(field, x): w for x, w in found.items()}
 
 
-def sl_search(eq: Equation, group: SubgroupPresentation, m: Modulus) -> SLWitness | None:
+def sl_search(eq: Equation, group: GeneratedGroup, m: Modulus) -> SLWitness | None:
     """Exhaustive search for b . x = rhs in the residue ring, over group images.
 
     The box over the first arity-1 coordinates is enumerated and the last
@@ -182,7 +182,7 @@ def _box_needs(eq: Equation, m: Modulus, entries):
 
 
 def verify_obstruction(
-    witness: ObstructionWitness, eq: Equation, group: SubgroupPresentation
+    witness: ObstructionWitness, eq: Equation, group: GeneratedGroup
 ) -> bool:
     """Re-check an obstruction by full enumeration of the residue tuples."""
     rg = residue_group(group, witness.modulus)
@@ -213,7 +213,7 @@ def _moduli(deg_bound: int, e_bound: int):
 
 def find_local_obstruction(
     eq: Equation,
-    group: SubgroupPresentation,
+    group: GeneratedGroup,
     deg_bound: int,
     e_bound: int,
 ) -> ObstructionWitness | None:
@@ -300,7 +300,7 @@ def _residue_modulus(field: GF, elements) -> Modulus:
 
 
 def sg_search(
-    eq: Equation, group: SubgroupPresentation, word_bound: int
+    eq: Equation, group: GeneratedGroup, word_bound: int
 ) -> tuple[SolutionPoint, ...]:
     """All exact solutions with per-coordinate words in [-B, B]**generators.
 

@@ -1,8 +1,10 @@
 """Finitely generated subgroups of the unit group of F_q(t), given by generators.
 
-A presentation records, for each generator, its exponent vector over the
-places supporting the group (monic irreducible polynomials, in
-Poly.sort_key order) and its leading unit in F_q*.
+A GeneratedGroup is the generators alone, all the local-global search
+reads, so it factors nothing.  A presentation (build_presentation) adds,
+for each generator, its exponent vector over the places supporting the
+group (monic irreducible polynomials, in Poly.sort_key order) and its
+leading unit in F_q*.
 
 Every element of the group is a unit away from its support, so membership
 factors nothing: the exponents of x at the support places are read by
@@ -40,12 +42,13 @@ from .ratfunc import RatFunc, divisor_vector, multiplicity
 
 
 @dataclass(frozen=True)
-class SubgroupPresentation:
+class GeneratedGroup:
+    """A subgroup given by its generators alone, as the local-global search
+    (localprobe) reads it: no place is factored.
+    """
+
     field: GF
     generators: tuple[RatFunc, ...]
-    support: tuple[Poly, ...]
-    exponent_matrix: tuple[tuple[int, ...], ...]
-    constants: tuple[int, ...]
 
     def word_product(self, word) -> RatFunc:
         """The exact element prod(generator**exponent)."""
@@ -54,6 +57,13 @@ class SubgroupPresentation:
             if e:
                 out = out * g**e
         return out
+
+
+@dataclass(frozen=True)
+class SubgroupPresentation(GeneratedGroup):
+    support: tuple[Poly, ...]
+    exponent_matrix: tuple[tuple[int, ...], ...]
+    constants: tuple[int, ...]
 
     def word_constant(self, word) -> int:
         f = self.field
@@ -64,25 +74,30 @@ class SubgroupPresentation:
         return out
 
 
-def build_presentation(gens) -> SubgroupPresentation:
-    """Compute support, exponent matrix and constants from the generators."""
+def generated_group(gens) -> GeneratedGroup:
+    """The group of the nonzero generators gens, with nothing factored."""
     gens = tuple(gens)
     if not gens:
         raise ValueError("at least one generator is required")
-    field = gens[0].field
+    if any(g.is_zero for g in gens):
+        raise ValueError("generators must be nonzero")
+    return GeneratedGroup(gens[0].field, gens)
+
+
+def build_presentation(gens) -> SubgroupPresentation:
+    """Compute support, exponent matrix and constants from the generators."""
+    group = generated_group(gens)
     divisors = []
     constants = []
     support: set[Poly] = set()
-    for g in gens:
-        if g.is_zero:
-            raise ValueError("generators must be nonzero")
+    for g in group.generators:
         dv, const = divisor_vector(g)
         divisors.append(dv)
         constants.append(const)
         support.update(dv)
     places = tuple(sorted(support, key=Poly.sort_key))
     matrix = tuple(tuple(dv.get(pl, 0) for pl in places) for dv in divisors)
-    return SubgroupPresentation(field, gens, places, matrix, tuple(constants))
+    return SubgroupPresentation(group.field, group.generators, places, matrix, tuple(constants))
 
 
 def _exponent_target(x: RatFunc, group: SubgroupPresentation):

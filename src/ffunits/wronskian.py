@@ -30,27 +30,52 @@ diagonal; and D(i)(s x) = s D(i)(x) for s in K_m and i < p**m, so s_j scales
 column j.  Every prefix of rows keeps its rank, so the greedy scan keeps
 the same rows, and independence is the case of all p**m rows.
 
+A two-term vector b = (b_1, b_2) is read off the one quotient y = b_2 / b_1
+instead: b is dependent over K_m iff y lies in K_m, with relation (-y, 1).
+Let k be the subfield level of y, the largest k with y in K_k, read from
+the exponents of its reduced numerator and denominator
+(hasse.subfield_level).  Writing y = g(t**(p**k)) with g' != 0,
+y(t+u) = g(t**(p**k) + u**(p**k)), so D(i)(y) = 0 for 0 < i < p**k and
+D(p**k)(y) = g'(t**(p**k)) != 0.  The greedy witness of (1, y) is thus
+(0, p**k) when k < m, and by the orbit argument it is that of
+b = b_1 * (1, y).  The verdict is confirmed by the coordinate rank
+(independence_verdict): a dependent rank with k < m, or an independent
+one with k >= m, raises InternalCheckError.  Three or more terms are
+eliminated as above.
+
 unit_substitution_verdicts answers, for any b, its own test, every unit
 substitution psi(j, b) (b with its j-th entry replaced by 1) and the
 candidate for b . c = 1.  For an independent b one more elimination
 decides all of the psi(j, b) and gives the unique candidate.  The
 coordinate row of 1 is (1, 0, ..., 0), so the relations w of the stack
 (b, 1) are those of the rows of b without their first column, completed
-by w_{M+1} = -sum_k w_k * row_k[0].  Let w have weight 1 on the 1 row.
-Then psi(j, b) is independent iff w_j != 0, a dependent psi(j, b) has
+by w_{M+1} = -sum_k w_k * row_k[0].  The elimination of the integral tail
+rows (nums_k[1:], d_k) ends in a polynomial kernel vector v, which puts
+weight v_k d_k on the K-row nums_k / d_k and so -S on the 1 row, with
+S = sum_k v_k * nums_k[0].  Scaled to weight 1 on the 1 row,
+w_k = -v_k d_k / S, one RatFunc.make per weight (S = 0 would be a
+relation among the rows of b).  Then psi(j, b) is independent iff w_j != 0, a dependent psi(j, b) has
 the relation w with w_{M+1} moved into slot j, and the candidate is
 -w[:M].  Proof: b is independent, so w is, up to scale, the only relation
 among b and 1, and psi(j, b) is dependent iff some relation among b and 1
 puts no weight on b_j.  The witness of an independent psi(j, b) needs no
 derivative of 1: D(i)(1) = 0 for i > 0, so it is 0 followed by the greedy
-rows i >= 1 of b without its column j.
+rows i >= 1 of b without its column j; for M = 2 that is one component x,
+and the row is p**k for k the subfield level of x, as above.
 """
 
 import math
 from dataclasses import dataclass
 
 from .errors import InternalCheckError
-from .hasse import hasse_derivative, in_power_subfield, inflate, prime_power, subfield_coordinates
+from .hasse import (
+    hasse_derivative,
+    in_power_subfield,
+    inflate,
+    prime_power,
+    subfield_coordinates,
+    subfield_level,
+)
 from .poly import Poly, poly_divmod, poly_gcd
 from .ratfunc import RatFunc
 
@@ -181,17 +206,29 @@ def _det(rows) -> RatFunc:
     return RatFunc.make(-num if inversions % 2 else num, den)
 
 
-def _relation(rows, field) -> tuple[RatFunc, ...] | None:
-    """The relation of the first row that adds no rank (weight 1 there, 0
-    after it), over the relabeled coordinates; None when the rows are
-    independent.  The rows may have no columns, as the tail rows of
-    _unit_relation do at m = 0.
+def _first_dependence(rows, field) -> _Echelon | None:
+    """The echelon of rows with combination slots, stopped at the first row
+    that adds no rank, whose left-kernel vector it then holds; None when
+    the rows are independent.  The rows may have no columns, as the tail
+    rows of _unit_relation do at m = 0.
     """
     echelon = _Echelon(field, slots=len(rows))
     for row in rows:
         if not echelon.push(row):
-            return echelon.relation()
+            return echelon
     return None
+
+
+def _relation(rows, field) -> tuple[RatFunc, ...] | None:
+    """The relation of the first row that adds no rank (weight 1 there, 0
+    after it), over the relabeled coordinates; None when the rows are
+    independent.
+    """
+    echelon = _first_dependence(rows, field)
+    return None if echelon is None else echelon.relation()
+
+
+_NO_WITNESS = "coordinate rank is full but no nonsingular derivative index set was found"
 
 
 def _witness(b, pm: int, first: int = 0) -> tuple[int, ...]:
@@ -206,9 +243,17 @@ def _witness(b, pm: int, first: int = 0) -> tuple[int, ...]:
             indices.append(i)
             if len(indices) == len(b):
                 return tuple(indices)
-    raise InternalCheckError(
-        "coordinate rank is full but no nonsingular derivative index set was found"
-    )
+    raise InternalCheckError(_NO_WITNESS)
+
+
+def _level_witness(y: RatFunc, pm: int) -> tuple[int, int]:
+    """_witness((1, y), pm) for (1, y) independent: (0, p**k) with k the
+    subfield level of y, which must be below m.
+    """
+    k = subfield_level(y)
+    if k is None or y.field.p**k >= pm:
+        raise InternalCheckError(_NO_WITNESS)
+    return 0, y.field.p**k
 
 
 def _psi_witness(b, j: int, pm: int) -> tuple[int, ...]:
@@ -216,10 +261,37 @@ def _psi_witness(b, j: int, pm: int) -> tuple[int, ...]:
 
     D(i)(1) = 0 for i > 0, so row 0 is the only derivative row of psi(j, b)
     with a nonzero entry in column j: the greedy scan keeps it, and then
-    the rows i >= 1 that grow the rank of b without its column j.
+    the rows i >= 1 that grow the rank of b without its column j.  For one
+    remaining component x, that is the first i >= 1 with D(i)(x) != 0,
+    read off its subfield level.
     """
     rest = (*b[: j - 1], *b[j:])
+    if len(rest) == 1:
+        return _level_witness(rest[0], pm)
     return (0, *_witness(rest, pm, first=1)) if rest else (0,)
+
+
+def _eliminated_test(b, pm: int, rows) -> IndependenceCertificate:
+    """independence_test by elimination: the relation of the first
+    coordinate row that adds no rank, else the greedy derivative witness.
+    """
+    relation = _relation(rows, b[0].field)
+    if relation is not None:
+        return IndependenceCertificate(False, None, tuple(inflate(c, pm) for c in relation))
+    return IndependenceCertificate(True, _witness(b, pm), None)
+
+
+def _two_term_test(b, pm: int, rows) -> IndependenceCertificate:
+    """independence_test for b = (b_1, b_2), read off y = b_2 / b_1 and
+    confirmed by the coordinate rank of rows.
+    """
+    y = b[1] / b[0]
+    if independence_verdict(rows):
+        return IndependenceCertificate(True, _level_witness(y, pm), None)
+    k = subfield_level(y)
+    if k is not None and y.field.p**k < pm:
+        raise InternalCheckError("coordinate rank and subfield level of b_2 / b_1 disagree")
+    return IndependenceCertificate(False, None, (-y, RatFunc.one(y.field)))
 
 
 def independence_test(b, m: int, rows=None) -> IndependenceCertificate:
@@ -232,10 +304,10 @@ def independence_test(b, m: int, rows=None) -> IndependenceCertificate:
     """
     field = _check_components(b).field
     pm = prime_power(field, m)
-    relation = _relation(coordinate_matrix(b, m) if rows is None else rows, field)
-    if relation is not None:
-        return IndependenceCertificate(False, None, tuple(inflate(c, pm) for c in relation))
-    return IndependenceCertificate(True, _witness(b, pm), None)
+    if rows is None:
+        rows = coordinate_matrix(b, m)
+    test = _two_term_test if len(b) == 2 else _eliminated_test
+    return test(b, pm, rows)
 
 
 def independence_verdict(rows) -> bool:
@@ -260,15 +332,17 @@ def _unit_relation(rows, field, pm: int) -> tuple[RatFunc, ...] | None:
     independent with coordinate rows rows; None when the stack is
     independent.
     """
-    tail = _relation([(nums[1:], den) for nums, den in rows], field)
-    if tail is None:
+    echelon = _first_dependence([(nums[1:], den) for nums, den in rows], field)
+    if echelon is None:
         return None
-    head = RatFunc.zero(field)
-    for w, (nums, den) in zip(tail, rows):
-        head = head - w * RatFunc.make(nums[0], den)
-    if head.is_zero:
+    v = echelon.kernel
+    s = Poly.zero(field)
+    for v_k, (nums, _) in zip(v, rows):
+        s = s + v_k * nums[0]
+    if s.is_zero:
         raise InternalCheckError("relation of the coordinate rows of an independent vector")
-    return (*(inflate(w / head, pm) for w in tail), RatFunc.one(head.field))
+    weights = (inflate(RatFunc.make(-v_k * den, s), pm) for v_k, (_, den) in zip(v, rows))
+    return (*weights, RatFunc.one(field))
 
 
 def _candidate(w):
@@ -358,7 +432,7 @@ def candidate_solution(b, m: int):
     field = _check_components(b).field
     pm = prime_power(field, m)
     rows = coordinate_matrix(b, m)
-    if _relation(rows, field) is not None:
+    if not independence_verdict(rows):
         raise ValueError("candidate solve requires independent components")
     return _candidate(_unit_relation(rows, field, pm))
 

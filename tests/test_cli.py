@@ -407,14 +407,17 @@ def test_factor_work_is_bounded(monkeypatch):
     charge = f"factoring charge {1000**3 * 2} "
     code, out, err = run(["factor", "--p", "2", "--poly", "T^1000+T+1"])
     assert code == 4 and out == "" and charge in err
-    # the one check covers the factoring of every command
+    # the one check covers the factoring of every command that factors
     for argv in (
         ["repset", "--p", "2", "--gens", "T^1000+T+1", "--m", "16"],
         ["solve", "--p", "2", "--gens", "T^1000+T+1", "--b", "T, 1", "--m", "1"],
-        ["skolem", "--p", "2", "--gens", "T^1000+T+1", "--b", "T, 1", "--rhs", "0"],
     ):
         code, out, err = run(argv)
         assert code == 4 and out == "" and charge in err, argv
+    # skolem builds its group from the generators alone and factors nothing
+    argv = ["skolem", "--p", "2", "--gens", "T^1000+T+1", "--b", "T, 1", "--rhs", "0"]
+    code, doc = run_json(argv)
+    assert code == 0 and doc["outcome"] == "obstruction-found"
     assert time.perf_counter() - start < 1.0
     monkeypatch.undo()
     argv = ["factor", "--p", "3", "--poly", "T^5+2*T+1"]

@@ -10,6 +10,7 @@ from ffunits.hasse import (
     inflate,
     poly_jet,
     prime_power,
+    subfield_level,
     subfield_coordinates,
 )
 
@@ -105,6 +106,34 @@ def test_in_power_subfield_examples(F2, F3):
     assert in_power_subfield(el(F3, "(1+T)^3"), 1)
     assert in_power_subfield(RatFunc.zero(F2), 3)
     assert in_power_subfield(el(F3, "2"), 2)
+
+
+def test_subfield_level_examples(F2, F3):
+    # the p-adic valuation of the gcd of the exponents of the reduced fraction
+    assert subfield_level(el(F2, "T")) == 0
+    assert subfield_level(el(F2, "T^2/(T^2+1)")) == 1
+    assert subfield_level(el(F2, "(T^4+1)/T^8")) == 2
+    assert subfield_level(el(F2, "T^4/(T^2+T+1)^2")) == 1  # (T^2/(T^2+T+1))^2
+    assert subfield_level(el(F3, "(1+T)^3")) == 1
+    assert subfield_level(el(F3, "T^6+T^18")) == 1
+    assert subfield_level(el(F3, "2*T^9")) == 2
+    assert subfield_level(el(F3, "2")) is None
+    assert subfield_level(RatFunc.zero(F2)) is None
+
+
+def test_subfield_level_reads_membership(F2, F3):
+    # x lies in F_q(t**(p**m)), the joint kernel of D(1), ..., D(p**m - 1),
+    # iff its level is at least m (or x is constant)
+    rng = random.Random(61)
+    for field in (F2, F3):
+        for _ in range(30):
+            k = rng.randrange(3)
+            x = inflate(rand_ratfunc(rng, field, 3), field.p**k)
+            level = subfield_level(x)
+            assert level is None or level >= k
+            for m in range(4):
+                kernel = all(hasse_derivative(x, i).is_zero for i in range(1, field.p**m))
+                assert kernel == (level is None or level >= m)
 
 
 def test_in_power_subfield_powers(F2, F3):

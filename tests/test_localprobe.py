@@ -355,20 +355,36 @@ def test_obstruction_scan_charges_each_modulus_its_degree():
 
 def test_skolem_does_not_factor_coefficients(monkeypatch):
     """A base is kept when it divides no numerator or denominator of the
-    generators and coefficients, so a coefficient of degree 500, past the
-    factoring charge, is read by division only.
+    generators and coefficients, and skolem builds its group from the
+    generators alone, so a coefficient or a generator of degree 500, past
+    the factoring charge, is read by division only: no run factors.
     """
-    from ffunits import ratfunc
+    from ffunits import poly, ratfunc
+    from ffunits.ratfunc import divisor_vector
 
-    degrees = []
+    calls = []
     original = ratfunc.factor
-    monkeypatch.setattr(ratfunc, "factor", lambda a: degrees.append(a.degree()) or original(a))
-    argv = ["skolem", "--p", "2", "--gens", "1+T", "--b", "T^500+T+1, 1", "--rhs", "0",
-            "--deg-bound", "2", "--e-bound", "1"]
-    out, err = io.StringIO(), io.StringIO()
-    assert run_cli(argv, stdout=out, stderr=err) == 2, err.getvalue()
-    assert json.loads(out.getvalue())["outcome"] == "none-found"
-    assert degrees and max(degrees) < 500
+
+    def counted(a, *args):
+        calls.append(a)
+        return original(a, *args)
+
+    monkeypatch.setattr(poly, "factor", counted)
+    monkeypatch.setattr(ratfunc, "factor", counted)
+    runs = (
+        ("--p 2 --gens 1+T --b T^500+T+1,1 --rhs 0 --deg-bound 2 --e-bound 1", "none-found", 2),
+        ("--p 2 --gens T^500+T+1 --b 1,1 --rhs 0 --deg-bound 2 --e-bound 1", "none-found", 2),
+        ("--p 2 --gens 1+T,1+T+T^2 --b T,1 --rhs 0", "none-found", 2),
+        ("--p 3 --gens 1+T --b 1,1 --rhs 1", "obstruction-found", 0),
+    )
+    for argv, outcome, want in runs:
+        out, err = io.StringIO(), io.StringIO()
+        assert run_cli(["skolem", *argv.split()], stdout=out, stderr=err) == want, err.getvalue()
+        assert json.loads(out.getvalue())["outcome"] == outcome
+    assert calls == []
+    # the counter is live: a factorization through ratfunc is seen
+    divisor_vector(el(GF(3), "(T^2+1)/(T+2)^4"))
+    assert calls
 
 
 def test_obstruction_scan_charges_rabin_tests_by_degree(monkeypatch):

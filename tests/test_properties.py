@@ -1,7 +1,8 @@
 """Derandomized properties: element texts never fault the command line, the
 tokenizer agrees with the hand-written scanner kept here as its oracle, the
 certified decision agrees with the word-box search that shares only the
-arithmetic with it, the word-box search on residues agrees with the plain
+arithmetic with it, no listed solution meets a local obstruction, the
+word-box search on residues agrees with the plain
 exact search kept here as its oracle, and the obstruction scan agrees with
 a breadth-first scan kept here as its oracle.
 """
@@ -187,6 +188,32 @@ def test_decide_agrees_with_sg_search(instance):
         assert acc.is_one
         assert all(member(x, group) is not None for x in s.coords)
     assert len(got) <= report.bound
+
+
+@st.composite
+def unit_equations(draw):
+    """A two-term instance with rhs 1; for about half of them b_2 is set so
+    that a point of words up to 2 solves the equation.  (Three terms over
+    GF(4) at m = 2 take about 0.4 s a decision.)"""
+    group, eq, m = draw(instances().filter(lambda inst: inst[1].arity == 2))
+    eq = Equation(eq.b, 1)
+    if draw(st.booleans()):
+        eq = planted(draw, group, eq, 2)
+    return group, eq, m
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(unit_equations())
+def test_listed_solutions_and_local_obstructions_exclude_each_other(instance):
+    # a solution in the group solves the equation modulo every base**e, so
+    # no modulus obstructs it: a report that lists a solution comes with no
+    # obstruction, and an obstruction with an empty solution list.  The
+    # first reading catches a spurious solution, the second a false
+    # obstruction
+    group, eq, m = instance
+    report = decide(eq, group, m)
+    obstruction = find_local_obstruction(eq, group, 2, 1)
+    assert not (report.solutions and obstruction is not None)
 
 
 def plain_sg_search(eq, group, word_bound):

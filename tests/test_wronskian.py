@@ -1,7 +1,10 @@
+import io
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffunits import (
     GF,
@@ -14,12 +17,17 @@ from ffunits import (
     independence_test,
     wronskian_det_adj,
 )
+from ffunits import wronskian
+from ffunits.cli import run_cli
 from ffunits.errors import InternalCheckError
+from ffunits.hasse import inflate
 from ffunits.wronskian import (
     IndependenceCertificate,
     _cleared,
     _Echelon,
+    _eliminated_test,
     _psi_witness,
+    _relation,
     _witness,
     independence_verdict,
     psi,
@@ -30,6 +38,7 @@ from ffunits.wronskian import (
 )
 
 from conftest import coordinate_fractions, el, rand_poly, rand_ratfunc, sympy_element, sympy_matrix
+from test_properties import FIELDS, units
 
 
 def test_coordinate_matrix_examples(F2):
@@ -436,6 +445,83 @@ def test_psi_witness_is_the_greedy_witness_of_psi(F2, F3):
                     assert _psi_witness(b, j, pm) == _witness(psi(j, b), pm)
                     compared += 1
     assert compared > 150
+
+
+@st.composite
+def two_term_vectors(draw):
+    """(b, m, k) with b = (b_1, b_1 * y) for y a p**k-th power pattern
+    z(t**(p**k)), k < m and k <= 2; or y in K_m (k = m), so that b is
+    dependent; or b planted to solve b . c = 1 with c in K_m**2 (k = 0).
+    """
+    field = draw(st.sampled_from(FIELDS))
+    m = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("pattern", "dependent", "planted")))
+    b_1, z = draw(units(field)), draw(units(field))
+    if kind == "planted":
+        c_1, c_2 = (inflate(draw(units(field)), field.p**m) for _ in range(2))
+        b_2 = (RatFunc.one(field) - b_1 * c_1) / c_2
+        return (b_1, b_2 if not b_2.is_zero else z), m, 0
+    k = m if kind == "dependent" else draw(st.integers(0, min(2, m - 1)))
+    return (b_1, b_1 * inflate(z, field.p**k)), m, k
+
+
+def _eliminated_verdicts(b, m, rows):
+    """unit_substitution_verdicts by the general elimination route, the
+    oracle of the two-term rule: each test by _eliminated_test, and the
+    candidate from the relation of the coordinate rows of b stacked over
+    the row of 1.
+    """
+    field = b[0].field
+    pm = field.p**m
+    cert = _eliminated_test(b, pm, rows)
+    psi_certs = tuple(
+        _eliminated_test(psi(j, b), pm, psi_rows(rows, j)) for j in range(1, len(b) + 1)
+    )
+    if not cert.independent:
+        return cert, psi_certs, None
+    relation = _relation([*rows, psi_rows(rows, 1)[0]], field)
+    if relation is None:
+        return cert, psi_certs, None
+    candidate = tuple(-inflate(w, pm) for w in relation[:-1])
+    return cert, psi_certs, None if any(c.is_zero for c in candidate) else candidate
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(two_term_vectors())
+def test_two_term_rule_matches_elimination(draw):
+    b, m, k = draw
+    rows = coordinate_matrix(b, m)
+    want = _eliminated_verdicts(b, m, rows)
+    cert = independence_test(b, m)
+    assert cert == independence_test(b, m, rows=rows) == want[0]
+    assert unit_substitution_verdicts(b, m, rows) == want
+    assert unit_substitution_verdicts(b, m, rows, cert) == want
+    if k >= m:
+        assert not cert.independent
+    elif cert.independent:
+        # the quotient has level at least k, so D(i) vanishes on it below p**k
+        assert cert.index_set[1] >= b[0].field.p**k
+
+
+def test_two_term_rule_refuses_a_level_that_disagrees(F2, monkeypatch):
+    # the two-term verdict is confirmed by the coordinate rank: a level that
+    # puts every quotient in K_m leaves an independent pair without a
+    # witness, and one that puts none there contradicts a dependent pair
+    one, t = RatFunc.one(F2), RatFunc.t(F2)
+    for level, b, argv in (
+        (lambda y: None, (t, one), ["indep", "--p", "2", "--b", "T, 1", "--m", "1"]),
+        (lambda y: 0, (one, one), ["indep", "--p", "2", "--b", "1, 1", "--m", "1"]),
+        (lambda y: None, (t, one),
+         ["solve", "--p", "2", "--gens", "1+T", "--b", "T, 1", "--rhs", "0", "--m", "1"]),
+    ):
+        assert run_cli(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
+        with monkeypatch.context() as mp:
+            mp.setattr(wronskian, "subfield_level", level)
+            with pytest.raises(InternalCheckError):
+                independence_test(b, 1)
+            err = io.StringIO()
+            assert run_cli(argv, stdout=io.StringIO(), stderr=err) == 1
+            assert "internal check failed" in err.getvalue()
 
 
 def test_psi_witness_keeps_the_internal_check(F2):
