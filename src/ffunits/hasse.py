@@ -17,15 +17,17 @@ derivative kernel and once through the exponent pattern of the reduced
 fraction; a disagreement raises InternalCheckError since the two routes
 are independent.
 
-Jets are memoized per (element, order).  The cache is a transparent memo
-over pure functions, so answers are identical with or without it and
-concurrent readers are safe.  p**m and every jet order are held to
-errors.MAX_PRIME_POWER.  The hasse command also charges a jet against
-errors.DEFAULT_BOX_LIMIT before it expands it (check_jet_bounds); the
-solver's own jets stop at order p**m - 1 and are not charged.
+Each element keeps one memoized jet, grown an order at a time under a
+lock only as far as a reader asks.  The memo is transparent, so answers
+are identical with or without it.  p**m and every jet order are held to
+errors.MAX_PRIME_POWER; the hasse command also charges a jet against
+errors.DEFAULT_BOX_LIMIT before it expands it (check_jet_bounds), while
+the solver's own jets stop at order p**m - 1 and are not charged.
 """
 
+import itertools
 import math
+import threading
 from functools import lru_cache
 
 from . import errors
@@ -57,39 +59,37 @@ def binom_mod(n: int, k: int, p: int) -> int:
     return r
 
 
-def poly_jet(a: Poly, order: int) -> list[Poly]:
-    """Coefficients in u of a(t+u) up to u**order; entry i is D(i) of a."""
+def poly_jet(a: Poly):
+    """D(0)(a), D(1)(a), ...: the coefficients in u of a(t+u), without end."""
     f = a.field
     exp, log, p = f.exp_table, f.log_table, f.p
     la = [log[c] for c in a.coeffs]
-    out = []
-    for i in range(order + 1):
+    for i in itertools.count():
         coeffs = []
         for k in range(i, len(la)):
-            lk = la[k]
-            bc = binom_mod(k, i, p) if lk is not None else 0
-            coeffs.append(exp[lk + log[bc]] if bc else 0)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        out.append(Poly(f, tuple(coeffs)))
-    return out
+            bc = binom_mod(k, i, p) if la[k] is not None else 0
+            coeffs.append(exp[la[k] + log[bc]] if bc else 0)
+        yield _trimmed(f, coeffs)
+
+
+def _expand_jet(x: RatFunc):
+    """D(0)(x), D(1)(x), ...: powers of u in x(t+u) * den(t+u) = num(t+u), in order."""
+    inv0 = RatFunc.make(Poly.one(x.field), x.den)
+    den_terms, out = [], []  # (k, D(k)(den)) for k >= 1 and D(k)(den) != 0
+    for i, (a, e) in enumerate(zip(poly_jet(x.num), poly_jet(x.den))):
+        if i and not e.is_zero:
+            den_terms.append((i, RatFunc.from_poly(e)))
+        acc = RatFunc.from_poly(a)
+        for k, e_k in den_terms:
+            acc = acc - e_k * out[i - k]
+        out.append(acc * inv0)
+        yield out[-1]
 
 
 @lru_cache(maxsize=4096)
-def _jet_coeffs(x: RatFunc, order: int) -> tuple[RatFunc, ...]:
-    num_jet = poly_jet(x.num, order)
-    den_jet = poly_jet(x.den, order)
-    # match powers of u in x(t+u) * den(t+u) = num(t+u), one order at a time
-    inv0 = RatFunc.make(Poly.one(x.field), x.den)
-    d = x.den.degree()
-    out = []
-    for i in range(order + 1):
-        acc = RatFunc.from_poly(num_jet[i])
-        for k in range(1, min(i, d) + 1):  # D(k) of den is 0 past its degree
-            if not den_jet[k].is_zero:
-                acc = acc - RatFunc.from_poly(den_jet[k]) * out[i - k]
-        out.append(acc * inv0)
-    return tuple(out)
+def _jet_coeffs(x: RatFunc):
+    """The jet of x: its rows D(0)(x), D(1)(x), ... so far, their generator, its lock."""
+    return [], _expand_jet(x), threading.Lock()
 
 
 def _check_order(order: int, what: str):
@@ -120,13 +120,18 @@ def check_jet_bounds(x: RatFunc, order: int, what: str) -> None:
 def taylor_jet(x: RatFunc, order: int) -> tuple[RatFunc, ...]:
     """D(0..order)(x), entry i being D(i)(x), from one truncated expansion."""
     _check_order(order, "jet order")
-    return _jet_coeffs(x, order)
+    hasse_derivative(x, order)  # grows the jet of x to order
+    return tuple(_jet_coeffs(x)[0][: order + 1])
 
 
 def hasse_derivative(x: RatFunc, i: int) -> RatFunc:
-    """The i-th higher derivative of x."""
+    """The i-th higher derivative of x, off the jet of x grown to order i."""
     _check_order(i, "derivative index")
-    return _jet_coeffs(x, i)[i]
+    rows, more, lock = _jet_coeffs(x)
+    with lock:
+        while len(rows) <= i:
+            rows.append(next(more))
+    return rows[i]
 
 
 def subfield_level(x: RatFunc) -> int | None:
@@ -136,11 +141,7 @@ def subfield_level(x: RatFunc) -> int | None:
     subfield iff p**k divides every exponent of its numerator and
     denominator, so k is the p-adic valuation of their gcd.
     """
-    g = 0
-    for a in (x.num, x.den):
-        for k, c in enumerate(a.coeffs):
-            if c:
-                g = math.gcd(g, k)
+    g = math.gcd(*(k for a in (x.num, x.den) for k, c in enumerate(a.coeffs) if c))
     if not g:
         return None
     p, level = x.field.p, 0
@@ -154,8 +155,7 @@ def in_power_subfield(x: RatFunc, m: int) -> bool:
     pm = prime_power(x.field, m)
     level = subfield_level(x)
     structural = level is None or level >= m
-    jets = _jet_coeffs(x, pm - 1) if pm > 1 else ()
-    kernel = all(jets[l].is_zero for l in range(1, pm))
+    kernel = all(d.is_zero for d in taylor_jet(x, pm - 1)[1:])
     if structural != kernel:
         raise InternalCheckError(
             f"subfield membership tests disagree for {x!r}, m={m}: "

@@ -49,9 +49,8 @@ def hnf_with_transform(rows, width):
 def solve_left(rows, width, target):
     """Solve w * A = target over the integers.
 
-    Returns (word, kernel_basis, failing_col): word is one solution or None,
-    kernel_basis spans {w : w * A = 0}, and failing_col points at the first
-    unsatisfiable column when there is no solution.
+    Returns (word, kernel_basis): word is one solution or None, and
+    kernel_basis spans {w : w * A = 0}.
     """
     m = len(rows)
     H, U, pivots = hnf_with_transform(rows, width)
@@ -62,18 +61,17 @@ def solve_left(rows, width, target):
     for i, c in enumerate(pivots):
         piv = H[i][c]
         if resid[c] % piv:
-            return None, kernel, c
+            return None, kernel
         k = resid[c] // piv
         if k:
             y[i] = k
             for j in range(width):
                 resid[j] -= k * H[i][j]
-    for c in range(width):
-        if resid[c]:
-            return None, kernel, c
+    if any(resid):
+        return None, kernel
     word = [0] * m
     for i in range(rank):
         if y[i]:
             for j in range(m):
                 word[j] += y[i] * U[i][j]
-    return tuple(word), kernel, None
+    return tuple(word), kernel

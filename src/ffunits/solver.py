@@ -152,16 +152,17 @@ def _scaled(br, gen_powers, k: int):
     return tuple(x * gen_powers[(j + k) % n] for j, x in enumerate(br))
 
 
-def _confirm_failure(rhs: int, br, m: int, gen_powers) -> int:
-    """Re-test a failing tuple under subfield-unit scalings; bugs surface here.
+def _confirm_failure(rhs: int, br, m: int, generators) -> int:
+    """Re-test a failing tuple under subfield-unit scalings by the p**m-th
+    powers of the generators; bugs surface here.
 
     _scaled has period len(gen_powers) in k and the re-test is
     deterministic, so scaling k + n gives the verdict of scaling k: each
     distinct scaled vector is re-tested once, and the count returned is
     that of the scalings covered, MAX_DEPENDENCE_RETRIES.
     """
-    if not gen_powers:
-        return 0
+    pm = prime_power(br[0].field, m)
+    gen_powers = [g**pm for g in generators]
     for k in range(min(len(gen_powers), MAX_DEPENDENCE_RETRIES)):
         rows = coordinate_matrix(_scaled(br, gen_powers, k), m)
         stacks = (rows,) if rhs == 0 else (psi_rows(rows, j) for j in range(1, len(rows) + 1))
@@ -203,7 +204,6 @@ def decide(
     complete solution set (rhs 1), or report the first failing tuple.
     """
     pm = prime_power(group.field, m)
-    gen_powers = [g**pm for g in group.generators]
     reps = representatives(group, m)
     element = functools.cache(group.word_product)
     key = functools.cache(lambda word: residue_key(group, word, m))
@@ -230,7 +230,7 @@ def decide(
             independent.setdefault(orbit, rec.certificate)
         records.append(rec)
         if rec.fails and failure is None:
-            retries = _confirm_failure(eq.rhs, br, m, gen_powers)
+            retries = _confirm_failure(eq.rhs, br, m, group.generators)
             reason = ("dependent-products", "all-unit-substitutions-dependent")[eq.rhs]
             failure = FailureRecord(**vars(rec), reason=reason, retries=retries)
             if not exhaustive:

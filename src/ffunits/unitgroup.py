@@ -152,7 +152,7 @@ def member(x: RatFunc, group: SubgroupPresentation) -> tuple[int, ...] | None:
     if stray:
         return None
     matrix = [list(r) for r in group.exponent_matrix]
-    word0, kernel, _ = solve_left(matrix, len(group.support), target)
+    word0, kernel = solve_left(matrix, len(group.support), target)
     if word0 is None:
         return None
     f = group.field

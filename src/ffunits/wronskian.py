@@ -13,13 +13,12 @@ in lowest terms by RatFunc.make, so they do not depend on it.
 
 The decision eliminates the coordinate matrix of the vector in the basis
 1, t, ..., t**(p**m - 1); a row that adds no rank yields the exact
-relation vector of the dependent case.  When the verdict is independent, a
-witness index set I = {0 = i_1 < ... < i_M < p**m} is then produced
-greedily so that the matrix of higher derivatives D(i_l) applied to the
-vector has nonzero determinant; that determinant is the checkable
-certificate.  Callers that test many vectors sharing components may pass
-the coordinate rows they already hold, and independence_verdict decides
-rank alone, with no relation or witness.
+relation vector of the dependent case.  A two-term vector b = (b_1, b_2)
+takes the rank alone (independence_verdict): it is dependent over K_m iff
+y = b_2 / b_1 lies in K_m, with relation (-y, 1).  Callers that test many
+vectors sharing components may pass the coordinate rows they already
+hold, and independence_verdict decides rank alone, with no relation or
+witness.
 
 Verdict and witness are shared by a whole orbit: for f nonzero and s_j in
 K_m = F_q(t**(p**m)), v and (f * v_j * s_j)_j have the same verdict and the
@@ -30,18 +29,26 @@ diagonal; and D(i)(s x) = s D(i)(x) for s in K_m and i < p**m, so s_j scales
 column j.  Every prefix of rows keeps its rank, so the greedy scan keeps
 the same rows, and independence is the case of all p**m rows.
 
-A two-term vector b = (b_1, b_2) is read off the one quotient y = b_2 / b_1
-instead: b is dependent over K_m iff y lies in K_m, with relation (-y, 1).
-Let k be the subfield level of y, the largest k with y in K_k, read from
-the exponents of its reduced numerator and denominator
-(hasse.subfield_level).  Writing y = g(t**(p**k)) with g' != 0,
-y(t+u) = g(t**(p**k) + u**(p**k)), so D(i)(y) = 0 for 0 < i < p**k and
-D(p**k)(y) = g'(t**(p**k)) != 0.  The greedy witness of (1, y) is thus
-(0, p**k) when k < m, and by the orbit argument it is that of
-b = b_1 * (1, y).  The verdict is confirmed by the coordinate rank
-(independence_verdict): a dependent rank with k < m, or an independent
-one with k >= m, raises InternalCheckError.  Three or more terms are
-eliminated as above.
+The witness of an independent vector is its greedy index set
+I = {0 = i_1 < ... < i_M < p**m}: the higher-derivative rows D(i), taken
+in increasing i, that grow the rank, so that the matrix of the D(i_l)
+applied to the vector has nonzero determinant, the checkable certificate.
+Every witness here is that of a vector (1, *rest), found by one rule
+(_witness): 0, followed by the greedy rows i >= 1 of the tail rest, since
+D(i)(1) = 0 for i > 0 leaves row 0 the only row that reaches the column
+of 1.  b itself is (1, b_2 / b_1, ..., b_M / b_1) up to the orbit
+argument, and psi(j, b) below is (1, b without its column j) up to the
+order of columns, so its witness builds no psi(j, b) and divides nothing.
+A longer tail grows one memoized jet per component, an order at a time
+(hasse.hasse_derivative), up to the last row it keeps.  A one-component tail x is
+read off its subfield level k, the largest k with x in K_k, which the
+exponents of its reduced numerator and denominator give
+(hasse.subfield_level).
+Writing x = g(t**(p**k)) with g' != 0, x(t+u) = g(t**(p**k) + u**(p**k)),
+so D(i)(x) = 0 for 0 < i < p**k and D(p**k)(x) = g'(t**(p**k)) != 0: the
+witness is (0, p**k), and k < m.  For b = (b_1, b_2) that level confirms
+the coordinate rank: a dependent rank with k < m, or an independent one
+with k >= m, raises InternalCheckError.
 
 unit_substitution_verdicts answers, for any b, its own test, every unit
 substitution psi(j, b) (b with its j-th entry replaced by 1) and the
@@ -54,14 +61,11 @@ rows (nums_k[1:], d_k) ends in a polynomial kernel vector v, which puts
 weight v_k d_k on the K-row nums_k / d_k and so -S on the 1 row, with
 S = sum_k v_k * nums_k[0].  Scaled to weight 1 on the 1 row,
 w_k = -v_k d_k / S, one RatFunc.make per weight (S = 0 would be a
-relation among the rows of b).  Then psi(j, b) is independent iff w_j != 0, a dependent psi(j, b) has
-the relation w with w_{M+1} moved into slot j, and the candidate is
--w[:M].  Proof: b is independent, so w is, up to scale, the only relation
-among b and 1, and psi(j, b) is dependent iff some relation among b and 1
-puts no weight on b_j.  The witness of an independent psi(j, b) needs no
-derivative of 1: D(i)(1) = 0 for i > 0, so it is 0 followed by the greedy
-rows i >= 1 of b without its column j; for M = 2 that is one component x,
-and the row is p**k for k the subfield level of x, as above.
+relation among the rows of b).  Then psi(j, b) is independent iff
+w_j != 0, a dependent psi(j, b) has the relation w with w_{M+1} moved into
+slot j, and the candidate is -w[:M].  Proof: b is independent, so w is,
+up to scale, the only relation among b and 1, and psi(j, b) is dependent
+iff some relation among b and 1 puts no weight on b_j.
 """
 
 import math
@@ -219,79 +223,34 @@ def _first_dependence(rows, field) -> _Echelon | None:
     return None
 
 
-def _relation(rows, field) -> tuple[RatFunc, ...] | None:
-    """The relation of the first row that adds no rank (weight 1 there, 0
-    after it), over the relabeled coordinates; None when the rows are
-    independent.
-    """
-    echelon = _first_dependence(rows, field)
-    return None if echelon is None else echelon.relation()
-
-
 _NO_WITNESS = "coordinate rank is full but no nonsingular derivative index set was found"
 
 
-def _witness(b, pm: int, first: int = 0) -> tuple[int, ...]:
-    """Greedy witness for an independent b: keep every derivative row
-    D(i)(b), first <= i < pm, that grows the rank, until there are len(b)
-    of them.
+def _witness(rest, pm: int) -> tuple[int, ...]:
+    """The greedy witness of (1, *rest), for it independent over K_m.
+
+    Row 0 is kept, and no later row reaches the column of 1, since
+    D(i)(1) = 0 for i > 0: the witness is 0 followed by every derivative
+    row D(i)(rest), 0 < i < pm, that grows the rank, until there are
+    len(rest) of them; hasse_derivative grows one jet per component, an
+    order at a time.  One component x is read off its subfield level k
+    instead: its first nonzero derivative row is p**k, which must be below
+    pm.
     """
-    witness = _Echelon(b[0].field)
-    indices: list[int] = []
-    for i in range(first, pm):
-        if witness.push(_cleared([hasse_derivative(x, i) for x in b])):
+    if not rest:
+        return (0,)
+    if len(rest) == 1:
+        k = subfield_level(rest[0])
+        if k is None or rest[0].field.p**k >= pm:
+            raise InternalCheckError(_NO_WITNESS)
+        return 0, rest[0].field.p**k
+    echelon, indices = _Echelon(rest[0].field), [0]
+    for i in range(1, pm):
+        if echelon.push(_cleared([hasse_derivative(x, i) for x in rest])):
             indices.append(i)
-            if len(indices) == len(b):
+            if len(indices) > len(rest):
                 return tuple(indices)
     raise InternalCheckError(_NO_WITNESS)
-
-
-def _level_witness(y: RatFunc, pm: int) -> tuple[int, int]:
-    """_witness((1, y), pm) for (1, y) independent: (0, p**k) with k the
-    subfield level of y, which must be below m.
-    """
-    k = subfield_level(y)
-    if k is None or y.field.p**k >= pm:
-        raise InternalCheckError(_NO_WITNESS)
-    return 0, y.field.p**k
-
-
-def _psi_witness(b, j: int, pm: int) -> tuple[int, ...]:
-    """_witness(psi(j, b), pm) for an independent psi(j, b).
-
-    D(i)(1) = 0 for i > 0, so row 0 is the only derivative row of psi(j, b)
-    with a nonzero entry in column j: the greedy scan keeps it, and then
-    the rows i >= 1 that grow the rank of b without its column j.  For one
-    remaining component x, that is the first i >= 1 with D(i)(x) != 0,
-    read off its subfield level.
-    """
-    rest = (*b[: j - 1], *b[j:])
-    if len(rest) == 1:
-        return _level_witness(rest[0], pm)
-    return (0, *_witness(rest, pm, first=1)) if rest else (0,)
-
-
-def _eliminated_test(b, pm: int, rows) -> IndependenceCertificate:
-    """independence_test by elimination: the relation of the first
-    coordinate row that adds no rank, else the greedy derivative witness.
-    """
-    relation = _relation(rows, b[0].field)
-    if relation is not None:
-        return IndependenceCertificate(False, None, tuple(inflate(c, pm) for c in relation))
-    return IndependenceCertificate(True, _witness(b, pm), None)
-
-
-def _two_term_test(b, pm: int, rows) -> IndependenceCertificate:
-    """independence_test for b = (b_1, b_2), read off y = b_2 / b_1 and
-    confirmed by the coordinate rank of rows.
-    """
-    y = b[1] / b[0]
-    if independence_verdict(rows):
-        return IndependenceCertificate(True, _level_witness(y, pm), None)
-    k = subfield_level(y)
-    if k is not None and y.field.p**k < pm:
-        raise InternalCheckError("coordinate rank and subfield level of b_2 / b_1 disagree")
-    return IndependenceCertificate(False, None, (-y, RatFunc.one(y.field)))
 
 
 def independence_test(b, m: int, rows=None) -> IndependenceCertificate:
@@ -306,8 +265,21 @@ def independence_test(b, m: int, rows=None) -> IndependenceCertificate:
     pm = prime_power(field, m)
     if rows is None:
         rows = coordinate_matrix(b, m)
-    test = _two_term_test if len(b) == 2 else _eliminated_test
-    return test(b, pm, rows)
+    if len(b) == 2:
+        y = b[1] / b[0]
+        if not independence_verdict(rows):
+            k = subfield_level(y)
+            if k is not None and field.p**k < pm:
+                raise InternalCheckError("coordinate rank and subfield level of b_2 / b_1 disagree")
+            return IndependenceCertificate(False, None, (-y, RatFunc.one(field)))
+        rest = (y,)
+    else:
+        echelon = _first_dependence(rows, field)
+        if echelon is not None:
+            relation = tuple(inflate(c, pm) for c in echelon.relation())
+            return IndependenceCertificate(False, None, relation)
+        rest = tuple(x / b[0] for x in b[1:])
+    return IndependenceCertificate(True, _witness(rest, pm), None)
 
 
 def independence_verdict(rows) -> bool:
@@ -374,7 +346,8 @@ def unit_substitution_verdicts(b, m: int, rows, cert=None):
     certs = []
     for j in range(1, len(b) + 1):
         if w is None or not w[j - 1].is_zero:
-            certs.append(IndependenceCertificate(True, _psi_witness(b, j, pm), None))
+            rest = (*b[: j - 1], *b[j:])  # psi(j, b) without its column of 1
+            certs.append(IndependenceCertificate(True, _witness(rest, pm), None))
             continue
         u = (*w[: j - 1], w[-1], *w[j:-1])
         last = next(x for x in reversed(u) if not x.is_zero)

@@ -11,6 +11,7 @@ checked for a trailing zero here.
 """
 
 import math
+from itertools import islice
 
 import pytest
 
@@ -187,7 +188,7 @@ def test_extension_kernels_match_digit_rule(case):
 def test_poly_jet_matches_definition(case, order):
     f, a, _, _ = case
     F = DigitRule(f.p, f.s, f.modulus)
-    jet = poly_jet(a, order)
+    jet = list(islice(poly_jet(a), order + 1))
     assert len(jet) == order + 1
     for i, d in enumerate(jet):
         want = [F.mul(c, math.comb(k, i) % f.p) for k, c in enumerate(a.coeffs)][i:]

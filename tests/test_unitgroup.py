@@ -109,7 +109,7 @@ def _member_word_by_queue_search(x, group):
     target, const, _ = _factoring_exponent_target(x, group)
     if target is None:
         return None
-    word0, kernel, _ = solve_left([list(r) for r in group.exponent_matrix], len(group.support), target)
+    word0, kernel = solve_left([list(r) for r in group.exponent_matrix], len(group.support), target)
     if word0 is None:
         return None
     f = group.field
@@ -146,7 +146,7 @@ def test_member_words_match_queue_search(F3):
     ]
     outcomes = set()
     for g in groups:
-        _, kernel, _ = solve_left([list(r) for r in g.exponent_matrix], len(g.support), [0] * len(g.support))
+        _, kernel = solve_left([list(r) for r in g.exponent_matrix], len(g.support), [0] * len(g.support))
         assert kernel  # a nontrivial kernel, so the constant search has steps
         for _ in range(30):
             c = RatFunc.constant(g.field, rng.randrange(1, g.field.q))

@@ -17,7 +17,7 @@ from ffunits import (
     independence_test,
     wronskian_det_adj,
 )
-from ffunits import wronskian
+from ffunits import hasse, wronskian
 from ffunits.cli import run_cli
 from ffunits.errors import InternalCheckError
 from ffunits.hasse import inflate
@@ -25,9 +25,7 @@ from ffunits.wronskian import (
     IndependenceCertificate,
     _cleared,
     _Echelon,
-    _eliminated_test,
-    _psi_witness,
-    _relation,
+    _first_dependence,
     _witness,
     independence_verdict,
     psi,
@@ -426,6 +424,20 @@ def test_independence_verdict_matches_the_certificates():
     assert min(verdicts.values()) > 100
 
 
+def _greedy_witness(b, pm):
+    """The plain greedy witness of b, the oracle of _witness: every
+    derivative row D(i)(b), 0 <= i < pm, that grows the rank, until there
+    are len(b) of them; None when the rows run out first.
+    """
+    echelon, indices = _Echelon(b[0].field), []
+    for i in range(pm):
+        if echelon.push(_cleared([hasse_derivative(x, i) for x in b])):
+            indices.append(i)
+            if len(indices) == len(b):
+                return tuple(indices)
+    return None
+
+
 def test_psi_witness_is_the_greedy_witness_of_psi(F2, F3):
     # row 0 is the only derivative row of psi(j, b) with a nonzero entry in
     # column j, so the greedy scan over the rows of b without column j gives
@@ -442,7 +454,7 @@ def test_psi_witness_is_the_greedy_witness_of_psi(F2, F3):
             b = tuple(b)
             for j in range(1, M + 1):
                 if independence_test(psi(j, b), m).independent:
-                    assert _psi_witness(b, j, pm) == _witness(psi(j, b), pm)
+                    assert _witness((*b[: j - 1], *b[j:]), pm) == _greedy_witness(psi(j, b), pm)
                     compared += 1
     assert compared > 150
 
@@ -465,6 +477,16 @@ def two_term_vectors(draw):
     return (b_1, b_1 * inflate(z, field.p**k)), m, k
 
 
+def _eliminated_test(b, pm, rows):
+    """independence_test by the general route: the relation of the first
+    coordinate row that adds no rank, else the plain greedy witness.
+    """
+    echelon = _first_dependence(rows, b[0].field)
+    if echelon is None:
+        return IndependenceCertificate(True, _greedy_witness(b, pm), None)
+    return IndependenceCertificate(False, None, tuple(inflate(c, pm) for c in echelon.relation()))
+
+
 def _eliminated_verdicts(b, m, rows):
     """unit_substitution_verdicts by the general elimination route, the
     oracle of the two-term rule: each test by _eliminated_test, and the
@@ -479,10 +501,10 @@ def _eliminated_verdicts(b, m, rows):
     )
     if not cert.independent:
         return cert, psi_certs, None
-    relation = _relation([*rows, psi_rows(rows, 1)[0]], field)
-    if relation is None:
+    echelon = _first_dependence([*rows, psi_rows(rows, 1)[0]], field)
+    if echelon is None:
         return cert, psi_certs, None
-    candidate = tuple(-inflate(w, pm) for w in relation[:-1])
+    candidate = tuple(-inflate(w, pm) for w in echelon.relation()[:-1])
     return cert, psi_certs, None if any(c.is_zero for c in candidate) else candidate
 
 
@@ -501,6 +523,49 @@ def test_two_term_rule_matches_elimination(draw):
     elif cert.independent:
         # the quotient has level at least k, so D(i) vanishes on it below p**k
         assert cert.index_set[1] >= b[0].field.p**k
+
+
+@st.composite
+def tail_vectors(draw):
+    """(b, m) with three or four terms: components z(t**(p**k)) for k <= 2,
+    so that witnesses reach past row 1, and at times b_1 = 1 or b_2 planted
+    in b_1 * K_m, so that b is dependent and psi(j, b) may not be.
+    """
+    field = draw(st.sampled_from(FIELDS))
+    m = draw(st.integers(1, 3))
+    size = draw(st.sampled_from((3, 4)))
+    b = [inflate(draw(units(field)), field.p ** draw(st.integers(0, 2))) for _ in range(size)]
+    kind = draw(st.sampled_from(("plain", "one", "dependent")))
+    if kind == "one":
+        b[0] = RatFunc.one(field)
+    elif kind == "dependent":
+        b[1] = b[0] * inflate(draw(units(field)), field.p**m)
+    return tuple(b), m
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(tail_vectors())
+def test_witness_is_the_plain_greedy_witness(draw):
+    # every witness is 0 followed by the greedy rows of a tail: that of b is
+    # read off b / b_1 and that of psi(j, b) off b without its column j, and
+    # both must be the plain greedy witness of the vector itself
+    b, m = draw
+    pm = b[0].field.p**m
+    cert, psi_certs, _ = unit_substitution_verdicts(b, m, coordinate_matrix(b, m))
+    assert cert == independence_test(b, m)
+    for c, v in ((cert, b), *((c, psi(j, b)) for j, c in enumerate(psi_certs, 1))):
+        if c.independent:
+            assert c.index_set == _greedy_witness(v, pm)
+
+
+def test_witness_scan_starts_one_jet_per_tail_component(F2):
+    # (1, T, T^4) at m = 3 has the witness (0, 1, 4): the scan grows the
+    # jets of T and T^4 order by order up to 4, and starts no jet per row
+    one, t = RatFunc.one(F2), RatFunc.t(F2)
+    hasse._jet_coeffs.cache_clear()
+    assert independence_test((one, t, t**4), 3).index_set == (0, 1, 4)
+    assert hasse._jet_coeffs.cache_info().misses == 2
+    assert [len(hasse._jet_coeffs(x)[0]) for x in (t, t**4)] == [5, 5]
 
 
 def test_two_term_rule_refuses_a_level_that_disagrees(F2, monkeypatch):
@@ -526,10 +591,13 @@ def test_two_term_rule_refuses_a_level_that_disagrees(F2, monkeypatch):
 
 def test_psi_witness_keeps_the_internal_check(F2):
     # psi(1, (T, T^2)) = (1, T^2) is dependent at m = 1: no witness exists,
-    # and D(1)(T^2) = 0 leaves the scan without a second row
+    # and D(1)(T^2) = 0 leaves the scan without a second row; so is
+    # (1, T^2, T^4) at m = 2, whose only row past 0 that grows the rank is 2
     t = RatFunc.t(F2)
-    with pytest.raises(InternalCheckError):
-        _psi_witness((t, t * t), 1, 2)
+    for rest, m in (((t**2,), 1), ((t**2, t**4), 2)):
+        assert _greedy_witness((RatFunc.one(F2), *rest), 2**m) is None
+        with pytest.raises(InternalCheckError):
+            _witness(rest, 2**m)
 
 
 def test_certificate_is_shared_by_the_orbit():
