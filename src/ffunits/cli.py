@@ -151,15 +151,19 @@ def _certs_json(certs):
     return None if certs is None else [_cert_json(c) for c in certs]
 
 
-def _witness_json(rec: solver.TupleRecord):
-    entry = {
+def _tuple_json(rec: solver.TupleRecord, **rest):
+    return {
         "r": [print_expr(x) for x in rec.r],
         "r_words": [list(w) for w in rec.r_words],
-        "certificate": {
-            "products": _cert_json(rec.certificate),
-            "unit_substitutions": _certs_json(rec.psi_certificates),
-        },
+        **rest,
     }
+
+
+def _witness_json(rec: solver.TupleRecord):
+    entry = _tuple_json(rec, certificate={
+        "products": _cert_json(rec.certificate),
+        "unit_substitutions": _certs_json(rec.psi_certificates),
+    })
     if rec.candidate is not None:
         entry["candidate"] = [print_expr(x) for x in rec.candidate]
         entry["point"] = [print_expr(x) for x in rec.point]
@@ -167,17 +171,16 @@ def _witness_json(rec: solver.TupleRecord):
     return entry
 
 
-def _failure_json(failure: solver.FailureRecord | None):
+def _failure_json(failure: solver.TupleRecord | None, rhs: int):
     if failure is None:
         return None
-    return {
-        "r": [print_expr(x) for x in failure.r],
-        "r_words": [list(w) for w in failure.r_words],
-        "reason": failure.reason,
-        "certificate": _cert_json(failure.certificate),
-        "unit_substitutions": _certs_json(failure.psi_certificates),
-        "retries": failure.retries,
-    }
+    return _tuple_json(
+        failure,
+        reason=solver.FAILURE_REASONS[rhs],
+        certificate=_cert_json(failure.certificate),
+        unit_substitutions=_certs_json(failure.psi_certificates),
+        retries=solver.MAX_DEPENDENCE_RETRIES,
+    )
 
 
 def _field_json(field: GF):
@@ -215,9 +218,9 @@ def _cmd_solve(args, field: GF) -> tuple[dict, int]:
         "command": "solve",
         "generators": [print_expr(g) for g in group.generators],
         "repset_size": report.repset_size,
-        "failure": _failure_json(report.failure),
+        "failure": _failure_json(report.failure, eq.rhs),
         "auto_failures": [
-            {"m": m, "failure": _failure_json(f)} for m, f in report.auto_failures
+            {"m": m, "failure": _failure_json(f, eq.rhs)} for m, f in report.auto_failures
         ],
     }
     return doc, EXIT_OK if report.outcome != "inapplicable" else EXIT_NEGATIVE

@@ -71,6 +71,8 @@ from .wronskian import (
 )
 
 MAX_DEPENDENCE_RETRIES = 8
+# why the first failing tuple fails, by rhs
+FAILURE_REASONS = ("dependent-products", "all-unit-substitutions-dependent")
 
 
 @dataclass(frozen=True)
@@ -119,14 +121,6 @@ class TupleRecord:
         return not any(c.independent for c in self.psi_certificates or (self.certificate,))
 
 
-@dataclass(frozen=True, kw_only=True)
-class FailureRecord(TupleRecord):
-    """The first failing tuple's record, with why it fails and its re-tests."""
-
-    reason: str
-    retries: int
-
-
 @dataclass(frozen=True)
 class CertifiedReport:
     outcome: str  # certified-empty | certified-solutions | inapplicable
@@ -136,8 +130,8 @@ class CertifiedReport:
     records: tuple[TupleRecord, ...]
     solutions: tuple[SolutionPoint, ...] | None = None
     bound: int | None = None
-    failure: FailureRecord | None = None
-    auto_failures: tuple[tuple[int, FailureRecord], ...] = ()
+    failure: TupleRecord | None = None
+    auto_failures: tuple[tuple[int, TupleRecord], ...] = ()
 
 
 def _tuple_space(reps, arity: int):
@@ -152,14 +146,14 @@ def _scaled(br, gen_powers, k: int):
     return tuple(x * gen_powers[(j + k) % n] for j, x in enumerate(br))
 
 
-def _confirm_failure(rhs: int, br, m: int, generators) -> int:
+def _confirm_failure(rhs: int, br, m: int, generators) -> None:
     """Re-test a failing tuple under subfield-unit scalings by the p**m-th
     powers of the generators; bugs surface here.
 
     _scaled has period len(gen_powers) in k and the re-test is
     deterministic, so scaling k + n gives the verdict of scaling k: each
-    distinct scaled vector is re-tested once, and the count returned is
-    that of the scalings covered, MAX_DEPENDENCE_RETRIES.
+    distinct scaled vector is re-tested once, and the re-tests cover all
+    MAX_DEPENDENCE_RETRIES scalings.
     """
     pm = prime_power(br[0].field, m)
     gen_powers = [g**pm for g in generators]
@@ -170,7 +164,6 @@ def _confirm_failure(rhs: int, br, m: int, generators) -> int:
             raise InternalCheckError(
                 "dependence verdict changed under a p**m-th power scaling"
             )
-    return MAX_DEPENDENCE_RETRIES
 
 
 def _inhomogeneous_record(eq, group, m, r, words, br, rows, known) -> TupleRecord:
@@ -230,9 +223,8 @@ def decide(
             independent.setdefault(orbit, rec.certificate)
         records.append(rec)
         if rec.fails and failure is None:
-            retries = _confirm_failure(eq.rhs, br, m, group.generators)
-            reason = ("dependent-products", "all-unit-substitutions-dependent")[eq.rhs]
-            failure = FailureRecord(**vars(rec), reason=reason, retries=retries)
+            _confirm_failure(eq.rhs, br, m, group.generators)
+            failure = rec
             if not exhaustive:
                 break
     outcome = ("certified-empty", "certified-solutions")[eq.rhs]

@@ -36,7 +36,7 @@ from . import errors
 from .errors import InternalCheckError
 from .field import GF
 from .hasse import prime_power
-from .intlattice import hnf_with_transform, solve_left
+from .intlattice import hnf, solve_left
 from .poly import Poly
 from .ratfunc import RatFunc, divisor_vector, multiplicity
 
@@ -151,8 +151,7 @@ def member(x: RatFunc, group: SubgroupPresentation) -> tuple[int, ...] | None:
     target, const, stray = _exponent_target(x, group)
     if stray:
         return None
-    matrix = [list(r) for r in group.exponent_matrix]
-    word0, kernel = solve_left(matrix, len(group.support), target)
+    word0, kernel = solve_left(group.exponent_matrix, len(group.support), target)
     if word0 is None:
         return None
     f = group.field
@@ -186,7 +185,7 @@ def representatives(group: SubgroupPresentation, m: int) -> tuple[tuple[int, ...
     k, n = len(group.support), len(group.generators)
     rows = [list(a) + [int(i == j) for j in range(n)] for i, a in enumerate(group.exponent_matrix)]
     rows += [[pm * (i == j) for j in range(k + n)] for i in range(k)]
-    H, _, pivots = hnf_with_transform(rows, k + n)
+    H, pivots = hnf(rows, k + n)
     sizes = [H[i][c] for i, c in enumerate(pivots) if c >= k]
     size = math.prod(sizes)
     if size > errors.DEFAULT_GROUP_LIMIT:

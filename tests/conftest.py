@@ -6,7 +6,7 @@ from ffunits import GF, Poly, RatFunc
 from ffunits.errors import InternalCheckError
 from ffunits.exprio import parse_element
 from ffunits.hasse import in_power_subfield
-from ffunits.intlattice import hnf_with_transform
+from ffunits.intlattice import hnf
 from ffunits.unitgroup import SubgroupPresentation, _exponent_target, member, residue_key
 
 
@@ -84,8 +84,8 @@ def sympy_matrix(rows):
 
 def in_rational_rowspan(rows, width, target) -> bool:
     """Whether target lies in the Q-span of the rows: appending it adds no pivot."""
-    rank = len(hnf_with_transform(rows, width)[2])
-    return len(hnf_with_transform([*rows, target], width)[2]) == rank
+    rank = len(hnf(rows, width)[1])
+    return len(hnf([*rows, target], width)[1]) == rank
 
 
 def radical_member(x: RatFunc, group: SubgroupPresentation) -> bool:

@@ -56,13 +56,19 @@ def test_solve_worked_instance():
     )
 
 
-def test_solve_gap_instance():
+@pytest.mark.parametrize(
+    "rhs, reason", (("0", "dependent-products"), ("1", "all-unit-substitutions-dependent"))
+)
+def test_solve_gap_instance(rhs, reason):
     path = os.path.join(INSTANCES, "p3-closure-gap.toy")
-    code, doc = run_json(["solve", "--instance", path])
+    code, doc = run_json(["solve", "--instance", path, "--rhs", rhs])
     assert code == 2
     assert doc["outcome"] == "inapplicable"
     assert doc["failure"]["r"] == ["1", "1"]
     assert [a["m"] for a in doc["auto_failures"]] == [1, 2, 3]
+    for failure in (doc["failure"], *(a["failure"] for a in doc["auto_failures"])):
+        assert failure["reason"] == reason
+        assert failure["retries"] == 8
 
 
 def test_skolem_subcommand():

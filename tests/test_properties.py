@@ -3,8 +3,10 @@ tokenizer agrees with the hand-written scanner kept here as its oracle, the
 certified decision agrees with the word-box search that shares only the
 arithmetic with it, no listed solution meets a local obstruction, the
 word-box search on residues agrees with the plain
-exact search kept here as its oracle, and the obstruction scan agrees with
-a breadth-first scan kept here as its oracle.
+exact search kept here as its oracle, the obstruction scan agrees with
+a breadth-first scan kept here as its oracle, and the Hermite form that
+carries its transform agrees with the two-matrix form kept here as its
+oracle.
 """
 
 import io
@@ -21,6 +23,7 @@ from ffunits import GF, Equation, Modulus, Poly, RatFunc, build_presentation, de
 from ffunits.cli import run_cli  # noqa: E402
 from ffunits import localprobe  # noqa: E402
 from ffunits.exprio import ParseError, _tokenize  # noqa: E402
+from ffunits.intlattice import hnf, solve_left  # noqa: E402
 from ffunits.localprobe import _residue_bases, find_local_obstruction, residue_group, sg_search  # noqa: E402
 from ffunits.poly import monic_irreducibles, poly_mulmod, poly_powmod  # noqa: E402
 from ffunits.ratfunc import divisor_vector, reduce_mod  # noqa: E402
@@ -338,3 +341,107 @@ def test_obstruction_scan_agrees_with_breadth_first_scan(scan):
             break
     witness = find_local_obstruction(eq, group, deg_bound, e_bound)
     assert (None if witness is None else (witness.modulus, witness.group_size)) == expected
+
+
+def _oracle_row_addmul(mat, aux, dst, src, c):
+    if c:
+        mrow, srow = mat[dst], mat[src]
+        for j in range(len(mrow)):
+            mrow[j] += c * srow[j]
+        arow, brow = aux[dst], aux[src]
+        for j in range(len(arow)):
+            arow[j] += c * brow[j]
+
+
+def _oracle_hnf_with_transform(rows, width):
+    """Row Hermite form with the transform kept as a second matrix: returns
+    (H, U, pivot_cols) with U unimodular, U*A = H."""
+    m = len(rows)
+    H = [list(map(int, r)) for r in rows]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    pivots = []
+    r = 0
+    for c in range(width):
+        while True:
+            nz = [i for i in range(r, m) if H[i][c]]
+            if len(nz) <= 1:
+                break
+            i0 = min(nz, key=lambda i: (abs(H[i][c]), i))
+            for i in nz:
+                if i != i0:
+                    _oracle_row_addmul(H, U, i, i0, -(H[i][c] // H[i0][c]))
+        if not nz:
+            continue
+        i0 = nz[0]
+        H[r], H[i0] = H[i0], H[r]
+        U[r], U[i0] = U[i0], U[r]
+        if H[r][c] < 0:
+            H[r] = [-v for v in H[r]]
+            U[r] = [-v for v in U[r]]
+        for k in range(r):
+            _oracle_row_addmul(H, U, k, r, -(H[k][c] // H[r][c]))
+        pivots.append(c)
+        r += 1
+    return H, U, pivots
+
+
+def _oracle_solve_left(rows, width, target):
+    """w * A = target solved from the two-matrix form: (word or None, kernel)."""
+    m = len(rows)
+    H, U, pivots = _oracle_hnf_with_transform(rows, width)
+    rank = len(pivots)
+    kernel = [tuple(U[i]) for i in range(rank, m)]
+    resid = list(map(int, target))
+    y = [0] * m
+    for i, c in enumerate(pivots):
+        piv = H[i][c]
+        if resid[c] % piv:
+            return None, kernel
+        k = resid[c] // piv
+        if k:
+            y[i] = k
+            for j in range(width):
+                resid[j] -= k * H[i][j]
+    if any(resid):
+        return None, kernel
+    word = [0] * m
+    for i in range(rank):
+        if y[i]:
+            for j in range(m):
+                word[j] += y[i] * U[i][j]
+    return tuple(word), kernel
+
+
+def _times(w, rows, width):
+    return [sum(c * r[j] for c, r in zip(w, rows)) for j in range(width)]
+
+
+@st.composite
+def lattice_problems(draw):
+    """Rows A, their width and a target; half the targets are planted as w*A."""
+    width = draw(st.integers(1, 4))
+    entries = st.integers(-6, 6)
+    rows = draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=5))
+    if draw(st.booleans()):
+        w = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+        return rows, width, _times(w, rows, width), True
+    return rows, width, draw(st.lists(entries, min_size=width, max_size=width)), False
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(lattice_problems())
+def test_hermite_form_carries_the_transform_of_the_two_matrix_form(problem):
+    rows, width, target, planted = problem
+    H0, U0, pivots0 = _oracle_hnf_with_transform(rows, width)
+    assert hnf(rows, width) == (H0, pivots0)
+    augmented = [[*r, *(int(i == j) for j in range(len(rows)))] for i, r in enumerate(rows)]
+    H, pivots = hnf(augmented, width)
+    assert pivots == pivots0
+    assert [h[:width] for h in H] == H0 and [h[width:] for h in H] == U0
+    word, kernel = solve_left(rows, width, target)
+    assert (word, kernel) == _oracle_solve_left(rows, width, target)
+    if word is not None:
+        assert _times(word, rows, width) == target
+    assert word is not None or not planted
+    assert all(_times(k, rows, width) == [0] * width for k in kernel)
+    assert len(kernel) == len(rows) - len(pivots)

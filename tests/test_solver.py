@@ -23,7 +23,6 @@ from ffunits import (
 from ffunits.cli import run_cli
 from ffunits.errors import InternalCheckError
 from ffunits.localprobe import sg_search
-from ffunits.solver import MAX_DEPENDENCE_RETRIES
 from ffunits.unitgroup import SubgroupPresentation
 from ffunits.wronskian import verify_certificate
 
@@ -123,7 +122,6 @@ def test_homogeneous_inapplicable_fixed_point(F3):
     report = decide(eq, group, 1)
     assert report.outcome == "inapplicable"
     assert report.failure.r == (RatFunc.one(F3), RatFunc.one(F3))
-    assert report.failure.retries == 8
     rel = report.failure.certificate.relation
     acc = RatFunc.zero(F3)
     for c, x in zip(rel, report.failure.r):
@@ -166,8 +164,6 @@ def test_inhomogeneous_inapplicable(F3):
     report = decide(eq, group, 1)
     assert report.outcome == "inapplicable"
     assert report.failure.r == (RatFunc.one(F3), RatFunc.one(F3))
-    assert report.failure.reason == "all-unit-substitutions-dependent"
-    assert report.failure.retries == MAX_DEPENDENCE_RETRIES
     assert all(not c.independent for c in report.failure.psi_certificates)
 
 
@@ -206,7 +202,6 @@ def test_retests_cover_each_distinct_scaling_once(F3, n, verdicts, monkeypatch):
     group = build_presentation(tuple(el(F3, f"T^{i}") for i in range(1, n + 1)))
     report = decide(Equation((RatFunc.one(F3), RatFunc.one(F3)), 0), group, 1)
     assert report.outcome == "inapplicable"
-    assert report.failure.retries == MAX_DEPENDENCE_RETRIES == 8
     assert len(calls) == verdicts
 
 
