@@ -6,18 +6,23 @@ instance file (flag, then file, then default; m and m_max are one choice of
 precision, so a flag for either overrides both), builds the field once
 (equal fields of later runs are one memoized GF) and hands it to the
 subcommand.  Every run writes one JSON report to stdout and diagnostics to
-stderr.  Exit codes: 0 success or certified answer, 1 internal fault, 2
-sound non-answer (inapplicable or nothing found), 3 input error, 4 resource
-limit.  Input errors are raised only while parsing and validating, so any
-other exception reaching run_cli is a fault in this package.
+stderr.  The report is streamed one top-level element at a time (a
+non-empty top-level list one entry at a time) in the exact bytes of
+json.dump(doc, stdout, indent=2), so no report-sized string is built, and
+solve renders each distinct element once per report.  Exit codes: 0
+success or certified answer, 1 internal fault, 2 sound non-answer
+(inapplicable or nothing found), 3 input error, 4 resource limit.  Input
+errors are raised only while parsing and validating, so any other
+exception reaching run_cli, also one raised while the report is written
+(which may then be cut short), is a fault in this package.
 """
 
 import argparse
 import functools
-import json
 import sys
 import time
 import traceback
+from json.encoder import encode_basestring_ascii as _escape
 
 from . import hasse as hassemod
 from . import localprobe, solver, unitgroup, wronskian
@@ -139,46 +144,96 @@ def _equation(args, field: GF) -> solver.Equation:
         raise InputError(str(exc)) from None
 
 
-def _cert_json(cert: wronskian.IndependenceCertificate | None):
+def _json_text(value, pad: str) -> str:
+    """value as json.dumps writes it with indent=2, nested at indentation pad."""
+    kind = type(value)
+    if kind is str:
+        return _escape(value)
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = ",\n" + inner
+        return f"[\n{inner}{items.join([_json_text(v, inner) for v in value])}\n{pad}]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = ",\n" + inner
+        body = items.join([f"{_escape(k)}: {_json_text(v, inner)}" for k, v in value.items()])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _write_json(doc, write) -> None:
+    """Pass the bytes of json.dump(doc, fp, indent=2) to write, one value of
+    the top-level dict, or one entry of such a value that is a non-empty
+    list, per call."""
+    if type(doc) is not dict or not doc:
+        write(_json_text(doc, ""))
+        return
+    lead = "{\n  "
+    for key, value in doc.items():
+        write(f"{lead}{_escape(key)}: ")
+        if type(value) is list and value:
+            item_lead = "[\n    "
+            for item in value:
+                write(item_lead + _json_text(item, "    "))
+                item_lead = ",\n    "
+            write("\n  ]")
+        else:
+            write(_json_text(value, "  "))
+        lead = ",\n  "
+    write("\n}")
+
+
+def _cert_json(cert: wronskian.IndependenceCertificate | None, text):
     if cert is None:
         return None
     if cert.independent:
         return {"verdict": "independent", "index_set": list(cert.index_set)}
-    return {"verdict": "dependent", "relation": [print_expr(r) for r in cert.relation]}
+    return {"verdict": "dependent", "relation": [text(r) for r in cert.relation]}
 
 
-def _certs_json(certs):
-    return None if certs is None else [_cert_json(c) for c in certs]
+def _certs_json(certs, text):
+    return None if certs is None else [_cert_json(c, text) for c in certs]
 
 
-def _tuple_json(rec: solver.TupleRecord, **rest):
+def _tuple_json(rec: solver.TupleRecord, text, **rest):
     return {
-        "r": [print_expr(x) for x in rec.r],
+        "r": [text(x) for x in rec.r],
         "r_words": [list(w) for w in rec.r_words],
         **rest,
     }
 
 
-def _witness_json(rec: solver.TupleRecord):
-    entry = _tuple_json(rec, certificate={
-        "products": _cert_json(rec.certificate),
-        "unit_substitutions": _certs_json(rec.psi_certificates),
+def _witness_json(rec: solver.TupleRecord, text):
+    entry = _tuple_json(rec, text, certificate={
+        "products": _cert_json(rec.certificate, text),
+        "unit_substitutions": _certs_json(rec.psi_certificates, text),
     })
     if rec.candidate is not None:
-        entry["candidate"] = [print_expr(x) for x in rec.candidate]
-        entry["point"] = [print_expr(x) for x in rec.point]
+        entry["candidate"] = [text(x) for x in rec.candidate]
+        entry["point"] = [text(x) for x in rec.point]
         entry["kept"] = rec.kept
     return entry
 
 
-def _failure_json(failure: solver.TupleRecord | None, rhs: int):
+def _failure_json(failure: solver.TupleRecord | None, rhs: int, text):
     if failure is None:
         return None
     return _tuple_json(
         failure,
+        text,
         reason=solver.FAILURE_REASONS[rhs],
-        certificate=_cert_json(failure.certificate),
-        unit_substitutions=_certs_json(failure.psi_certificates),
+        certificate=_cert_json(failure.certificate, text),
+        unit_substitutions=_certs_json(failure.psi_certificates, text),
         retries=solver.MAX_DEPENDENCE_RETRIES,
     )
 
@@ -199,28 +254,30 @@ def _cmd_solve(args, field: GF) -> tuple[dict, int]:
         report = solver.auto_m(eq, group, int(m_max) if m_max is not None else 3,
                                exhaustive=args.verbose)
     timing = int((time.perf_counter() - start) * 1000) if args.timing else None
+    # equal elements recur across tuples; render each once per report
+    text = functools.cache(print_expr)
     doc = {
         "outcome": report.outcome,
         "m": report.m,
-        "equation": {"b": [print_expr(x) for x in report.equation.b], "rhs": report.equation.rhs},
+        "equation": {"b": [text(x) for x in report.equation.b], "rhs": report.equation.rhs},
         "field": _field_json(field),
         "solutions": (
             None
             if report.solutions is None
             else [
-                {"coords": [print_expr(x) for x in s.coords], "words": [list(w) for w in s.words]}
+                {"coords": [text(x) for x in s.coords], "words": [list(w) for w in s.words]}
                 for s in report.solutions
             ]
         ),
         "bound": report.bound,
-        "witnesses": [_witness_json(rec) for rec in report.records],
+        "witnesses": [_witness_json(rec, text) for rec in report.records],
         "timing_ms": timing,
         "command": "solve",
-        "generators": [print_expr(g) for g in group.generators],
+        "generators": [text(g) for g in group.generators],
         "repset_size": report.repset_size,
-        "failure": _failure_json(report.failure, eq.rhs),
+        "failure": _failure_json(report.failure, eq.rhs, text),
         "auto_failures": [
-            {"m": m, "failure": _failure_json(f, eq.rhs)} for m, f in report.auto_failures
+            {"m": m, "failure": _failure_json(f, eq.rhs, text)} for m, f in report.auto_failures
         ],
     }
     return doc, EXIT_OK if report.outcome != "inapplicable" else EXIT_NEGATIVE
@@ -448,6 +505,8 @@ def run_cli(argv=None, stdout=None, stderr=None) -> int:
             if key not in flags:  # a flag overrides the file
                 setattr(args, key, value)
         doc, code = args.handler(args, _build_field(args))
+        _write_json(doc, stdout.write)
+        stdout.write("\n")
     except InputError as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_INPUT
@@ -461,8 +520,6 @@ def run_cli(argv=None, stdout=None, stderr=None) -> int:
         traceback.print_exc(file=stderr)
         print(f"internal error: {type(exc).__name__}: {exc}", file=stderr)
         return EXIT_INTERNAL
-    json.dump(doc, stdout, indent=2)
-    stdout.write("\n")
     return code
 
 

@@ -4,7 +4,9 @@ Run `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 """
 
 import io
+import json
 import math
+import os
 import random
 import time
 
@@ -266,8 +268,8 @@ def test_criterion_7_closure_probe(F3):
     _report(7, f"stabilization indices {', '.join(details)}, values match direct powmod")
 
 
-def _run_report_battery(instance_dir):
-    commands = [
+def _battery_commands(instance_dir):
+    return [
         ["solve", "--instance", f"{instance_dir}/p2-certified.toy"],
         ["solve", "--instance", f"{instance_dir}/p2-certified.toy", "--rhs", "0"],
         ["solve", "--instance", f"{instance_dir}/p3-closure-gap.toy"],
@@ -281,8 +283,11 @@ def _run_report_battery(instance_dir):
         ["factor", "--p", "3", "--poly", "T^6+2*T^3+T"],
         ["indep", "--b", "T, 1+T", "--m", "2", "--p", "2"],
     ]
+
+
+def _run_report_battery(instance_dir):
     chunks = []
-    for argv in commands:
+    for argv in _battery_commands(instance_dir):
         out = io.StringIO()
         run_cli(argv, stdout=out, stderr=io.StringIO())
         chunks.append(out.getvalue())
@@ -296,7 +301,6 @@ REPORT_BATTERY_SHA256 = "231158441d93956e6f6f98b89ed2f59d6da87deeb3f98923774e4a7
 
 def test_criterion_8_determinism():
     import hashlib
-    import os
 
     instance_dir = os.path.join(os.path.dirname(__file__), "..", "instances")
     first = _run_report_battery(instance_dir)
@@ -363,3 +367,47 @@ def test_orbit_heavy_reports_are_pinned(argv, code, digest):
     out = io.StringIO()
     assert run_cli(list(argv), stdout=out, stderr=io.StringIO()) == code
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+# every subcommand's report against json itself, which shares no code with
+# the report writer: the battery, both hasse shapes (which the pinned battery
+# leaves out), a timed solve and an inapplicable --verbose solve
+_INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
+_ORACLE_COMMANDS = (
+    *_battery_commands(_INSTANCES),
+    ["hasse", "--p", "3", "--x", "T^2", "--order", "2"],
+    ["hasse", "--p", "2", "--x", "1/(1+T)", "--i", "1"],
+    ["solve", "--instance", f"{_INSTANCES}/p2-certified.toy", "--timing"],
+    list(ORBIT_REPORTS[2][0]),
+)
+
+
+@pytest.mark.parametrize("argv", _ORACLE_COMMANDS, ids=(
+    "solve-certified", "solve-certified-rhs0", "solve-gap", "solve-gap-verbose",
+    "skolem-certified", "skolem-gap", "probe", "repset", "factor", "indep",
+    "hasse-order", "hasse-i", "solve-timing", "solve-inapplicable-verbose",
+))
+def test_reports_match_json_dumps(argv):
+    out, err = io.StringIO(), io.StringIO()
+    assert run_cli(argv, stdout=out, stderr=err) in (0, 2), err.getvalue()
+    text = out.getvalue()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_reports_are_streamed():
+    # the 256-tuple rhs-1 solve, written one top-level value or one witness
+    # entry at a time
+    import hashlib
+
+    argv, code, digest = ORBIT_REPORTS[1]
+    writes = []
+
+    class Recorder:
+        write = writes.append
+
+    assert run_cli(list(argv), stdout=Recorder(), stderr=io.StringIO()) == code
+    text = "".join(writes)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert text.count('"r_words"') == 256
+    assert max(map(len, writes)) < len(text) / 10
+    assert all(w.count('"r_words"') <= 1 for w in writes)

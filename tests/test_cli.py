@@ -4,9 +4,11 @@ import os
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ffunits import GF, RatFunc, exprio
-from ffunits.cli import parse_instance_text, run_cli
+from ffunits import GF, RatFunc, cli, exprio
+from ffunits.cli import _json_text, _write_json, parse_instance_text, run_cli
 
 INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
 
@@ -269,6 +271,54 @@ def test_internal_fault_exit_code(monkeypatch):
     monkeypatch.setattr(solver, "decide", broken)
     code, out, err = run(["solve", "--p", "2", "--gens", "1+T", "--b", "T, 1", "--m", "1"])
     assert code == 1 and out == "" and "simulated fault" in err
+
+
+def test_fault_while_writing_is_a_fault(monkeypatch):
+    # the report is written inside run_cli's handling, so a value the writer
+    # cannot encode exits 1 like any other fault
+    def factor_with_float(args, field):
+        return {"outcome": "ok", "unit": 0.5, "command": "factor"}, cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "_cmd_factor", factor_with_float)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # bind the patched handler
+    code, out, err = run(["factor", "--p", "3", "--poly", "T"])
+    assert code == 1 and "internal error: TypeError" in err
+
+
+# strings from all of Unicode, with quotes, backslashes, control characters,
+# line separators and non-BMP characters drawn often
+_CHARS = st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u2028\U0001F600\ud800/')
+_KEYS = st.text(_CHARS, max_size=6)
+_SCALARS = (
+    st.none() | st.booleans() | st.text(_CHARS, max_size=12)
+    | st.integers() | st.integers(min_value=2**64, max_value=2**200) | st.integers(max_value=-(2**64))
+)
+
+
+def _nested(depth):
+    if depth == 0:
+        return _SCALARS
+    kids = _nested(depth - 1)
+    return _SCALARS | st.lists(kids, max_size=4) | st.dictionaries(_KEYS, kids, max_size=4)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(_KEYS, _nested(3), max_size=6))
+def test_report_writer_matches_json(doc):
+    # top-level dicts nested to depth 4, empty dicts and lists included
+    expected = json.dumps(doc, indent=2)
+    writes = []
+    _write_json(doc, writes.append)
+    assert "".join(writes) == expected
+    assert _json_text(doc, "") == expected
+
+
+@pytest.mark.parametrize("bad", [0.5, (1, 2), object()], ids=["float", "tuple", "object"])
+def test_report_writer_refuses_other_types(bad):
+    with pytest.raises(TypeError):
+        _json_text(bad, "")
+    with pytest.raises(TypeError):
+        _write_json({"outcome": "ok", "values": [1, {"x": bad}]}, [].append)
 
 
 def test_resource_limit_exit_code(monkeypatch):
