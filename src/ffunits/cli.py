@@ -14,11 +14,16 @@ success or certified answer, 1 internal fault, 2 sound non-answer
 (inapplicable or nothing found), 3 input error, 4 resource limit.  Input
 errors are raised only while parsing and validating, so any other
 exception reaching run_cli, also one raised while the report is written
-(which may then be cut short), is a fault in this package.
+(which may then be cut short), is a fault in this package.  A reader
+that closes stdout before the report ends (as ``| head`` does) is none:
+the report is cut short, nothing is written to stderr, and the run exits
+with the report's own code, 0 or 2; main sends what is still buffered to
+os.devnull, so the interpreter's final flush stays quiet too.
 """
 
 import argparse
 import functools
+import os
 import sys
 import time
 import traceback
@@ -505,8 +510,11 @@ def run_cli(argv=None, stdout=None, stderr=None) -> int:
             if key not in flags:  # a flag overrides the file
                 setattr(args, key, value)
         doc, code = args.handler(args, _build_field(args))
-        _write_json(doc, stdout.write)
-        stdout.write("\n")
+        try:
+            _write_json(doc, stdout.write)
+            stdout.write("\n")
+        except BrokenPipeError:  # the reader closed the pipe early: no fault
+            pass
     except InputError as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_INPUT
@@ -524,7 +532,14 @@ def run_cli(argv=None, stdout=None, stderr=None) -> int:
 
 
 def main():
-    sys.exit(run_cli())
+    code = run_cli()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe before the last of the report; send what
+        # is still buffered to os.devnull so the final flush stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -19,15 +19,23 @@ read the field's tables once per call and make no method call per
 coefficient.  ``+``, ``-``, ``*``, ``scale``, ``poly_divmod``,
 ``poly_mulmod`` (the product reduced in the same pass), ``poly_powmod``,
 ``poly_gcd`` and ``poly_invmod`` (Euclid on coefficient lists) share them
-and build one ``Poly`` per result.  The public constructor checks for a trailing zero;
-``_trimmed`` drops trailing zeros itself and is the one place that builds
-a ``Poly`` without that check.
+and build one ``Poly`` per result, except where the operands fix the
+answer: ``1 * x`` and ``x * 1``, ``0 + x`` and ``x + 0``, ``x ** 1`` and
+``1 ** e`` return an operand itself, which is safe because a ``Poly`` is
+never changed after it is built; division by a constant ``c`` is a scaling
+by ``1/c`` with remainder 0, and a gcd with a constant operand is 1, with
+no kernel call.  On the solver's traffic most products have the factor 1
+(a denominator, a unit pivot, the start of a power).  The public
+constructor checks for a trailing zero; ``_trimmed`` drops trailing zeros
+itself and is the one place that builds a ``Poly`` without that check.
 
 Factorization runs the classical pipeline: squarefree split, then
 distinct-degree, then equal-degree (Cantor-Zassenhaus) splitting.  The
 equal-degree stage draws from a generator seeded with the fixed
-DEFAULT_SEED, so the whole run is reproducible; the returned factor list
-is canonically sorted and therefore identical for every seed.  A
+DEFAULT_SEED, built only when a split first draws, so the whole run is
+reproducible; a monic polynomial of degree 1 is its own factor.  The
+returned factor list is canonically sorted and therefore identical for
+every seed.  A
 factorization is charged an upper bound on its work before it starts and
 refused past errors.DEFAULT_BOX_LIMIT.
 """
@@ -152,6 +160,10 @@ class Poly(Value):
 
     def __add__(self, other: "Poly") -> "Poly":
         self._same_field(other)
+        if not self.coeffs:
+            return other
+        if not other.coeffs:
+            return self
         f = self.field
         return _trimmed(f, _add_list(f, self.coeffs, other.coeffs))
 
@@ -168,8 +180,12 @@ class Poly(Value):
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._same_field(other)
-        f = self.field
         a, b = self.coeffs, other.coeffs
+        if a == (1,):
+            return other
+        if b == (1,):
+            return self
+        f = self.field
         if not a or not b:
             return Poly.zero(f)
         return _trimmed(f, _mul_list(f, a, b))
@@ -185,6 +201,8 @@ class Poly(Value):
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative polynomial power")
+        if e == 1 or self.coeffs == (1,):
+            return self
         r = Poly.one(self.field)
         b = self
         while e:
@@ -384,6 +402,8 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         raise ZeroDivisionError("division by zero polynomial")
     if len(a.coeffs) < len(b.coeffs):
         return Poly.zero(f), a
+    if len(b.coeffs) == 1:
+        return a.scale(f.inv(b.coeffs[0])), Poly.zero(f)
     quot, rem = _divmod_list(f, list(a.coeffs), b.coeffs)
     return _trimmed(f, quot), _trimmed(f, rem)
 
@@ -404,6 +424,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if not a.coeffs and not b.coeffs:
         raise ValueError("gcd of two zero polynomials")
     f = a.field
+    if len(a.coeffs) == 1 or len(b.coeffs) == 1:
+        return Poly.one(f)
     x, y = list(a.coeffs), list(b.coeffs)
     while y:
         x, y = y, _trim(_divmod_list(f, x, y)[1])
@@ -592,12 +614,14 @@ def factor(a: Poly) -> Factorization:
     if charge > errors.DEFAULT_BOX_LIMIT:
         errors.refuse("factoring charge", charge, errors.DEFAULT_BOX_LIMIT)
     monic, unit = a.monic()
-    if monic.degree() == 0:
-        return Factorization(field, unit, ())
-    rng = random.Random(DEFAULT_SEED)
+    if monic.degree() <= 1:
+        return Factorization(field, unit, ((monic, 1),) if monic.degree() else ())
+    rng = None  # built when a split first draws, so the draws stay the same
     found: list[tuple[Poly, int]] = []
     for part, mult in _squarefree_split(monic):
         for d, prod in _distinct_degree_split(part):
+            if rng is None and prod.degree() > d:
+                rng = random.Random(DEFAULT_SEED)
             for irr in _equal_degree_split(prod, d, rng):
                 found.append((irr, mult))
     found.sort(key=lambda fm: fm[0].sort_key())

@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -283,6 +285,53 @@ def test_fault_while_writing_is_a_fault(monkeypatch):
     monkeypatch.setattr(cli, "_parser", cli.build_parser)  # bind the patched handler
     code, out, err = run(["factor", "--p", "3", "--poly", "T"])
     assert code == 1 and "internal error: TypeError" in err
+
+
+class _ClosedAfter(io.StringIO):
+    """A stdout whose reader goes away after the first ``size`` characters."""
+
+    def __init__(self, size):
+        super().__init__()
+        self.size = size
+
+    def write(self, text):
+        if self.tell() + len(text) > self.size:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+_PIPED = ["solve", "--p", "2", "--gens", "1+T, 1+T+T^2", "--b", "T, 1", "--m", "1", "--rhs", "1"]
+
+
+@pytest.mark.parametrize("argv, want", [
+    (_PIPED, cli.EXIT_OK),
+    (["solve", "--instance", os.path.join(INSTANCES, "p3-closure-gap.toy")], cli.EXIT_NEGATIVE),
+])
+def test_closed_pipe_is_no_fault(argv, want):
+    # a reader that stops early (| head) cuts the report short; the run
+    # keeps the report's own code and writes nothing to stderr
+    out, err = _ClosedAfter(10), io.StringIO()
+    assert run_cli(argv, stdout=out, stderr=err) == want
+    assert out.getvalue() == run(argv)[1][: len(out.getvalue())] and err.getvalue() == ""
+
+
+@pytest.mark.parametrize("argv", [_PIPED, ["factor", "--p", "3", "--poly", "T^2+1"]])
+def test_closed_pipe_through_the_entry_point(argv):
+    # the solve report (about 15 kB) fills the 8 kB stdout buffer, so the
+    # pipe breaks inside run_cli; the factor report breaks it only at main's
+    # flush.  The read end is closed before the process starts, so every
+    # write meets a closed pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as on a plain pipe
+    try:
+        done = subprocess.run([sys.executable, "-m", "ffunits.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (cli.EXIT_OK, b"")
 
 
 # strings from all of Unicode, with quotes, backslashes, control characters,

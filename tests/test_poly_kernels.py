@@ -27,16 +27,21 @@ from ffunits import GF, Poly, factor, is_irreducible, poly_divmod, poly_gcd, pol
 from ffunits.poly import poly_invmod, poly_mulmod  # noqa: E402
 from ffunits.hasse import poly_jet  # noqa: E402
 
-SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 PRIME_FIELDS = {p: GF(p) for p in (2, 3, 5, 7)}
 EXTENSION_FIELDS = [GF(2, 2, (1, 1, 1)), GF(2, 3, (1, 1, 0, 1)), GF(3, 2, (1, 0, 1)), GF(5, 2, (2, 0, 1))]
 
 
 def polys(field, max_len=10):
-    return st.lists(st.integers(0, field.q - 1), max_size=max_len).map(
+    """Dense polynomials; about two draws in three are 0, 1 or T, or a nonzero
+    constant, the operands the operators answer without a kernel call."""
+    dense = st.lists(st.integers(0, field.q - 1), max_size=max_len).map(
         lambda cs: Poly.from_coeffs(field, cs)
     )
+    trivial = st.sampled_from([Poly.zero(field), Poly.one(field), Poly.x(field)])
+    constants = st.integers(1, field.q - 1).map(lambda c: Poly.constant(field, c))
+    return dense | trivial | constants
 
 
 @st.composite
@@ -64,6 +69,8 @@ def test_prime_field_kernels_match_galoistools(case):
     assert big(a - b) == galoistools.gf_sub(big(a), big(b), p, ZZ)
     assert big(-a) == galoistools.gf_neg(big(a), p, ZZ)
     assert big(a * b) == galoistools.gf_mul(big(a), big(b), p, ZZ)
+    for n in (0, 1, 2, 5):
+        assert big(a ** n) == galoistools.gf_pow(big(a), n, p, ZZ)
     if not b.is_zero:
         quot, rem = poly_divmod(a, b)
         assert (big(quot), big(rem)) == tuple(galoistools.gf_div(big(a), big(b), p, ZZ))
@@ -104,6 +111,51 @@ def test_factor_and_irreducibility_match_galoistools(a):
         assert (fa.unit, got) == (lc, sorted(want))
     if a.degree() >= 1:
         assert is_irreducible(a) == galoistools.gf_irreducible_p(big(a), p, ZZ)
+
+
+@pytest.mark.parametrize("p", sorted(PRIME_FIELDS))
+def test_factor_of_degree_at_most_one_matches_galoistools(p):
+    f = PRIME_FIELDS[p]
+    for c0 in range(p):
+        for c1 in range(p):
+            a = Poly.from_coeffs(f, [c0, c1])
+            if a.is_zero:
+                continue
+            fa = factor(a)
+            lc, want = galoistools.gf_factor(big(a), p, ZZ)
+            assert (fa.unit, [(big(g), e) for g, e in fa.factors]) == (lc, want)
+
+
+def test_factor_seeds_its_generator_only_to_split(monkeypatch):
+    import ffunits.poly as poly
+
+    seeded = []
+
+    class Recorded(poly.random.Random):
+        def __init__(self, seed):
+            seeded.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(poly.random, "Random", Recorded)
+    f = PRIME_FIELDS[5]
+    # irreducible, linear, a power of one irreducible: nothing to split
+    for cs in ([2, 0, 1], [3, 1], [1, 2, 1]):
+        factor(Poly.from_coeffs(f, cs))
+    assert seeded == []
+    # (T + 1)(T + 2)(T^2 + 2): two degree-1 irreducibles to tell apart
+    fa = factor(Poly.from_coeffs(f, [2, 3, 1]) * Poly.from_coeffs(f, [2, 0, 1]))
+    assert seeded == [poly.DEFAULT_SEED]
+    assert [g.coeffs for g, _ in fa.factors] == [(1, 1), (2, 1), (2, 0, 1)]
+
+
+def test_trivial_operands_are_returned_as_they_are():
+    for f in list(PRIME_FIELDS.values()) + EXTENSION_FIELDS:
+        one, zero = Poly.one(f), Poly.zero(f)
+        for x in (Poly.x(f), Poly.from_coeffs(f, [1, 0, 1, 1]), one, zero):
+            assert one * x is x and x * one is x
+            assert zero + x is x and x + zero is x
+            assert x ** 1 is x
+        assert one ** 7 is one and one ** 0 is one
 
 
 def _trim(out):
@@ -160,6 +212,10 @@ def test_extension_kernels_match_digit_rule(case):
     assert co(-a) == tuple(F.neg(x) for x in A)
     assert co(a - b) == ref_add(F, A, tuple(F.neg(x) for x in B))
     assert co(a * b) == ref_mul(F, A, B)
+    power = (1,)
+    for n in range(6):
+        assert co(a ** n) == power
+        power = ref_mul(F, power, A)
     for k in range(f.q):
         assert co(a.scale(k)) == _trim([F.mul(x, k) for x in A])
     if not b.is_zero:
