@@ -568,11 +568,11 @@ def _random_poly(rng: random.Random, field: GF, max_deg: int) -> Poly:
     return Poly.from_coeffs(field, coeffs)
 
 
-def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
-    """Split a monic product of distinct degree-d irreducibles into its factors."""
+def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> tuple[Poly, Poly]:
+    """Split a monic product of two or more distinct degree-d irreducibles
+    into two proper monic factors (g, f // g).
+    """
     field = f.field
-    if f.degree() == d:
-        return [f]
     one = Poly.one(field)
     while True:
         a = _random_poly(rng, field, f.degree() - 1)
@@ -596,7 +596,7 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
         g = poly_gcd(candidate, f)
         if 0 < g.degree() < f.degree():
             break
-    return _equal_degree_split(g, d, rng) + _equal_degree_split(f // g, d, rng)
+    return g, f // g
 
 
 def factor(a: Poly) -> Factorization:
@@ -620,10 +620,16 @@ def factor(a: Poly) -> Factorization:
     found: list[tuple[Poly, int]] = []
     for part, mult in _squarefree_split(monic):
         for d, prod in _distinct_degree_split(part):
-            if rng is None and prod.degree() > d:
-                rng = random.Random(DEFAULT_SEED)
-            for irr in _equal_degree_split(prod, d, rng):
-                found.append((irr, mult))
+            todo = [prod]  # split depth first, g before f // g
+            while todo:
+                f = todo.pop()
+                if f.degree() == d:
+                    found.append((f, mult))
+                    continue
+                if rng is None:
+                    rng = random.Random(DEFAULT_SEED)
+                g, h = _equal_degree_split(f, d, rng)
+                todo += (h, g)
     found.sort(key=lambda fm: fm[0].sort_key())
     return Factorization(field, unit, tuple(found))
 

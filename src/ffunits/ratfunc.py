@@ -186,6 +186,7 @@ def _product(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> RatFunc:
         return _canonical(n1, d1)
     if not n2.coeffs:
         return _canonical(n2, d2)
+    # poly_gcd answers a constant operand itself; testing here saves the call
     if len(n1.coeffs) > 1 and d2.coeffs != (1,):
         g = poly_gcd(n1, d2)
         if len(g.coeffs) > 1:
@@ -205,8 +206,10 @@ def _sum(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> RatFunc:
     if not n2.coeffs:
         return _canonical(n1, d1)
     g = None  # what num and den may share: a factor of gcd(d1, d2)
+    # a denominator 1 is its own case, to save the calls the general path
+    # would make even where the Poly operators answer them at once
     if d1.coeffs == (1,):
-        num, den = (n1 if d2.coeffs == (1,) else n1 * d2) + n2, d2
+        num, den = n1 * d2 + n2, d2
     elif d2.coeffs == (1,):
         num, den = n1 + n2 * d1, d1
     elif d1 == d2:

@@ -34,20 +34,29 @@ EXTENSION_FIELDS = [GF(2, 2, (1, 1, 1)), GF(2, 3, (1, 1, 0, 1)), GF(3, 2, (1, 0,
 
 
 def polys(field, max_len=10):
-    """Dense polynomials; about two draws in three are 0, 1 or T, or a nonzero
-    constant, the operands the operators answer without a kernel call."""
-    dense = st.lists(st.integers(0, field.q - 1), max_size=max_len).map(
+    return st.lists(st.integers(0, field.q - 1), max_size=max_len).map(
         lambda cs: Poly.from_coeffs(field, cs)
     )
-    trivial = st.sampled_from([Poly.zero(field), Poly.one(field), Poly.x(field)])
+
+
+def edge_polys(field):
+    """0, 1, T and the nonzero constants: the operands the operators answer
+    without a kernel call."""
     constants = st.integers(1, field.q - 1).map(lambda c: Poly.constant(field, c))
-    return dense | trivial | constants
+    return st.sampled_from([Poly.zero(field), Poly.one(field), Poly.x(field)]) | constants
+
+
+# which of a and b are edge polynomials; both are dense in four draws of seven
+EDGE_OPERANDS = [""] * 4 + ["a", "b", "ab"]
 
 
 @st.composite
 def poly_triples(draw, fields):
     f = draw(st.sampled_from(fields))
-    return f, draw(polys(f)), draw(polys(f)), draw(polys(f, 4))
+    edge = draw(st.sampled_from(EDGE_OPERANDS))
+    a = draw(edge_polys(f) if "a" in edge else polys(f))
+    b = draw(edge_polys(f) if "b" in edge else polys(f))
+    return f, a, b, draw(polys(f, 4))
 
 
 def co(a: Poly) -> tuple[int, ...]:
@@ -94,7 +103,8 @@ def test_prime_field_kernels_match_galoistools(case):
 
 
 @SETTINGS
-@given(st.sampled_from(list(PRIME_FIELDS.values())).flatmap(lambda f: polys(f, 9)))
+@given(st.sampled_from(list(PRIME_FIELDS.values())).flatmap(
+    lambda f: polys(f, 9) | polys(f, 9) | edge_polys(f)))  # an edge input one time in three
 def test_factor_and_irreducibility_match_galoistools(a):
     p = a.field.p
     if a.is_zero:
