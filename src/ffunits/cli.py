@@ -101,25 +101,31 @@ def _at_least(name: str, value, low: int):
     return value
 
 
-_field = functools.lru_cache(maxsize=16)(GF)
+@functools.lru_cache(maxsize=16)
+def _field(p, s: int, modulus_text) -> GF:
+    """The field of the settings p, s and --modulus (read only for s > 1).
+
+    Memoized on the settings, so a repeated request neither parses its
+    modulus nor builds its field again; a refused setting raises afresh on
+    every request, since lru_cache keeps no exception.
+    """
+    try:
+        if s == 1:
+            return GF(int(p))
+        if modulus_text is None:
+            raise InputError("s > 1 requires a modulus polynomial")
+        modulus = parse_element(str(modulus_text), GF(int(p)))
+        if not modulus.den.is_one:
+            raise InputError("the field modulus must be a polynomial")
+        return GF(int(p), s, modulus.num.coeffs)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _build_field(args) -> GF:
     p = _setting(args, "p", required=True)
     s = int(_at_least("s", _setting(args, "s", default=1), 1))
-    modulus_text = _setting(args, "modulus")
-    try:
-        if s == 1:
-            return _field(int(p))
-        if modulus_text is None:
-            raise InputError("s > 1 requires a modulus polynomial")
-        base = _field(int(p))
-        modulus = parse_element(str(modulus_text), base)
-        if not modulus.den.is_one:
-            raise InputError("the field modulus must be a polynomial")
-        return _field(int(p), s, modulus.num.coeffs)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return _field(p, s, None if s == 1 else _setting(args, "modulus"))
 
 
 def _elements(text: str, field: GF, what: str) -> tuple[RatFunc, ...]:

@@ -28,6 +28,10 @@ no kernel call.  On the solver's traffic most products have the factor 1
 (a denominator, a unit pivot, the start of a power).  The public
 constructor checks for a trailing zero; ``_trimmed`` drops trailing zeros
 itself and is the one place that builds a ``Poly`` without that check.
+Three hot loops outside this module call the list kernels directly and
+build a ``Poly`` only for what they return: the fraction-free echelon of
+``wronskian``, the trial division of ``ratfunc.multiplicity`` and the
+exact ``b . x = 1`` check of ``solver``.
 
 Factorization runs the classical pipeline: squarefree split, then
 distinct-degree, then equal-degree (Cantor-Zassenhaus) splitting.  The

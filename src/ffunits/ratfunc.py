@@ -39,6 +39,8 @@ from .field import GF
 from .poly import (
     Poly,
     Value,
+    _divmod_list,
+    _trimmed,
     factor,
     is_irreducible,
     poly_gcd,
@@ -235,15 +237,21 @@ def _sum(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> RatFunc:
 
 def multiplicity(a: Poly, p: Poly) -> tuple[int, Poly]:
     """(k, a / p**k) for the largest k with p**k dividing the nonzero a,
-    found by exact trial division (p of positive degree).
+    found by exact trial division on coefficient lists; p must have
+    positive degree, since a constant divides a forever.
     """
-    count = 0
+    a._same_field(p)
+    if len(p.coeffs) < 2:
+        raise ValueError("a place must have degree >= 1")
+    if not a.coeffs:
+        raise ValueError("multiplicity in the zero polynomial")
+    f, count, rest = a.field, 0, a.coeffs
     while True:
-        q, r = divmod(a, p)
-        if r.coeffs:
-            return count, a
+        q, r = _divmod_list(f, list(rest), p.coeffs)
+        if any(r):
+            return count, (_trimmed(f, rest) if count else a)
         count += 1
-        a = q
+        rest = q
 
 
 def valuation(x: RatFunc, place: Poly) -> int:

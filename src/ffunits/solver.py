@@ -22,7 +22,12 @@ subfield:
 Both criteria run in one tuple loop (decide); only the record of a tuple
 differs.  For rhs 1 it comes from one call to
 wronskian.unit_substitution_verdicts, which returns the verdict of b*r,
-those of every psi_j and the candidate.
+those of every psi_j and the candidate.  The point x read off a candidate
+is checked by exact substitution, which shares nothing with the
+elimination: b . x = 1 holds iff sum_j N_j * prod_{k != j} D_k equals
+prod_k D_k, with N_j and D_j the products of the numerators and of the
+denominators of b_j and x_j, an identity of polynomials tested on
+coefficient lists with no gcd.  A miss raises InternalCheckError.
 
 The representative set is a list of generator words, and row j of the
 coordinate matrix of b*r depends only on (j, r_j).  So each decision
@@ -59,6 +64,7 @@ from dataclasses import dataclass
 from . import errors
 from .errors import InternalCheckError
 from .hasse import prime_power, subfield_coordinates
+from .poly import _add_list, _mul_list, _trim
 from .ratfunc import RatFunc
 from .unitgroup import SubgroupPresentation, member, representatives, residue_key
 from .wronskian import (
@@ -166,6 +172,32 @@ def _confirm_failure(rhs: int, br, m: int, generators) -> None:
             )
 
 
+def _times(f, a, b):
+    """a * b on nonempty coefficient sequences, a factor 1 returning the
+    other operand (most denominators here are 1).
+    """
+    if len(a) == 1 and a[0] == 1:
+        return b
+    if len(b) == 1 and b[0] == 1:
+        return a
+    return _mul_list(f, a, b)
+
+
+def _sums_to_one(b, x) -> bool:
+    """Whether b . x = 1, as the polynomial identity
+    sum_j N_j * prod_{k != j} D_k == prod_k D_k with N_j = b_j.num * x_j.num
+    and D_j = b_j.den * x_j.den: exact, on coefficient lists, with no gcd.
+    """
+    f = b[0].field
+    num, den = [], (1,)  # sum_{j < J} N_j / D_j as num / prod_{j < J} D_j
+    for u, v in zip(b, x):
+        n_j = _times(f, u.num.coeffs, v.num.coeffs)
+        d_j = _times(f, u.den.coeffs, v.den.coeffs)
+        num = _trim(_add_list(f, _times(f, num, d_j) if num else [], _times(f, n_j, den)))
+        den = _times(f, den, d_j)
+    return num == list(den)
+
+
 def _inhomogeneous_record(eq, group, m, r, words, br, rows, known) -> TupleRecord:
     """The rhs-1 record of one tuple: a failing tuple keeps only its psi_j
     verdicts, and a candidate (only an eligible tuple has one) is checked by
@@ -179,10 +211,7 @@ def _inhomogeneous_record(eq, group, m, r, words, br, rows, known) -> TupleRecor
     if candidate is None:
         return TupleRecord(r, words, cert, psi_certs)
     point = tuple(x * y for x, y in zip(r, candidate))
-    acc = RatFunc.zero(group.field)
-    for x, y in zip(eq.b, point):
-        acc = acc + x * y
-    if not acc.is_one:
+    if not _sums_to_one(eq.b, point):
         # the candidate is read off a relation with weight 1 on the row of 1
         raise InternalCheckError("candidate does not satisfy b . x = 1")
     member_words = tuple(member(x, group) for x in point)

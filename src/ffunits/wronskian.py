@@ -4,12 +4,14 @@ Every linear-algebra question here goes through one fraction-free echelon
 kernel over F_q[t] (Bareiss elimination, one row at a time) on integral
 rows: polynomial entries over one common denominator.  A row is reduced as
 given against the stored pivot rows, with every division checked for
-exactness.  Coordinate rows arrive integral from
-hasse.subfield_coordinates; derivative rows are RatFunc rows, cleared over
-the lcm of their denominators first.  A row written over another common
-denominator changes the pivots, not the answers: relations and
-determinants are values over K, rescaled by the row denominators and put
-in lowest terms by RatFunc.make, so they do not depend on it.
+exactness, on coefficient lists through the list kernels of poly; a Poly
+is built only for the kernel vector and the determinant.  Coordinate rows
+arrive integral from hasse.subfield_coordinates; derivative rows are
+RatFunc rows, cleared over the lcm of their denominators first.  A row
+written over another common denominator changes the pivots, not the
+answers: relations and determinants are values over K, rescaled by the
+row denominators and put in lowest terms by RatFunc.make, so they do not
+depend on it.
 
 The decision eliminates the coordinate matrix of the vector in the basis
 1, t, ..., t**(p**m - 1); a row that adds no rank yields the exact
@@ -80,7 +82,17 @@ from .hasse import (
     subfield_coordinates,
     subfield_level,
 )
-from .poly import Poly, poly_divmod, poly_gcd
+from .poly import (
+    Poly,
+    _add_list,
+    _divmod_list,
+    _mul_list,
+    _neg_list,
+    _scale_list,
+    _trim,
+    _trimmed,
+    poly_gcd,
+)
 from .ratfunc import RatFunc
 
 
@@ -142,18 +154,26 @@ class _Echelon:
     relation() and _det to scale back to the K-rows.  After the step with
     pivot k every entry is the (k+1)-minor on the pivot columns so far plus
     its own column, so the division by the previous pivot is exact
-    (Sylvester's identity) for any polynomial rows.  The row's content is
-    not stripped: that takes a gcd per entry, and on the benchmark's
-    traffic the gcds cost more than the smaller entries save.  With
-    slots > 0, row i carries trailing combination slots starting as the
-    unit vector e_i; they are never pivots, and a row that adds no rank
-    ends up holding there a left-kernel vector of the rows pushed so far.
+    (Sylvester's identity) for any polynomial rows; a remainder raises
+    InternalCheckError.  The row's content is not stripped: that takes a
+    gcd per entry, and on the benchmark's traffic the gcds cost more than
+    the smaller entries save.  With slots > 0, row i carries trailing
+    combination slots starting as the unit vector e_i; they are never
+    pivots, and a row that adds no rank ends up holding there a left-kernel
+    vector of the rows pushed so far.
+
+    The elimination runs on coefficient lists through the list kernels of
+    poly, with no Poly built per entry: each entry p*a - c*r takes at most
+    two products and a sum, and its division by the previous pivot one
+    _divmod_list call, or a scaling when that pivot is a constant.  Stored pivot rows are
+    lists; a Poly is built only for the kernel vector and, in _det, for
+    the last pivot.
     """
 
     def __init__(self, field, slots: int = 0):
         self.field = field
         self.slots = slots
-        self.pivots: list[tuple[int, list[Poly]]] = []
+        self.pivots: list[tuple[int, list[list[int]]]] = []
         self.dens: list[Poly] = []
         self.kernel: list[Poly] | None = None
 
@@ -162,27 +182,39 @@ class _Echelon:
         when it grows the rank.
         """
         nums, den = row
-        zero, one = Poly.zero(self.field), Poly.one(self.field)
+        f = self.field
         self.dens.append(den)
         width = len(nums)
-        x = [*nums, *(one if k == len(self.dens) - 1 else zero for k in range(self.slots))]
-        prev = one
+        i = len(self.dens) - 1
+        x = [list(a.coeffs) for a in nums]
+        x += ([1] if k == i else [] for k in range(self.slots))
+        prev = [1]
         for col, prow in self.pivots:
             p, c = prow[col], x[col]
+            unit, neg_c = p == [1], _neg_list(f, c)
+            divide = prev != [1]
+            inv = f.inv(prev[0]) if divide and len(prev) == 1 else None
             reduced = []
             for a, r in zip(x, prow):
-                num = p * a if c.is_zero else p * a - c * r
-                if not (num.is_zero or prev.is_one):
-                    num, rem = poly_divmod(num, prev)
-                    if not rem.is_zero:
-                        raise InternalCheckError("non-exact division in Bareiss elimination")
+                # num = p*a - c*r; a unit p leaves a itself, which this step
+                # owns, so the division below may consume it
+                num = a if unit or not a else _mul_list(f, p, a)
+                if c and r:
+                    num = _trim(_add_list(f, num, _mul_list(f, neg_c, r)))
+                if num and divide:
+                    if inv is not None:
+                        num = _scale_list(f, num, inv)
+                    else:
+                        num, rem = _divmod_list(f, num, prev)
+                        if any(rem):
+                            raise InternalCheckError("non-exact division in Bareiss elimination")
                 reduced.append(num)
             x, prev = reduced, p
         for col in range(width):
-            if not x[col].is_zero:
+            if x[col]:
                 self.pivots.append((col, x))
                 return True
-        self.kernel = x[width:]
+        self.kernel = [_trimmed(f, w) for w in x[width:]]
         return False
 
     def relation(self) -> tuple[RatFunc, ...]:
@@ -205,7 +237,7 @@ def _det(rows) -> RatFunc:
     # taken in pivot order
     cols = [col for col, _ in echelon.pivots]
     inversions = sum(a > b for k, a in enumerate(cols) for b in cols[k + 1 :])
-    num = echelon.pivots[-1][1][cols[-1]]
+    num = _trimmed(echelon.field, echelon.pivots[-1][1][cols[-1]])
     den = math.prod(echelon.dens, start=Poly.one(echelon.field))
     return RatFunc.make(-num if inversions % 2 else num, den)
 

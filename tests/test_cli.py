@@ -370,6 +370,30 @@ def test_report_writer_refuses_other_types(bad):
         _write_json({"outcome": "ok", "values": [1, {"x": bad}]}, [].append)
 
 
+def test_field_is_built_once_per_settings(monkeypatch):
+    # a modulus is parsed on the first request of its settings only, and a
+    # refused one is refused again, with the same message, on every request
+    parsed = []
+    real = cli.parse_element
+
+    def counted(text, field):
+        parsed.append(text)
+        return real(text, field)
+
+    monkeypatch.setattr(cli, "parse_element", counted)
+    cli._field.cache_clear()
+    argv = ["factor", "--p", "3", "--s", "2", "--modulus", "T^2+1", "--poly", "T^4-1"]
+    first = run(argv)
+    assert first[0] == 0 and run(argv) == first
+    assert parsed.count("T^2+1") == 1
+    for modulus, message in (("T^2+2", "modulus is reducible"), ("1/T", "must be a polynomial")):
+        bad = ["factor", "--p", "3", "--s", "2", "--modulus", modulus, "--poly", "T"]
+        code, out, err = run(bad)
+        assert code == 3 and out == "" and message in err
+        assert run(bad) == (code, out, err)
+        assert parsed.count(modulus) == 2
+
+
 def test_resource_limit_exit_code(monkeypatch):
     code, out, err = run(["repset", "--p", "2", "--gens", "1+T", "--m", "17"])
     assert code == 4

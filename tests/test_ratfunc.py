@@ -1,10 +1,12 @@
 import copy
 import pickle
 import random
+import signal
 
 import pytest
 
 from ffunits import GF, Modulus, Poly, RatFunc, divisor_vector, is_irreducible, poly_gcd, reduce_mod, valuation
+from ffunits.ratfunc import multiplicity
 
 from conftest import el, pl, rand_ratfunc
 
@@ -47,6 +49,30 @@ def test_valuation_examples(F2):
     assert valuation(x, pl(F2, "T^2+T+1")) == 0
     with pytest.raises(ValueError):
         valuation(RatFunc.zero(F2), pl(F2, "T"))
+
+
+def test_constant_place_is_refused(F2, F3):
+    # a constant divides every polynomial, so trial division by one never
+    # ended; the alarm turns such a hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError("trial division did not end")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        for field in (F2, F3):
+            x = el(field, "T^2/(T+1)")
+            for place in (Poly.one(field), Poly.constant(field, field.q - 1), Poly.zero(field)):
+                with pytest.raises(ValueError, match="degree >= 1"):
+                    valuation(x, place)
+                with pytest.raises(ValueError, match="degree >= 1"):
+                    multiplicity(x.num, place)
+            with pytest.raises(ValueError):
+                multiplicity(Poly.zero(field), pl(field, "T"))
+            assert multiplicity(pl(field, "T^3+T^2"), pl(field, "T")) == (2, pl(field, "T+1"))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_valuation_is_additive(F3):

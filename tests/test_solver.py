@@ -167,6 +167,35 @@ def test_inhomogeneous_inapplicable(F3):
     assert all(not c.independent for c in report.failure.psi_certificates)
 
 
+@pytest.mark.parametrize("m", (1, 2))
+def test_wrong_candidate_is_an_internal_fault(worked, F2, m, monkeypatch):
+    # a candidate entry scaled by T**(p**m) stays in K_m, so only the exact
+    # substitution b . x = 1 can tell that it is wrong
+    import ffunits.solver
+
+    group, _, eq1 = worked
+    assert decide(eq1, group, m).outcome == "certified-solutions"
+    real = ffunits.solver.unit_substitution_verdicts
+    scale = RatFunc.t(F2) ** 2**m
+    scaled = []
+
+    def wrong(*args):
+        cert, psi_certs, candidate = real(*args)
+        if candidate is not None:
+            scaled.append(candidate)
+            candidate = (candidate[0] * scale, *candidate[1:])
+        return cert, psi_certs, candidate
+
+    monkeypatch.setattr(ffunits.solver, "unit_substitution_verdicts", wrong)
+    with pytest.raises(InternalCheckError, match=r"candidate does not satisfy b \. x = 1"):
+        decide(eq1, group, m)
+    assert scaled
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["solve", "--p", "2", "--gens", "1+T", "--b", "T, 1", "--rhs", "1", "--m", str(m)]
+    assert run_cli(argv, stdout=out, stderr=err) == 1
+    assert out.getvalue() == "" and "internal check failed: candidate" in err.getvalue()
+
+
 @pytest.mark.parametrize("rhs", (0, 1))
 def test_retest_that_disagrees_is_an_internal_fault(F3, rhs, monkeypatch):
     # the scaled re-tests of the first failing tuple are the only callers of
