@@ -16,22 +16,31 @@ ints and reduce mod p once per output coefficient; over GF(2**s) they
 multiply through the log/exp tables and accumulate with XOR; over other
 extension fields they add through the Zech table (see ``field``).  They
 read the field's tables once per call and make no method call per
-coefficient.  ``+``, ``-``, ``*``, ``scale``, ``poly_divmod``,
-``poly_mulmod`` (the product reduced in the same pass), ``poly_powmod``,
-``poly_gcd`` and ``poly_invmod`` (Euclid on coefficient lists) share them
-and build one ``Poly`` per result, except where the operands fix the
-answer: ``1 * x`` and ``x * 1``, ``0 + x`` and ``x + 0``, ``x ** 1`` and
-``1 ** e`` return an operand itself, which is safe because a ``Poly`` is
-never changed after it is built; division by a constant ``c`` is a scaling
-by ``1/c`` with remainder 0, and a gcd with a constant operand is 1, with
-no kernel call.  On the solver's traffic most products have the factor 1
-(a denominator, a unit pivot, the start of a power).  The public
-constructor checks for a trailing zero; ``_trimmed`` drops trailing zeros
-itself and is the one place that builds a ``Poly`` without that check.
-Three hot loops outside this module call the list kernels directly and
-build a ``Poly`` only for what they return: the fraction-free echelon of
-``wronskian``, the trial division of ``ratfunc.multiplicity`` and the
-exact ``b . x = 1`` check of ``solver``.
+coefficient.  A constant operand takes one ``_scale_list`` pass instead:
+a product by a nonzero constant scales the other operand (copies it for
+1), and a division by a constant scales by its inverse (returns the
+dividend for 1) and leaves an empty remainder.  ``+``, ``-``, ``*``,
+``scale``, ``poly_divmod``, ``poly_mulmod`` (the product reduced in the
+same pass), ``poly_powmod``, ``poly_gcd`` and ``poly_invmod`` (Euclid on
+coefficient lists) share them and build one ``Poly`` per result, except
+where the operands fix the answer: ``1 * x`` and ``x * 1``, ``0 + x`` and
+``x + 0``, ``x ** 1`` and ``1 ** e`` return an operand itself, which is
+safe because a ``Poly`` is never changed after it is built; division by a
+constant ``c`` is a scaling by ``1/c`` with remainder 0, and a gcd with a
+constant operand is 1.  These rules stay, since they also save building a
+``Poly`` (on the solver's traffic most products have the factor 1: a
+denominator, a unit pivot, the start of a power), and so do ``x is one``
+in ``localprobe.residue_group``, which also saves a reduction, the
+denominator-1 cases of ``ratfunc._sum`` and the zero-entry guards of the
+``wronskian`` echelon, which save whole calls.  The public constructor
+checks for a trailing zero; ``_trimmed`` drops trailing zeros itself and
+is the one place that builds a ``Poly`` without that check.  Hot loops
+outside this module call the list kernels, or ``_trimmed``, directly and
+build a ``Poly`` only for what they return: the ``wronskian`` echelon,
+the trial division of ``ratfunc.multiplicity``, the ``b . x = 1`` check
+of ``solver``, the residue listing, box search and ``sg_search`` of
+``localprobe``, the jets and subfield coordinates of ``hasse`` and the
+table builder of ``field``.
 
 Factorization runs the classical pipeline: squarefree split, then
 distinct-degree, then equal-degree (Cantor-Zassenhaus) splitting.  The
@@ -307,6 +316,10 @@ def _scale_list(f: GF, a, c: int) -> list:
 
 def _mul_list(f: GF, a, b) -> list:
     """The product's coefficients; a and b nonempty."""
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1 and b[0]:
+        return list(a) if b[0] == 1 else _scale_list(f, a, b[0])
     out = [0] * (len(a) + len(b) - 1)
     if f.s == 1:
         for i, x in enumerate(a):
@@ -345,6 +358,8 @@ def _divmod_list(f: GF, rem: list, b) -> tuple[list, list]:
     rem is consumed; the remainder has deg b entries, or rem's own when
     that is shorter.
     """
+    if len(b) == 1:
+        return (rem if b[0] == 1 else _scale_list(f, rem, f.inv(b[0]))), []
     *low, lead = b
     db = len(low)
     if len(rem) <= db:

@@ -48,10 +48,10 @@ tuple.
 
 Inapplicable is a first-class outcome: the criterion is sufficient, not
 necessary, and nothing is escalated silently.  A failing tuple is retried
-with components scaled by p**m-th generator powers (which cannot change
-dependence over the subfield) purely to catch arithmetic bugs.  Each
-re-test recomputes the coordinate rows of its scaled vector (for rhs 1,
-once, shared by its psi_j stacks) and decides rank only
+with components scaled by the subfield polynomials
+(num(g) * den(g))**(p**m) of the generators g purely to catch arithmetic
+bugs.  Each re-test recomputes the coordinate rows of its scaled vector
+(for rhs 1, once, shared by its psi_j stacks) and decides rank only
 (wronskian.independence_verdict): the verdict is all it compares, so it
 reads no relation and builds no witness.
 """
@@ -153,16 +153,18 @@ def _scaled(br, gen_powers, k: int):
 
 
 def _confirm_failure(rhs: int, br, m: int, generators) -> None:
-    """Re-test a failing tuple under subfield-unit scalings by the p**m-th
-    powers of the generators; bugs surface here.
+    """Re-test a failing tuple under scalings by (num(g) * den(g))**(p**m)
+    for the generators g; bugs surface here.
 
-    _scaled has period len(gen_powers) in k and the re-test is
+    A subfield polynomial cannot change dependence and, unlike g**(p**m),
+    adds no denominator for subfield_coordinates to raise to the power
+    p**m - 1.  _scaled has period len(gen_powers) in k and the re-test is
     deterministic, so scaling k + n gives the verdict of scaling k: each
     distinct scaled vector is re-tested once, and the re-tests cover all
     MAX_DEPENDENCE_RETRIES scalings.
     """
     pm = prime_power(br[0].field, m)
-    gen_powers = [g**pm for g in generators]
+    gen_powers = [RatFunc.from_poly((g.num * g.den) ** pm) for g in generators]
     for k in range(min(len(gen_powers), MAX_DEPENDENCE_RETRIES)):
         rows = coordinate_matrix(_scaled(br, gen_powers, k), m)
         stacks = (rows,) if rhs == 0 else (psi_rows(rows, j) for j in range(1, len(rows) + 1))
@@ -172,30 +174,19 @@ def _confirm_failure(rhs: int, br, m: int, generators) -> None:
             )
 
 
-def _times(f, a, b):
-    """a * b on nonempty coefficient sequences, a factor 1 returning the
-    other operand (most denominators here are 1).
-    """
-    if len(a) == 1 and a[0] == 1:
-        return b
-    if len(b) == 1 and b[0] == 1:
-        return a
-    return _mul_list(f, a, b)
-
-
 def _sums_to_one(b, x) -> bool:
     """Whether b . x = 1, as the polynomial identity
     sum_j N_j * prod_{k != j} D_k == prod_k D_k with N_j = b_j.num * x_j.num
     and D_j = b_j.den * x_j.den: exact, on coefficient lists, with no gcd.
     """
     f = b[0].field
-    num, den = [], (1,)  # sum_{j < J} N_j / D_j as num / prod_{j < J} D_j
+    num, den = [], [1]  # sum_{j < J} N_j / D_j as num / prod_{j < J} D_j
     for u, v in zip(b, x):
-        n_j = _times(f, u.num.coeffs, v.num.coeffs)
-        d_j = _times(f, u.den.coeffs, v.den.coeffs)
-        num = _trim(_add_list(f, _times(f, num, d_j) if num else [], _times(f, n_j, den)))
-        den = _times(f, den, d_j)
-    return num == list(den)
+        n_j = _mul_list(f, u.num.coeffs, v.num.coeffs)
+        d_j = _mul_list(f, u.den.coeffs, v.den.coeffs)
+        num = _trim(_add_list(f, _mul_list(f, num, d_j) if num else [], _mul_list(f, n_j, den)))
+        den = _mul_list(f, den, d_j)
+    return num == den
 
 
 def _inhomogeneous_record(eq, group, m, r, words, br, rows, known) -> TupleRecord:

@@ -88,7 +88,6 @@ from .poly import (
     _divmod_list,
     _mul_list,
     _neg_list,
-    _scale_list,
     _trim,
     _trimmed,
     poly_gcd,
@@ -165,9 +164,8 @@ class _Echelon:
     The elimination runs on coefficient lists through the list kernels of
     poly, with no Poly built per entry: each entry p*a - c*r takes at most
     two products and a sum, and its division by the previous pivot one
-    _divmod_list call, or a scaling when that pivot is a constant.  Stored pivot rows are
-    lists; a Poly is built only for the kernel vector and, in _det, for
-    the last pivot.
+    _divmod_list call.  Stored pivot rows are lists; a Poly is built only
+    for the kernel vector and, in _det, for the last pivot.
     """
 
     def __init__(self, field, slots: int = 0):
@@ -191,23 +189,17 @@ class _Echelon:
         prev = [1]
         for col, prow in self.pivots:
             p, c = prow[col], x[col]
-            unit, neg_c = p == [1], _neg_list(f, c)
-            divide = prev != [1]
-            inv = f.inv(prev[0]) if divide and len(prev) == 1 else None
+            neg_c, divide = _neg_list(f, c), prev != [1]
             reduced = []
             for a, r in zip(x, prow):
-                # num = p*a - c*r; a unit p leaves a itself, which this step
-                # owns, so the division below may consume it
-                num = a if unit or not a else _mul_list(f, p, a)
+                # num = p*a - c*r
+                num = _mul_list(f, p, a) if a else []
                 if c and r:
                     num = _trim(_add_list(f, num, _mul_list(f, neg_c, r)))
                 if num and divide:
-                    if inv is not None:
-                        num = _scale_list(f, num, inv)
-                    else:
-                        num, rem = _divmod_list(f, num, prev)
-                        if any(rem):
-                            raise InternalCheckError("non-exact division in Bareiss elimination")
+                    num, rem = _divmod_list(f, num, prev)
+                    if any(rem):
+                        raise InternalCheckError("non-exact division in Bareiss elimination")
                 reduced.append(num)
             x, prev = reduced, p
         for col in range(width):

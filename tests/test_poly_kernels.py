@@ -24,7 +24,7 @@ from sympy.polys.domains import ZZ  # noqa: E402
 from test_field import DigitRule  # noqa: E402
 
 from ffunits import GF, Poly, factor, is_irreducible, poly_divmod, poly_gcd, poly_powmod  # noqa: E402
-from ffunits.poly import poly_invmod, poly_mulmod  # noqa: E402
+from ffunits.poly import _divmod_list, _mul_list, poly_invmod, poly_mulmod  # noqa: E402
 from ffunits.hasse import poly_jet  # noqa: E402
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -59,6 +59,12 @@ def poly_triples(draw, fields):
     return f, a, b, draw(polys(f, 4))
 
 
+def constants(field):
+    """The nonzero constants of edge_polys, which the list kernels answer
+    by scaling."""
+    return edge_polys(field).filter(lambda e: e.degree() == 0)
+
+
 def co(a: Poly) -> tuple[int, ...]:
     """The coefficient tuple of a kernel result, which must carry no trailing zero."""
     assert not a.coeffs or a.coeffs[-1] != 0, f"trailing zero in {a!r}"
@@ -70,14 +76,24 @@ def big(a: Poly) -> list[int]:
 
 
 @SETTINGS
-@given(poly_triples(list(PRIME_FIELDS.values())))
-def test_prime_field_kernels_match_galoistools(case):
+@given(poly_triples(list(PRIME_FIELDS.values())), st.data())
+def test_prime_field_kernels_match_galoistools(case, data):
     f, a, b, c = case
     p = f.p
     assert big(a + b) == galoistools.gf_add(big(a), big(b), p, ZZ)
     assert big(a - b) == galoistools.gf_sub(big(a), big(b), p, ZZ)
     assert big(-a) == galoistools.gf_neg(big(a), p, ZZ)
     assert big(a * b) == galoistools.gf_mul(big(a), big(b), p, ZZ)
+    # the kernels' constant-operand branches, which the operators answer
+    # before a kernel call
+    k = data.draw(constants(f))
+    A, B, K = a.coeffs, b.coeffs, k.coeffs
+    assert (
+        (_mul_list(f, K, B)[::-1] if B else [], _mul_list(f, A, K)[::-1] if A else [],
+         tuple(x[::-1] for x in _divmod_list(f, list(A), K)))
+        == (galoistools.gf_mul(big(k), big(b), p, ZZ), galoistools.gf_mul(big(a), big(k), p, ZZ),
+            tuple(galoistools.gf_div(big(a), big(k), p, ZZ)))
+    )
     for n in (0, 1, 2, 5):
         assert big(a ** n) == galoistools.gf_pow(big(a), n, p, ZZ)
     if not b.is_zero:
@@ -213,8 +229,8 @@ def ref_gcd(F, a, b):
 
 
 @SETTINGS
-@given(poly_triples(EXTENSION_FIELDS))
-def test_extension_kernels_match_digit_rule(case):
+@given(poly_triples(EXTENSION_FIELDS), st.data())
+def test_extension_kernels_match_digit_rule(case, data):
     f, a, b, c = case
     F = DigitRule(f.p, f.s, f.modulus)
     A, B, C = a.coeffs, b.coeffs, c.coeffs
@@ -222,6 +238,13 @@ def test_extension_kernels_match_digit_rule(case):
     assert co(-a) == tuple(F.neg(x) for x in A)
     assert co(a - b) == ref_add(F, A, tuple(F.neg(x) for x in B))
     assert co(a * b) == ref_mul(F, A, B)
+    # the kernels' constant-operand branches, as in the prime-field test
+    K = data.draw(constants(f)).coeffs
+    assert (
+        (tuple(_mul_list(f, K, B)) if B else (), tuple(_mul_list(f, A, K)) if A else (),
+         tuple(map(tuple, _divmod_list(f, list(A), K))))
+        == (ref_mul(F, K, B), ref_mul(F, A, K), ref_divmod(F, A, K))
+    )
     power = (1,)
     for n in range(6):
         assert co(a ** n) == power

@@ -234,6 +234,44 @@ def test_retests_cover_each_distinct_scaling_once(F3, n, verdicts, monkeypatch):
     assert len(calls) == verdicts
 
 
+def test_retests_of_a_rational_generator_keep_the_denominators(F2, monkeypatch):
+    # scaling by g**(p**m) would multiply the denominators by
+    # den(g)**(p**m), which subfield_coordinates raises to the power
+    # p**m - 1: the re-tests of this instance would run for 15-19 s; the
+    # alarm turns such a run into a failure
+    import signal
+
+    import ffunits.solver
+
+    scaled = []
+    original = ffunits.solver.coordinate_matrix
+
+    def recorded(b, m):
+        scaled.append(b)
+        return original(b, m)
+
+    def hang(signum, frame):
+        raise TimeoutError("the re-tests did not end")
+
+    monkeypatch.setattr(ffunits.solver, "coordinate_matrix", recorded)
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        gens = "T^3/(T^2+T+1)^5"
+        eq = Equation((RatFunc.one(F2), RatFunc.one(F2)), 0)
+        report = decide(eq, build_presentation((el(F2, gens),)), 8)
+        argv = ["solve", "--p", "2", "--gens", gens, "--b", "1, 1", "--m", "8", "--rhs", "0"]
+        assert run_cli(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 2
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert report.outcome == "inapplicable" and scaled
+    br = [b * r for b, r in zip(eq.b, report.failure.r)]
+    for vector in scaled:
+        for x, y in zip(vector, br):
+            assert (y.den % x.den).is_zero
+
+
 def test_candidate_that_misses_the_right_hand_side_is_an_internal_fault(monkeypatch):
     # the candidate is read off a relation with weight 1 on the row of 1, so
     # b . x = 1 holds by construction; a corrupted candidate must stop the
