@@ -441,6 +441,7 @@ def _add_common(sub):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ffunits", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.commands = subs.choices  # name -> subcommand parser, for _arguments
 
     sp = subs.add_parser("solve", help="certified decision for b.x = rhs over the group closure")
     _add_common(sp)
@@ -504,11 +505,29 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _arguments(argv) -> argparse.Namespace:
+    """The namespace that _parser().parse_args(argv) returns, read at less cost.
+
+    The full parser matches every flag against its own options before it
+    hands them all to the subcommand's parser; an argv that starts with a
+    subcommand goes straight to that parser instead.  No argv, an unknown
+    command or a top-level -h still goes to the full parser, for its error
+    and help texts.
+    """
+    parser = _parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args = sub.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 def run_cli(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
-        args = _parser().parse_args(argv)
+        args = _arguments(sys.argv[1:] if argv is None else argv)
         flags = {key for key in _INT_KEYS | _STR_KEYS if getattr(args, key, None) is not None}
         if flags & _PRECISION_KEYS:  # one choice: a flag for either overrides both
             flags |= _PRECISION_KEYS

@@ -18,8 +18,15 @@ is any Unicode whitespace, and any other character is refused at its
 position.
 
 The parser evaluates as it reads, so each rule returns the exact value of
-its text.  The degree of a value is the larger of its numerator's and
-denominator's; no operation may build a value whose degree could pass
+its text, held as a pair (num, den) of coefficient lists: the reduced
+fraction with monic den, and zero as ([], [1]).  Two polynomials are
+added, subtracted and multiplied by the poly list kernels, and a power is
+taken by repeated squaring on the lists, or placed directly when the base
+is a single term; a '/', or an operand with a denominator, goes through
+the RatFunc operators, so every fraction is reduced by the ratfunc rules.
+parse_element builds one RatFunc, at the end.  The degree of a value is
+the larger of its numerator's and denominator's, read on the reduced
+value; no operation may build a value whose degree could pass
 MAX_EXPONENT.  A binary operator is refused when its operands' degrees sum
 past it, and '^' when |exponent| times the base's degree does; either is a
 ParseError at the operator, raised before the arithmetic runs.  Each
@@ -41,8 +48,8 @@ import re
 from . import errors
 from .errors import InputError
 from .field import GF
-from .ratfunc import RatFunc
-from .poly import Poly
+from .poly import Poly, _add_list, _mul_list, _neg_list, _scale_list, _sub_list, _trim, _trimmed
+from .ratfunc import RatFunc, _canonical
 
 MAX_EXPONENT = 10**6
 MAX_NESTING = 100  # 5 frames a level: half of Python's default recursion limit
@@ -96,40 +103,52 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse_expr(self) -> RatFunc:
+    def parse_expr(self):
         value = self.parse_term()
         while self.peek()[0] in ("+", "-"):
             op, _, pos = self.take()
             rhs = self.parse_term()
             d1, d2 = _degree(value), _degree(rhs)
             self.check(d1 + d2, (d1 + 1) * (d2 + 1), pos)
-            value = value + rhs if op == "+" else value - rhs
+            f = self.field
+            if len(value[1]) == 1 and len(rhs[1]) == 1:  # two polynomials
+                kernel = _add_list if op == "+" else _sub_list
+                value = _trim(kernel(f, value[0], rhs[0])), [1]
+            else:
+                x, y = _ratfunc(f, value), _ratfunc(f, rhs)
+                value = _coeffs(x + y if op == "+" else x - y)
         return value
 
-    def parse_term(self) -> RatFunc:
+    def parse_term(self):
         value = self.parse_unary()
         while self.peek()[0] in ("*", "/"):
             op, _, pos = self.take()
             rhs = self.parse_unary()
             d1, d2 = _degree(value), _degree(rhs)
             self.check(d1 + d2, (d1 + 1) * (d2 + 1), pos)
+            f = self.field
             if op == "*":
-                value = value * rhs
-            elif rhs.is_zero:
+                if len(value[1]) == 1 and len(rhs[1]) == 1:  # two polynomials
+                    a, b = value[0], rhs[0]
+                    # leading coefficients multiply to a nonzero one: no trim
+                    value = (_mul_list(f, a, b) if a and b else []), [1]
+                else:
+                    value = _coeffs(_ratfunc(f, value) * _ratfunc(f, rhs))
+            elif not rhs[0]:
                 raise InputError("division by zero in expression")
             else:
-                value = value / rhs
+                value = _coeffs(_ratfunc(f, value) / _ratfunc(f, rhs))
         return value
 
-    def parse_unary(self) -> RatFunc:
+    def parse_unary(self):
         negate = False
         while self.peek()[0] == "-":  # a loop, so a run of signs takes no stack
             self.take()
             negate = not negate
         value = self.parse_factor()
-        return -value if negate else value
+        return (_neg_list(self.field, value[0]), value[1]) if negate else value
 
-    def parse_factor(self) -> RatFunc:
+    def parse_factor(self):
         value = self.parse_atom()
         if self.peek()[0] == "^":
             pos = self.take()[2]
@@ -142,11 +161,12 @@ class _Parser:
             if abs(exponent) > MAX_EXPONENT:
                 raise ParseError(f"exponent exceeds the bound {MAX_EXPONENT}", tok[2])
             degree = abs(exponent) * _degree(value)
+            term = _is_term(value)
             # a power of a single term is a single term
-            self.check(degree, degree + 1 if _is_term(value) else (degree + 1) ** 2, pos)
-            if value.is_zero and exponent < 0:
+            self.check(degree, degree + 1 if term else (degree + 1) ** 2, pos)
+            if not value[0] and exponent < 0:
                 raise InputError("zero raised to a negative power")
-            value = value**exponent
+            value = _power(self.field, value, exponent, term)
         return value
 
     def check(self, degree: int, work: int, position: int) -> None:
@@ -157,14 +177,15 @@ class _Parser:
         if work > errors.DEFAULT_BOX_LIMIT:
             errors.refuse("parse charge", work, errors.DEFAULT_BOX_LIMIT)
 
-    def parse_atom(self) -> RatFunc:
+    def parse_atom(self):
         kind, value, pos = self.peek()
         if kind == "int":
             self.take()
-            return RatFunc.constant(self.field, _literal(self.field, value))
+            c = _literal(self.field, value)
+            return ([c] if c else []), [1]
         if kind == "var":
             self.take()
-            return RatFunc.t(self.field)
+            return [0, 1], [1]
         if kind == "(":
             self.take()
             self.depth += 1
@@ -177,12 +198,55 @@ class _Parser:
         raise ParseError(f"expected a value, found {kind!r}", pos)
 
 
-def _degree(x: RatFunc) -> int:
-    return max(x.num.degree(), x.den.degree())
+def _degree(value) -> int:
+    return max(len(value[0]), len(value[1])) - 1
 
 
-def _is_term(x: RatFunc) -> bool:
-    return not any(x.num.coeffs[:-1]) and not any(x.den.coeffs[:-1])
+def _is_term(value) -> bool:
+    num, den = value
+    return not any(num[:-1]) and not any(den[:-1])
+
+
+def _ratfunc(f: GF, value) -> RatFunc:
+    num, den = value
+    return _canonical(_trimmed(f, num), _trimmed(f, den))
+
+
+def _coeffs(x: RatFunc):
+    return list(x.num.coeffs), list(x.den.coeffs)
+
+
+def _power(f: GF, value, e: int, term: bool):
+    """value**e, for a nonzero value when e < 0."""
+    if e == 0:
+        return [1], [1]
+    num, den = value
+    if e < 0:  # the inverse den/num, scaled to a monic denominator
+        e = -e
+        lc = num[-1]
+        if lc == 1:
+            num, den = den, num
+        else:
+            inv = f.inv(lc)
+            num, den = _scale_list(f, den, inv), _scale_list(f, num, inv)
+    if term:  # c*T^k to the e is c^e*T^(k*e), placed directly
+        if num:
+            num = [0] * ((len(num) - 1) * e) + [f.power(num[-1], e)]
+        return num, [0] * ((len(den) - 1) * e) + [1]
+    # num and den stay coprime and the denominator stays monic
+    return _list_power(f, num, e), den if len(den) == 1 else _list_power(f, den, e)
+
+
+def _list_power(f: GF, a, e: int) -> list:
+    """a**e for a nonempty a and e >= 1, by repeated squaring."""
+    out = None
+    while True:
+        if e & 1:
+            out = a if out is None else _mul_list(f, out, a)
+        e >>= 1
+        if not e:
+            return out
+        a = _mul_list(f, a, a)
 
 
 def _literal(field: GF, value: int) -> int:
@@ -205,7 +269,7 @@ def parse_element(text: str, field: GF) -> RatFunc:
     kind, _, pos = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing {kind!r}", pos)
-    return value
+    return _ratfunc(field, value)
 
 
 def split_exprs(text: str) -> list[str]:

@@ -39,8 +39,8 @@ outside this module call the list kernels, or ``_trimmed``, directly and
 build a ``Poly`` only for what they return: the ``wronskian`` echelon,
 the trial division of ``ratfunc.multiplicity``, the ``b . x = 1`` check
 of ``solver``, the residue listing, box search and ``sg_search`` of
-``localprobe``, the jets and subfield coordinates of ``hasse`` and the
-table builder of ``field``.
+``localprobe``, the jets and subfield coordinates of ``hasse``, the
+evaluator of ``exprio`` and the table builder of ``field``.
 
 Factorization runs the classical pipeline: squarefree split, then
 distinct-degree, then equal-degree (Cantor-Zassenhaus) splitting.  The

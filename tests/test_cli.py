@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffunits import GF, RatFunc, cli, exprio
+from ffunits.errors import InputError
 from ffunits.cli import _json_text, _write_json, parse_instance_text, run_cli
 
 INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
@@ -273,6 +274,63 @@ def test_internal_fault_exit_code(monkeypatch):
     monkeypatch.setattr(solver, "decide", broken)
     code, out, err = run(["solve", "--p", "2", "--gens", "1+T", "--b", "T, 1", "--m", "1"])
     assert code == 1 and out == "" and "simulated fault" in err
+
+
+# (exit code, a line of stderr or None for an empty one, argv): every
+# subcommand, a flag from an instance file, the full parser's own errors, an
+# abbreviated flag, and a value that starts with "-", given with "=" and
+# without (argparse takes -T,1 for a flag and refuses the bare --b)
+ARGV_CASES = (
+    (0, None, ["solve", "--p", "2", "--gens", "1+T", "--b", "T, 1", "--m", "1"]),
+    (0, None, ["solve", "--instance", os.path.join(INSTANCES, "p2-certified.toy"), "--rhs", "0"]),
+    (0, None, ["skolem", "--p", "3", "--gens", "T+1", "--b", "1, 1", "--rhs", "0",
+               "--deg-bound", "1", "--e-bound", "1"]),
+    (0, None, ["probe", "--p", "2", "--g", "T", "--base", "T+1"]),
+    (0, None, ["factor", "--p", "3", "--poly", "T^2-1"]),
+    (0, None, ["hasse", "--p", "2", "--x", "1/T", "--order", "2"]),
+    (0, None, ["indep", "--p", "2", "--b", "1, T", "--m", "1"]),
+    (0, None, ["repset", "--p", "2", "--gens", "1+T", "--m", "1"]),
+    (3, "the following arguments are required: command", []),
+    (3, "invalid choice: 'bogus'", ["bogus"]),
+    (3, "error: unrecognized arguments: extra", ["solve", "extra"]),
+    (0, None, ["solve", "--p", "2", "--gen", "1+T", "--b", "T, 1", "--m", "1"]),
+    (0, None, ["indep", "--p", "3", "--b=-T,1", "--m", "1"]),
+    (3, "argument --b: expected one argument", ["indep", "--p", "3", "--b", "-T,1", "--m", "1"]),
+    (0, None, ["solve", "--p", "2", "--gens", "1+T", "--b", "T, 1", "--m", "1", "--m-max", "2"]),
+)
+
+
+@pytest.mark.parametrize(
+    "code,stderr,argv",
+    ARGV_CASES,
+    ids=[" ".join(os.path.basename(word) for word in argv) or "no argv" for _, _, argv in ARGV_CASES],
+)
+def test_argv_goes_to_the_subcommands_parser(code, stderr, argv, monkeypatch):
+    # run_cli hands an argv that starts with a subcommand to its parser
+    # directly; the namespace, exit code, report and stderr are the ones of
+    # the full parser, which reads every flag before it hands them on
+    def namespace(parse):
+        try:
+            return parse(list(argv))
+        except InputError as exc:
+            return str(exc)
+
+    assert namespace(cli._arguments) == namespace(cli.build_parser().parse_args)
+    direct = run(argv)
+    assert direct[0] == code
+    assert (stderr in direct[2]) if stderr else direct[2] == ""
+    monkeypatch.setattr(cli, "_arguments", lambda argv: cli._parser().parse_args(argv))
+    assert run(argv) == direct
+
+
+def test_subcommand_help_is_the_full_parsers(capsys):
+    with pytest.raises(SystemExit) as direct:
+        run(["solve", "-h"])
+    text = capsys.readouterr().out
+    with pytest.raises(SystemExit) as full:
+        cli.build_parser().parse_args(["solve", "-h"])
+    assert direct.value.code == full.value.code == 0
+    assert capsys.readouterr().out == text and "--m-max" in text
 
 
 def test_fault_while_writing_is_a_fault(monkeypatch):
@@ -565,12 +623,12 @@ def test_parse_work_is_bounded(monkeypatch):
     # denominators before the jet charge refused it
     from ffunits import ratfunc
 
-    original_pow, original_sum = ratfunc.RatFunc.__pow__, ratfunc._sum
+    original_pow, original_sum = exprio._power, ratfunc._sum
 
-    def power(x, e):
-        if abs(e) * max(x.num.degree(), x.den.degree()) > 1000:
+    def power(f, value, e, term):
+        if abs(e) * exprio._degree(value) > 1000:
             pytest.fail("power built before the parse was charged")
-        return original_pow(x, e)
+        return original_pow(f, value, e, term)
 
     def summed(n1, d1, n2, d2):
         if max(a.degree() for a in (n1, d1, n2, d2)) > 1000:
@@ -578,7 +636,7 @@ def test_parse_work_is_bounded(monkeypatch):
         return original_sum(n1, d1, n2, d2)
 
     for target, name, patch, argv in (
-        (ratfunc.RatFunc, "__pow__", power, ["factor", "--p", "65521", "--poly", "(1+T+T^2)^20000"]),
+        (exprio, "_power", power, ["factor", "--p", "65521", "--poly", "(1+T+T^2)^20000"]),
         (ratfunc, "_sum", summed,
          ["hasse", "--p", "65521", "--x", "1/T^100000 + 1/(T+1)^300", "--i", "0"]),
     ):
