@@ -527,7 +527,7 @@ def run_cli(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
-        args = _arguments(sys.argv[1:] if argv is None else argv)
+        args = _arguments(sys.argv[1:] if argv is None else list(argv))
         flags = {key for key in _INT_KEYS | _STR_KEYS if getattr(args, key, None) is not None}
         if flags & _PRECISION_KEYS:  # one choice: a flag for either overrides both
             flags |= _PRECISION_KEYS
