@@ -20,10 +20,10 @@ position.
 The parser evaluates as it reads, so each rule returns the exact value of
 its text, held as a pair (num, den) of coefficient lists: the reduced
 fraction with monic den, and zero as ([], [1]).  Two polynomials are
-added, subtracted and multiplied by the poly list kernels, and a power is
-taken by repeated squaring on the lists, or placed directly when the base
-is a single term; a '/', or an operand with a denominator, goes through
-the RatFunc operators, so every fraction is reduced by the ratfunc rules.
+added, subtracted and multiplied by the poly list kernels, and a positive
+power of a single term is placed directly; a '/', any other power, or an
+operand with a denominator goes through the RatFunc operators, so every
+fraction is reduced by the ratfunc rules.
 parse_element builds one RatFunc, at the end.  The degree of a value is
 the larger of its numerator's and denominator's, read on the reduced
 value; no operation may build a value whose degree could pass
@@ -48,7 +48,7 @@ import re
 from . import errors
 from .errors import InputError
 from .field import GF
-from .poly import Poly, _add_list, _mul_list, _neg_list, _scale_list, _sub_list, _trim, _trimmed
+from .poly import Poly, _add_list, _mul_list, _neg_list, _sub_list, _trim, _trimmed
 from .ratfunc import RatFunc, _canonical
 
 MAX_EXPONENT = 10**6
@@ -220,33 +220,12 @@ def _power(f: GF, value, e: int, term: bool):
     """value**e, for a nonzero value when e < 0."""
     if e == 0:
         return [1], [1]
-    num, den = value
-    if e < 0:  # the inverse den/num, scaled to a monic denominator
-        e = -e
-        lc = num[-1]
-        if lc == 1:
-            num, den = den, num
-        else:
-            inv = f.inv(lc)
-            num, den = _scale_list(f, den, inv), _scale_list(f, num, inv)
-    if term:  # c*T^k to the e is c^e*T^(k*e), placed directly
+    if term and e > 0:  # c*T^k to the e is c^e*T^(k*e), placed directly
+        num, den = value
         if num:
             num = [0] * ((len(num) - 1) * e) + [f.power(num[-1], e)]
         return num, [0] * ((len(den) - 1) * e) + [1]
-    # num and den stay coprime and the denominator stays monic
-    return _list_power(f, num, e), den if len(den) == 1 else _list_power(f, den, e)
-
-
-def _list_power(f: GF, a, e: int) -> list:
-    """a**e for a nonempty a and e >= 1, by repeated squaring."""
-    out = None
-    while True:
-        if e & 1:
-            out = a if out is None else _mul_list(f, out, a)
-        e >>= 1
-        if not e:
-            return out
-        a = _mul_list(f, a, a)
+    return _coeffs(_ratfunc(f, value) ** e)
 
 
 def _literal(field: GF, value: int) -> int:
