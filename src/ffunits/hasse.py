@@ -10,7 +10,10 @@ The coordinates of x over F_q(t**(p**m)) come as one integral row: the
 p**m numerator slices of x.num * x.den**(p**m - 1) over the relabeled
 den**(p**m), a single monic denominator, with no fraction reduced.  The
 elimination kernel in wronskian clears denominators anyway, so reducing
-each coordinate first would be work it undoes.
+each coordinate first would be work it undoes.  No power is built by
+squaring: den**(p**m) is den with its coefficients raised to the p**m-th
+power and spread to stride p**m, and den**(p**m - 1) is that divided
+exactly by den, in one pass of the division kernel.
 
 Membership in that subfield is always decided twice here, once through the
 derivative kernel and once through the exponent pattern of the reduced
@@ -33,7 +36,7 @@ from functools import lru_cache
 from . import errors
 from .errors import InternalCheckError
 from .field import GF
-from .poly import Poly, _trimmed
+from .poly import Poly, _divmod_list, _mul_list, _trimmed
 from .ratfunc import RatFunc
 
 
@@ -168,15 +171,12 @@ def inflate(x: RatFunc, k: int) -> RatFunc:
     """Substitute t -> t**k (the inverse of the coordinate relabeling)."""
     if k < 1:
         raise ValueError("inflation factor must be >= 1")
-    if k == 1:
-        return x
 
     def stretch(a: Poly) -> Poly:
         if a.is_zero:
             return a
         out = [0] * (a.degree() * k + 1)
-        for i, c in enumerate(a.coeffs):
-            out[i * k] = c
+        out[::k] = a.coeffs
         return Poly(a.field, tuple(out))
 
     # reduced-ness and the monic denominator survive the substitution
@@ -195,9 +195,14 @@ def subfield_coordinates(x: RatFunc, m: int) -> tuple[tuple[Poly, ...], Poly]:
     """
     pm = prime_power(x.field, m)
     f = x.field
-    num = x.num * x.den ** (pm - 1)
     # in characteristic p, den**pm = sum(c_k**pm * t**(k*pm)), so its
     # relabeling is den with every coefficient raised to the pm-th power
-    den_hat = Poly(f, tuple(f.frobenius(c, m) for c in x.den.coeffs))
-    coeffs = num.coeffs
-    return tuple(_trimmed(f, list(coeffs[r::pm])) for r in range(pm)), den_hat
+    den_hat = tuple(f.frobenius(c, m) for c in x.den.coeffs)
+    # and den**(pm - 1) is den**pm, den_hat laid out at stride pm, over den
+    power = [0] * ((len(den_hat) - 1) * pm + 1)
+    power[::pm] = den_hat
+    cofactor, rem = _divmod_list(f, power, x.den.coeffs)
+    if any(rem):
+        raise InternalCheckError("non-exact division of den**(p**m) by den")
+    coeffs = _mul_list(f, x.num.coeffs, cofactor)  # [] for x = 0, whose den is 1
+    return tuple(_trimmed(f, coeffs[r::pm]) for r in range(pm)), Poly(f, den_hat)

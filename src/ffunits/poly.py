@@ -25,14 +25,15 @@ same pass), ``poly_powmod``, ``poly_gcd`` and ``poly_invmod`` (Euclid on
 coefficient lists) share them and build one ``Poly`` per result, except
 where the operands fix the answer: ``1 * x`` and ``x * 1``, ``0 + x`` and
 ``x + 0``, ``x ** 1`` and ``1 ** e`` return an operand itself, which is
-safe because a ``Poly`` is never changed after it is built; division by a
-constant ``c`` is a scaling by ``1/c`` with remainder 0, and a gcd with a
-constant operand is 1.  These rules stay, since they also save building a
-``Poly`` (on the solver's traffic most products have the factor 1: a
-denominator, a unit pivot, the start of a power), and so do ``x is one``
-in ``localprobe.residue_group``, which also saves a reduction, the
-denominator-1 cases of ``ratfunc._sum`` and the zero-entry guards of the
-``wronskian`` echelon, which save whole calls.  The public constructor
+safe because a ``Poly`` is never changed after it is built, and a gcd
+with a constant operand is 1.  These rules stay, since they also save
+building a ``Poly`` (on the solver's traffic most products have the
+factor 1: a denominator, a unit pivot, the start of a power), and so do
+``x is one`` in ``localprobe.residue_group``, which also saves a
+reduction, the ``d1 = 1`` case of ``ratfunc._sum`` and the zero-entry
+guards of the ``wronskian`` echelon, which save whole calls.
+``poly_divmod`` leaves a constant divisor to ``_divmod_list``, which
+already answers it.  The public constructor
 checks for a trailing zero; ``_trimmed`` drops trailing zeros itself and
 is the one place that builds a ``Poly`` without that check.  Hot loops
 outside this module call the list kernels, or ``_trimmed``, directly and
@@ -421,8 +422,6 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         raise ZeroDivisionError("division by zero polynomial")
     if len(a.coeffs) < len(b.coeffs):
         return Poly.zero(f), a
-    if len(b.coeffs) == 1:
-        return a.scale(f.inv(b.coeffs[0])), Poly.zero(f)
     quot, rem = _divmod_list(f, list(a.coeffs), b.coeffs)
     return _trimmed(f, quot), _trimmed(f, rem)
 

@@ -19,10 +19,10 @@ reduced because its inputs are:
   is left in common.
 * a+b and a-b with g = gcd(d1, d2): when g = 1, n1*d2 + n2*d1 shares no
   factor with d1 (it would divide n1*d2) nor with d2, so the fraction over
-  d1*d2 is reduced with no gcd of the sum (and no gcd at all when a
-  denominator is 1).  Otherwise the sum n1*(d2/g) + n2*(d1/g) over
-  (d1/g)*d2 can share only factors of g with its denominator, and one gcd
-  with g cancels them (equal denominators give g = d1 without a gcd).
+  d1*d2 is reduced with no gcd of the sum (and no gcd at all when d1 is 1,
+  the only case taken before the gcd).  Otherwise the sum
+  n1*(d2/g) + n2*(d1/g) over (d1/g)*d2 can share only factors of g with its
+  denominator, and one gcd with g cancels them.
 
 Denominators stay monic: every gcd is monic, and an inverse is scaled by
 the inverse of its leading coefficient.
@@ -155,9 +155,7 @@ class RatFunc(Value):
         return _canonical(*_inverted(self))
 
     def __pow__(self, e: int) -> "RatFunc":
-        if e == 0:
-            return RatFunc.one(self.field)
-        base = self if e > 0 else self.inverse()
+        base = self if e >= 0 else self.inverse()
         # num and den stay coprime and the denominator stays monic
         return _canonical(base.num ** abs(e), base.den ** abs(e))
 
@@ -205,30 +203,20 @@ def _sum(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> RatFunc:
     n1._same_field(n2)
     if not n1.coeffs:
         return _canonical(n2, d2)
-    if not n2.coeffs:
-        return _canonical(n1, d1)
-    g = None  # what num and den may share: a factor of gcd(d1, d2)
-    # a denominator 1 is its own case, to save the calls the general path
-    # would make even where the Poly operators answer them at once
+    # d1 = 1 is its own case, to save the calls the general path would make
+    # even where the Poly operators answer them at once; a zero sum has d2 = 1
     if d1.coeffs == (1,):
-        num, den = n1 * d2 + n2, d2
-    elif d2.coeffs == (1,):
-        num, den = n1 + n2 * d1, d1
-    elif d1 == d2:
-        num, den, g = n1 + n2, d1, d1
-    else:
-        g = poly_gcd(d1, d2)
-        if len(g.coeffs) == 1:
-            num, den, g = n1 * d2 + n2 * d1, d1 * d2, None
-        else:
-            e1 = d1 // g
-            num, den = n1 * (d2 // g) + n2 * e1, e1 * d2
+        return _canonical(n1 * d2 + n2, d2)
+    g = poly_gcd(d1, d2)
+    if len(g.coeffs) == 1:  # coprime denominators: the sum is reduced and nonzero
+        return _canonical(n1 * d2 + n2 * d1, d1 * d2)
+    e1 = d1 // g
+    num, den = n1 * (d2 // g) + n2 * e1, e1 * d2
     if not num.coeffs:
         return _canonical(num, Poly.one(num.field))
-    if g is not None:
-        h = poly_gcd(num, g)
-        if len(h.coeffs) > 1:
-            num, den = num // h, den // h
+    h = poly_gcd(num, g)
+    if len(h.coeffs) > 1:
+        num, den = num // h, den // h
     return _canonical(num, den)
 
 

@@ -2,8 +2,10 @@ import random
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ffunits import GF, RatFunc, hasse_derivative, in_power_subfield, taylor_jet
+from ffunits import GF, Poly, RatFunc, hasse_derivative, in_power_subfield, taylor_jet
 from ffunits.errors import MAX_PRIME_POWER, ResourceLimitError
 from ffunits.hasse import (
     _jet_coeffs,
@@ -16,6 +18,7 @@ from ffunits.hasse import (
 )
 
 from conftest import el, rand_ratfunc
+from test_properties import FIELDS
 
 
 def test_binom_mod_matches_pascal():
@@ -193,7 +196,8 @@ def test_coordinates_reassemble(F2, F3):
     rng = random.Random(61)
     # over GF(4) and GF(9) with s not dividing m the Frobenius on coefficients is not trivial
     F4, F9 = GF(2, 2, (1, 1, 1)), GF(3, 2, (1, 0, 1))
-    for field, m in ((F2, 1), (F2, 2), (F3, 1), (F4, 1), (F4, 2), (F4, 3), (F9, 1)):
+    # m = 0 reassembles x as inflate(x, 1)
+    for field, m in ((F3, 0), (F2, 1), (F2, 2), (F3, 1), (F4, 1), (F4, 2), (F4, 3), (F9, 1)):
         pm = field.p**m
         t = RatFunc.t(field)
         for _ in range(25):
@@ -208,6 +212,36 @@ def test_coordinates_reassemble(F2, F3):
             for c in coords:
                 if not c.is_zero:
                     assert in_power_subfield(inflate(c, pm), m)
+
+
+def _dense_coordinates(x, m):
+    """The rows off the dense power x.num * x.den**(p**m - 1): the oracle of
+    subfield_coordinates, which divides the relabeled den**(p**m) by den instead.
+    """
+    f, pm = x.field, x.field.p**m
+    coeffs = (x.num * x.den ** (pm - 1)).coeffs
+    den_hat = Poly(f, tuple(f.frobenius(c, m) for c in x.den.coeffs))
+    return tuple(Poly.from_coeffs(f, coeffs[r::pm]) for r in range(pm)), den_hat
+
+
+@st.composite
+def repeated_denominators(draw):
+    """(x, m) with m <= 3 and x = num / (g**e * h), a factor g of degree 1 or 2
+    repeated e >= 2 times before the fraction is reduced.
+    """
+    field = draw(st.sampled_from(FIELDS))
+    coeffs = st.lists(st.integers(0, field.q - 1), min_size=1, max_size=4)
+    num, h = (Poly.from_coeffs(field, draw(coeffs)) for _ in range(2))
+    g = Poly.from_coeffs(field, draw(st.lists(st.integers(0, field.q - 1), min_size=1, max_size=2)) + [1])
+    den = g ** draw(st.integers(2, 4)) * (h if h.coeffs else Poly.one(field))
+    return RatFunc.make(num, den), draw(st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(repeated_denominators())
+def test_coordinates_match_the_dense_power(case):
+    x, m = case
+    assert subfield_coordinates(x, m) == _dense_coordinates(x, m)
 
 
 def test_coordinates_of_subfield_elements(F2):
