@@ -3,11 +3,11 @@
 These routines exercise the local side of the local-global picture at
 finite precision: the image of the group in a residue ring
 F_q[t]/(base**e) is enumerated exhaustively, congruence solvability of
-b . x = rhs is searched over that image, moduli are scanned for one that
-obstructs solvability, and an exact word-bounded global search doubles as
-an oracle for the certified results.  The probe of iterated-factorial
-Frobenius powers watches a canonical convergent sequence stabilize at
-finite precision.
+b . x = rhs is searched over that image while it is listed, up to the
+first solution, moduli are scanned for one that obstructs solvability,
+and an exact word-bounded global search doubles as an oracle for the
+certified results.  The probe of iterated-factorial Frobenius powers
+watches a canonical convergent sequence stabilize at finite precision.
 
 The global search runs its word box on residues modulo one auxiliary
 irreducible base that divides no input, and confirms each hit in exact
@@ -29,8 +29,10 @@ residue, but not in general the first word a breadth-first search finds.
 The unit group of the residue ring is finite, so the powers of each
 generator reach its inverse and no inverse steps are taken.  A residue
 group, a probe's terms and a scan's running total are held to
-errors.DEFAULT_GROUP_LIMIT; the word box of sg_search and a probe's
-powering charge to errors.DEFAULT_BOX_LIMIT.
+errors.DEFAULT_GROUP_LIMIT; the running total charges the residue elements
+a scan has listed, which at a modulus with a solution stops at the first
+one.  The word box of sg_search and a probe's powering charge to
+errors.DEFAULT_BOX_LIMIT.
 """
 
 import functools
@@ -94,9 +96,10 @@ def _require_unit(x: RatFunc, m: Modulus, what: str):
         raise ValueError(f"{what} is not a unit at the modulus place")
 
 
-def residue_group(group: GeneratedGroup, m: Modulus) -> dict[Poly, tuple[int, ...]]:
-    """The full image of the group in a residue ring: each element with its
-    coset word, which is nonnegative and rebuilds the residue.
+def _coset_listing(group: GeneratedGroup, m: Modulus):
+    """The image of the group in a residue ring, element by element: each
+    residue as a coefficient tuple, with its coset word, yielded as soon as
+    it is found.
 
     The image is listed by cosets, as in Dimino's enumeration for an abelian
     group: for each reduced generator g not yet in the listed subgroup H,
@@ -107,72 +110,131 @@ def residue_group(group: GeneratedGroup, m: Modulus) -> dict[Poly, tuple[int, ..
     not in general the first word a breadth-first search finds.  The image
     is finite, so the powers of a generator reach its inverse and no
     inverse steps are taken.  The size is checked after each insert, so a
-    refusal names the first size past the bound.
+    refusal names the first size past the bound, before that element is
+    yielded.  The generators must be units at m.
     """
     field = group.field
     mod = m.poly.coeffs
-    steps = []
-    for g in group.generators:
-        _require_unit(g, m, "generator")
-        steps.append(reduce_mod(g, m).coeffs)
+    steps = [reduce_mod(g, m).coeffs for g in group.generators]
     limit = errors.DEFAULT_GROUP_LIMIT
     one = (1,)
     found = {one: (0,) * len(steps)}
+    yield one, found[one]
     for i, g in enumerate(steps):
         subgroup = list(found.items())
         power, k = g, 1
         while power not in found:
             for x, w in subgroup:  # the identity comes first, and one * power is power
                 y = power if x is one else tuple(_trim(_mulmod_list(field, x, power, mod)))
-                found[y] = w[:i] + (k,) + w[i + 1 :]
+                found[y] = word = w[:i] + (k,) + w[i + 1 :]
                 if len(found) > limit:
                     errors.refuse("listed group size", len(found), limit)
+                yield y, word
             power = tuple(_trim(_mulmod_list(field, power, g, mod)))
             k += 1
-    return {Poly(field, x): w for x, w in found.items()}
+
+
+def residue_group(group: GeneratedGroup, m: Modulus) -> dict[Poly, tuple[int, ...]]:
+    """The full image of the group in a residue ring: each element with its
+    coset word, which is nonnegative and rebuilds the residue, in the order
+    and with the refusal of _coset_listing.
+    """
+    for g in group.generators:
+        _require_unit(g, m, "generator")
+    field = group.field
+    return {Poly(field, x): w for x, w in _coset_listing(group, m)}
 
 
 def sl_search(eq: Equation, group: GeneratedGroup, m: Modulus) -> SLWitness | None:
     """Exhaustive search for b . x = rhs in the residue ring, over group images.
 
-    The box over the first arity-1 coordinates is enumerated and the last
-    coordinate is solved for and looked up, which visits exactly the
-    solutions the full product enumeration would.
+    The residue group is searched while it is listed (_first_solution), and
+    the first solution found is returned, with coset words.
     """
     for x in eq.b:
         _require_unit(x, m, "equation coefficient")
-    return _search_residues(eq, m, residue_group(group, m))
+    for g in group.generators:
+        _require_unit(g, m, "generator")
+    return _first_solution(eq, group, m)[0]
 
 
-def _search_residues(eq: Equation, m: Modulus, words: dict) -> SLWitness | None:
-    """The box search of sl_search over an already built residue group.
+def _first_solution(
+    eq: Equation, group: GeneratedGroup, m: Modulus
+) -> tuple[SLWitness | None, int]:
+    """The first solution of b . x = rhs over the residue group, searched
+    while the group is listed, with the number of elements listed; the
+    generators and coefficients must be units at m.
 
-    The witness words are those of the residue group, coset words.
+    When an element y is listed, every tuple whose latest-listed coordinate
+    is y is checked: y is looked up among the last coordinates that the
+    earlier prefixes of the first M - 1 coordinates need (_divided); then
+    each prefix that holds y, drawn from the elements listed so far, has
+    its need looked up among them.  Needs are ring elements, so their dict
+    holds at most q**(deg*e) entries.  The listing stops at the first hit;
+    with no hit it runs to the end, and the count is |H|.  Each element
+    costs M - 1 modular products on coefficient tuples, and each prefix
+    M - 1 additions.
     """
-    for prefix, need in _box_needs(eq, m, words.items()):
-        w = words.get(need)
-        if w is not None:
-            residues = tuple(x for x, _ in prefix) + (need,)
-            found = tuple(wd for _, wd in prefix) + (w,)
-            return SLWitness(m, residues, found)
-    return None
+    field = group.field
+    mod = m.poly.coeffs
+    scaled, target = _divided(eq, m)
+    k = eq.arity - 1
+    listed = {}  # residue -> word, for the elements listed so far
+    terms = []  # per listed element, in order: its residue and the products c_i * x
+    needs = {tuple(target): ()} if k == 0 else {}  # need -> the first prefix that needed it
+
+    def witness(prefix, last):
+        residues = tuple(terms[i][0] for i in prefix) + (last,)
+        return SLWitness(
+            m, tuple(Poly(field, x) for x in residues), tuple(listed[x] for x in residues)
+        )
+
+    for y, w in _coset_listing(group, m):
+        n = len(terms)
+        listed[y] = w
+        prefix = needs.get(y)
+        if prefix is not None:
+            return witness(prefix, y), n + 1
+        # the identity comes first, and c * 1 is c
+        terms.append((y, [_mulmod_list(field, c, y, mod) for c in scaled] if n else scaled))
+        # each prefix that holds y, first at position j: earlier elements
+        # before it, any listed element after it
+        for j in range(k):
+            for prefix in itertools.product(*[range(n)] * j, (n,), *[range(n + 1)] * (k - 1 - j)):
+                need = target
+                for i, x in enumerate(prefix):
+                    need = _add_list(field, need, terms[x][1][i])
+                need = tuple(_trim(need))
+                if need in listed:
+                    return witness(prefix, need), n + 1
+                needs.setdefault(need, prefix)
+    return None, len(terms)
 
 
-def _box_needs(eq: Equation, m: Modulus, entries):
-    """Each point of the box over the first M - 1 coordinates, with the
-    residue its last coordinate needs.
-
-    entries are (residue, payload) pairs, the residues reduced modulo m and
-    the points drawn in itertools.product order.  The equation is divided
-    by b_M once per call: the last coordinate is rhs/b_M + sum(-b_i/b_M * x_i),
-    so a point costs M - 1 modular products on coefficient tuples.
+def _divided(eq: Equation, m: Modulus) -> tuple[list, list]:
+    """The equation divided by b_M modulo m: the coefficient lists c_i of
+    -b_i/b_M for the first M - 1 coordinates, and t of rhs/b_M, so that
+    the last coordinate is t + sum(c_i * x_i).
     """
     field = m.base.field
     mod = m.poly.coeffs
     inv_last = reduce_mod(eq.b[-1].inverse(), m).coeffs
     neg_inv = _neg_list(field, inv_last)
     scaled = [_trim(_mulmod_list(field, reduce_mod(x, m).coeffs, neg_inv, mod)) for x in eq.b[:-1]]
-    target = list(inv_last) if eq.rhs else []
+    return scaled, list(inv_last) if eq.rhs else []
+
+
+def _box_needs(eq: Equation, m: Modulus, entries):
+    """Each point of the box over the first M - 1 coordinates, with the
+    residue its last coordinate needs (_divided).
+
+    entries are (residue, payload) pairs, the residues reduced modulo m and
+    the points drawn in itertools.product order; a point costs M - 1
+    modular products on coefficient tuples.
+    """
+    field = m.base.field
+    mod = m.poly.coeffs
+    scaled, target = _divided(eq, m)
     for prefix in itertools.product(entries, repeat=eq.arity - 1):
         # each term is reduced, so their sum is too
         need = target
@@ -221,13 +283,15 @@ def find_local_obstruction(
 
     Moduli run over monic irreducibles up to the given degree, with
     exponents up to e_bound, that divide no numerator or denominator of a
-    generator or coefficient (_divides_none, so nothing is factored).  A
-    running total counts the residue elements searched without an
-    obstruction; before a degree's bases are first listed, deg for each of
-    the q**deg candidates that listing tests for irreducibility (a test
-    takes at most deg modular powerings); and before each modulus base**e is
-    built, its degree deg*e.  Past errors.DEFAULT_GROUP_LIMIT the scan stops
-    with ResourceLimitError.
+    generator or coefficient (_divides_none, so nothing is factored).  Each
+    residue group is searched while it is listed (_first_solution), so a
+    modulus with a solution stops at the first one, and an obstruction's
+    group_size is the full count |H|.  A running total counts the residue
+    elements listed at moduli with a solution; before a degree's bases are
+    first listed, deg for each of the q**deg candidates that listing tests
+    for irreducibility (a test takes at most deg modular powerings); and
+    before each modulus base**e is built, its degree deg*e.  Past
+    errors.DEFAULT_GROUP_LIMIT the scan stops with ResourceLimitError.
     """
     if deg_bound < 1 or e_bound < 1:
         raise ValueError("bounds must be >= 1")
@@ -250,10 +314,10 @@ def find_local_obstruction(
         for base in kept[d]:
             charge(d * e)
             m = Modulus(base, e)
-            rg = residue_group(group, m)
-            if _search_residues(eq, m, rg) is None:
-                return ObstructionWitness(m, len(rg))
-            charge(len(rg))
+            witness, listed = _first_solution(eq, group, m)
+            if witness is None:
+                return ObstructionWitness(m, listed)
+            charge(listed)
     return None
 
 

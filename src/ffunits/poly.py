@@ -29,7 +29,7 @@ safe because a ``Poly`` is never changed after it is built, and a gcd
 with a constant operand is 1.  These rules stay, since they also save
 building a ``Poly`` (on the solver's traffic most products have the
 factor 1: a denominator, a unit pivot, the start of a power), and so do
-``x is one`` in ``localprobe.residue_group``, which also saves a
+``x is one`` in ``localprobe._coset_listing``, which also saves a
 reduction, the ``d1 = 1`` case of ``ratfunc._sum`` and the zero-entry
 guards of the ``wronskian`` echelon, which save whole calls.
 ``poly_divmod`` leaves a constant divisor to ``_divmod_list``, which
@@ -538,6 +538,9 @@ def _squarefree_split(f: Poly) -> list[tuple[Poly, int]]:
             e *= p
             continue
         c = poly_gcd(f, d)
+        if c.is_one:  # f is squarefree: its one part, with no division by 1
+            out.append((f, e))
+            break
         w = f // c
         j = 1
         while w.degree() > 0:

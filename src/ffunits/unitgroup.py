@@ -15,7 +15,7 @@ computation for the F_q* constants.  member returns the word of a member,
 checked to reconstruct the queried element exactly, or None; the reason a
 non-member fails is not kept, since nothing reads it.  The coset search is
 closure, the breadth-first closure of a finite group.  closure serves
-membership only: residue images (``localprobe.residue_group``) are listed
+membership only: residue images (``localprobe._coset_listing``) are listed
 by cosets, and solution words depend on closure's breadth-first words.
 
 Representative sets of the quotient by the subgroup of elements lying in

@@ -287,37 +287,95 @@ def test_obstruction_scan_tests_bases_lazily(monkeypatch):
     assert len(calls) < 100
 
 
+def _spy_listing(monkeypatch):
+    """Patch the scan's residue listing to record the modulus of each
+    element it lists; return that record."""
+    listed = []
+    original = localprobe._coset_listing
+
+    def recording(group, m):
+        for item in original(group, m):
+            listed.append(m)
+            yield item
+
+    monkeypatch.setattr(localprobe, "_coset_listing", recording)
+    return listed
+
+
 def test_obstruction_scan_builds_each_residue_group_once(F2, F3, monkeypatch):
-    built = []
-    original = localprobe.residue_group
-    monkeypatch.setattr(
-        localprobe, "residue_group", lambda group, m, *a: built.append(m) or original(group, m, *a)
-    )
+    listed = _spy_listing(monkeypatch)
     g2 = build_presentation((el(F2, "1+T"),))
     eq0 = Equation((RatFunc.t(F2), RatFunc.one(F2)), 0)
     witness = find_local_obstruction(eq0, g2, 2, 2)
+    # each modulus is listed at most once, in one run: its elements are adjacent
+    built = [m for m, _ in itertools.groupby(listed)]
     assert len(built) > 1 and len(set(built)) == len(built)
     assert built[-1] == witness.modulus and witness.group_size == 6
+    assert listed.count(witness.modulus) == 6
 
-    built.clear()
+    listed.clear()
     g3 = build_presentation((el(F3, "T"), el(F3, "-T"), el(F3, "1-T")))
     assert find_local_obstruction(Equation((RatFunc.one(F3),) * 2, 0), g3, 2, 2) is None
+    built = [m for m, _ in itertools.groupby(listed)]
     assert len(built) > 1 and len(set(built)) == len(built)
+
+
+def test_solvable_modulus_stops_at_its_first_solution(F3, monkeypatch):
+    """The congruence x = (T+1)^2 * y holds at y = 1 as soon as (T+1)^2 is
+    listed, the third of the 8 elements of the image modulo T^2+1: the
+    listing stops there, and the scan charges the elements listed, not |H|."""
+    listed = _spy_listing(monkeypatch)
+    group = build_presentation((el(F3, "T+1"),))
+    eq = Equation((RatFunc.one(F3), -el(F3, "(T+1)^2")), 0)
+    m = Modulus(pl(F3, "T^2+1"), 1)
+    size = len(residue_group(group, m))
+    assert size == 8
+    listed.clear()
+    witness = sl_search(eq, group, m)
+    assert len(listed) == 3 < size
+    assert witness.residues == (reduce_mod(el(F3, "(T+1)^2"), m), Poly.one(F3))
+    assert witness.words == ((2,), (0,))
+    assert localprobe._first_solution(eq, group, m)[1] == 3
+
+    # the scan to degree 2 lists fewer elements than its residue groups hold,
+    # and its running total charges only those: 3 + 2 * 9 for the candidate
+    # bases and 1 or 2 for each of the 5 moduli come on top
+    listed.clear()
+    assert find_local_obstruction(eq, group, 2, 1) is None
+    moduli, scanned = set(listed), len(listed)
+    full = sum(len(residue_group(group, mm)) for mm in moduli)
+    assert len(moduli) == 5 and scanned == 11 < full == 23
+    monkeypatch.setattr(errors, "DEFAULT_GROUP_LIMIT", 21 + 8 + scanned)
+    assert find_local_obstruction(eq, group, 2, 1) is None
+    monkeypatch.setattr(errors, "DEFAULT_GROUP_LIMIT", 21 + 8 + scanned - 1)
+    with pytest.raises(ResourceLimitError, match="scan charge"):
+        find_local_obstruction(eq, group, 2, 1)
 
 
 def test_obstruction_scan_is_bounded(monkeypatch):
-    """A scan that finds nothing stops once its residue groups outgrow the group bound."""
-    argv = ["skolem", "--p", "3", "--gens", "T+1", "--b", "1, -1", "--rhs", "0",
-            "--deg-bound", "5", "--e-bound", "1"]
-    # solvable at every modulus: 79 moduli with 9,118 residue elements in all
+    """A scan that finds nothing stops once the residue elements it lists
+    outgrow the group bound."""
+    listed = _spy_listing(monkeypatch)
+    scan = ["skolem", "--p", "3", "--gens", "T+1", "--deg-bound", "5", "--e-bound", "1"]
+    # x = 1/(T+1), the last power of T+1 listed, solves (T+1) * x = 1 at every
+    # modulus, so each of the 79 moduli lists its whole image: 9,118 residue
+    # elements in all.  x = y solves x - y = 0 at the identity, listed first
+    late = scan + ["--b", "T+1", "--rhs", "1"]
+    early = scan + ["--b", "1, -1", "--rhs", "0"]
+    for argv, count in ((late, 9118), (early, 79)):
+        listed.clear()
+        out, err = io.StringIO(), io.StringIO()
+        assert run_cli(argv, stdout=out, stderr=err) == 2
+        assert json.loads(out.getvalue())["outcome"] == "none-found"
+        assert len(listed) == count and len(set(listed)) == 79
+    # the candidate bases and the moduli degrees charge 1,985 in all, and no
+    # residue group reaches 242 elements: only the listed elements take the
+    # late scan past 5,000
+    monkeypatch.setattr(errors, "DEFAULT_GROUP_LIMIT", 5000)
     out, err = io.StringIO(), io.StringIO()
-    assert run_cli(argv, stdout=out, stderr=err) == 2
-    assert json.loads(out.getvalue())["outcome"] == "none-found"
-    # no single residue group reaches 2,000 elements, only their total does
-    monkeypatch.setattr(errors, "DEFAULT_GROUP_LIMIT", 2000)
-    out, err = io.StringIO(), io.StringIO()
-    assert run_cli(argv, stdout=out, stderr=err) == 4
-    assert out.getvalue() == "" and "exceeds the configured bound 2000" in err.getvalue()
+    assert run_cli(late, stdout=out, stderr=err) == 4
+    assert out.getvalue() == "" and "exceeds the configured bound 5000" in err.getvalue()
+    assert run_cli(early, stdout=io.StringIO(), stderr=io.StringIO()) == 2
 
 
 def test_obstruction_scan_charges_listed_candidates(monkeypatch):

@@ -4,7 +4,9 @@ certified decision agrees with the word-box search that shares only the
 arithmetic with it, no listed solution meets a local obstruction, the
 word-box search on residues agrees with the plain
 exact search kept here as its oracle, the obstruction scan agrees with
-a breadth-first scan kept here as its oracle, and the Hermite form that
+a breadth-first scan kept here as its oracle, the congruence search's
+first solution solves the congruence and is missing exactly when the box
+search kept here as its oracle finds none, and the Hermite form that
 carries its transform agrees with the two-matrix form kept here as its
 oracle.
 """
@@ -16,7 +18,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ffunits import GF, Equation, Modulus, Poly, RatFunc, build_presentation, decide, member  # noqa: E402
@@ -24,7 +26,13 @@ from ffunits.cli import run_cli  # noqa: E402
 from ffunits import localprobe  # noqa: E402
 from ffunits.exprio import ParseError, _tokenize  # noqa: E402
 from ffunits.intlattice import hnf, solve_left  # noqa: E402
-from ffunits.localprobe import _residue_bases, find_local_obstruction, residue_group, sg_search  # noqa: E402
+from ffunits.localprobe import (  # noqa: E402
+    _residue_bases,
+    find_local_obstruction,
+    residue_group,
+    sg_search,
+    sl_search,
+)
 from ffunits.poly import monic_irreducibles, poly_mulmod, poly_powmod  # noqa: E402
 from ffunits.ratfunc import divisor_vector, reduce_mod  # noqa: E402
 from ffunits.solver import SolutionPoint  # noqa: E402
@@ -307,7 +315,7 @@ def _oracle_solvable(eq, m, image):
 def scans(draw):
     field = draw(st.sampled_from(FIELDS))
     gens = draw(st.lists(units(field), min_size=1, max_size=3))
-    arity = draw(st.sampled_from((2, 3)))
+    arity = draw(st.sampled_from((1, 2, 3)))  # arity 1 searches the empty prefix alone
     b = tuple(draw(st.lists(units(field), min_size=arity, max_size=arity)))
     deg_bound, e_bound = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     if field.q == 9 and deg_bound == e_bound == 2:
@@ -341,6 +349,45 @@ def test_obstruction_scan_agrees_with_breadth_first_scan(scan):
             break
     witness = find_local_obstruction(eq, group, deg_bound, e_bound)
     assert (None if witness is None else (witness.modulus, witness.group_size)) == expected
+
+
+@st.composite
+def congruences(draw):
+    """A scan's instance with one modulus base**e that divides none of its
+    inputs, of at most 81 residues, so that the oracle's box stays small."""
+    group, eq, _, _ = draw(scans())
+    field = group.field
+    d, e = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    if field.q ** (d * e) > 81:
+        e = 1
+    inputs = group.generators + eq.b
+    bases = [x for x in monic_irreducibles(field, d) if localprobe._divides_none(x, inputs)]
+    assume(bases)
+    return group, eq, Modulus(draw(st.sampled_from(bases)), e)
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(congruences())
+def test_sl_search_witness_solves_the_congruence(congruence):
+    group, eq, m = congruence
+    witness = sl_search(eq, group, m)
+    image = _oracle_image(group, m)
+    assert (witness is None) == (not _oracle_solvable(eq, m, image))
+    listed = localprobe._first_solution(eq, group, m)[1]
+    if witness is None:
+        assert listed == len(image)
+        return
+    assert listed <= len(image)
+    assert witness.modulus == m and len(witness.residues) == len(witness.words) == eq.arity
+    steps = [reduce_mod(g, m) for g in group.generators]
+    acc = Poly.zero(group.field)
+    for bi, res, word in zip(eq.b, witness.residues, witness.words):
+        rebuilt = Poly.one(group.field)
+        for step, k in zip(steps, word):
+            rebuilt = poly_mulmod(rebuilt, poly_powmod(step, k, m.poly), m.poly)
+        assert rebuilt == res and res in image
+        acc = acc + poly_mulmod(reduce_mod(bi, m), res, m.poly)
+    assert acc == Poly.constant(group.field, eq.rhs) % m.poly
 
 
 def _oracle_row_addmul(mat, aux, dst, src, c):
