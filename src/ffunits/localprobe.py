@@ -20,7 +20,15 @@ or membership test.
 
 Nothing here factors: the obstruction scan and the auxiliary base of the
 global search keep a base only when it divides no numerator or
-denominator of the inputs, one division test for both.
+denominator of the inputs, one division test for both (_unit_residues).
+The remainders of that test are the residues at exponent 1; at a higher
+exponent e the scan reduces each numerator and denominator modulo base**e
+on coefficient lists when it reaches that modulus.  One list-level
+routine (_search_inputs) turns the residue pairs into the search's
+inputs: the generators' residues, -b_i/b_M and rhs/b_M, each inverse by
+an extended Euclid on coefficient lists; no RatFunc or Poly is built per
+modulus, and the scan's search returns raw residues, which only
+sl_search turns into a witness.
 
 The image is listed by cosets of the subgroups generated step by step,
 with the products on coefficient tuples, and kept as an element-to-word
@@ -44,6 +52,9 @@ from .field import GF
 from .poly import (
     Poly,
     _add_list,
+    _divmod_list,
+    _invmod_list,
+    _mul_list,
     _mulmod_list,
     _neg_list,
     _trim,
@@ -96,13 +107,13 @@ def _require_unit(x: RatFunc, m: Modulus, what: str):
         raise ValueError(f"{what} is not a unit at the modulus place")
 
 
-def _coset_listing(group: GeneratedGroup, m: Modulus):
+def _coset_listing(field: GF, steps, mod):
     """The image of the group in a residue ring, element by element: each
     residue as a coefficient tuple, with its coset word, yielded as soon as
     it is found.
 
     The image is listed by cosets, as in Dimino's enumeration for an abelian
-    group: for each reduced generator g not yet in the listed subgroup H,
+    group: for each generator residue g not yet in the listed subgroup H,
     the cosets H*g, H*g**2, ... are appended until a power of g lands in H.
     The cosets are disjoint, so each product is a new element, and the
     listing takes |H| - 1 modular products on coefficient tuples in all.
@@ -111,11 +122,9 @@ def _coset_listing(group: GeneratedGroup, m: Modulus):
     is finite, so the powers of a generator reach its inverse and no
     inverse steps are taken.  The size is checked after each insert, so a
     refusal names the first size past the bound, before that element is
-    yielded.  The generators must be units at m.
+    yielded.  The steps are the generators' residues modulo mod, as
+    coefficient tuples (_search_inputs), and must be units there.
     """
-    field = group.field
-    mod = m.poly.coeffs
-    steps = [reduce_mod(g, m).coeffs for g in group.generators]
     limit = errors.DEFAULT_GROUP_LIMIT
     one = (1,)
     found = {one: (0,) * len(steps)}
@@ -134,6 +143,58 @@ def _coset_listing(group: GeneratedGroup, m: Modulus):
             k += 1
 
 
+def _unit_residues(field: GF, elements, mod) -> list | None:
+    """The residues modulo mod of each element's numerator and denominator,
+    as trimmed (num, den) coefficient lists, or None at the first zero one.
+
+    Modulo an irreducible base a zero residue means that the base divides
+    the numerator or denominator, so this is the unit test of a base, and
+    the remainders it leaves are the residues at exponent 1.  Modulo a
+    power of a base that passed the test, no residue is zero.
+    """
+    pairs = []
+    for x in elements:
+        num = _trim(_divmod_list(field, list(x.num.coeffs), mod)[1])
+        den = _trim(_divmod_list(field, list(x.den.coeffs), mod)[1])
+        if not num or not den:
+            return None
+        pairs.append((num, den))
+    return pairs
+
+
+def _search_inputs(field: GF, pairs, n: int, rhs: int, mod) -> tuple[list, list, list]:
+    """The search's inputs modulo mod, from the residue pairs (num, den) of
+    the n generators and then of b_1..b_M (_unit_residues): the generator
+    steps num/den as coefficient tuples, the lists c_i of -b_i/b_M for the
+    first M - 1 coordinates, and t of rhs/b_M, so that the last coordinate
+    is t + sum(c_i * x_i).  With no coefficients, c and t are empty.  Each
+    inverse is an extended Euclid on coefficient lists (_invmod_list),
+    skipped for the residue 1.
+    """
+
+    def quotient(num, den):
+        if den == [1]:
+            return num
+        return _trim(_mulmod_list(field, num, _invmod_list(field, den, mod), mod))
+
+    steps = [tuple(quotient(*pair)) for pair in pairs[:n]]
+    if len(pairs) == n:
+        return steps, [], []
+    num, den = pairs[-1]
+    inv_last = quotient(den, num)
+    neg_inv = _neg_list(field, inv_last)
+    scaled = [_trim(_mulmod_list(field, quotient(*pair), neg_inv, mod)) for pair in pairs[n:-1]]
+    return steps, scaled, inv_last if rhs else []
+
+
+def _reduced_inputs(group: GeneratedGroup, b, rhs: int, mod) -> tuple[list, list, list]:
+    """_search_inputs modulo mod for the group and the coefficients b, all
+    units there, reduced afresh."""
+    field = group.field
+    pairs = _unit_residues(field, group.generators + b, mod)
+    return _search_inputs(field, pairs, len(group.generators), rhs, mod)
+
+
 def residue_group(group: GeneratedGroup, m: Modulus) -> dict[Poly, tuple[int, ...]]:
     """The full image of the group in a residue ring: each element with its
     coset word, which is nonnegative and rebuilds the residue, in the order
@@ -141,8 +202,9 @@ def residue_group(group: GeneratedGroup, m: Modulus) -> dict[Poly, tuple[int, ..
     """
     for g in group.generators:
         _require_unit(g, m, "generator")
-    field = group.field
-    return {Poly(field, x): w for x, w in _coset_listing(group, m)}
+    field, mod = group.field, m.poly.coeffs
+    steps = _reduced_inputs(group, (), 0, mod)[0]
+    return {Poly(field, x): w for x, w in _coset_listing(field, steps, mod)}
 
 
 def sl_search(eq: Equation, group: GeneratedGroup, m: Modulus) -> SLWitness | None:
@@ -155,46 +217,45 @@ def sl_search(eq: Equation, group: GeneratedGroup, m: Modulus) -> SLWitness | No
         _require_unit(x, m, "equation coefficient")
     for g in group.generators:
         _require_unit(g, m, "generator")
-    return _first_solution(eq, group, m)[0]
+    field, mod = group.field, m.poly.coeffs
+    hit = _first_solution(field, *_reduced_inputs(group, eq.b, eq.rhs, mod), mod)[0]
+    if hit is None:
+        return None
+    residues, words = hit
+    return SLWitness(m, tuple(Poly(field, x) for x in residues), words)
 
 
-def _first_solution(
-    eq: Equation, group: GeneratedGroup, m: Modulus
-) -> tuple[SLWitness | None, int]:
+def _first_solution(field: GF, steps, scaled, target, mod) -> tuple[tuple | None, int]:
     """The first solution of b . x = rhs over the residue group, searched
-    while the group is listed, with the number of elements listed; the
-    generators and coefficients must be units at m.
+    while the group is listed, as its residues (coefficient tuples) and
+    their coset words, or None; with the number of elements listed.  The
+    inputs come from _search_inputs.
 
     When an element y is listed, every tuple whose latest-listed coordinate
     is y is checked: y is looked up among the last coordinates that the
-    earlier prefixes of the first M - 1 coordinates need (_divided); then
-    each prefix that holds y, drawn from the elements listed so far, has
-    its need looked up among them.  Needs are ring elements, so their dict
-    holds at most q**(deg*e) entries.  The listing stops at the first hit;
-    with no hit it runs to the end, and the count is |H|.  Each element
-    costs M - 1 modular products on coefficient tuples, and each prefix
-    M - 1 additions.
+    earlier prefixes of the first M - 1 coordinates need; then each prefix
+    that holds y, drawn from the elements listed so far, has its need
+    looked up among them.  Needs are ring elements, so their dict holds at
+    most q**(deg*e) entries.  The listing stops at the first hit; with no
+    hit it runs to the end, and the count is |H|.  Each element costs
+    M - 1 modular products on coefficient tuples, and each prefix M - 1
+    additions.
     """
-    field = group.field
-    mod = m.poly.coeffs
-    scaled, target = _divided(eq, m)
-    k = eq.arity - 1
+    k = len(scaled)
     listed = {}  # residue -> word, for the elements listed so far
     terms = []  # per listed element, in order: its residue and the products c_i * x
     needs = {tuple(target): ()} if k == 0 else {}  # need -> the first prefix that needed it
 
-    def witness(prefix, last):
+    def hit(prefix, last):
         residues = tuple(terms[i][0] for i in prefix) + (last,)
-        return SLWitness(
-            m, tuple(Poly(field, x) for x in residues), tuple(listed[x] for x in residues)
-        )
+        return residues, tuple(listed[x] for x in residues)
 
-    for y, w in _coset_listing(group, m):
+    for y, w in _coset_listing(field, steps, mod):
         n = len(terms)
         listed[y] = w
         prefix = needs.get(y)
         if prefix is not None:
-            return witness(prefix, y), n + 1
+            return hit(prefix, y), n + 1
         # the identity comes first, and c * 1 is c
         terms.append((y, [_mulmod_list(field, c, y, mod) for c in scaled] if n else scaled))
         # each prefix that holds y, first at position j: earlier elements
@@ -206,36 +267,21 @@ def _first_solution(
                     need = _add_list(field, need, terms[x][1][i])
                 need = tuple(_trim(need))
                 if need in listed:
-                    return witness(prefix, need), n + 1
+                    return hit(prefix, need), n + 1
                 needs.setdefault(need, prefix)
     return None, len(terms)
 
 
-def _divided(eq: Equation, m: Modulus) -> tuple[list, list]:
-    """The equation divided by b_M modulo m: the coefficient lists c_i of
-    -b_i/b_M for the first M - 1 coordinates, and t of rhs/b_M, so that
-    the last coordinate is t + sum(c_i * x_i).
-    """
-    field = m.base.field
-    mod = m.poly.coeffs
-    inv_last = reduce_mod(eq.b[-1].inverse(), m).coeffs
-    neg_inv = _neg_list(field, inv_last)
-    scaled = [_trim(_mulmod_list(field, reduce_mod(x, m).coeffs, neg_inv, mod)) for x in eq.b[:-1]]
-    return scaled, list(inv_last) if eq.rhs else []
-
-
-def _box_needs(eq: Equation, m: Modulus, entries):
+def _box_needs(field: GF, scaled, target, mod, entries):
     """Each point of the box over the first M - 1 coordinates, with the
-    residue its last coordinate needs (_divided).
+    residue its last coordinate needs (scaled and target from
+    _search_inputs).
 
-    entries are (residue, payload) pairs, the residues reduced modulo m and
-    the points drawn in itertools.product order; a point costs M - 1
+    entries are (residue, payload) pairs, the residues reduced modulo mod
+    and the points drawn in itertools.product order; a point costs M - 1
     modular products on coefficient tuples.
     """
-    field = m.base.field
-    mod = m.poly.coeffs
-    scaled, target = _divided(eq, m)
-    for prefix in itertools.product(entries, repeat=eq.arity - 1):
+    for prefix in itertools.product(entries, repeat=len(scaled)):
         # each term is reduced, so their sum is too
         need = target
         for c, (x, _) in zip(scaled, prefix):
@@ -283,9 +329,11 @@ def find_local_obstruction(
 
     Moduli run over monic irreducibles up to the given degree, with
     exponents up to e_bound, that divide no numerator or denominator of a
-    generator or coefficient (_divides_none, so nothing is factored).  Each
-    residue group is searched while it is listed (_first_solution), so a
-    modulus with a solution stops at the first one, and an obstruction's
+    generator or coefficient (_unit_residues, so nothing is factored).  The
+    remainders of that test are the residues at e = 1; at e >= 2 the inputs
+    are reduced modulo base**e when the scan reaches it (_exponent_inputs).
+    Each residue group is searched while it is listed (_first_solution), so
+    a modulus with a solution stops at the first one, and an obstruction's
     group_size is the full count |H|.  A running total counts the residue
     elements listed at moduli with a solution; before a degree's bases are
     first listed, deg for each of the q**deg candidates that listing tests
@@ -305,20 +353,41 @@ def find_local_obstruction(
         if searched > limit:
             errors.refuse("scan charge", searched, limit)
 
-    kept = {}  # degree -> its bases that keep every generator and coefficient a unit
+    # degree -> its bases that keep every generator and coefficient a unit,
+    # each with the search's inputs by exponent
+    kept = {}
     for d, e in _moduli(deg_bound, e_bound):
         if e == 1:
             charge(d * field.q**d)
             # bases in sort-key order, tested once per degree (memoized)
-            kept[d] = [b for b in monic_irreducibles(field, d) if _divides_none(b, elements)]
-        for base in kept[d]:
+            kept[d] = []
+            for base in monic_irreducibles(field, d):
+                pairs = _unit_residues(field, elements, base.coeffs)
+                if pairs is not None:
+                    kept[d].append((base, _exponent_inputs(eq, group, base, pairs)))
+        for base, inputs in kept[d]:
             charge(d * e)
-            m = Modulus(base, e)
-            witness, listed = _first_solution(eq, group, m)
-            if witness is None:
-                return ObstructionWitness(m, listed)
+            mod, args = next(inputs)
+            hit, listed = _first_solution(field, *args, mod)
+            if hit is None:
+                return ObstructionWitness(Modulus(base, e), listed)
             charge(listed)
     return None
+
+
+def _exponent_inputs(eq: Equation, group: GeneratedGroup, base: Poly, pairs):
+    """The modulus base**e as a coefficient tuple and the search's inputs
+    modulo it (_search_inputs), for e = 1, 2, ..., one per next(); pairs
+    are the residues at e = 1 that the unit test left.  base**e is built,
+    and the inputs reduced modulo it, only when its next() is called, so
+    no work is done at an exponent the scan has not charged.
+    """
+    field, mod = group.field, base.coeffs
+    inputs = _search_inputs(field, pairs, len(group.generators), eq.rhs, mod)
+    while True:
+        yield mod, inputs
+        mod = tuple(_mul_list(field, mod, base.coeffs))
+        inputs = _reduced_inputs(group, eq.b, eq.rhs, mod)
 
 
 def _residue_bases(field: GF):
@@ -342,11 +411,6 @@ def _first_residue_modulus(field: GF) -> Modulus:
     return Modulus(next(_residue_bases(field)), 1)
 
 
-def _divides_none(base: Poly, elements) -> bool:
-    """Whether base divides no numerator or denominator of the elements."""
-    return all((p % base).coeffs for x in elements for p in (x.num, x.den))
-
-
 def _residue_modulus(field: GF, elements) -> Modulus:
     """The first residue base that divides no numerator or denominator of
     the elements, as a modulus of exponent 1.
@@ -359,7 +423,7 @@ def _residue_modulus(field: GF, elements) -> Modulus:
     """
     first = _first_residue_modulus(field)
     for base in itertools.chain([first.base], _residue_bases(field)):
-        if _divides_none(base, elements):
+        if _unit_residues(field, elements, base.coeffs) is not None:
             return first if base is first.base else Modulus(base, 1)
 
 
@@ -392,15 +456,14 @@ def sg_search(
     if box > errors.DEFAULT_BOX_LIMIT:
         errors.refuse("word box", box, errors.DEFAULT_BOX_LIMIT)
     field = group.field
-    m = _residue_modulus(field, group.generators + eq.b)
-    mod = m.poly.coeffs
+    mod = _residue_modulus(field, group.generators + eq.b).poly.coeffs
+    steps, scaled, target = _reduced_inputs(group, eq.b, eq.rhs, mod)
     exponents = range(-word_bound, word_bound + 1)
     # each word with its residue, in itertools.product order
     table = [((), Poly.one(field))]
-    for g in group.generators:
+    for g in steps:
         powers = {}
-        for sign, h in ((1, g), (-1, g.inverse())):
-            step = reduce_mod(h, m).coeffs
+        for sign, step in ((1, g), (-1, _invmod_list(field, g, mod))):
             power = (1,)
             for e in range(1, word_bound + 1):
                 power = tuple(_trim(_mulmod_list(field, power, step, mod)))
@@ -420,9 +483,9 @@ def sg_search(
         if not any(value(w) == value(word) for w in bucket):
             bucket.append(word)
             entries.append((x, word))
-    target = RatFunc.constant(field, eq.rhs)
+    rhs = RatFunc.constant(field, eq.rhs)
     found = []
-    for prefix, need in _box_needs(eq, m, entries):
+    for prefix, need in _box_needs(field, scaled, target, mod, entries):
         bucket = buckets.get(need)
         if bucket is None:
             continue
@@ -430,7 +493,7 @@ def sg_search(
         acc = RatFunc.zero(field)
         for bi, xi in zip(eq.b, coords):
             acc = acc + bi * xi
-        last = (target - acc) / eq.b[-1]
+        last = (rhs - acc) / eq.b[-1]
         for w in bucket:
             if value(w) == last:
                 found.append(SolutionPoint(coords + (last,), tuple(wd for _, wd in prefix) + (w,)))

@@ -22,7 +22,7 @@ a product by a nonzero constant scales the other operand (copies it for
 dividend for 1) and leaves an empty remainder.  ``+``, ``-``, ``*``,
 ``scale``, ``poly_divmod``, ``poly_mulmod`` (the product reduced in the
 same pass), ``poly_powmod``, ``poly_gcd`` and ``poly_invmod`` (Euclid on
-coefficient lists) share them and build one ``Poly`` per result, except
+coefficient lists, in ``_invmod_list``) share them and build one ``Poly`` per result, except
 where the operands fix the answer: ``1 * x`` and ``x * 1``, ``0 + x`` and
 ``x + 0``, ``x ** 1`` and ``1 ** e`` return an operand itself, which is
 safe because a ``Poly`` is never changed after it is built, and a gcd
@@ -452,17 +452,14 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return _trimmed(f, x)
 
 
-def poly_invmod(a: Poly, m: Poly) -> Poly:
-    """Inverse of a modulo m; raises ZeroDivisionError when gcd(a, m) != 1.
+def _invmod_list(f: GF, a, m) -> list:
+    """Trimmed coefficients of the inverse of a modulo m (m of degree >= 1);
+    raises ZeroDivisionError when gcd(a, m) != 1.
 
     Extended Euclid on coefficient lists that keeps only the cofactor u_i
     with r_i = u_i * a mod m.
     """
-    if m.degree() < 1:
-        raise ValueError("invalid modulus")
-    a._same_field(m)
-    f = a.field
-    r0, r1 = list(m.coeffs), _trim(_divmod_list(f, list(a.coeffs), m.coeffs)[1])
+    r0, r1 = list(m), _trim(_divmod_list(f, list(a), m)[1])
     u0, u1 = [], [1]
     while r1:
         q, r = _divmod_list(f, r0, r1)
@@ -471,7 +468,17 @@ def poly_invmod(a: Poly, m: Poly) -> Poly:
     if len(r0) != 1:
         raise ZeroDivisionError("element is not invertible modulo the given polynomial")
     u = _scale_list(f, u0, f.inv(r0[0]))
-    return _trimmed(f, _divmod_list(f, u, m.coeffs)[1])
+    return _trim(_divmod_list(f, u, m)[1])
+
+
+def poly_invmod(a: Poly, m: Poly) -> Poly:
+    """Inverse of a modulo m; raises ZeroDivisionError when gcd(a, m) != 1
+    (_invmod_list)."""
+    if m.degree() < 1:
+        raise ValueError("invalid modulus")
+    a._same_field(m)
+    f = a.field
+    return _trimmed(f, _invmod_list(f, a.coeffs, m.coeffs))
 
 
 def poly_powmod(base: Poly, exp: int, modulus: Poly) -> Poly:

@@ -289,17 +289,23 @@ def test_obstruction_scan_tests_bases_lazily(monkeypatch):
 
 def _spy_listing(monkeypatch):
     """Patch the scan's residue listing to record the modulus of each
-    element it lists; return that record."""
+    element it lists, as its coefficient tuple; return that record."""
     listed = []
     original = localprobe._coset_listing
 
-    def recording(group, m):
-        for item in original(group, m):
-            listed.append(m)
+    def recording(field, steps, mod):
+        for item in original(field, steps, mod):
+            listed.append(mod)
             yield item
 
     monkeypatch.setattr(localprobe, "_coset_listing", recording)
     return listed
+
+
+def _first_solution_at(eq, group, m):
+    """localprobe._first_solution on the inputs reduced modulo m."""
+    mod = m.poly.coeffs
+    return localprobe._first_solution(group.field, *localprobe._reduced_inputs(group, eq.b, eq.rhs, mod), mod)
 
 
 def test_obstruction_scan_builds_each_residue_group_once(F2, F3, monkeypatch):
@@ -310,8 +316,8 @@ def test_obstruction_scan_builds_each_residue_group_once(F2, F3, monkeypatch):
     # each modulus is listed at most once, in one run: its elements are adjacent
     built = [m for m, _ in itertools.groupby(listed)]
     assert len(built) > 1 and len(set(built)) == len(built)
-    assert built[-1] == witness.modulus and witness.group_size == 6
-    assert listed.count(witness.modulus) == 6
+    assert built[-1] == witness.modulus.poly.coeffs and witness.group_size == 6
+    assert listed.count(witness.modulus.poly.coeffs) == 6
 
     listed.clear()
     g3 = build_presentation((el(F3, "T"), el(F3, "-T"), el(F3, "1-T")))
@@ -335,7 +341,7 @@ def test_solvable_modulus_stops_at_its_first_solution(F3, monkeypatch):
     assert len(listed) == 3 < size
     assert witness.residues == (reduce_mod(el(F3, "(T+1)^2"), m), Poly.one(F3))
     assert witness.words == ((2,), (0,))
-    assert localprobe._first_solution(eq, group, m)[1] == 3
+    assert _first_solution_at(eq, group, m)[1] == 3
 
     # the scan to degree 2 lists fewer elements than its residue groups hold,
     # and its running total charges only those: 3 + 2 * 9 for the candidate
@@ -343,7 +349,7 @@ def test_solvable_modulus_stops_at_its_first_solution(F3, monkeypatch):
     listed.clear()
     assert find_local_obstruction(eq, group, 2, 1) is None
     moduli, scanned = set(listed), len(listed)
-    full = sum(len(residue_group(group, mm)) for mm in moduli)
+    full = sum(len(residue_group(group, Modulus(Poly(F3, mod), 1))) for mod in moduli)
     assert len(moduli) == 5 and scanned == 11 < full == 23
     monkeypatch.setattr(errors, "DEFAULT_GROUP_LIMIT", 21 + 8 + scanned)
     assert find_local_obstruction(eq, group, 2, 1) is None
@@ -376,6 +382,50 @@ def test_obstruction_scan_is_bounded(monkeypatch):
     assert run_cli(late, stdout=out, stderr=err) == 4
     assert out.getvalue() == "" and "exceeds the configured bound 5000" in err.getvalue()
     assert run_cli(early, stdout=io.StringIO(), stderr=io.StringIO()) == 2
+
+
+def test_obstruction_that_first_shows_at_exponent_two(F3):
+    """(T+1) * x + T^2 * y = 0 over the group of T^2+T+2 and T is solvable
+    modulo T^2 + 1, and first obstructed modulo its square."""
+    argv = ["skolem", "--p", "3", "--gens", "T^2+T+2,T", "--b", "T+1,T^2", "--rhs", "0",
+            "--deg-bound", "2", "--e-bound", "3"]
+    out = io.StringIO()
+    assert run_cli(argv, stdout=out, stderr=io.StringIO()) == 0
+    report = json.loads(out.getvalue())
+    assert report["outcome"] == "obstruction-found" and report["group_size"] == 24
+    assert report["modulus"] == {"base": "T^2 + 1", "exponent": 2}
+    group = build_presentation((el(F3, "T^2+T+2"), RatFunc.t(F3)))
+    eq = Equation((el(F3, "T+1"), el(F3, "T^2")), 0)
+    base = pl(F3, "T^2+1")
+    assert sl_search(eq, group, Modulus(base, 1)) is not None
+    witness = find_local_obstruction(eq, group, 2, 3)
+    assert (witness.modulus, witness.group_size) == (Modulus(base, 2), 24)
+    assert verify_obstruction(witness, eq, group)
+
+
+def test_obstruction_scan_divides_each_input_by_a_kept_base_once(F3, monkeypatch):
+    """The remainders of the unit test are the residues at e = 1: the scan
+    divides each numerator and denominator by a kept base once, and reduces
+    each modulo the base squared once."""
+    divisions = []
+    original = localprobe._divmod_list
+    monkeypatch.setattr(
+        localprobe, "_divmod_list", lambda f, rem, mod: divisions.append(tuple(mod)) or original(f, rem, mod)
+    )
+    group = build_presentation((el(F3, "(T+1)/(T^2+1)"),))
+    # x = y solves x/T - y/T = 0 at the identity, so every modulus is scanned
+    eq = Equation((el(F3, "1/T"), el(F3, "-1/T")), 0)
+    assert find_local_obstruction(eq, group, 2, 2) is None
+    inputs = group.generators + eq.b
+    bases = [b for d in (1, 2) for b in monic_irreducibles(F3, d)]
+    kept = [b for b in bases if all((p % b).coeffs for x in inputs for p in (x.num, x.den))]
+    assert kept == [pl(F3, "T+2"), pl(F3, "T^2+T+2"), pl(F3, "T^2+2*T+2")]
+    for base in bases:
+        count = divisions.count(base.coeffs)
+        assert count == 2 * len(inputs) if base in kept else 0 < count < 2 * len(inputs)
+    for base in kept:
+        assert divisions.count((base**2).coeffs) == 2 * len(inputs)
+    assert len(set(divisions)) == len(bases) + len(kept)
 
 
 def test_obstruction_scan_charges_listed_candidates(monkeypatch):
@@ -470,8 +520,9 @@ def test_obstruction_scan_charges_rabin_tests_by_degree(monkeypatch):
 
 
 def test_obstruction_scan_tests_each_polynomial_once(F3, monkeypatch):
-    """The irreducibility test runs once per polynomial: a modulus on a base that
-    monic_irreducibles has tested reads the memo.
+    """The irreducibility test runs once per polynomial: the scan builds a
+    Modulus only for an obstruction, so no base is tested again after
+    monic_irreducibles has tested it.
     """
     from ffunits import poly
 
@@ -485,11 +536,9 @@ def test_obstruction_scan_tests_each_polynomial_once(F3, monkeypatch):
     poly.is_irreducible.cache_clear()
     assert find_local_obstruction(eq, group, 4, 1) is None
     info = poly.is_irreducible.cache_info()
-    # monic_irreducibles tests every monic of degree 2..4 and no linear one,
-    # so the linear bases are tested first by their Modulus
-    linear = [b for b in bases if b.degree() == 1]
-    assert info.misses == info.currsize == 3**2 + 3**3 + 3**4 + len(linear)
-    assert info.hits == len(bases) - len(linear) > 0
+    # monic_irreducibles tests every monic of degree 2..4 and no linear one
+    assert bases == []
+    assert info.misses == info.currsize == 3**2 + 3**3 + 3**4 and info.hits == 0
 
 
 def test_sg_search_examples(F2):

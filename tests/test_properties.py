@@ -4,9 +4,10 @@ certified decision agrees with the word-box search that shares only the
 arithmetic with it, no listed solution meets a local obstruction, the
 word-box search on residues agrees with the plain
 exact search kept here as its oracle, the obstruction scan agrees with
-a breadth-first scan kept here as its oracle, the congruence search's
-first solution solves the congruence and is missing exactly when the box
-search kept here as its oracle finds none, and the Hermite form that
+a breadth-first scan kept here as its oracle, the scan's list-level
+inputs agree with the RatFunc reduction kept here as their oracle, the
+congruence search's first solution solves the congruence and is missing
+exactly when the box search kept here as its oracle finds none, and the Hermite form that
 carries its transform agrees with the two-matrix form kept here as its
 oracle.
 """
@@ -37,7 +38,7 @@ from ffunits.poly import monic_irreducibles, poly_mulmod, poly_powmod  # noqa: E
 from ffunits.ratfunc import divisor_vector, reduce_mod  # noqa: E402
 from ffunits.solver import SolutionPoint  # noqa: E402
 from ffunits.unitgroup import closure  # noqa: E402
-from test_localprobe import _sorted_moduli  # noqa: E402
+from test_localprobe import _first_solution_at, _sorted_moduli  # noqa: E402
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
@@ -351,6 +352,60 @@ def test_obstruction_scan_agrees_with_breadth_first_scan(scan):
     assert (None if witness is None else (witness.modulus, witness.group_size)) == expected
 
 
+def _divides_none(base, elements):
+    """Whether base divides no numerator or denominator of the elements, by
+    Poly %: the oracle of localprobe._unit_residues's unit test."""
+    return all((p % base).coeffs for x in elements for p in (x.num, x.den))
+
+
+def _oracle_inputs(eq, group, m):
+    """The search's inputs modulo m by RatFunc arithmetic and reduce_mod:
+    the generator residues, -b_i/b_M for the first M - 1 coordinates and
+    rhs/b_M, each as a coefficient tuple; the oracle of
+    localprobe._search_inputs."""
+    rhs = RatFunc.constant(group.field, eq.rhs)
+    return (
+        [reduce_mod(g, m).coeffs for g in group.generators],
+        [reduce_mod(-x / eq.b[-1], m).coeffs for x in eq.b[:-1]],
+        reduce_mod(rhs / eq.b[-1], m).coeffs,
+    )
+
+
+@st.composite
+def set_ups(draw):
+    """Generators and coefficients, about half of them with a denominator
+    of degree 1 or 2, and the degree of the bases to scan."""
+    field = draw(st.sampled_from(FIELDS))
+    fractions = st.one_of(units(field), units(field).filter(lambda x: x.den.degree() > 0))
+    gens = draw(st.lists(fractions, min_size=1, max_size=3))
+    arity = draw(st.sampled_from((1, 2, 3)))
+    b = tuple(draw(st.lists(fractions, min_size=arity, max_size=arity)))
+    return build_presentation(gens), Equation(b, draw(st.sampled_from((0, 1)))), draw(st.integers(1, 2))
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(set_ups())
+def test_scan_inputs_agree_with_ratfunc_reduction(set_up):
+    """Each base of the degree is kept exactly when Poly % finds that it
+    divides no input, and at base**e, e <= 3, the scan's list-level inputs
+    equal those of RatFunc arithmetic and reduce_mod."""
+    group, eq, d = set_up
+    field = group.field
+    elements = group.generators + eq.b
+    for base in monic_irreducibles(field, d):
+        pairs = localprobe._unit_residues(field, elements, base.coeffs)
+        assert (pairs is not None) == _divides_none(base, elements)
+        if pairs is None:
+            continue
+        inputs = localprobe._exponent_inputs(eq, group, base, pairs)
+        for e in (1, 2, 3):
+            m = Modulus(base, e)
+            mod, (steps, scaled, target) = next(inputs)
+            assert mod == m.poly.coeffs
+            got = ([tuple(x) for x in steps], [tuple(x) for x in scaled], tuple(target))
+            assert got == _oracle_inputs(eq, group, m)
+
+
 @st.composite
 def congruences(draw):
     """A scan's instance with one modulus base**e that divides none of its
@@ -361,7 +416,7 @@ def congruences(draw):
     if field.q ** (d * e) > 81:
         e = 1
     inputs = group.generators + eq.b
-    bases = [x for x in monic_irreducibles(field, d) if localprobe._divides_none(x, inputs)]
+    bases = [x for x in monic_irreducibles(field, d) if _divides_none(x, inputs)]
     assume(bases)
     return group, eq, Modulus(draw(st.sampled_from(bases)), e)
 
@@ -373,7 +428,7 @@ def test_sl_search_witness_solves_the_congruence(congruence):
     witness = sl_search(eq, group, m)
     image = _oracle_image(group, m)
     assert (witness is None) == (not _oracle_solvable(eq, m, image))
-    listed = localprobe._first_solution(eq, group, m)[1]
+    listed = _first_solution_at(eq, group, m)[1]
     if witness is None:
         assert listed == len(image)
         return
