@@ -13,22 +13,25 @@ The global search runs its word box on residues modulo one auxiliary
 irreducible base that divides no input, and confirms each hit in exact
 arithmetic, so it returns exactly what the plain exact search returns.
 As an oracle it still shares with the solver the field, polynomial and
-rational-function arithmetic (RatFunc products and quotients, reduce_mod,
-the memoized irreducibility test) and the generators and word_product of
-the group; it uses no derivative, elimination, representative set
-or membership test.
+rational-function arithmetic (the coefficient-list kernels, RatFunc
+products and quotients, the memoized irreducibility test) and the
+generators and word_product of the group; it uses no derivative,
+elimination, representative set or membership test.
 
 Nothing here factors: the obstruction scan and the auxiliary base of the
 global search keep a base only when it divides no numerator or
-denominator of the inputs, one division test for both (_unit_residues).
-The remainders of that test are the residues at exponent 1; at a higher
-exponent e the scan reduces each numerator and denominator modulo base**e
-on coefficient lists when it reaches that modulus.  One list-level
-routine (_search_inputs) turns the residue pairs into the search's
-inputs: the generators' residues, -b_i/b_M and rhs/b_M, each inverse by
-an extended Euclid on coefficient lists; no RatFunc or Poly is built per
-modulus, and the scan's search returns raw residues, which only
-sl_search turns into a witness.
+denominator of the inputs, one division test for both (_unit_residues),
+and residue_group, sl_search and closure_probe test their inputs for
+units by the same division at the base of their modulus.  The remainders
+of that test are the residues at exponent 1, from which the global
+search and the scan at e = 1 take their inputs; at a higher exponent e
+the scan reduces each numerator and denominator modulo base**e on
+coefficient lists when it reaches that modulus.  One list-level routine
+(_search_inputs) turns the residue pairs into the search's inputs: the
+generators' residues, -b_i/b_M and rhs/b_M, each inverse by an extended
+Euclid on coefficient lists; no RatFunc or Poly is built per modulus,
+and the scan's search returns raw residues, which only sl_search turns
+into a witness.
 
 The image is listed by cosets of the subgroups generated step by step,
 with the products on coefficient tuples, and kept as an element-to-word
@@ -58,13 +61,12 @@ from .poly import (
     _mulmod_list,
     _neg_list,
     _trim,
-    _trimmed,
     is_irreducible,
     monic_irreducibles,
     poly_mulmod,
     poly_powmod,
 )
-from .ratfunc import Modulus, RatFunc, reduce_mod, valuation
+from .ratfunc import Modulus, RatFunc, reduce_mod
 from .solver import Equation, SolutionPoint
 from .unitgroup import GeneratedGroup
 
@@ -100,11 +102,6 @@ class StabilizationReport:
     @property
     def settled(self) -> bool:
         return self.stable_index < len(self.residues)
-
-
-def _require_unit(x: RatFunc, m: Modulus, what: str):
-    if x.is_zero or valuation(x, m.base) != 0:
-        raise ValueError(f"{what} is not a unit at the modulus place")
 
 
 def _coset_listing(field: GF, steps, mod):
@@ -198,11 +195,12 @@ def _reduced_inputs(group: GeneratedGroup, b, rhs: int, mod) -> tuple[list, list
 def residue_group(group: GeneratedGroup, m: Modulus) -> dict[Poly, tuple[int, ...]]:
     """The full image of the group in a residue ring: each element with its
     coset word, which is nonnegative and rebuilds the residue, in the order
-    and with the refusal of _coset_listing.
+    and with the refusal of _coset_listing.  The generators must be units
+    at the modulus place (_unit_residues at its base).
     """
-    for g in group.generators:
-        _require_unit(g, m, "generator")
     field, mod = group.field, m.poly.coeffs
+    if _unit_residues(field, group.generators, m.base.coeffs) is None:
+        raise ValueError("generator is not a unit at the modulus place")
     steps = _reduced_inputs(group, (), 0, mod)[0]
     return {Poly(field, x): w for x, w in _coset_listing(field, steps, mod)}
 
@@ -211,13 +209,14 @@ def sl_search(eq: Equation, group: GeneratedGroup, m: Modulus) -> SLWitness | No
     """Exhaustive search for b . x = rhs in the residue ring, over group images.
 
     The residue group is searched while it is listed (_first_solution), and
-    the first solution found is returned, with coset words.
+    the first solution found is returned, with coset words.  The
+    coefficients, then the generators, must be units at the modulus place
+    (_unit_residues at its base).
     """
-    for x in eq.b:
-        _require_unit(x, m, "equation coefficient")
-    for g in group.generators:
-        _require_unit(g, m, "generator")
     field, mod = group.field, m.poly.coeffs
+    for elements, what in ((eq.b, "equation coefficient"), (group.generators, "generator")):
+        if _unit_residues(field, elements, m.base.coeffs) is None:
+            raise ValueError(f"{what} is not a unit at the modulus place")
     hit = _first_solution(field, *_reduced_inputs(group, eq.b, eq.rhs, mod), mod)[0]
     if hit is None:
         return None
@@ -270,23 +269,6 @@ def _first_solution(field: GF, steps, scaled, target, mod) -> tuple[tuple | None
                     return hit(prefix, need), n + 1
                 needs.setdefault(need, prefix)
     return None, len(terms)
-
-
-def _box_needs(field: GF, scaled, target, mod, entries):
-    """Each point of the box over the first M - 1 coordinates, with the
-    residue its last coordinate needs (scaled and target from
-    _search_inputs).
-
-    entries are (residue, payload) pairs, the residues reduced modulo mod
-    and the points drawn in itertools.product order; a point costs M - 1
-    modular products on coefficient tuples.
-    """
-    for prefix in itertools.product(entries, repeat=len(scaled)):
-        # each term is reduced, so their sum is too
-        need = target
-        for c, (x, _) in zip(scaled, prefix):
-            need = _add_list(field, need, _mulmod_list(field, c, x.coeffs, mod))
-        yield prefix, _trimmed(field, need)
 
 
 def verify_obstruction(
@@ -406,25 +388,27 @@ def _residue_bases(field: GF):
 
 
 @functools.lru_cache(maxsize=64)
-def _first_residue_modulus(field: GF) -> Modulus:
-    """The first residue base as a modulus, memoized per field."""
-    return Modulus(next(_residue_bases(field)), 1)
+def _first_residue_base(field: GF) -> tuple:
+    """The first residue base as a coefficient tuple, memoized per field."""
+    return next(_residue_bases(field)).coeffs
 
 
-def _residue_modulus(field: GF, elements) -> Modulus:
+def _residue_modulus(field: GF, elements) -> tuple[tuple, list]:
     """The first residue base that divides no numerator or denominator of
-    the elements, as a modulus of exponent 1.
+    the elements, as a coefficient tuple, with the residue pairs of the
+    unit test that kept it (_unit_residues).
 
     Reduction modulo such a base is a ring homomorphism on every fraction
     built from the elements and their inverses, so equal values have equal
     residues.  The memoized first base almost always qualifies; past it
-    the scan resumes, and it ends because the elements have finitely many
-    places.
+    the scan resumes at the next base, each base tested once, and it ends
+    because the elements have finitely many places.
     """
-    first = _first_residue_modulus(field)
-    for base in itertools.chain([first.base], _residue_bases(field)):
-        if _unit_residues(field, elements, base.coeffs) is not None:
-            return first if base is first.base else Modulus(base, 1)
+    first = _first_residue_base(field)
+    for mod in itertools.chain([first], (b.coeffs for b in _residue_bases(field) if b.coeffs != first)):
+        pairs = _unit_residues(field, elements, mod)
+        if pairs is not None:
+            return mod, pairs
 
 
 def sg_search(
@@ -441,13 +425,16 @@ def sg_search(
     order over those values.
 
     The box is searched on residues modulo one auxiliary irreducible base
-    f (see _residue_modulus) and each hit is confirmed exactly.  The words
-    are bucketed by residue, and exact values (word_product, memoized) are
-    built only to tell apart the words of one bucket.  A box point whose
+    f (see _residue_modulus) and each hit is confirmed exactly.  The inputs
+    (_search_inputs) come from the residues that f's unit test left, and
+    the residues, buckets and needs are coefficient tuples.  The words are
+    bucketed by residue, and exact values (word_product, memoized) are
+    built only to tell apart the words of one bucket.  A box point over
+    the first M - 1 coordinates costs M - 1 modular products; one whose
     last coordinate needs a residue that lands in a bucket is rebuilt in
-    exact arithmetic and compared with that bucket's values.  Equal values have equal residues,
-    so no solution is lost.  The word box is charged before any of this
-    work.
+    exact arithmetic and compared with that bucket's values.  Equal values
+    have equal residues, so no solution is lost.  The word box is charged
+    before any of this work.
     """
     if word_bound < 1:
         raise ValueError("word bound must be >= 1")
@@ -456,11 +443,11 @@ def sg_search(
     if box > errors.DEFAULT_BOX_LIMIT:
         errors.refuse("word box", box, errors.DEFAULT_BOX_LIMIT)
     field = group.field
-    mod = _residue_modulus(field, group.generators + eq.b).poly.coeffs
-    steps, scaled, target = _reduced_inputs(group, eq.b, eq.rhs, mod)
+    mod, pairs = _residue_modulus(field, group.generators + eq.b)
+    steps, scaled, target = _search_inputs(field, pairs, n, eq.rhs, mod)
     exponents = range(-word_bound, word_bound + 1)
     # each word with its residue, in itertools.product order
-    table = [((), Poly.one(field))]
+    table = [((), (1,))]
     for g in steps:
         powers = {}
         for sign, step in ((1, g), (-1, _invmod_list(field, g, mod))):
@@ -469,14 +456,14 @@ def sg_search(
                 power = tuple(_trim(_mulmod_list(field, power, step, mod)))
                 powers[sign * e] = power
         table = [
-            (w + (e,), x if e == 0 else _trimmed(field, _mulmod_list(field, x.coeffs, powers[e], mod)))
+            (w + (e,), x if e == 0 else tuple(_trim(_mulmod_list(field, x, powers[e], mod))))
             for w, x in table
             for e in exponents
         ]
 
     value = functools.cache(group.word_product)
     # the first word of each distinct value, bucketed by residue
-    buckets: dict[Poly, list[tuple[int, ...]]] = {}
+    buckets: dict[tuple, list[tuple[int, ...]]] = {}
     entries = []
     for word, x in table:
         bucket = buckets.setdefault(x, [])
@@ -485,8 +472,12 @@ def sg_search(
             entries.append((x, word))
     rhs = RatFunc.constant(field, eq.rhs)
     found = []
-    for prefix, need in _box_needs(field, scaled, target, mod, entries):
-        bucket = buckets.get(need)
+    for prefix in itertools.product(entries, repeat=len(scaled)):
+        # each term is reduced, so their sum is too
+        need = target
+        for c, (x, _) in zip(scaled, prefix):
+            need = _add_list(field, need, _mulmod_list(field, c, x, mod))
+        bucket = buckets.get(tuple(_trim(need)))
         if bucket is None:
             continue
         coords = tuple(value(w) for _, w in prefix)
@@ -533,7 +524,8 @@ def closure_probe(g: RatFunc, m: Modulus, n_max: int) -> StabilizationReport:
     field = g.field
     d = m.base.degree()
     check_probe_bounds(field.q, d, m.exponent, n_max)
-    _require_unit(g, m, "probe element")
+    if _unit_residues(field, (g,), m.base.coeffs) is None:
+        raise ValueError("probe element is not a unit at the modulus place")
     order = (field.q**d - 1) * field.q ** (d * (m.exponent - 1))
     g_res = reduce_mod(g, m)
     modpoly = m.poly

@@ -21,7 +21,7 @@ from ffunits import (
     sg_search,
     sl_search,
 )
-from ffunits import errors, localprobe
+from ffunits import errors, localprobe, ratfunc
 from ffunits.errors import ResourceLimitError
 from ffunits.cli import run_cli
 from ffunits.localprobe import verify_obstruction
@@ -577,8 +577,10 @@ def test_sg_search_resource_guard(F3, monkeypatch):
     def work(*args):
         raise AssertionError("work before the word-box refusal")
 
-    # the refusal comes before any residue base is chosen or any element reduced
-    for name in ("_residue_modulus", "_first_residue_modulus", "_residue_bases", "reduce_mod", "_mulmod_list"):
+    # the refusal comes before any residue base is chosen or tested, and
+    # before any element is reduced or any search input built
+    names = ("_residue_modulus", "_first_residue_base", "_residue_bases", "_unit_residues", "_search_inputs")
+    for name in names + ("_mulmod_list",):
         monkeypatch.setattr(localprobe, name, work)
     with pytest.raises(ResourceLimitError, match="word box"):
         sg_search(Equation((RatFunc.one(F3), RatFunc.one(F3)), 0), g3, 8)
@@ -592,10 +594,79 @@ def test_sg_search_moves_past_an_excluded_residue_base(F3):
     # the first base divides a generator, then a coefficient
     for gens, b in (((f, t, one - t), (one, one)), ((t, one - f * t), (f, one))):
         group, eq = build_presentation(gens), Equation(b, 1)
-        assert localprobe._residue_modulus(F3, group.generators + eq.b).base == second
+        assert localprobe._residue_modulus(F3, group.generators + eq.b)[0] == second.coeffs
         for bound in (1, 2):
             sols = sg_search(eq, group, bound)
             assert sols and sols == plain_sg_search(eq, group, bound)
+
+
+def test_sg_search_tests_each_auxiliary_base_once(F3, monkeypatch):
+    """sg_search divides its inputs by each auxiliary base it tries once,
+    and takes its search inputs from the residues of the test that kept the
+    base: _unit_residues runs once per base tried, never at a base twice.
+    The results at an excluded base are checked against the exact oracle
+    in test_sg_search_moves_past_an_excluded_residue_base."""
+    tested = []
+    original = localprobe._unit_residues
+
+    def recording(field, elements, mod):
+        tested.append(tuple(mod))
+        return original(field, elements, mod)
+
+    monkeypatch.setattr(localprobe, "_unit_residues", recording)
+    first, second = itertools.islice(localprobe._residue_bases(F3), 2)
+    f, t, one = RatFunc.from_poly(first), RatFunc.t(F3), RatFunc.one(F3)
+    # the first base is kept; then it divides a generator, then a coefficient
+    cases = (
+        (((t, -t, one - t), (one, one)), [first.coeffs]),
+        (((f, t, one - t), (one, one)), [first.coeffs, second.coeffs]),
+        (((t, one - f * t), (f, one)), [first.coeffs, second.coeffs]),
+    )
+    for (gens, b), bases in cases:
+        group, eq = build_presentation(gens), Equation(b, 1)
+        for bound in (1, 2):
+            tested.clear()
+            assert sg_search(eq, group, bound)
+            assert tested == bases
+
+
+def test_unit_checks_take_no_valuation(F2, F3, monkeypatch):
+    """residue_group, sl_search and closure_probe test their inputs for units
+    by the division of _unit_residues at the modulus base, with no valuation
+    (no multiplicity count): results and refusals are those of the valuation
+    test, in the same order, coefficients before generators."""
+    g2 = build_presentation((el(F2, "1+T"),))
+    g3 = build_presentation((el(F3, "T+1"),))
+    m2, m3 = Modulus(pl(F2, "T^2+T+1"), 2), Modulus(pl(F3, "T^2+1"), 1)
+    bad2, bad3 = Modulus(pl(F2, "T+1"), 1), Modulus(pl(F3, "T+1"), 2)
+    eq = Equation((RatFunc.one(F3), -el(F3, "(T+1)^2")), 0)
+    t = RatFunc.t(F3)
+
+    def refused(*args):
+        raise AssertionError("a valuation in a unit check")
+
+    monkeypatch.setattr(ratfunc, "multiplicity", refused)
+    rg = residue_group(g2, m2)
+    assert set(rg) == {pl(F2, x) for x in ("1", "1+T", "1+T^2", "1+T+T^2+T^3", "T^2", "T^2+T^3")}
+    witness = sl_search(eq, g3, m3)
+    assert witness.residues == (pl(F3, "2*T"), Poly.one(F3)) and witness.words == ((2,), (0,))
+    pr = closure_probe(t, m3, 6)
+    assert pr.residues[0] == pl(F3, "2*T") and pr.stable_index == 2 and pr.stable_value == pl(F3, "T")
+
+    generator = "generator is not a unit at the modulus place"
+    coefficient = "equation coefficient is not a unit at the modulus place"
+    probe = "probe element is not a unit at the modulus place"
+    with pytest.raises(ValueError, match=generator):
+        residue_group(g2, bad2)
+    with pytest.raises(ValueError, match=generator):
+        sl_search(Equation((RatFunc.one(F3), t), 0), g3, bad3)
+    # a bad coefficient is named before a bad generator
+    for b in ((el(F3, "1/(T+1)"), t), (t, el(F3, "2*T+2"))):
+        with pytest.raises(ValueError, match=coefficient):
+            sl_search(Equation(b, 1), g3, bad3)
+    for g in (el(F3, "1/(T+1)"), el(F3, "T^2+2*T+1"), RatFunc.zero(F3)):
+        with pytest.raises(ValueError, match=probe):
+            closure_probe(g, bad3, 3)
 
 
 def test_closure_probe_examples(F3):

@@ -285,7 +285,7 @@ def test_sg_search_agrees_with_plain_search(low_degree, search):
     with pytest.MonkeyPatch.context() as mp:
         if low_degree:
             mp.setattr(localprobe, "_residue_bases", _low_degree_bases)
-            mp.setattr(localprobe, "_first_residue_modulus", lambda f: Modulus(next(_low_degree_bases(f)), 1))
+            mp.setattr(localprobe, "_first_residue_base", lambda f: next(_low_degree_bases(f)).coeffs)
         got = sg_search(eq, group, bound)
     assert got == plain_sg_search(eq, group, bound)
 

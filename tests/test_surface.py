@@ -18,6 +18,10 @@ reached class is reached when reached code reads its name as an attribute,
 when it is a bench name, or when it overrides a method of a base class from
 outside the package (``argparse`` calls ``cli._Parser.error``); the code of
 a reached member is its whole source.
+
+A second check reads every module other than ``__init__`` (whose imports
+are its exports) and fails on a name that an import binds and the module
+never reads, a leftover that the reachability walk does not see.
 """
 
 import ast
@@ -160,3 +164,26 @@ def unreached_definitions():
 
 def test_every_definition_is_reached_by_a_command_or_the_benchmark():
     assert unreached_definitions() == []
+
+
+def unused_imports():
+    """Per module of ``src/ffunits`` other than ``__init__`` (whose imports
+    are its exports), each name an import statement binds that the module
+    never reads, as ``module.name``."""
+    out = []
+    for mod, tree in _modules().items():
+        if mod == "__init__":
+            continue
+        nodes = list(ast.walk(tree))
+        read = {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+                out += [f"{mod}.{name}" for name in bound if name not in read]
+    return sorted(out)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    assert unused_imports() == []
