@@ -18,20 +18,22 @@ products and quotients, the memoized irreducibility test) and the
 generators and word_product of the group; it uses no derivative,
 elimination, representative set or membership test.
 
-Nothing here factors: the obstruction scan and the auxiliary base of the
-global search keep a base only when it divides no numerator or
-denominator of the inputs, one division test for both (_unit_residues),
-and residue_group, sl_search and closure_probe test their inputs for
-units by the same division at the base of their modulus.  The remainders
-of that test are the residues at exponent 1, from which the global
-search and the scan at e = 1 take their inputs; at a higher exponent e
-the scan reduces each numerator and denominator modulo base**e on
-coefficient lists when it reaches that modulus.  One list-level routine
-(_search_inputs) turns the residue pairs into the search's inputs: the
-generators' residues, -b_i/b_M and rhs/b_M, each inverse by an extended
-Euclid on coefficient lists; no RatFunc or Poly is built per modulus,
-and the scan's search returns raw residues, which only sl_search turns
-into a witness.
+Nothing here factors, and every residue takes one route on coefficient
+lists.  A base is tested by dividing each numerator and denominator of
+the inputs by it (_unit_residues): a zero remainder means the base
+divides one, and otherwise the remainders are the residue pairs
+(num, den) at exponent 1.  At a higher exponent e each numerator and
+denominator is reduced modulo base**e instead.  One quotient step
+(_quotient, an extended Euclid on coefficient lists for the inverse)
+turns a pair into a residue, and _search_inputs turns the pairs into the
+search's inputs: the generators' residues, -b_i/b_M and rhs/b_M.
+residue_group, sl_search, verify_obstruction and closure_probe take their
+residues at a Modulus this way (_modulus_residues); the obstruction scan
+keeps the pairs of each base's test for e = 1 and builds each base**e
+from base**(e-1) by one product, and the global search takes its inputs
+from the pairs of the test that kept its auxiliary base.  No RatFunc or
+Poly is built per modulus, and the scan's search returns raw residues,
+which only sl_search turns into a witness.
 
 The image is listed by cosets of the subgroups generated step by step,
 with the products on coefficient tuples, and kept as an element-to-word
@@ -63,10 +65,9 @@ from .poly import (
     _trim,
     is_irreducible,
     monic_irreducibles,
-    poly_mulmod,
     poly_powmod,
 )
-from .ratfunc import Modulus, RatFunc, reduce_mod
+from .ratfunc import Modulus, RatFunc
 from .solver import Equation, SolutionPoint
 from .unitgroup import GeneratedGroup
 
@@ -159,49 +160,57 @@ def _unit_residues(field: GF, elements, mod) -> list | None:
     return pairs
 
 
+def _modulus_residues(field: GF, m: Modulus, elements, what: str) -> list:
+    """The residue pairs (num, den) of the elements modulo m.poly, as
+    trimmed coefficient lists; ValueError naming what when an element is
+    not a unit at the modulus place.
+
+    The unit test at m.base (_unit_residues) leaves the pairs at e = 1; at
+    e >= 2 each numerator and denominator is reduced modulo m.poly.
+    """
+    pairs = _unit_residues(field, elements, m.base.coeffs)
+    if pairs is None:
+        raise ValueError(f"{what} is not a unit at the modulus place")
+    return pairs if m.exponent == 1 else _unit_residues(field, elements, m.poly.coeffs)
+
+
+def _quotient(field: GF, pair, mod) -> list:
+    """The residue num/den modulo mod of a residue pair (num, den), trimmed:
+    den's inverse is an extended Euclid on coefficient lists
+    (_invmod_list), skipped for the residue 1."""
+    num, den = pair
+    if den == [1]:
+        return num
+    return _trim(_mulmod_list(field, num, _invmod_list(field, den, mod), mod))
+
+
 def _search_inputs(field: GF, pairs, n: int, rhs: int, mod) -> tuple[list, list, list]:
     """The search's inputs modulo mod, from the residue pairs (num, den) of
-    the n generators and then of b_1..b_M (_unit_residues): the generator
-    steps num/den as coefficient tuples, the lists c_i of -b_i/b_M for the
-    first M - 1 coordinates, and t of rhs/b_M, so that the last coordinate
-    is t + sum(c_i * x_i).  With no coefficients, c and t are empty.  Each
-    inverse is an extended Euclid on coefficient lists (_invmod_list),
-    skipped for the residue 1.
+    the n generators and then of b_1..b_M: the generator steps num/den as
+    coefficient tuples, the lists c_i of -b_i/b_M for the first M - 1
+    coordinates, and t of rhs/b_M, so that the last coordinate is
+    t + sum(c_i * x_i).  With no coefficients, c and t are empty.  Each
+    residue is one _quotient.
     """
-
-    def quotient(num, den):
-        if den == [1]:
-            return num
-        return _trim(_mulmod_list(field, num, _invmod_list(field, den, mod), mod))
-
-    steps = [tuple(quotient(*pair)) for pair in pairs[:n]]
+    steps = [tuple(_quotient(field, pair, mod)) for pair in pairs[:n]]
     if len(pairs) == n:
         return steps, [], []
     num, den = pairs[-1]
-    inv_last = quotient(den, num)
+    inv_last = _quotient(field, (den, num), mod)
     neg_inv = _neg_list(field, inv_last)
-    scaled = [_trim(_mulmod_list(field, quotient(*pair), neg_inv, mod)) for pair in pairs[n:-1]]
+    scaled = [_trim(_mulmod_list(field, _quotient(field, p, mod), neg_inv, mod)) for p in pairs[n:-1]]
     return steps, scaled, inv_last if rhs else []
-
-
-def _reduced_inputs(group: GeneratedGroup, b, rhs: int, mod) -> tuple[list, list, list]:
-    """_search_inputs modulo mod for the group and the coefficients b, all
-    units there, reduced afresh."""
-    field = group.field
-    pairs = _unit_residues(field, group.generators + b, mod)
-    return _search_inputs(field, pairs, len(group.generators), rhs, mod)
 
 
 def residue_group(group: GeneratedGroup, m: Modulus) -> dict[Poly, tuple[int, ...]]:
     """The full image of the group in a residue ring: each element with its
     coset word, which is nonnegative and rebuilds the residue, in the order
     and with the refusal of _coset_listing.  The generators must be units
-    at the modulus place (_unit_residues at its base).
+    at the modulus place (_modulus_residues).
     """
     field, mod = group.field, m.poly.coeffs
-    if _unit_residues(field, group.generators, m.base.coeffs) is None:
-        raise ValueError("generator is not a unit at the modulus place")
-    steps = _reduced_inputs(group, (), 0, mod)[0]
+    pairs = _modulus_residues(field, m, group.generators, "generator")
+    steps = [tuple(_quotient(field, pair, mod)) for pair in pairs]
     return {Poly(field, x): w for x, w in _coset_listing(field, steps, mod)}
 
 
@@ -211,13 +220,12 @@ def sl_search(eq: Equation, group: GeneratedGroup, m: Modulus) -> SLWitness | No
     The residue group is searched while it is listed (_first_solution), and
     the first solution found is returned, with coset words.  The
     coefficients, then the generators, must be units at the modulus place
-    (_unit_residues at its base).
+    (_modulus_residues).
     """
-    field, mod = group.field, m.poly.coeffs
-    for elements, what in ((eq.b, "equation coefficient"), (group.generators, "generator")):
-        if _unit_residues(field, elements, m.base.coeffs) is None:
-            raise ValueError(f"{what} is not a unit at the modulus place")
-    hit = _first_solution(field, *_reduced_inputs(group, eq.b, eq.rhs, mod), mod)[0]
+    field, mod, n = group.field, m.poly.coeffs, len(group.generators)
+    b_pairs = _modulus_residues(field, m, eq.b, "equation coefficient")
+    pairs = _modulus_residues(field, m, group.generators, "generator") + b_pairs
+    hit = _first_solution(field, *_search_inputs(field, pairs, n, eq.rhs, mod), mod)[0]
     if hit is None:
         return None
     residues, words = hit
@@ -274,17 +282,22 @@ def _first_solution(field: GF, steps, scaled, target, mod) -> tuple[tuple | None
 def verify_obstruction(
     witness: ObstructionWitness, eq: Equation, group: GeneratedGroup
 ) -> bool:
-    """Re-check an obstruction by full enumeration of the residue tuples."""
-    rg = residue_group(group, witness.modulus)
-    modpoly = witness.modulus.poly
-    field = group.field
-    b_res = [reduce_mod(x, witness.modulus) for x in eq.b]
-    target = Poly.constant(field, eq.rhs) % modpoly
-    for combo in itertools.product(rg, repeat=eq.arity):
-        acc = Poly.zero(field)
+    """Re-check an obstruction by full enumeration of the residue tuples:
+    b . x is summed modulo the modulus over every tuple of the residue
+    group.  The generators, then the coefficients, must be units at the
+    modulus place (_modulus_residues).
+    """
+    m, field = witness.modulus, group.field
+    mod = m.poly.coeffs
+    image = [x.coeffs for x in residue_group(group, m)]
+    pairs = _modulus_residues(field, m, eq.b, "equation coefficient")
+    b_res = [_quotient(field, pair, mod) for pair in pairs]
+    target = [1] if eq.rhs else []
+    for combo in itertools.product(image, repeat=eq.arity):
+        acc = []
         for bi, xi in zip(b_res, combo):
-            acc = acc + poly_mulmod(bi, xi, modpoly)
-        if acc == target:
+            acc = _add_list(field, acc, _mulmod_list(field, bi, xi, mod))
+        if _trim(acc) == target:
             return False
     return True
 
@@ -312,8 +325,9 @@ def find_local_obstruction(
     Moduli run over monic irreducibles up to the given degree, with
     exponents up to e_bound, that divide no numerator or denominator of a
     generator or coefficient (_unit_residues, so nothing is factored).  The
-    remainders of that test are the residues at e = 1; at e >= 2 the inputs
-    are reduced modulo base**e when the scan reaches it (_exponent_inputs).
+    remainders of that test are the residue pairs at e = 1; at e >= 2 each
+    numerator and denominator is reduced modulo base**e, built from
+    base**(e-1) by one product when the scan reaches it.
     Each residue group is searched while it is listed (_first_solution), so
     a modulus with a solution stops at the first one, and an obstruction's
     group_size is the full count |H|.  A running total counts the residue
@@ -325,7 +339,7 @@ def find_local_obstruction(
     """
     if deg_bound < 1 or e_bound < 1:
         raise ValueError("bounds must be >= 1")
-    field = group.field
+    field, n = group.field, len(group.generators)
     elements = group.generators + eq.b
     searched, limit = 0, errors.DEFAULT_GROUP_LIMIT
 
@@ -336,7 +350,8 @@ def find_local_obstruction(
             errors.refuse("scan charge", searched, limit)
 
     # degree -> its bases that keep every generator and coefficient a unit,
-    # each with the search's inputs by exponent
+    # each as [base, base**e at the last exponent e scanned, the residue
+    # pairs of its unit test]
     kept = {}
     for d, e in _moduli(deg_bound, e_bound):
         if e == 1:
@@ -346,30 +361,19 @@ def find_local_obstruction(
             for base in monic_irreducibles(field, d):
                 pairs = _unit_residues(field, elements, base.coeffs)
                 if pairs is not None:
-                    kept[d].append((base, _exponent_inputs(eq, group, base, pairs)))
-        for base, inputs in kept[d]:
+                    kept[d].append([base, base.coeffs, pairs])
+        for entry in kept[d]:
+            base, mod, pairs = entry
             charge(d * e)
-            mod, args = next(inputs)
+            if e > 1:
+                mod = entry[1] = tuple(_mul_list(field, mod, base.coeffs))
+                pairs = _unit_residues(field, elements, mod)
+            args = _search_inputs(field, pairs, n, eq.rhs, mod)
             hit, listed = _first_solution(field, *args, mod)
             if hit is None:
                 return ObstructionWitness(Modulus(base, e), listed)
             charge(listed)
     return None
-
-
-def _exponent_inputs(eq: Equation, group: GeneratedGroup, base: Poly, pairs):
-    """The modulus base**e as a coefficient tuple and the search's inputs
-    modulo it (_search_inputs), for e = 1, 2, ..., one per next(); pairs
-    are the residues at e = 1 that the unit test left.  base**e is built,
-    and the inputs reduced modulo it, only when its next() is called, so
-    no work is done at an exponent the scan has not charged.
-    """
-    field, mod = group.field, base.coeffs
-    inputs = _search_inputs(field, pairs, len(group.generators), eq.rhs, mod)
-    while True:
-        yield mod, inputs
-        mod = tuple(_mul_list(field, mod, base.coeffs))
-        inputs = _reduced_inputs(group, eq.b, eq.rhs, mod)
 
 
 def _residue_bases(field: GF):
@@ -524,11 +528,10 @@ def closure_probe(g: RatFunc, m: Modulus, n_max: int) -> StabilizationReport:
     field = g.field
     d = m.base.degree()
     check_probe_bounds(field.q, d, m.exponent, n_max)
-    if _unit_residues(field, (g,), m.base.coeffs) is None:
-        raise ValueError("probe element is not a unit at the modulus place")
+    (pair,) = _modulus_residues(field, m, (g,), "probe element")
     order = (field.q**d - 1) * field.q ** (d * (m.exponent - 1))
-    g_res = reduce_mod(g, m)
     modpoly = m.poly
+    g_res = Poly(field, tuple(_quotient(field, pair, modpoly.coeffs)))
     residues = []
     exp = field.p % order
     residues.append(poly_powmod(g_res, exp, modpoly))

@@ -20,10 +20,9 @@ coefficient.  A constant operand takes one ``_scale_list`` pass instead:
 a product by a nonzero constant scales the other operand (copies it for
 1), and a division by a constant scales by its inverse (returns the
 dividend for 1) and leaves an empty remainder.  ``+``, ``-``, ``*``,
-``scale``, ``poly_divmod``, ``poly_mulmod`` (the product reduced in the
-same pass), ``poly_powmod``, ``poly_gcd`` and ``poly_invmod`` (Euclid on
-coefficient lists, in ``_invmod_list``) share them and build one ``Poly`` per result, except
-where the operands fix the answer: ``1 * x`` and ``x * 1``, ``0 + x`` and
+``scale``, ``poly_divmod``, ``poly_powmod`` and ``poly_gcd`` share them
+and build one ``Poly`` per result, except where the operands fix the
+answer: ``1 * x`` and ``x * 1``, ``0 + x`` and
 ``x + 0``, ``x ** 1`` and ``1 ** e`` return an operand itself, which is
 safe because a ``Poly`` is never changed after it is built, and a gcd
 with a constant operand is 1.  These rules stay, since they also save
@@ -33,13 +32,17 @@ factor 1: a denominator, a unit pivot, the start of a power), and so do
 reduction, the ``d1 = 1`` case of ``ratfunc._sum`` and the zero-entry
 guards of the ``wronskian`` echelon, which save whole calls.
 ``poly_divmod`` leaves a constant divisor to ``_divmod_list``, which
-already answers it.  The public constructor
+already answers it.  Residue rings have list kernels only:
+``_mulmod_list`` (a product reduced in the same pass), which
+``poly_powmod``, the table builder of ``field`` and ``localprobe`` call,
+and ``_invmod_list`` (an extended Euclid that keeps one cofactor), which
+``localprobe`` calls.  The public constructor
 checks for a trailing zero; ``_trimmed`` drops trailing zeros itself and
 is the one place that builds a ``Poly`` without that check.  Hot loops
 outside this module call the list kernels, or ``_trimmed``, directly and
 build a ``Poly`` only for what they return: the ``wronskian`` echelon,
 the trial division of ``ratfunc.multiplicity``, the ``b . x = 1`` check
-of ``solver``, the residue listing, box search and ``sg_search`` of
+of ``solver``, the residues, residue listing and box search of
 ``localprobe``, the jets and subfield coordinates of ``hasse``, the
 evaluator of ``exprio`` and the table builder of ``field``.
 
@@ -426,16 +429,6 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return _trimmed(f, quot), _trimmed(f, rem)
 
 
-def poly_mulmod(a: Poly, b: Poly, m: Poly) -> Poly:
-    """a*b mod m in one pass that builds only the remainder."""
-    a._same_field(b)
-    a._same_field(m)
-    if not m.coeffs:
-        raise ZeroDivisionError("division by zero polynomial")
-    f = a.field
-    return _trimmed(f, _mulmod_list(f, a.coeffs, b.coeffs, m.coeffs))
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor, by Euclid on coefficient lists."""
     a._same_field(b)
@@ -469,16 +462,6 @@ def _invmod_list(f: GF, a, m) -> list:
         raise ZeroDivisionError("element is not invertible modulo the given polynomial")
     u = _scale_list(f, u0, f.inv(r0[0]))
     return _trim(_divmod_list(f, u, m)[1])
-
-
-def poly_invmod(a: Poly, m: Poly) -> Poly:
-    """Inverse of a modulo m; raises ZeroDivisionError when gcd(a, m) != 1
-    (_invmod_list)."""
-    if m.degree() < 1:
-        raise ValueError("invalid modulus")
-    a._same_field(m)
-    f = a.field
-    return _trimmed(f, _invmod_list(f, a.coeffs, m.coeffs))
 
 
 def poly_powmod(base: Poly, exp: int, modulus: Poly) -> Poly:

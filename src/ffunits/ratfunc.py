@@ -1,6 +1,6 @@
 """The rational function field K = F_q(t): reduced fractions, valuations,
-divisor vectors (plain dicts from place to nonzero exponent) and
-residue-ring reduction.
+divisor vectors (plain dicts from place to nonzero exponent) and the
+moduli of residue rings.
 
 Values are canonical: a RatFunc keeps a reduced fraction with monic
 denominator, so equality and hashing are structural.  RatFunc is a
@@ -29,7 +29,8 @@ the inverse of its leading coefficient.
 
 A place of K over F_q is held as its monic irreducible Poly.  Local
 completions are never materialized, only the finite-precision residue
-rings F_q[t]/(base**e) described by Modulus.
+rings F_q[t]/(base**e) described by Modulus; the residues themselves are
+taken on coefficient lists in localprobe.
 """
 
 from dataclasses import dataclass
@@ -44,8 +45,6 @@ from .poly import (
     factor,
     is_irreducible,
     poly_gcd,
-    poly_invmod,
-    poly_mulmod,
 )
 
 _new = object.__new__
@@ -289,17 +288,3 @@ class Modulus:
     def __repr__(self):
         return f"Modulus(base={list(self.base.coeffs)}, e={self.exponent})"
 
-
-def reduce_mod(x: RatFunc, m: Modulus) -> Poly:
-    """Image of x in F_q[t]/(base**e); requires the denominator invertible there.
-
-    A polynomial (denominator 1) is reduced by one division.
-    """
-    modpoly = m.poly
-    if x.den.is_one:
-        return x.num % modpoly
-    try:
-        den_inv = poly_invmod(x.den, modpoly)
-    except ZeroDivisionError:
-        raise ZeroDivisionError("element has a pole at the modulus place") from None
-    return poly_mulmod(x.num, den_inv, modpoly)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ffunits import GF, Poly, RatFunc
+from ffunits import GF, Modulus, Poly, RatFunc, poly_divmod
 from ffunits.errors import InternalCheckError
 from ffunits.exprio import parse_element
 from ffunits.hasse import in_power_subfield
@@ -49,6 +49,32 @@ def rand_ratfunc(rng: random.Random, field: GF, max_deg: int, nonzero: bool = Fa
         x = RatFunc.make(rand_poly(rng, field, max_deg), rand_poly(rng, field, max_deg, nonzero=True))
         if not nonzero or not x.is_zero:
             return x
+
+
+def invmod(a: Poly, m: Poly) -> Poly:
+    """The inverse of a modulo m by an extended Euclid on Poly values, apart
+    from the package's list-level inverse; ZeroDivisionError when
+    gcd(a, m) != 1."""
+    field = a.field
+    r0, r1 = m, a % m
+    u0, u1 = Poly.zero(field), Poly.one(field)
+    while not r1.is_zero:
+        q, r = poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+    if r0.degree() != 0:
+        raise ZeroDivisionError("not invertible modulo m")
+    return u0.scale(field.inv(r0.coeffs[0])) % m
+
+
+def mulmod(a: Poly, b: Poly, m: Poly) -> Poly:
+    return (a * b) % m
+
+
+def reduce_mod(x: RatFunc, m: Modulus) -> Poly:
+    """The image of x in F_q[t]/(base**e) by Poly arithmetic and invmod: the
+    oracle of the residues of localprobe.  ZeroDivisionError at a pole."""
+    return mulmod(x.num, invmod(x.den, m.poly), m.poly)
 
 
 def coordinate_fractions(rows):

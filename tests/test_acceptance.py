@@ -30,7 +30,6 @@ from ffunits import (
 from ffunits.cli import run_cli
 from ffunits.hasse import binom_mod, hasse_derivative
 from ffunits.localprobe import verify_obstruction
-from ffunits.ratfunc import reduce_mod
 from ffunits.unitgroup import residue_key
 from ffunits.wronskian import (
     candidate_solution,
@@ -39,7 +38,15 @@ from ffunits.wronskian import (
     verify_certificate,
 )
 
-from conftest import coordinate_fractions, el, kernel_element_check, pl, rand_ratfunc, sympy_matrix
+from conftest import (
+    coordinate_fractions,
+    el,
+    kernel_element_check,
+    pl,
+    rand_ratfunc,
+    reduce_mod,
+    sympy_matrix,
+)
 
 
 def _report(n, detail):

@@ -1,3 +1,4 @@
+import io
 import random
 from itertools import islice
 
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffunits import GF, Poly, RatFunc, hasse_derivative, in_power_subfield, taylor_jet
-from ffunits.errors import MAX_PRIME_POWER, ResourceLimitError
+from ffunits import GF, Poly, RatFunc, hasse, hasse_derivative, in_power_subfield, taylor_jet
+from ffunits.cli import run_cli
+from ffunits.errors import MAX_PRIME_POWER, InternalCheckError, ResourceLimitError
 from ffunits.hasse import (
     _jet_coeffs,
     binom_mod,
@@ -276,3 +278,28 @@ def test_jet_order_bound(F2, monkeypatch):
         hasse_derivative(x, MAX_PRIME_POWER)
     with pytest.raises(ResourceLimitError):
         taylor_jet(x, MAX_PRIME_POWER)
+
+
+def test_subfield_routes_that_disagree_are_an_internal_fault(F2, monkeypatch):
+    # in_power_subfield asks the exponent pattern and the derivative kernel;
+    # a level that puts T^2 + 1 in no subfield contradicts its kernel
+    x = el(F2, "T^2+1")
+    assert in_power_subfield(x, 1)
+    monkeypatch.setattr(hasse, "subfield_level", lambda x: 0)
+    with pytest.raises(InternalCheckError, match="subfield membership tests disagree"):
+        in_power_subfield(x, 1)
+
+
+def test_inexact_coordinate_division_is_an_internal_fault(F2, monkeypatch):
+    # den**(p**m) is a multiple of den: a remainder left by the division is a fault
+    x = el(F2, "1/(T+1)")
+    argv = ["indep", "--p", "2", "--b", "1, 1/(T+1)", "--m", "1"]
+    subfield_coordinates(x, 1)
+    assert run_cli(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
+    original = hasse._divmod_list
+    monkeypatch.setattr(hasse, "_divmod_list", lambda f, a, b: (original(f, a, b)[0], [1]))
+    with pytest.raises(InternalCheckError, match="non-exact division"):
+        subfield_coordinates(x, 1)
+    out, err = io.StringIO(), io.StringIO()
+    assert run_cli(argv, stdout=out, stderr=err) == 1
+    assert out.getvalue() == "" and "internal check failed: non-exact division" in err.getvalue()

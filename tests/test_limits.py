@@ -83,3 +83,12 @@ def test_one_patch_moves_every_work_check(monkeypatch):
         sg_search(Equation((RatFunc.one(F3), RatFunc.one(F3)), 0), group, 1)
     with pytest.raises(ResourceLimitError, match="parse charge 4 exceeds the configured bound 1"):
         parse_element("1+T", F3)
+
+
+def test_solve_refuses_a_tuple_space_past_its_bound():
+    # 4 generators at m = 3 leave 4096 representatives, so pairs number 4096**2
+    argv = "solve --p 2 --gens 1+T,1+T+T^2,1+T+T^3,1+T^2+T^3 --b T,1 --m 3 --rhs 0".split()
+    out, err = io.StringIO(), io.StringIO()
+    assert run_cli(argv, stdout=out, stderr=err) == 4
+    assert out.getvalue() == ""
+    assert "representative tuple count 16777216 exceeds the configured bound 1000000" in err.getvalue()

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -24,12 +25,12 @@ from ffunits import (
 from ffunits import errors, localprobe, ratfunc
 from ffunits.errors import ResourceLimitError
 from ffunits.cli import run_cli
-from ffunits.localprobe import verify_obstruction
-from ffunits.poly import monic_irreducibles, poly_mulmod
-from ffunits.ratfunc import reduce_mod, valuation
+from ffunits.localprobe import ObstructionWitness, verify_obstruction
+from ffunits.poly import monic_irreducibles
+from ffunits.ratfunc import valuation
 from ffunits.unitgroup import closure
 
-from conftest import el, pl, rand_ratfunc
+from conftest import el, mulmod, pl, rand_ratfunc, reduce_mod
 
 
 def test_residue_group_examples(F2, F3):
@@ -123,7 +124,7 @@ def _chain_sizes(group, m):
     by the breadth-first closure."""
     steps = [reduce_mod(g, m) for g in group.generators]
     one = Poly.one(group.field)
-    mul = lambda a, b: poly_mulmod(a, b, m.poly)  # noqa: E731
+    mul = lambda a, b: mulmod(a, b, m.poly)  # noqa: E731
     return [len(closure(one, steps[:i], mul)) for i in range(len(steps) + 1)]
 
 
@@ -303,9 +304,11 @@ def _spy_listing(monkeypatch):
 
 
 def _first_solution_at(eq, group, m):
-    """localprobe._first_solution on the inputs reduced modulo m."""
-    mod = m.poly.coeffs
-    return localprobe._first_solution(group.field, *localprobe._reduced_inputs(group, eq.b, eq.rhs, mod), mod)
+    """localprobe._first_solution on the inputs modulo m, by the residue route."""
+    field, mod = group.field, m.poly.coeffs
+    pairs = localprobe._modulus_residues(field, m, group.generators + eq.b, "input")
+    inputs = localprobe._search_inputs(field, pairs, len(group.generators), eq.rhs, mod)
+    return localprobe._first_solution(field, *inputs, mod)
 
 
 def test_obstruction_scan_builds_each_residue_group_once(F2, F3, monkeypatch):
@@ -401,6 +404,57 @@ def test_obstruction_that_first_shows_at_exponent_two(F3):
     witness = find_local_obstruction(eq, group, 2, 3)
     assert (witness.modulus, witness.group_size) == (Modulus(base, 2), 24)
     assert verify_obstruction(witness, eq, group)
+
+
+def test_verify_obstruction_rejects_a_solvable_modulus(F3):
+    """x - y = 0 is solved by x = y at every modulus, so a claimed
+    obstruction modulo T^2 + 1 or its square is refused."""
+    group = build_presentation((el(F3, "T+1"),))
+    eq = Equation((RatFunc.one(F3), -RatFunc.one(F3)), 0)
+    for e in (1, 2):
+        m = Modulus(pl(F3, "T^2+1"), e)
+        assert sl_search(eq, group, m) is not None
+        assert not verify_obstruction(ObstructionWitness(m, len(residue_group(group, m))), eq, group)
+
+
+def test_verify_obstruction_takes_units_only(F3):
+    """verify_obstruction takes its residues by the route of sl_search: a
+    coefficient with a pole or a zero at the modulus place is refused with
+    ValueError, and a bad generator is named before a bad coefficient."""
+    group = build_presentation((el(F3, "T+1"),))
+    witness = ObstructionWitness(Modulus(pl(F3, "T"), 2), 2)
+    for b in ((el(F3, "1/T"), RatFunc.one(F3)), (RatFunc.one(F3), RatFunc.t(F3))):
+        with pytest.raises(ValueError, match="equation coefficient is not a unit at the modulus place"):
+            verify_obstruction(witness, Equation(b, 0), group)
+    bad = build_presentation((RatFunc.t(F3),))
+    with pytest.raises(ValueError, match="generator is not a unit at the modulus place"):
+        verify_obstruction(witness, Equation((el(F3, "1/T"), RatFunc.one(F3)), 0), bad)
+
+
+def test_residue_checks_divide_each_input_once_at_exponent_one(F3, monkeypatch):
+    """At e = 1 residue_group and sl_search take the residues that the unit
+    test at the base leaves: each input is divided by the base once.  At
+    e = 2 each is divided by the base and then by its square."""
+    divided = []
+    original = localprobe._unit_residues
+
+    def recording(field, elements, mod):
+        divided.extend((x, tuple(mod)) for x in elements)
+        return original(field, elements, mod)
+
+    monkeypatch.setattr(localprobe, "_unit_residues", recording)
+    group = build_presentation((el(F3, "T+1"), el(F3, "T/(T+2)")))
+    eq = Equation((el(F3, "1/T"), -el(F3, "(T+1)^2")), 0)
+    base = pl(F3, "T^2+1")
+    for e in (1, 2):
+        m = Modulus(base, e)
+        mods = [base.coeffs] if e == 1 else [base.coeffs, m.poly.coeffs]
+        divided.clear()
+        residue_group(group, m)
+        assert Counter(divided) == Counter((x, mod) for x in group.generators for mod in mods)
+        divided.clear()
+        sl_search(eq, group, m)
+        assert Counter(divided) == Counter((x, mod) for x in group.generators + eq.b for mod in mods)
 
 
 def test_obstruction_scan_divides_each_input_by_a_kept_base_once(F3, monkeypatch):
@@ -568,6 +622,12 @@ def test_sg_search_x_plus_y(F3):
     assert (el(F3, "T"), el(F3, "-T")) in {s.coords for s in sols0}
     sols1 = sg_search(Equation((RatFunc.one(F3), RatFunc.one(F3)), 1), g3, 2)
     assert (el(F3, "T"), el(F3, "1-T")) in {s.coords for s in sols1}
+
+
+def test_sg_search_rejects_an_empty_word_box(F3):
+    g3 = build_presentation((el(F3, "T"),))
+    with pytest.raises(ValueError, match="word bound must be >= 1"):
+        sg_search(Equation((RatFunc.one(F3), RatFunc.one(F3)), 0), g3, 0)
 
 
 def test_sg_search_resource_guard(F3, monkeypatch):

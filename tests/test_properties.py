@@ -34,10 +34,11 @@ from ffunits.localprobe import (  # noqa: E402
     sg_search,
     sl_search,
 )
-from ffunits.poly import monic_irreducibles, poly_mulmod, poly_powmod  # noqa: E402
-from ffunits.ratfunc import divisor_vector, reduce_mod  # noqa: E402
+from ffunits.poly import monic_irreducibles, poly_powmod  # noqa: E402
+from ffunits.ratfunc import divisor_vector  # noqa: E402
 from ffunits.solver import SolutionPoint  # noqa: E402
 from ffunits.unitgroup import closure  # noqa: E402
+from conftest import mulmod, reduce_mod  # noqa: E402
 from test_localprobe import _first_solution_at, _sorted_moduli  # noqa: E402
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
@@ -291,9 +292,9 @@ def test_sg_search_agrees_with_plain_search(low_degree, search):
 
 
 def _oracle_image(group, m):
-    """The residue image by the breadth-first closure over poly_mulmod."""
+    """The residue image by the breadth-first closure over mulmod."""
     steps = [reduce_mod(g, m) for g in group.generators]
-    return closure(Poly.one(group.field), steps, lambda a, b: poly_mulmod(a, b, m.poly))
+    return closure(Poly.one(group.field), steps, lambda a, b: mulmod(a, b, m.poly))
 
 
 def _oracle_solvable(eq, m, image):
@@ -306,8 +307,8 @@ def _oracle_solvable(eq, m, image):
     for prefix in itertools.product(image, repeat=eq.arity - 1):
         partial = Poly.zero(m.base.field)
         for bi, xi in zip(b, prefix):
-            partial = partial + poly_mulmod(bi, xi, mod)
-        if poly_mulmod(target - partial, inv_last, mod) in image:
+            partial = partial + mulmod(bi, xi, mod)
+        if mulmod(target - partial, inv_last, mod) in image:
             return True
     return False
 
@@ -343,7 +344,7 @@ def test_obstruction_scan_agrees_with_breadth_first_scan(scan):
             assert min(word) >= 0
             rebuilt = Poly.one(group.field)
             for step, k in zip(steps, word):
-                rebuilt = poly_mulmod(rebuilt, poly_powmod(step, k, m.poly), m.poly)
+                rebuilt = mulmod(rebuilt, poly_powmod(step, k, m.poly), m.poly)
             assert rebuilt == res
         if not _oracle_solvable(eq, m, image):
             expected = (m, len(image))
@@ -387,23 +388,33 @@ def set_ups(draw):
 @given(set_ups())
 def test_scan_inputs_agree_with_ratfunc_reduction(set_up):
     """Each base of the degree is kept exactly when Poly % finds that it
-    divides no input, and at base**e, e <= 3, the scan's list-level inputs
-    equal those of RatFunc arithmetic and reduce_mod."""
+    divides no input, and at every modulus base**e, e <= 3, of a scan made
+    to pass every modulus, the scan's list-level inputs equal those of
+    RatFunc arithmetic and the Poly-level oracle reduce_mod."""
     group, eq, d = set_up
     field = group.field
     elements = group.generators + eq.b
     for base in monic_irreducibles(field, d):
         pairs = localprobe._unit_residues(field, elements, base.coeffs)
         assert (pairs is not None) == _divides_none(base, elements)
-        if pairs is None:
-            continue
-        inputs = localprobe._exponent_inputs(eq, group, base, pairs)
-        for e in (1, 2, 3):
-            m = Modulus(base, e)
-            mod, (steps, scaled, target) = next(inputs)
-            assert mod == m.poly.coeffs
-            got = ([tuple(x) for x in steps], [tuple(x) for x in scaled], tuple(target))
-            assert got == _oracle_inputs(eq, group, m)
+    seen = []
+
+    def solved(field, steps, scaled, target, mod):
+        seen.append((mod, ([tuple(x) for x in steps], [tuple(x) for x in scaled], tuple(target))))
+        return (), 0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(localprobe, "_first_solution", solved)
+        assert find_local_obstruction(eq, group, d, 3) is None
+    moduli = [
+        Modulus(base, e)
+        for degree, e in localprobe._moduli(d, 3)
+        for base in monic_irreducibles(field, degree)
+        if _divides_none(base, elements)
+    ]
+    assert [mod for mod, _ in seen] == [m.poly.coeffs for m in moduli]
+    for (_, got), m in zip(seen, moduli):
+        assert got == _oracle_inputs(eq, group, m)
 
 
 @st.composite
@@ -439,9 +450,9 @@ def test_sl_search_witness_solves_the_congruence(congruence):
     for bi, res, word in zip(eq.b, witness.residues, witness.words):
         rebuilt = Poly.one(group.field)
         for step, k in zip(steps, word):
-            rebuilt = poly_mulmod(rebuilt, poly_powmod(step, k, m.poly), m.poly)
+            rebuilt = mulmod(rebuilt, poly_powmod(step, k, m.poly), m.poly)
         assert rebuilt == res and res in image
-        acc = acc + poly_mulmod(reduce_mod(bi, m), res, m.poly)
+        acc = acc + mulmod(reduce_mod(bi, m), res, m.poly)
     assert acc == Poly.constant(group.field, eq.rhs) % m.poly
 
 

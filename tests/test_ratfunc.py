@@ -5,10 +5,10 @@ import signal
 
 import pytest
 
-from ffunits import GF, Modulus, Poly, RatFunc, divisor_vector, is_irreducible, poly_gcd, reduce_mod, valuation
+from ffunits import GF, Modulus, Poly, RatFunc, divisor_vector, is_irreducible, localprobe, poly_gcd, valuation
 from ffunits.ratfunc import multiplicity
 
-from conftest import el, pl, rand_ratfunc
+from conftest import el, pl, rand_ratfunc, reduce_mod
 
 
 FIELDS = (GF(2), GF(3), GF(2, 2, (1, 1, 1)), GF(3, 2, (1, 0, 1)))
@@ -145,6 +145,13 @@ def test_divisor_keys_are_sorted_monic_irreducibles(F2):
             assert c != 0 and divisor_product(field, dv, c) == x
 
 
+def route(x: RatFunc, m: Modulus) -> Poly:
+    """x modulo m.poly by the residue route of localprobe: the unit test at
+    m.base, the reduction modulo m.poly at e >= 2 and the quotient step."""
+    (pair,) = localprobe._modulus_residues(x.field, m, (x,), "element")
+    return Poly(x.field, tuple(localprobe._quotient(x.field, pair, m.poly.coeffs)))
+
+
 def test_reduce_mod_examples(F2, F3):
     m = Modulus(pl(F2, "T^2+T+1"), 1)
     # oracle first: the inverse of 1+T in the 4-element residue ring is found
@@ -152,16 +159,21 @@ def test_reduce_mod_examples(F2, F3):
     ring = [Poly.from_coeffs(F2, (a, b)) for a in range(2) for b in range(2)]
     inverses = [z for z in ring if (pl(F2, "1+T") * z) % m.poly == Poly.one(F2)]
     assert inverses == [pl(F2, "T")]
-    assert reduce_mod(el(F2, "1/(1+T)"), m) == pl(F2, "T")
-
-    assert reduce_mod(el(F3, "T"), Modulus(pl(F3, "T+1"), 2)) == pl(F3, "T")
+    for reduce in (reduce_mod, route):
+        assert reduce(el(F2, "1/(1+T)"), m) == pl(F2, "T")
+        assert reduce(el(F3, "T"), Modulus(pl(F3, "T+1"), 2)) == pl(F3, "T")
 
     with pytest.raises(ZeroDivisionError):
         reduce_mod(el(F2, "1/(T^2+T+1)"), m)
+    # the route takes units only: a pole or a zero at the base is refused
+    for x in ("1/(T^2+T+1)", "T^2+T+1"):
+        with pytest.raises(ValueError, match="element is not a unit at the modulus place"):
+            route(el(F2, x), m)
 
 
 def test_reduce_mod_is_ring_hom(F2, F3):
     rng = random.Random(29)
+    units = 0
     for field, base, e in ((F2, "T^2+T+1", 2), (F3, "T+1", 2)):
         m = Modulus(pl(field, base), e)
 
@@ -176,6 +188,12 @@ def test_reduce_mod_is_ring_hom(F2, F3):
             x, y = sample(), sample()
             assert reduce_mod(x + y, m) == (reduce_mod(x, m) + reduce_mod(y, m)) % m.poly
             assert reduce_mod(x * y, m) == (reduce_mod(x, m) * reduce_mod(y, m)) % m.poly
+            # the package's route agrees with the oracle on every unit
+            for z in (x, y, x + y, x * y):
+                if not (z.num % m.base).is_zero:
+                    assert route(z, m) == reduce_mod(z, m)
+                    units += 1
+    assert units > 400
 
 
 def test_place_validation(F2, F3):

@@ -1,5 +1,7 @@
+import io
 import itertools
 import random
+import types
 from collections import deque
 
 import pytest
@@ -14,7 +16,8 @@ from ffunits import (
     representatives,
 )
 from ffunits import errors, poly, ratfunc, unitgroup
-from ffunits.errors import ResourceLimitError
+from ffunits.cli import run_cli
+from ffunits.errors import InternalCheckError, ResourceLimitError
 from ffunits.hasse import prime_power
 from ffunits.intlattice import solve_left
 from ffunits.unitgroup import SubgroupPresentation, residue_key
@@ -394,3 +397,22 @@ def test_kernel_check_matches_subfield_test(F3):
         word = tuple(rng.randrange(-3, 4) for _ in range(3))
         x = g.word_product(word)
         assert kernel_element_check(x, g, 1) == in_power_subfield(x, 1)
+
+
+def test_member_word_that_misses_is_an_internal_fault(F3, monkeypatch):
+    # 1+T and -1-T differ by the constant -1, so the kernel word (-1, 1)
+    # moves the constant; a closure that picks it for every need leaves a
+    # word that rebuilds -1-T, not 1+T
+    group = build_presentation((el(F3, "1+T"), el(F3, "-1-T")))
+    argv = ["solve", "--p", "3", "--gens", "1+T, -1-T", "--b", "T, 1", "--rhs", "1", "--m", "1"]
+    assert member(el(F3, "1+T"), group) is not None
+    assert run_cli(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
+    def closure(one, steps, mul):
+        return types.SimpleNamespace(get=lambda need: (1,) * len(steps))
+
+    monkeypatch.setattr(unitgroup, "closure", closure)
+    with pytest.raises(InternalCheckError, match="membership word failed to reconstruct the element"):
+        member(el(F3, "1+T"), group)
+    out, err = io.StringIO(), io.StringIO()
+    assert run_cli(argv, stdout=out, stderr=err) == 1
+    assert out.getvalue() == "" and "internal check failed: membership word" in err.getvalue()

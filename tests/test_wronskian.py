@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from ffunits import (
     GF,
+    Poly,
     RatFunc,
     build_presentation,
     candidate_solution,
@@ -589,6 +591,28 @@ def test_two_term_rule_refuses_a_level_that_disagrees(F2, monkeypatch):
             assert "internal check failed" in err.getvalue()
 
 
+def test_relation_of_an_independent_vector_is_an_internal_fault(F2, monkeypatch):
+    # the relation of the stack (b, 1) must weigh the row of 1: a kernel
+    # vector that does not, here the zero vector, would be a relation of
+    # the independent b alone
+    b = (RatFunc.t(F2), el(F2, "1+T"))
+    argv = ["solve", "--p", "2", "--gens", "1+T", "--b", "T, 1", "--rhs", "1", "--m", "1"]
+    assert candidate_solution(b, 1) == (RatFunc.one(F2), RatFunc.one(F2))
+    assert run_cli(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
+    original = wronskian._first_dependence
+
+    def zero_kernel(rows, field):
+        echelon = original(rows, field)
+        return echelon and types.SimpleNamespace(kernel=[Poly.zero(field)] * len(echelon.kernel))
+
+    monkeypatch.setattr(wronskian, "_first_dependence", zero_kernel)
+    with pytest.raises(InternalCheckError, match="relation of the coordinate rows of an independent vector"):
+        candidate_solution(b, 1)
+    out, err = io.StringIO(), io.StringIO()
+    assert run_cli(argv, stdout=out, stderr=err) == 1
+    assert out.getvalue() == "" and "internal check failed: relation of the coordinate rows" in err.getvalue()
+
+
 def test_psi_witness_keeps_the_internal_check(F2):
     # psi(1, (T, T^2)) = (1, T^2) is dependent at m = 1: no witness exists,
     # and D(1)(T^2) = 0 leaves the scan without a second row; so is
@@ -673,6 +697,14 @@ def test_verify_rejects_relation_of_wrong_length(F2):
     forged = IndependenceCertificate(False, None, (zero, zero, one))
     assert not verify_certificate(b, 1, forged)
     assert not verify_certificate(b, 1, IndependenceCertificate(False, None, (one,)))
+
+
+def test_verify_rejects_relation_outside_the_subfield(F2):
+    # T * 1 + 1 * T = 0 over F_2, but the weight T is not in F_2(T^2)
+    b = (RatFunc.t(F2), RatFunc.one(F2))
+    rel = (RatFunc.one(F2), RatFunc.t(F2))
+    assert (rel[0] * b[0] + rel[1] * b[1]).is_zero
+    assert not verify_certificate(b, 1, IndependenceCertificate(False, None, rel))
 
 
 def test_verify_rejects_malformed_index_set(F2):
