@@ -3,7 +3,7 @@ over finitely generated unit subgroups of rational function fields F_q(t)."""
 
 from .field import GF
 from .poly import Factorization, Poly, factor, is_irreducible, poly_divmod, poly_gcd, poly_powmod
-from .ratfunc import Modulus, RatFunc, divisor_vector, valuation
+from .ratfunc import Modulus, RatFunc, divisor_vector
 from .hasse import hasse_derivative, in_power_subfield, taylor_jet
 from .wronskian import (
     IndependenceCertificate,

@@ -12,9 +12,10 @@ json.dump(doc, stdout, indent=2), so no report-sized string is built, and
 solve renders each distinct element once per report.  Exit codes: 0
 success or certified answer, 1 internal fault, 2 sound non-answer
 (inapplicable or nothing found), 3 input error, 4 resource limit.  Input
-errors are raised only while parsing and validating, so any other
-exception reaching run_cli, also one raised while the report is written
-(which may then be cut short), is a fault in this package.  A reader
+errors are raised only while parsing and validating (probe's unit test of
+its element is closure_probe's own), so any other exception reaching
+run_cli, also one raised while the report is written (which may then be
+cut short), is a fault in this package.  A reader
 that closes stdout before the report ends (as ``| head`` does) is none:
 the report is cut short, nothing is written to stderr, and the run exits
 with the report's own code, 0 or 2; main sends what is still buffered to
@@ -35,7 +36,7 @@ from .errors import InputError, InternalCheckError, ResourceLimitError
 from .exprio import parse_element, poly_text, print_expr, split_exprs
 from .field import GF
 from .poly import factor
-from .ratfunc import Modulus, RatFunc, valuation
+from .ratfunc import Modulus, RatFunc
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -337,8 +338,6 @@ def _cmd_probe(args, field: GF) -> tuple[dict, int]:
         modulus = Modulus(base.num.monic()[0], args.e)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    if g.is_zero or valuation(g, modulus.base) != 0:
-        raise InputError("probe element is not a unit at the modulus place")
     report = localprobe.closure_probe(g, modulus, args.n_max)
     doc = {
         "outcome": "stabilized" if report.settled else "undetermined",

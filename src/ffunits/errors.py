@@ -16,7 +16,8 @@ DEFAULT_GROUP_LIMIT = 100_000  # listed elements: groups, representatives, terms
 
 
 class InputError(ValueError):
-    """Malformed user input (bad expression, instance file, or flag value)."""
+    """Malformed user input: a bad expression, instance file or flag value,
+    or an element that must be a unit at a modulus place and is not."""
 
 
 class ResourceLimitError(RuntimeError):

@@ -19,11 +19,14 @@ position.
 
 The parser evaluates as it reads, so each rule returns the exact value of
 its text, held as a pair (num, den) of coefficient lists: the reduced
-fraction with monic den, and zero as ([], [1]).  Two polynomials are
-added, subtracted and multiplied by the poly list kernels, and a positive
-power of a single term is placed directly; a '/', any other power, or an
-operand with a denominator goes through the RatFunc operators, so every
-fraction is reduced by the ratfunc rules.
+fraction with monic den, and zero as ([], [1]).  expr and term each read
+their operands in one loop and hand every binary operator, once its right
+operand is read, to one step (_Parser.apply): it checks and charges the
+operator at its position, refuses a zero divisor, then adds, subtracts or
+multiplies two polynomials by the poly list kernels.  A positive power of a single term
+is placed directly; a '/', any other power, or an operand with a
+denominator goes through the RatFunc operators, so every fraction is
+reduced by the ratfunc rules.
 parse_element builds one RatFunc, at the end.  The degree of a value is
 the larger of its numerator's and denominator's, read on the reduced
 value; no operation may build a value whose degree could pass
@@ -43,6 +46,7 @@ degree and coefficients as canonical field integers; printing then parsing
 returns the identical value.
 """
 
+import operator
 import re
 
 from . import errors
@@ -106,39 +110,35 @@ class _Parser:
     def parse_expr(self):
         value = self.parse_term()
         while self.peek()[0] in ("+", "-"):
-            op, _, pos = self.take()
-            rhs = self.parse_term()
-            d1, d2 = _degree(value), _degree(rhs)
-            self.check(d1 + d2, (d1 + 1) * (d2 + 1), pos)
-            f = self.field
-            if len(value[1]) == 1 and len(rhs[1]) == 1:  # two polynomials
-                kernel = _add_list if op == "+" else _sub_list
-                value = _trim(kernel(f, value[0], rhs[0])), [1]
-            else:
-                x, y = _ratfunc(f, value), _ratfunc(f, rhs)
-                value = _coeffs(x + y if op == "+" else x - y)
+            token = self.take()
+            value = self.apply(value, token, self.parse_term())
         return value
 
     def parse_term(self):
         value = self.parse_unary()
         while self.peek()[0] in ("*", "/"):
-            op, _, pos = self.take()
-            rhs = self.parse_unary()
-            d1, d2 = _degree(value), _degree(rhs)
-            self.check(d1 + d2, (d1 + 1) * (d2 + 1), pos)
-            f = self.field
-            if op == "*":
-                if len(value[1]) == 1 and len(rhs[1]) == 1:  # two polynomials
-                    a, b = value[0], rhs[0]
-                    # leading coefficients multiply to a nonzero one: no trim
-                    value = (_mul_list(f, a, b) if a and b else []), [1]
-                else:
-                    value = _coeffs(_ratfunc(f, value) * _ratfunc(f, rhs))
-            elif not rhs[0]:
-                raise InputError("division by zero in expression")
-            else:
-                value = _coeffs(_ratfunc(f, value) / _ratfunc(f, rhs))
+            token = self.take()
+            value = self.apply(value, token, self.parse_unary())
         return value
+
+    def apply(self, value, token, rhs):
+        """value op rhs for the binary operator token, checked and charged at
+        its position: +, - and * of two polynomials on the list kernels, any
+        other case through the RatFunc operators."""
+        op, _, pos = token
+        d1, d2 = _degree(value), _degree(rhs)
+        self.check(d1 + d2, (d1 + 1) * (d2 + 1), pos)
+        f = self.field
+        if op == "/":
+            if not rhs[0]:
+                raise InputError("division by zero in expression")
+        elif len(value[1]) == 1 and len(rhs[1]) == 1:  # two polynomials
+            a, b = value[0], rhs[0]
+            if op == "*":
+                # leading coefficients multiply to a nonzero one: no trim
+                return (_mul_list(f, a, b) if a and b else []), [1]
+            return _trim((_add_list if op == "+" else _sub_list)(f, a, b)), [1]
+        return _coeffs(_RATFUNC_OPS[op](_ratfunc(f, value), _ratfunc(f, rhs)))
 
     def parse_unary(self):
         negate = False
@@ -196,6 +196,9 @@ class _Parser:
             self.depth -= 1
             return value
         raise ParseError(f"expected a value, found {kind!r}", pos)
+
+
+_RATFUNC_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def _degree(value) -> int:

@@ -162,15 +162,15 @@ def _unit_residues(field: GF, elements, mod) -> list | None:
 
 def _modulus_residues(field: GF, m: Modulus, elements, what: str) -> list:
     """The residue pairs (num, den) of the elements modulo m.poly, as
-    trimmed coefficient lists; ValueError naming what when an element is
-    not a unit at the modulus place.
+    trimmed coefficient lists; InputError (a ValueError) naming what when
+    an element is zero or not a unit at the modulus place.
 
     The unit test at m.base (_unit_residues) leaves the pairs at e = 1; at
     e >= 2 each numerator and denominator is reduced modulo m.poly.
     """
     pairs = _unit_residues(field, elements, m.base.coeffs)
     if pairs is None:
-        raise ValueError(f"{what} is not a unit at the modulus place")
+        raise errors.InputError(f"{what} is not a unit at the modulus place")
     return pairs if m.exponent == 1 else _unit_residues(field, elements, m.poly.coeffs)
 
 
@@ -521,7 +521,8 @@ def closure_probe(g: RatFunc, m: Modulus, n_max: int) -> StabilizationReport:
     The factorial-power exponent is never materialized: it is tracked
     modulo the residue-ring unit group order through the recurrence
     p**(n!) = (p**((n-1)!))**n.  The probe is held to check_probe_bounds
-    before any powering.
+    before any powering, and a g that is zero or not a unit at m.base is
+    refused with InputError (_modulus_residues).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")

@@ -1,6 +1,6 @@
-"""The rational function field K = F_q(t): reduced fractions, valuations,
-divisor vectors (plain dicts from place to nonzero exponent) and the
-moduli of residue rings.
+"""The rational function field K = F_q(t): reduced fractions, the
+multiplicity of a place in a polynomial, divisor vectors (plain dicts from
+place to nonzero exponent) and the moduli of residue rings.
 
 Values are canonical: a RatFunc keeps a reduced fraction with monic
 denominator, so equality and hashing are structural.  RatFunc is a
@@ -27,10 +27,12 @@ reduced because its inputs are:
 Denominators stay monic: every gcd is monic, and an inverse is scaled by
 the inverse of its leading coefficient.
 
-A place of K over F_q is held as its monic irreducible Poly.  Local
-completions are never materialized, only the finite-precision residue
-rings F_q[t]/(base**e) described by Modulus; the residues themselves are
-taken on coefficient lists in localprobe.
+A place of K over F_q is held as its monic irreducible Poly;
+multiplicity counts one in a polynomial by trial division, for the
+membership test, while localprobe tests a unit at a place by one
+division.  Local completions are never materialized, only the
+finite-precision residue rings F_q[t]/(base**e) described by Modulus; the
+residues themselves are taken on coefficient lists in localprobe.
 """
 
 from dataclasses import dataclass
@@ -219,7 +221,7 @@ def _sum(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> RatFunc:
     return _canonical(num, den)
 
 
-# -- valuations and divisors --
+# -- multiplicities and divisors --
 
 
 def multiplicity(a: Poly, p: Poly) -> tuple[int, Poly]:
@@ -239,14 +241,6 @@ def multiplicity(a: Poly, p: Poly) -> tuple[int, Poly]:
             return count, (_trimmed(f, rest) if count else a)
         count += 1
         rest = q
-
-
-def valuation(x: RatFunc, place: Poly) -> int:
-    """Order of vanishing of x at a place, given as its monic irreducible."""
-    if x.is_zero:
-        raise ValueError("valuation of zero")
-    # the fraction is reduced, so at most one of the two counts is nonzero
-    return multiplicity(x.num, place)[0] - multiplicity(x.den, place)[0]
 
 
 def divisor_vector(x: RatFunc) -> tuple[dict[Poly, int], int]:

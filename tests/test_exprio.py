@@ -186,6 +186,28 @@ def test_round_trip_extension_field():
         assert parse_element(print_expr(x), f4) == x
 
 
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_nesting_fits_five_frames_a_level(F3):
+    """MAX_NESTING is half of Python's default recursion limit because a
+    level of parentheses costs 5 frames (atom, expr, term, unary, factor):
+    the deepest nesting parses within 5 * MAX_NESTING frames and a small
+    margin, where one more frame a level would need MAX_NESTING more."""
+    nested = "(" * MAX_NESTING + "T" + ")" * MAX_NESTING
+    t = RatFunc.t(F3)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 5 * MAX_NESTING + 20)
+    try:
+        assert parse_element(nested, F3) == t
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_split_exprs():
     assert split_exprs("T, 1+T") == ["T", "1+T"]
     assert split_exprs("(T, 1), T") == ["(T, 1)", "T"]

@@ -27,7 +27,6 @@ from ffunits.errors import ResourceLimitError
 from ffunits.cli import run_cli
 from ffunits.localprobe import ObstructionWitness, verify_obstruction
 from ffunits.poly import monic_irreducibles
-from ffunits.ratfunc import valuation
 from ffunits.unitgroup import closure
 
 from conftest import el, mulmod, pl, rand_ratfunc, reduce_mod
@@ -65,6 +64,12 @@ def test_residue_group_examples(F2, F3):
     assert set(rg) == {pl(F3, "1"), pl(F3, "2")}
 
 
+def _unit_at(x, base):
+    """Whether the nonzero x is a unit at the place base: neither its
+    numerator nor its denominator has a zero remainder by base."""
+    return not (x.num % base).is_zero and not (x.den % base).is_zero
+
+
 def _residue_image_with_inverses(group, m):
     """Reference image: close {1} under the reduced generators and their inverses."""
     steps = [reduce_mod(h, m) for g in group.generators for h in (g, g.inverse())]
@@ -90,7 +95,7 @@ def test_residue_group_matches_search_with_inverses(F2, F3):
             gens = []
             while len(gens) < n:
                 g = rand_ratfunc(rng, field, 2, nonzero=True)
-                if valuation(g, m.base) == 0:
+                if _unit_at(g, m.base):
                     gens.append(g)
             group = build_presentation(gens)
             rg = residue_group(group, m)
@@ -114,7 +119,7 @@ def _coset_groups():
                 gens = []
                 while len(gens) < n:
                     g = rand_ratfunc(rng, field, 2, nonzero=True)
-                    if valuation(g, m.base) == 0:
+                    if _unit_at(g, m.base):
                         gens.append(g)
                 yield build_presentation(gens), m
 
@@ -727,6 +732,43 @@ def test_unit_checks_take_no_valuation(F2, F3, monkeypatch):
     for g in (el(F3, "1/(T+1)"), el(F3, "T^2+2*T+1"), RatFunc.zero(F3)):
         with pytest.raises(ValueError, match=probe):
             closure_probe(g, bad3, 3)
+
+
+def _run_probe(*args):
+    out, err = io.StringIO(), io.StringIO()
+    code = run_cli(["probe", "--p", "3", *args], stdout=out, stderr=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_probe_command_takes_no_valuation(monkeypatch):
+    """The probe command's only unit test of its element is closure_probe's
+    division at the base: with multiplicity patched to raise, g = 0 and a g
+    with a zero or a pole at the base are still input errors (exit 3), and
+    a unit gives the report it gives unpatched."""
+    unit = _run_probe("--g", "T+1", "--base", "T")
+    assert unit[0] == 0 and unit[2] == ""
+
+    def refused(*args):
+        raise AssertionError("a valuation in the probe's unit test")
+
+    monkeypatch.setattr(ratfunc, "multiplicity", refused)
+    refusal = "error: probe element is not a unit at the modulus place\n"
+    for g, base in (("T", "T"), ("1/T", "T"), ("2*T^2", "T"), ("0", "T+1")):
+        assert _run_probe("--g", g, "--base", base) == (3, "", refusal)
+    assert _run_probe("--g", "T+1", "--base", "T") == unit
+
+
+def test_other_probe_value_errors_are_faults(monkeypatch):
+    """Only the unit refusal inside closure_probe is an input error: any
+    other ValueError raised there is a fault in the package (exit 1)."""
+
+    def broken(*args):
+        raise ValueError("a fault in the powering")
+
+    monkeypatch.setattr(localprobe, "poly_powmod", broken)
+    code, out, err = _run_probe("--g", "T+1", "--base", "T")
+    assert code == 1 and out == ""
+    assert "internal error: ValueError: a fault in the powering" in err
 
 
 def test_closure_probe_examples(F3):
