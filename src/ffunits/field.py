@@ -18,17 +18,24 @@ s > 1 they go through the Zech table ``zech_table[k] = log(1 + g**k)``
 The exp and Zech tables are doubled, so a sum of two logs, or a difference
 (a negative one counts from the end of the list), indexes them without
 reduction.  The base-p digit rule on the encoding survives only in the
-table builder, which multiplies the digit vectors as polynomials over
-F_p with the kernels of ``poly`` (the prime field's own tables need only
-products mod p).
+table builder.
 
-Tables are built once for each distinct (p, s, modulus), after the
-modulus has passed the irreducibility test, and a bounded module-level
-memo keeps those of the most recent fields; equal GF instances share
-them.  They are plain attributes, not dataclass fields, so equality,
-hashing and repr depend on (p, s, modulus) alone.  A field with
-q > errors.MAX_FIELD_ORDER is refused with ResourceLimitError (CLI exit 4),
-which keeps every table to a few MB.
+One builder (_tables) serves coefficient fields and residue fields: it
+takes a coefficient field and a monic irreducible modulus over it, and
+multiplies digit vectors as polynomials over that field with the kernels
+of ``poly``.  GF(p, s) passes F_p and its modulus (the prime field's own
+tables need only products mod p); localprobe's word-box search passes a
+field F_q and an irreducible f over it, for the residue field
+F_q[T]/(f), whose elements it encodes in base q the same way.
+
+Tables are built once for each distinct (coefficient field, modulus),
+after the modulus has passed the irreducibility test, and a bounded
+module-level memo keeps those of the most recent fields; equal GF
+instances share them.  They are plain attributes, not dataclass fields,
+so equality, hashing and repr depend on (p, s, modulus) alone.  A field
+with q > errors.MAX_FIELD_ORDER is refused with ResourceLimitError (CLI
+exit 4), and a residue field stays within the same bound, which keeps
+every table to a few MB.
 
 GF instances are immutable and hashable; every operation is a pure
 function of its arguments, so concurrent use needs no locking.
@@ -62,16 +69,22 @@ def prime_factors(n: int) -> list[int]:
 
 
 @lru_cache(maxsize=16)
-def _tables(p: int, s: int, modulus: tuple[int, ...]):
-    """(exp, log, zech) for F_p[X]/(modulus); the modulus must be irreducible.
+def _tables(base, modulus: tuple[int, ...]):
+    """(exp, log, zech) for the field base[X]/(modulus); the modulus must be
+    monic irreducible over base.
 
-    For s > 1 the builder multiplies base-p digit vectors as polynomials
-    over F_p, reduced by the modulus, with the polynomial kernels.
+    base is the coefficient field, a GF of r elements, or the prime p for
+    F_p itself, whose tables are the ones being built.  With d = deg
+    modulus the field has r**d elements, and sum(c_i * X**i) is encoded as
+    sum(c_i * r**i), each digit c_i in base's encoding.  A base-r digit is
+    base-p digits, so over F_p this is the encoding of GF(p, d), and over
+    any base 1 + x touches base-p digit 0 alone.  Products multiply digit
+    vectors as polynomials over base, reduced by the modulus, with the
+    polynomial kernels; over F_p itself d is 1 and a product is one
+    product mod p.
     """
-    q = p**s
-    n = q - 1
-
-    if s == 1:
+    if isinstance(base, int):
+        p = r = q = base
 
         def mul(a, b):
             return a * b % p
@@ -79,36 +92,39 @@ def _tables(p: int, s: int, modulus: tuple[int, ...]):
     else:
         from . import poly  # deferred; poly imports this module
 
-        prime = GF(p)
+        p, r, d = base.p, base.q, len(modulus) - 1
+        q = r**d
 
         def digits(a):
             out = []
-            for _ in range(s):
-                a, r = divmod(a, p)
-                out.append(r)
+            for _ in range(d):
+                a, c = divmod(a, r)
+                out.append(c)
             return out
 
         def mul(a, b):
             out = 0
-            for d in reversed(poly._mulmod_list(prime, digits(a), digits(b), modulus)):
-                out = out * p + d
+            for c in reversed(poly._mulmod_list(base, digits(a), digits(b), modulus)):
+                out = out * r + c
             return out
 
+    n = q - 1
+
     def power(a, e):
-        r = 1
+        acc = 1
         while e:
             if e & 1:
-                r = mul(r, a)
+                acc = mul(acc, a)
             a = mul(a, a)
             e >>= 1
-        return r
+        return acc
 
-    cofactors = [n // r for r in prime_factors(n)]
+    cofactors = [n // f for f in prime_factors(n)]
     for g in range(1, q):
         if all(power(g, c) != 1 for c in cofactors):
             break
     else:
-        raise InternalCheckError(f"no primitive element modulo {modulus} over F_{p}")
+        raise InternalCheckError(f"no primitive element modulo {modulus} over F_{r}")
     powers = [1]
     for _ in range(n - 1):
         powers.append(mul(g, powers[-1]))  # g first: the product skips its zero digits
@@ -116,9 +132,9 @@ def _tables(p: int, s: int, modulus: tuple[int, ...]):
     for k, x in enumerate(powers):
         log[x] = k
     if None in log[1:]:
-        raise InternalCheckError(f"powers of {g} miss part of GF({q})")
+        raise InternalCheckError(f"powers of {g} miss part of a field of {q} elements")
     zech = None
-    if p != 2 and s > 1:
+    if p != 2 and q != p:
         # 1 + x only touches digit 0 of the encoding
         zech = [-1 if x == p - 1 else log[x + 1 if x % p != p - 1 else x + 1 - p] for x in powers]
         zech += zech
@@ -166,7 +182,7 @@ class GF:
 
             if not poly.is_irreducible(poly.Poly(GF(self.p), mod)):
                 raise ValueError("modulus is reducible over F_p")
-        exp, log, zech = _tables(self.p, self.s, mod)
+        exp, log, zech = _tables(GF(self.p) if self.s > 1 else self.p, mod)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "exp_table", exp)
         object.__setattr__(self, "log_table", log)

@@ -9,13 +9,15 @@ and an exact word-bounded global search doubles as an oracle for the
 certified results.  The probe of iterated-factorial Frobenius powers
 watches a canonical convergent sequence stabilize at finite precision.
 
-The global search runs its word box on residues modulo one auxiliary
-irreducible base that divides no input, and confirms each hit in exact
-arithmetic, so it returns exactly what the plain exact search returns.
-As an oracle it still shares with the solver the field, polynomial and
-rational-function arithmetic (the coefficient-list kernels, RatFunc
-products and quotients, the memoized irreducibility test) and the
-generators and word_product of the group; it uses no derivative,
+The global search runs its word box in the residue field modulo one
+auxiliary irreducible base that divides no input, on that field's exp
+and log tables, and confirms each hit in exact arithmetic, so it returns
+exactly what the plain exact search returns.  As an oracle it still
+shares with the solver the field, polynomial and rational-function
+arithmetic (the coefficient-list kernels, RatFunc products and
+quotients, the memoized irreducibility test), the field's table builder,
+which builds its residue field's tables as it builds those of GF(p, s),
+and the generators and word_product of the group; it uses no derivative,
 elimination, representative set or membership test.
 
 Nothing here factors, and every residue takes one route on coefficient
@@ -30,10 +32,12 @@ search's inputs: the generators' residues, -b_i/b_M and rhs/b_M.
 residue_group, sl_search, verify_obstruction and closure_probe take their
 residues at a Modulus this way (_modulus_residues); the obstruction scan
 keeps the pairs of each base's test for e = 1 and builds each base**e
-from base**(e-1) by one product, and the global search takes its inputs
-from the pairs of the test that kept its auxiliary base.  No RatFunc or
-Poly is built per modulus, and the scan's search returns raw residues,
-which only sl_search turns into a witness.
+from base**(e-1) by one product, and it keeps each base's inverses too,
+lifting them from base**(e-1) to base**e by one Newton step each
+(_lift_inverse) instead of a new extended Euclid.  The global search
+takes its residues from the pairs of the test that kept its auxiliary
+base, as logs.  No RatFunc or Poly is built per modulus, and the scan's
+search returns raw residues, which only sl_search turns into a witness.
 
 The image is listed by cosets of the subgroups generated step by step,
 with the products on coefficient tuples, and kept as an element-to-word
@@ -50,10 +54,11 @@ errors.DEFAULT_BOX_LIMIT.
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import errors
-from .field import GF
+from .field import GF, _tables
 from .poly import (
     Poly,
     _add_list,
@@ -62,6 +67,7 @@ from .poly import (
     _mul_list,
     _mulmod_list,
     _neg_list,
+    _sub_list,
     _trim,
     is_irreducible,
     monic_irreducibles,
@@ -174,31 +180,63 @@ def _modulus_residues(field: GF, m: Modulus, elements, what: str) -> list:
     return pairs if m.exponent == 1 else _unit_residues(field, elements, m.poly.coeffs)
 
 
+def _times(field: GF, x, u, mod) -> list:
+    """x * u modulo mod, trimmed; x itself when u is the residue 1."""
+    return x if u == [1] else _trim(_mulmod_list(field, x, u, mod))
+
+
 def _quotient(field: GF, pair, mod) -> list:
     """The residue num/den modulo mod of a residue pair (num, den), trimmed:
     den's inverse is an extended Euclid on coefficient lists
     (_invmod_list), skipped for the residue 1."""
     num, den = pair
-    if den == [1]:
-        return num
-    return _trim(_mulmod_list(field, num, _invmod_list(field, den, mod), mod))
+    return _times(field, num, den if den == [1] else _invmod_list(field, den, mod), mod)
 
 
-def _search_inputs(field: GF, pairs, n: int, rhs: int, mod) -> tuple[list, list, list]:
+def _lift_inverse(field: GF, a, u, mod) -> list:
+    """The inverse of a modulo mod, trimmed, from its inverse u modulo a
+    divisor m of mod with mod | m**2, by one Newton step u * (2 - a*u):
+    1 - a*u is a multiple of m, and 1 - a*u*(2 - a*u) = (1 - a*u)**2.
+    """
+    au = _mulmod_list(field, a, u, mod)
+    return _trim(_mulmod_list(field, u, _sub_list(field, [2 % field.p], au), mod))
+
+
+def _inverses(field: GF, pairs, n: int, mod, lift=None) -> list:
+    """The inverses modulo mod that _search_inputs divides by, trimmed: of
+    each pair's den, then of b_M's num when there are coefficients.  The
+    residue 1 is its own inverse; every other is an extended Euclid on
+    coefficient lists (_invmod_list), or, given lift, the same inverses
+    modulo base**(e-1) where mod is base**e with e >= 2, a Newton step
+    from each of them (_lift_inverse).
+    """
+    units = [den for _, den in pairs]
+    if len(pairs) > n:
+        units.append(pairs[-1][0])
+    if lift is None:
+        return [a if a == [1] else _invmod_list(field, a, mod) for a in units]
+    return [a if a == [1] else _lift_inverse(field, a, u, mod) for a, u in zip(units, lift)]
+
+
+def _search_inputs(field: GF, pairs, n: int, rhs: int, mod, inverses=None) -> tuple[list, list, list]:
     """The search's inputs modulo mod, from the residue pairs (num, den) of
-    the n generators and then of b_1..b_M: the generator steps num/den as
+    the n generators and then of b_1..b_M, and their inverses (_inverses,
+    computed here when not given): the generator steps num/den as
     coefficient tuples, the lists c_i of -b_i/b_M for the first M - 1
     coordinates, and t of rhs/b_M, so that the last coordinate is
-    t + sum(c_i * x_i).  With no coefficients, c and t are empty.  Each
-    residue is one _quotient.
+    t + sum(c_i * x_i).  With no coefficients, c and t are empty.
     """
-    steps = [tuple(_quotient(field, pair, mod)) for pair in pairs[:n]]
+    if inverses is None:
+        inverses = _inverses(field, pairs, n, mod)
+    steps = [tuple(_times(field, num, u, mod)) for (num, _), u in zip(pairs[:n], inverses)]
     if len(pairs) == n:
         return steps, [], []
-    num, den = pairs[-1]
-    inv_last = _quotient(field, (den, num), mod)
+    inv_last = _times(field, pairs[-1][1], inverses[-1], mod)
     neg_inv = _neg_list(field, inv_last)
-    scaled = [_trim(_mulmod_list(field, _quotient(field, p, mod), neg_inv, mod)) for p in pairs[n:-1]]
+    scaled = [
+        _trim(_mulmod_list(field, _times(field, num, u, mod), neg_inv, mod))
+        for (num, _), u in zip(pairs[n:-1], inverses[n:])
+    ]
     return steps, scaled, inv_last if rhs else []
 
 
@@ -327,7 +365,9 @@ def find_local_obstruction(
     generator or coefficient (_unit_residues, so nothing is factored).  The
     remainders of that test are the residue pairs at e = 1; at e >= 2 each
     numerator and denominator is reduced modulo base**e, built from
-    base**(e-1) by one product when the scan reaches it.
+    base**(e-1) by one product when the scan reaches it, and the inverses
+    the search's inputs divide by are lifted from base**(e-1) by one
+    Newton step each (_inverses).
     Each residue group is searched while it is listed (_first_solution), so
     a modulus with a solution stops at the first one, and an obstruction's
     group_size is the full count |H|.  A running total counts the residue
@@ -351,7 +391,7 @@ def find_local_obstruction(
 
     # degree -> its bases that keep every generator and coefficient a unit,
     # each as [base, base**e at the last exponent e scanned, the residue
-    # pairs of its unit test]
+    # pairs of its unit test, the inverses (_inverses) at that exponent]
     kept = {}
     for d, e in _moduli(deg_bound, e_bound):
         if e == 1:
@@ -361,14 +401,16 @@ def find_local_obstruction(
             for base in monic_irreducibles(field, d):
                 pairs = _unit_residues(field, elements, base.coeffs)
                 if pairs is not None:
-                    kept[d].append([base, base.coeffs, pairs])
+                    kept[d].append([base, base.coeffs, pairs, None])
         for entry in kept[d]:
-            base, mod, pairs = entry
+            base, mod, pairs, inverses = entry
             charge(d * e)
             if e > 1:
                 mod = entry[1] = tuple(_mul_list(field, mod, base.coeffs))
                 pairs = _unit_residues(field, elements, mod)
-            args = _search_inputs(field, pairs, n, eq.rhs, mod)
+            # lifted from base**(e-1) for e >= 2
+            inverses = entry[3] = _inverses(field, pairs, n, mod, inverses)
+            args = _search_inputs(field, pairs, n, eq.rhs, mod, inverses)
             hit, listed = _first_solution(field, *args, mod)
             if hit is None:
                 return ObstructionWitness(Modulus(base, e), listed)
@@ -378,13 +420,21 @@ def find_local_obstruction(
 
 def _residue_bases(field: GF):
     """Monic irreducibles with a nonzero constant term, degree by degree from
-    the least d with q**d >= _RESIDUE_FIELD_SIZE, each degree in sort-key order.
+    the least d with q**d >= _RESIDUE_FIELD_SIZE, each degree in sort-key
+    order.  Where that q**d would pass errors.MAX_FIELD_ORDER, d is 1 and
+    the residue field is F_q itself; a degree whose residue field would
+    pass the bound is refused with ResourceLimitError when the scan reaches
+    it, so every residue field's tables keep the bound of every GF table.
     """
-    q = field.q
+    q, bound = field.q, errors.MAX_FIELD_ORDER
     d = 1
     while q**d < _RESIDUE_FIELD_SIZE:
         d += 1
+    if q**d > bound:
+        d = 1
     for degree in itertools.count(d):
+        if q**degree > bound:
+            errors.refuse("residue field order", q**degree, bound)
         for low in itertools.product(range(1, q), *[range(q)] * (degree - 1)):
             base = Poly(field, low + (1,))
             if is_irreducible(base):
@@ -397,6 +447,31 @@ def _first_residue_base(field: GF) -> tuple:
     return next(_residue_bases(field)).coeffs
 
 
+def _residue_field(field: GF, mod) -> tuple:
+    """The exp and log tables of the residue field F_q[T]/(mod) at a residue
+    base mod, and its sum, on residues encoded as sum(c_i * q**i).
+
+    At a degree-1 base the residue field is F_q, and the field's own tables
+    and sum serve.  Otherwise the tables are the field table builder's
+    (field._tables, which memoizes them per (field, mod)), and sums are XOR
+    for p == 2 and Zech sums for odd p.
+    """
+    if len(mod) == 2:
+        return field.exp_table, field.log_table, field.add
+    exp, log, zech = _tables(field, tuple(mod))
+    if zech is None:  # p == 2
+        return exp, log, operator.xor
+
+    def add(a, b):
+        if not a or not b:
+            return a or b
+        la = log[a]
+        z = zech[log[b] - la]
+        return 0 if z < 0 else exp[la + z]
+
+    return exp, log, add
+
+
 def _residue_modulus(field: GF, elements) -> tuple[tuple, list]:
     """The first residue base that divides no numerator or denominator of
     the elements, as a coefficient tuple, with the residue pairs of the
@@ -406,7 +481,8 @@ def _residue_modulus(field: GF, elements) -> tuple[tuple, list]:
     built from the elements and their inverses, so equal values have equal
     residues.  The memoized first base almost always qualifies; past it
     the scan resumes at the next base, each base tested once, and it ends
-    because the elements have finitely many places.
+    because the elements have finitely many places (or is refused at a
+    residue field past the bound, _residue_bases).
     """
     first = _first_residue_base(field)
     for mod in itertools.chain([first], (b.coeffs for b in _residue_bases(field) if b.coeffs != first)):
@@ -421,23 +497,28 @@ def sg_search(
     """All exact solutions with per-coordinate words in [-B, B]**generators.
 
     This is the independent oracle for the certified solver: plain word
-    enumeration, no derivatives, no elimination and no membership test.
+    enumeration, which shares the field's arithmetic and table builder
+    with the solver but uses no derivative, elimination, representative
+    set or membership test.
     The last coordinate is solved for and looked up among the values of
     the word box, which finds exactly the solutions of the full box
     enumeration.  Each value of the box appears once, with its first word
     in itertools.product order, and the points come in itertools.product
     order over those values.
 
-    The box is searched on residues modulo one auxiliary irreducible base
-    f (see _residue_modulus) and each hit is confirmed exactly.  The inputs
-    (_search_inputs) come from the residues that f's unit test left, and
-    the residues, buckets and needs are coefficient tuples.  The words are
-    bucketed by residue, and exact values (word_product, memoized) are
-    built only to tell apart the words of one bucket.  A box point over
-    the first M - 1 coordinates costs M - 1 modular products; one whose
-    last coordinate needs a residue that lands in a bucket is rebuilt in
-    exact arithmetic and compared with that bucket's values.  Equal values
-    have equal residues, so no solution is lost.  The word box is charged
+    The box is searched in the residue field modulo one auxiliary
+    irreducible base f (see _residue_modulus), on its exp and log tables
+    (_residue_field), and each hit is confirmed exactly.  The residues
+    that f's unit test left become logs: a generator's is l_i, a word's
+    residue is sum(e_i * l_i) mod N, and the coefficients give the logs of
+    c_i = -b_i/b_M and the encoded t = rhs/b_M, so that the last coordinate
+    is t + sum(c_i * x_i).  The words are bucketed by encoded residue, and
+    exact values (word_product, memoized) are built only to tell apart the
+    words of one bucket.  A box point over the first M - 1 coordinates
+    costs M - 1 table products c_i * x_i = exp[log c_i + log x_i] and as
+    many sums; one whose need lands in a bucket is rebuilt in exact
+    arithmetic and compared with that bucket's values.  Equal values have
+    equal residues, so no solution is lost.  The word box is charged
     before any of this work.
     """
     if word_bound < 1:
@@ -447,41 +528,45 @@ def sg_search(
     if box > errors.DEFAULT_BOX_LIMIT:
         errors.refuse("word box", box, errors.DEFAULT_BOX_LIMIT)
     field = group.field
+    q = field.q
     mod, pairs = _residue_modulus(field, group.generators + eq.b)
-    steps, scaled, target = _search_inputs(field, pairs, n, eq.rhs, mod)
+    exp, log, add = _residue_field(field, mod)
+    order = len(log) - 1
+
+    def log_of(residue):
+        code = 0
+        for c in reversed(residue):
+            code = code * q + c
+        return log[code]
+
+    logs = [(log_of(num) - log_of(den)) % order for num, den in pairs]
+    lb = logs[-1]  # of b_M
+    # -1 is g**(N/2) for odd p, and 1 for p == 2
+    minus = order // 2 if field.p != 2 else 0
+    scaled = [(x - lb + minus) % order for x in logs[n:-1]]
+    target = exp[order - lb] if eq.rhs else 0
     exponents = range(-word_bound, word_bound + 1)
-    # each word with its residue, in itertools.product order
-    table = [((), (1,))]
-    for g in steps:
-        powers = {}
-        for sign, step in ((1, g), (-1, _invmod_list(field, g, mod))):
-            power = (1,)
-            for e in range(1, word_bound + 1):
-                power = tuple(_trim(_mulmod_list(field, power, step, mod)))
-                powers[sign * e] = power
-        table = [
-            (w + (e,), x if e == 0 else tuple(_trim(_mulmod_list(field, x, powers[e], mod))))
-            for w, x in table
-            for e in exponents
-        ]
+    # each word with the log of its residue, in itertools.product order
+    table = [((), 0)]
+    for step in logs[:n]:
+        table = [(w + (e,), (x + e * step) % order) for w, x in table for e in exponents]
 
     value = functools.cache(group.word_product)
-    # the first word of each distinct value, bucketed by residue
-    buckets: dict[tuple, list[tuple[int, ...]]] = {}
+    # the first word of each distinct value, bucketed by encoded residue
+    buckets: dict[int, list[tuple[int, ...]]] = {}
     entries = []
     for word, x in table:
-        bucket = buckets.setdefault(x, [])
+        bucket = buckets.setdefault(exp[x], [])
         if not any(value(w) == value(word) for w in bucket):
             bucket.append(word)
             entries.append((x, word))
     rhs = RatFunc.constant(field, eq.rhs)
     found = []
     for prefix in itertools.product(entries, repeat=len(scaled)):
-        # each term is reduced, so their sum is too
         need = target
         for c, (x, _) in zip(scaled, prefix):
-            need = _add_list(field, need, _mulmod_list(field, c, x, mod))
-        bucket = buckets.get(tuple(_trim(need)))
+            need = add(need, exp[c + x])
+        bucket = buckets.get(need)
         if bucket is None:
             continue
         coords = tuple(value(w) for _, w in prefix)

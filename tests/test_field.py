@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from ffunits import GF, errors, field
@@ -213,6 +215,32 @@ def test_tables_are_shared_and_not_fields():
     assert GF(2, 2, (1, 1, 1)).zech_table is None and GF(5).zech_table is None
 
 
+# sha256 of repr((exp_table, log_table, zech_table)) for every field the
+# tests and the benchmark build, and GF(2^8), the residue-degree cap's case
+PINNED_TABLES = {
+    (2, 1, ()): "aa34b57663717a340a4e3cdb39c5d7e7aa9dca593c4c7304d7f0f9aabf928953",
+    (3, 1, ()): "343f9f0d1d43688a11c84e8ce29767f48be3be80fc6b4a43c3b48e7d765fc4ee",
+    (5, 1, ()): "2649d07993013d471c673432f3672fd111522bde43ad49cd32bd4a7451616bba",
+    (7, 1, ()): "01ffacdd96abd010fb7c8ed43d4e62ee90caa8c5472e41a98440e05702368403",
+    (65521, 1, ()): "eb97bdb5acac0054bc920507a81575289eb82198f94a5adc27aaaebfbf056976",
+    (2, 2, (1, 1, 1)): "d651c4a32c2b94a888af2230f910615d749101783a2e3577936e75bf82b0df59",
+    (2, 3, (1, 1, 0, 1)): "dc93da2fb65d3288ec6049cafa172eaf0463cac474d125f5ed8d81952f9a2ed3",
+    (2, 4, (1, 1, 1, 1, 1)): "b1c6fe908313bf1e4055c08e7ad634a3b2c1e1295edc79bc629b6b21e65a8fa0",
+    (3, 2, (1, 0, 1)): "7501452ba994f33cd739eab7d34026996a8c861262f5bcf2db0d7ed6a9ff96b0",
+    (3, 2, (2, 2, 1)): "ebf9ef472c77bb82b203503f0e710afc490eab764e512bb58a5c460e0a7755a3",
+    (5, 2, (2, 0, 1)): "2253e67e88acd1aa9c7a5cf42ecb742741cd106685639933457c21c4d13c2093",
+    (3, 3, (1, 2, 0, 1)): "3ab86fd8ab57fcf5c2d52b59ca45dbe91fbe7cfc6b859b0fa7779556e7c2ae29",
+    (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)): "a3716abf932bd3509ccc5007d388c34cdd10ceeb0b43e52acd1727aec968f996",
+}
+
+
+@pytest.mark.parametrize("key", PINNED_TABLES, ids=lambda key: "-".join(map(str, key[:2] + key[2])))
+def test_tables_are_pinned(key):
+    f = GF(*key)
+    text = repr((f.exp_table, f.log_table, f.zech_table))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TABLES[key]
+
+
 def test_reducible_modulus_is_refused_before_tables(monkeypatch):
     reducible = [
         (2, 2, (0, 0, 1)),  # X^2
@@ -227,11 +255,12 @@ def test_reducible_modulus_is_refused_before_tables(monkeypatch):
     for p, s, modulus in reducible:
         with pytest.raises(ValueError, match="reducible"):
             GF(p, s, modulus)
-    assert all(s == 1 for _, s, _ in built)
+    # only prime fields, keyed by p, had their tables built
+    assert all(isinstance(base, int) for base, _ in built)
     # the builder itself stops, with no primitive element to find
     for p, s, modulus in reducible:
         with pytest.raises(InternalCheckError):
-            real(p, s, modulus)
+            real(GF(p), modulus)
 
 
 def test_field_order_bound(monkeypatch):

@@ -22,11 +22,11 @@ from ffunits import (
     sg_search,
     sl_search,
 )
-from ffunits import errors, localprobe, ratfunc
+from ffunits import errors, field, localprobe, poly, ratfunc
 from ffunits.errors import ResourceLimitError
 from ffunits.cli import run_cli
 from ffunits.localprobe import ObstructionWitness, verify_obstruction
-from ffunits.poly import monic_irreducibles
+from ffunits.poly import _add_list, _divmod_list, _invmod_list, _mul_list, _mulmod_list, _trim, monic_irreducibles
 from ffunits.unitgroup import closure
 
 from conftest import el, mulmod, pl, rand_ratfunc, reduce_mod
@@ -642,11 +642,13 @@ def test_sg_search_resource_guard(F3, monkeypatch):
     def work(*args):
         raise AssertionError("work before the word-box refusal")
 
-    # the refusal comes before any residue base is chosen or tested, and
-    # before any element is reduced or any search input built
+    # the refusal comes before any residue base is chosen or tested, before
+    # any element is reduced or any search input built, and before any
+    # residue field's tables are built
     names = ("_residue_modulus", "_first_residue_base", "_residue_bases", "_unit_residues", "_search_inputs")
-    for name in names + ("_mulmod_list",):
+    for name in names + ("_mulmod_list", "_residue_field", "_tables"):
         monkeypatch.setattr(localprobe, name, work)
+    monkeypatch.setattr(field, "_tables", work)
     with pytest.raises(ResourceLimitError, match="word box"):
         sg_search(Equation((RatFunc.one(F3), RatFunc.one(F3)), 0), g3, 8)
 
@@ -693,6 +695,157 @@ def test_sg_search_tests_each_auxiliary_base_once(F3, monkeypatch):
             tested.clear()
             assert sg_search(eq, group, bound)
             assert tested == bases
+
+
+# GF(2), GF(3), GF(4) and GF(9)
+SMALL_FIELDS = (GF(2), GF(3), GF(2, 2, (1, 1, 1)), GF(3, 2, (1, 0, 1)))
+
+
+def _field_id(f):
+    return f"GF({f.q})"
+
+
+def _encode(f, residue):
+    code = 0
+    for c in reversed(residue):
+        code = code * f.q + c
+    return code
+
+
+def _decode(f, code, degree):
+    out = []
+    for _ in range(degree):
+        code, c = divmod(code, f.q)
+        out.append(c)
+    return _trim(out)
+
+
+@pytest.mark.parametrize("f", SMALL_FIELDS, ids=_field_id)
+def test_residue_field_tables(f):
+    """At the first residue base and at the first and last base of each
+    degree 1 to 3, the residue field's exp and log invert each other, and
+    its products and sums on the base-q encoding match _mulmod_list and
+    _add_list on coefficient lists.  At a degree-1 base the builder gives
+    the field's own tables, which serve there."""
+    rng = random.Random(41)
+    bases = [localprobe._first_residue_base(f)]
+    for d in (1, 2, 3):
+        irreducibles = monic_irreducibles(f, d)
+        bases += [irreducibles[0].coeffs, irreducibles[-1].coeffs]
+    for mod in bases:
+        degree = len(mod) - 1
+        size = f.q**degree
+        assert size <= errors.MAX_FIELD_ORDER
+        exp, log, add = localprobe._residue_field(f, mod)
+        n = size - 1
+        assert len(exp) == 2 * n and len(log) == size and log[0] is None
+        assert exp[:n] == exp[n:] and sorted(exp[:n]) == list(range(1, size))
+        assert all(log[exp[k]] == k for k in range(n))
+        if degree == 1:
+            assert exp is f.exp_table
+            assert field._tables(f, mod) == (f.exp_table, f.log_table, f.zech_table)
+        for _ in range(300):
+            a, b = rng.randrange(size), rng.randrange(size)
+            la, lb = _decode(f, a, degree), _decode(f, b, degree)
+            assert add(a, b) == _encode(f, _trim(_add_list(f, la, lb)))
+            if a and b:
+                assert exp[log[a] + log[b]] == _encode(f, _trim(_mulmod_list(f, la, lb, mod)))
+
+
+def test_residue_degree_is_capped_by_the_field_order_bound():
+    """The least d with q**d >= 2**10 would give GF(257) a residue field of
+    257**2 > 2**16 elements, so its residue bases have degree 1 and the
+    field's own tables serve; GF(2**8) keeps d = 2, 2**16 elements.  Each
+    hit is confirmed exactly, so the results are the plain search's."""
+    from test_properties import plain_sg_search  # the exact oracle
+
+    for f, degree in ((GF(257), 1), (GF(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)), 2)):
+        assert len(localprobe._first_residue_base(f)) - 1 == degree
+        t, one = RatFunc.t(f), RatFunc.one(f)
+        group = build_presentation((t, one - t))
+        eqs = (Equation((one, one), 1), Equation((t, one), 0), Equation((one, -one, t), 1))
+        found = [sg_search(eq, group, 1) for eq in eqs]
+        assert found == [plain_sg_search(eq, group, 1) for eq in eqs] and found[0]
+
+
+def test_residue_bases_stop_at_the_field_order_bound(F3, monkeypatch):
+    """A degree whose residue field would pass errors.MAX_FIELD_ORDER is
+    refused when the scan reaches it, not listed."""
+    monkeypatch.setattr(localprobe, "_RESIDUE_FIELD_SIZE", 3)
+    monkeypatch.setattr(errors, "MAX_FIELD_ORDER", 8)
+    bases = localprobe._residue_bases(F3)
+    assert [next(bases).coeffs for _ in range(2)] == [(1, 1), (2, 1)]
+    with pytest.raises(ResourceLimitError, match="residue field order 9"):
+        next(bases)
+
+
+@pytest.mark.parametrize("f", SMALL_FIELDS, ids=_field_id)
+def test_sg_search_box_runs_on_tables(f, monkeypatch):
+    """Once the residue field's tables exist, the word box makes no modular
+    product or inverse on coefficient lists."""
+    t, one = RatFunc.t(f), RatFunc.one(f)
+    group = build_presentation((t, one - t))
+    eqs = (Equation((one, one), 1), Equation((one, -one), 0), Equation((t, one, one), 1))
+    want = [sg_search(eq, group, 2) for eq in eqs]  # builds or finds the tables
+    assert want[0]
+
+    def work(*args):
+        raise AssertionError("a product or inverse on coefficient lists")
+
+    for module in (localprobe, poly):
+        for name in ("_mulmod_list", "_invmod_list"):
+            monkeypatch.setattr(module, name, work)
+    assert [sg_search(eq, group, 2) for eq in eqs] == want
+
+
+@pytest.mark.parametrize("f", SMALL_FIELDS, ids=_field_id)
+def test_lifted_inverses_match_extended_euclid(f):
+    """One Newton step lifts an inverse modulo base**(e-1) to base**e: at
+    base**2 and base**3 it equals the extended Euclid's inverse."""
+    rng = random.Random(37)
+    for base in monic_irreducibles(f, 1)[:2] + monic_irreducibles(f, 2)[:2]:
+        b = list(base.coeffs)
+        m2 = _mul_list(f, b, b)
+        m3 = _mul_list(f, m2, b)
+        units = 0
+        while units < 10:
+            a = [rng.randrange(f.q) for _ in range(len(m3) - 1)]
+            if not _trim(_divmod_list(f, list(a), b)[1]):
+                continue  # base divides a
+            units += 1
+            u = _invmod_list(f, a, b)
+            for m in (m2, m3):
+                a_m = _trim(_divmod_list(f, list(a), m)[1])
+                u = localprobe._lift_inverse(f, a_m, u, m)
+                assert u == _invmod_list(f, a, m)
+
+
+def test_obstruction_scan_lifts_its_inverses(F3, monkeypatch):
+    """The scan takes an extended Euclid only at its irreducible moduli: at
+    base**e with e >= 2 every inverse is lifted from base**(e-1)."""
+    moduli, lifted = [], []
+    euclid, lift = localprobe._invmod_list, localprobe._lift_inverse
+
+    def recording_euclid(f, a, mod):
+        moduli.append(tuple(mod))
+        return euclid(f, a, mod)
+
+    def recording_lift(f, a, u, mod):
+        lifted.append(tuple(mod))
+        return lift(f, a, u, mod)
+
+    monkeypatch.setattr(localprobe, "_invmod_list", recording_euclid)
+    monkeypatch.setattr(localprobe, "_lift_inverse", recording_lift)
+    group = build_presentation((el(F3, "T^2+T+2"), RatFunc.t(F3)))
+    eq = Equation((el(F3, "T+1"), el(F3, "T^2")), 0)
+    witness = find_local_obstruction(eq, group, 2, 3)
+    assert witness.modulus == Modulus(pl(F3, "T^2+1"), 2) and witness.group_size == 24
+    bases = {b.coeffs for d in (1, 2) for b in monic_irreducibles(F3, d)}
+    assert moduli and set(moduli) <= bases
+    # lifted at the squares and cubes of the linear bases, and at the witness
+    powers = {Modulus(b, e).poly.coeffs for b in monic_irreducibles(F3, 1) for e in (2, 3)}
+    assert lifted and set(lifted) <= powers | {witness.modulus.poly.coeffs}
+    assert witness.modulus.poly.coeffs in lifted
 
 
 def test_unit_checks_take_no_valuation(F2, F3, monkeypatch):
