@@ -12,8 +12,9 @@ json.dump(doc, stdout, indent=2), so no report-sized string is built, and
 solve renders each distinct element once per report.  Exit codes: 0
 success or certified answer, 1 internal fault, 2 sound non-answer
 (inapplicable or nothing found), 3 input error, 4 resource limit.  Input
-errors are raised only while parsing and validating (probe's unit test of
-its element is closure_probe's own), so any other exception reaching
+errors are raised only while parsing and validating (probe's checks of
+its n_max, charge, exponent and base, each made once, and its unit test
+of its element are closure_probe's own), so any other exception reaching
 run_cli, also one raised while the report is written (which may then be
 cut short), is a fault in this package.  A reader
 that closes stdout before the report ends (as ``| head`` does) is none:
@@ -36,7 +37,7 @@ from .errors import InputError, InternalCheckError, ResourceLimitError
 from .exprio import parse_element, poly_text, print_expr, split_exprs
 from .field import GF
 from .poly import factor
-from .ratfunc import Modulus, RatFunc
+from .ratfunc import RatFunc
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -330,20 +331,13 @@ def _cmd_probe(args, field: GF) -> tuple[dict, int]:
         raise InputError("the modulus base must be a polynomial")
     if base.is_zero:
         raise InputError("the modulus base must be a nonzero polynomial")
-    _at_least("n_max", args.n_max, 1)
-    # the bounds need only deg(base), so a base too large to probe is
-    # refused before Modulus tests it for irreducibility
-    localprobe.check_probe_bounds(field.q, base.num.degree(), args.e, args.n_max)
-    try:
-        modulus = Modulus(base.num.monic()[0], args.e)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    report = localprobe.closure_probe(g, modulus, args.n_max)
+    base = base.num.monic()[0]
+    report = localprobe.closure_probe(g, base, args.e, args.n_max)
     doc = {
         "outcome": "stabilized" if report.settled else "undetermined",
         "field": _field_json(field),
         "element": print_expr(g),
-        "modulus": {"base": poly_text(modulus.base), "exponent": modulus.exponent},
+        "modulus": {"base": poly_text(base), "exponent": args.e},
         "residues": [poly_text(r) for r in report.residues],
         "stable_index": report.stable_index,
         "stable_value": poly_text(report.stable_value),

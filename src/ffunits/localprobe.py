@@ -25,19 +25,22 @@ lists.  A base is tested by dividing each numerator and denominator of
 the inputs by it (_unit_residues): a zero remainder means the base
 divides one, and otherwise the remainders are the residue pairs
 (num, den) at exponent 1.  At a higher exponent e each numerator and
-denominator is reduced modulo base**e instead.  One quotient step
-(_quotient, an extended Euclid on coefficient lists for the inverse)
-turns a pair into a residue, and _search_inputs turns the pairs into the
-search's inputs: the generators' residues, -b_i/b_M and rhs/b_M.
+denominator is reduced modulo base**e instead.  Every input of a search
+is then one quotient step num * den**-1 (_quotients, the inverse an
+extended Euclid on coefficient lists): the generators' steps; 1/b_M,
+which is rhs/b_M when rhs is 1, since b_M enters as its reciprocal pair
+(den, num); and each -b_i/b_M, formed as -b_i times 1/b_M
+(_search_inputs), so no inverse of b_M's denominator is ever taken.
 residue_group, sl_search, verify_obstruction and closure_probe take their
 residues at a Modulus this way (_modulus_residues); the obstruction scan
 keeps the pairs of each base's test for e = 1 and builds each base**e
-from base**(e-1) by one product, and it keeps each base's inverses too,
-lifting them from base**(e-1) to base**e by one Newton step each
-(_lift_inverse) instead of a new extended Euclid.  The global search
-takes its residues from the pairs of the test that kept its auxiliary
-base, as logs.  No RatFunc or Poly is built per modulus, and the scan's
-search returns raw residues, which only sl_search turns into a witness.
+from base**(e-1) by one product, and it keeps the inverses each base's
+search divided by, lifting them from base**(e-1) to base**e by one
+Newton step each (_lift_inverse) instead of a new extended Euclid.  The
+global search takes its residues from the pairs of the test that kept
+its auxiliary base, as logs.  No RatFunc or Poly is built per modulus,
+and the scan's search returns raw residues, which only sl_search turns
+into a witness.
 
 The image is listed by cosets of the subgroups generated step by step,
 with the products on coefficient tuples, and kept as an element-to-word
@@ -180,19 +183,6 @@ def _modulus_residues(field: GF, m: Modulus, elements, what: str) -> list:
     return pairs if m.exponent == 1 else _unit_residues(field, elements, m.poly.coeffs)
 
 
-def _times(field: GF, x, u, mod) -> list:
-    """x * u modulo mod, trimmed; x itself when u is the residue 1."""
-    return x if u == [1] else _trim(_mulmod_list(field, x, u, mod))
-
-
-def _quotient(field: GF, pair, mod) -> list:
-    """The residue num/den modulo mod of a residue pair (num, den), trimmed:
-    den's inverse is an extended Euclid on coefficient lists
-    (_invmod_list), skipped for the residue 1."""
-    num, den = pair
-    return _times(field, num, den if den == [1] else _invmod_list(field, den, mod), mod)
-
-
 def _lift_inverse(field: GF, a, u, mod) -> list:
     """The inverse of a modulo mod, trimmed, from its inverse u modulo a
     divisor m of mod with mod | m**2, by one Newton step u * (2 - a*u):
@@ -202,42 +192,45 @@ def _lift_inverse(field: GF, a, u, mod) -> list:
     return _trim(_mulmod_list(field, u, _sub_list(field, [2 % field.p], au), mod))
 
 
-def _inverses(field: GF, pairs, n: int, mod, lift=None) -> list:
-    """The inverses modulo mod that _search_inputs divides by, trimmed: of
-    each pair's den, then of b_M's num when there are coefficients.  The
-    residue 1 is its own inverse; every other is an extended Euclid on
+def _quotients(field: GF, pairs, mod, lift=None) -> tuple[list, list]:
+    """The residues num/den modulo mod of residue pairs (num, den), trimmed,
+    with the inverses of their dens.  The residue 1 is its own inverse and
+    leaves num as it is; every other inverse is an extended Euclid on
     coefficient lists (_invmod_list), or, given lift, the same inverses
     modulo base**(e-1) where mod is base**e with e >= 2, a Newton step
     from each of them (_lift_inverse).
     """
-    units = [den for _, den in pairs]
-    if len(pairs) > n:
-        units.append(pairs[-1][0])
+    dens = [den for _, den in pairs]
     if lift is None:
-        return [a if a == [1] else _invmod_list(field, a, mod) for a in units]
-    return [a if a == [1] else _lift_inverse(field, a, u, mod) for a, u in zip(units, lift)]
+        inverses = [a if a == [1] else _invmod_list(field, a, mod) for a in dens]
+    else:
+        inverses = [a if a == [1] else _lift_inverse(field, a, u, mod) for a, u in zip(dens, lift)]
+    quotients = [
+        num if u == [1] else _trim(_mulmod_list(field, num, u, mod)) for (num, _), u in zip(pairs, inverses)
+    ]
+    return quotients, inverses
 
 
-def _search_inputs(field: GF, pairs, n: int, rhs: int, mod, inverses=None) -> tuple[list, list, list]:
+def _search_inputs(field: GF, pairs, n: int, rhs: int, mod, lift=None) -> tuple[tuple, list]:
     """The search's inputs modulo mod, from the residue pairs (num, den) of
-    the n generators and then of b_1..b_M, and their inverses (_inverses,
-    computed here when not given): the generator steps num/den as
+    the n generators and then of b_1..b_M, with the inverses they divided by
+    (_quotients, which takes lift): the generator steps num/den as
     coefficient tuples, the lists c_i of -b_i/b_M for the first M - 1
     coordinates, and t of rhs/b_M, so that the last coordinate is
-    t + sum(c_i * x_i).  With no coefficients, c and t are empty.
+    t + sum(c_i * x_i).  b_M enters as its reciprocal pair (den, num), so
+    its quotient is 1/b_M, which is t when rhs is 1, and each c_i is -b_i
+    times it.  With no coefficients, c and t are empty.
     """
-    if inverses is None:
-        inverses = _inverses(field, pairs, n, mod)
-    steps = [tuple(_times(field, num, u, mod)) for (num, _), u in zip(pairs[:n], inverses)]
+    if len(pairs) > n:
+        pairs = pairs[:-1] + [pairs[-1][::-1]]
+    residues, inverses = _quotients(field, pairs, mod, lift)
+    steps = [tuple(x) for x in residues[:n]]
     if len(pairs) == n:
-        return steps, [], []
-    inv_last = _times(field, pairs[-1][1], inverses[-1], mod)
+        return (steps, [], []), inverses
+    inv_last = residues[-1]
     neg_inv = _neg_list(field, inv_last)
-    scaled = [
-        _trim(_mulmod_list(field, _times(field, num, u, mod), neg_inv, mod))
-        for (num, _), u in zip(pairs[n:-1], inverses[n:])
-    ]
-    return steps, scaled, inv_last if rhs else []
+    scaled = [_trim(_mulmod_list(field, x, neg_inv, mod)) for x in residues[n:-1]]
+    return (steps, scaled, inv_last if rhs else []), inverses
 
 
 def residue_group(group: GeneratedGroup, m: Modulus) -> dict[Poly, tuple[int, ...]]:
@@ -248,7 +241,7 @@ def residue_group(group: GeneratedGroup, m: Modulus) -> dict[Poly, tuple[int, ..
     """
     field, mod = group.field, m.poly.coeffs
     pairs = _modulus_residues(field, m, group.generators, "generator")
-    steps = [tuple(_quotient(field, pair, mod)) for pair in pairs]
+    steps = [tuple(x) for x in _quotients(field, pairs, mod)[0]]
     return {Poly(field, x): w for x, w in _coset_listing(field, steps, mod)}
 
 
@@ -263,7 +256,7 @@ def sl_search(eq: Equation, group: GeneratedGroup, m: Modulus) -> SLWitness | No
     field, mod, n = group.field, m.poly.coeffs, len(group.generators)
     b_pairs = _modulus_residues(field, m, eq.b, "equation coefficient")
     pairs = _modulus_residues(field, m, group.generators, "generator") + b_pairs
-    hit = _first_solution(field, *_search_inputs(field, pairs, n, eq.rhs, mod), mod)[0]
+    hit = _first_solution(field, *_search_inputs(field, pairs, n, eq.rhs, mod)[0], mod)[0]
     if hit is None:
         return None
     residues, words = hit
@@ -329,7 +322,7 @@ def verify_obstruction(
     mod = m.poly.coeffs
     image = [x.coeffs for x in residue_group(group, m)]
     pairs = _modulus_residues(field, m, eq.b, "equation coefficient")
-    b_res = [_quotient(field, pair, mod) for pair in pairs]
+    b_res = _quotients(field, pairs, mod)[0]
     target = [1] if eq.rhs else []
     for combo in itertools.product(image, repeat=eq.arity):
         acc = []
@@ -366,8 +359,8 @@ def find_local_obstruction(
     remainders of that test are the residue pairs at e = 1; at e >= 2 each
     numerator and denominator is reduced modulo base**e, built from
     base**(e-1) by one product when the scan reaches it, and the inverses
-    the search's inputs divide by are lifted from base**(e-1) by one
-    Newton step each (_inverses).
+    the search's inputs divide by (_search_inputs) are lifted from
+    base**(e-1) by one Newton step each.
     Each residue group is searched while it is listed (_first_solution), so
     a modulus with a solution stops at the first one, and an obstruction's
     group_size is the full count |H|.  A running total counts the residue
@@ -391,7 +384,7 @@ def find_local_obstruction(
 
     # degree -> its bases that keep every generator and coefficient a unit,
     # each as [base, base**e at the last exponent e scanned, the residue
-    # pairs of its unit test, the inverses (_inverses) at that exponent]
+    # pairs of its unit test, the inverses its search divided by there]
     kept = {}
     for d, e in _moduli(deg_bound, e_bound):
         if e == 1:
@@ -408,9 +401,8 @@ def find_local_obstruction(
             if e > 1:
                 mod = entry[1] = tuple(_mul_list(field, mod, base.coeffs))
                 pairs = _unit_residues(field, elements, mod)
-            # lifted from base**(e-1) for e >= 2
-            inverses = entry[3] = _inverses(field, pairs, n, mod, inverses)
-            args = _search_inputs(field, pairs, n, eq.rhs, mod, inverses)
+            # the inverses are lifted from base**(e-1) for e >= 2
+            args, entry[3] = _search_inputs(field, pairs, n, eq.rhs, mod, inverses)
             hit, listed = _first_solution(field, *args, mod)
             if hit is None:
                 return ObstructionWitness(Modulus(base, e), listed)
@@ -581,43 +573,43 @@ def sg_search(
     return tuple(found)
 
 
-def check_probe_bounds(q: int, degree: int, exponent: int, n_max: int) -> None:
-    """Refuse with ResourceLimitError a probe of n_max terms over F_q modulo
-    base**exponent, base of the given degree, that is past its bounds.
-
-    One residue is kept per term, so n_max past errors.DEFAULT_GROUP_LIMIT
-    is refused, the bound on a listed residue group.  Each term is a powering modulo base**e, of degree
-    D = deg(base) * e, to an exponent below the unit group order, which has
-    about D * log2(q) bits; so the probe is charged
-    n_max * D**3 * q.bit_length(), an upper bound on its powering work, and
-    refused past errors.DEFAULT_BOX_LIMIT.  It needs only the degree of the base,
-    so a caller can apply it before the base is tested for irreducibility.
-    """
-    if n_max > errors.DEFAULT_GROUP_LIMIT:
-        errors.refuse("n_max", n_max, errors.DEFAULT_GROUP_LIMIT)
-    charge = n_max * (degree * exponent) ** 3 * q.bit_length()
-    if charge > errors.DEFAULT_BOX_LIMIT:
-        errors.refuse("probe charge", charge, errors.DEFAULT_BOX_LIMIT)
-
-
-def closure_probe(g: RatFunc, m: Modulus, n_max: int) -> StabilizationReport:
-    """Residues of g**(p**(n!)) for n = 1..n_max, with the stabilization index.
+def closure_probe(g: RatFunc, base: Poly, exponent: int, n_max: int) -> StabilizationReport:
+    """Residues of g**(p**(n!)) for n = 1..n_max modulo base**exponent, with
+    the stabilization index.
 
     The factorial-power exponent is never materialized: it is tracked
     modulo the residue-ring unit group order through the recurrence
-    p**(n!) = (p**((n-1)!))**n.  The probe is held to check_probe_bounds
-    before any powering, and a g that is zero or not a unit at m.base is
-    refused with InputError (_modulus_residues).
+    p**(n!) = (p**((n-1)!))**n.  Each input is checked once, before any
+    powering, in this order.  First n_max >= 1.  Then the bounds, which
+    need only deg(base), so a base too large to probe is refused before
+    its irreducibility test: one residue is kept per term, so n_max past
+    errors.DEFAULT_GROUP_LIMIT is refused, the bound on a listed residue
+    group; and each term is a powering modulo base**exponent, of degree
+    D = deg(base) * exponent, to an exponent below the unit group order,
+    which has about D * log2(q) bits, so the probe is charged
+    n_max * D**3 * q.bit_length(), an upper bound on its powering work, and
+    refused past errors.DEFAULT_BOX_LIMIT.  Then the modulus (Modulus: the
+    exponent >= 1 and the base monic irreducible), and last g, which must
+    be a unit at the base (_modulus_residues).  The bounds refuse with
+    ResourceLimitError; a bad n_max, exponent, base or g with InputError
+    (a ValueError).
     """
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    field = g.field
-    d = m.base.degree()
-    check_probe_bounds(field.q, d, m.exponent, n_max)
-    (pair,) = _modulus_residues(field, m, (g,), "probe element")
-    order = (field.q**d - 1) * field.q ** (d * (m.exponent - 1))
+        raise errors.InputError("n_max must be >= 1")
+    field, d = g.field, base.degree()
+    if n_max > errors.DEFAULT_GROUP_LIMIT:
+        errors.refuse("n_max", n_max, errors.DEFAULT_GROUP_LIMIT)
+    charge = n_max * (d * exponent) ** 3 * field.q.bit_length()
+    if charge > errors.DEFAULT_BOX_LIMIT:
+        errors.refuse("probe charge", charge, errors.DEFAULT_BOX_LIMIT)
+    try:
+        m = Modulus(base, exponent)
+    except ValueError as exc:
+        raise errors.InputError(str(exc)) from None
     modpoly = m.poly
-    g_res = Poly(field, tuple(_quotient(field, pair, modpoly.coeffs)))
+    pairs = _modulus_residues(field, m, (g,), "probe element")
+    g_res = Poly(field, tuple(_quotients(field, pairs, modpoly.coeffs)[0][0]))
+    order = (field.q**d - 1) * field.q ** (d * (exponent - 1))
     residues = []
     exp = field.p % order
     residues.append(poly_powmod(g_res, exp, modpoly))

@@ -264,7 +264,7 @@ def test_criterion_7_closure_probe(F3):
     details = []
     for base, e in ((pl(F3, "T+1"), 1), (pl(F3, "T+1"), 2), (pl(F3, "T^2+1"), 1)):
         m = Modulus(base, e)
-        report = closure_probe(t, m, 6)
+        report = closure_probe(t, base, e, 6)
         assert report.settled
         assert report.stable_index <= 3
         d = base.degree()

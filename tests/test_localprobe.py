@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import json
@@ -312,7 +313,7 @@ def _first_solution_at(eq, group, m):
     """localprobe._first_solution on the inputs modulo m, by the residue route."""
     field, mod = group.field, m.poly.coeffs
     pairs = localprobe._modulus_residues(field, m, group.generators + eq.b, "input")
-    inputs = localprobe._search_inputs(field, pairs, len(group.generators), eq.rhs, mod)
+    inputs, _ = localprobe._search_inputs(field, pairs, len(group.generators), eq.rhs, mod)
     return localprobe._first_solution(field, *inputs, mod)
 
 
@@ -848,6 +849,22 @@ def test_obstruction_scan_lifts_its_inverses(F3, monkeypatch):
     assert witness.modulus.poly.coeffs in lifted
 
 
+def test_no_inverse_of_the_last_coefficients_denominator(F3, monkeypatch):
+    """b_M enters the search as its reciprocal pair, so the scan inverts
+    b_M's numerator and never its denominator: here every other input has
+    the residue 1 as denominator and b_M's numerator is 1, so the scan
+    makes no extended Euclid and no Newton step at all."""
+
+    def work(*args):
+        raise AssertionError("an inverse of b_M's denominator")
+
+    monkeypatch.setattr(localprobe, "_invmod_list", work)
+    monkeypatch.setattr(localprobe, "_lift_inverse", work)
+    group = build_presentation((el(F3, "T^2+T+2"), RatFunc.t(F3)))
+    eq = Equation((el(F3, "T+1"), el(F3, "1/(T+2)")), 1)
+    assert find_local_obstruction(eq, group, 2, 3) is None
+
+
 def test_unit_checks_take_no_valuation(F2, F3, monkeypatch):
     """residue_group, sl_search and closure_probe test their inputs for units
     by the division of _unit_residues at the modulus base, with no valuation
@@ -868,7 +885,7 @@ def test_unit_checks_take_no_valuation(F2, F3, monkeypatch):
     assert set(rg) == {pl(F2, x) for x in ("1", "1+T", "1+T^2", "1+T+T^2+T^3", "T^2", "T^2+T^3")}
     witness = sl_search(eq, g3, m3)
     assert witness.residues == (pl(F3, "2*T"), Poly.one(F3)) and witness.words == ((2,), (0,))
-    pr = closure_probe(t, m3, 6)
+    pr = closure_probe(t, m3.base, m3.exponent, 6)
     assert pr.residues[0] == pl(F3, "2*T") and pr.stable_index == 2 and pr.stable_value == pl(F3, "T")
 
     generator = "generator is not a unit at the modulus place"
@@ -884,7 +901,7 @@ def test_unit_checks_take_no_valuation(F2, F3, monkeypatch):
             sl_search(Equation(b, 1), g3, bad3)
     for g in (el(F3, "1/(T+1)"), el(F3, "T^2+2*T+1"), RatFunc.zero(F3)):
         with pytest.raises(ValueError, match=probe):
-            closure_probe(g, bad3, 3)
+            closure_probe(g, bad3.base, bad3.exponent, 3)
 
 
 def _run_probe(*args):
@@ -926,15 +943,15 @@ def test_other_probe_value_errors_are_faults(monkeypatch):
 
 def test_closure_probe_examples(F3):
     t = RatFunc.t(F3)
-    pr = closure_probe(t, Modulus(pl(F3, "T+1"), 1), 6)
+    pr = closure_probe(t, pl(F3, "T+1"), 1, 6)
     assert pr.residues == (pl(F3, "2"),) * 6
     assert pr.stable_index == 1 and pr.settled
 
-    pr = closure_probe(t, Modulus(pl(F3, "T+1"), 2), 6)
+    pr = closure_probe(t, pl(F3, "T+1"), 2, 6)
     assert pr.stable_index == 1
     assert pr.stable_value == pl(F3, "2")
 
-    pr = closure_probe(t, Modulus(pl(F3, "T^2+1"), 1), 6)
+    pr = closure_probe(t, pl(F3, "T^2+1"), 1, 6)
     assert pr.stable_index == 2
     assert pr.residues[0] == pl(F3, "2*T")
     assert pr.stable_value == pl(F3, "T")
@@ -946,7 +963,7 @@ def test_closure_probe_matches_direct_powering(F3):
     t = RatFunc.t(F3)
     for base, e in ((pl(F3, "T+1"), 1), (pl(F3, "T+1"), 2), (pl(F3, "T^2+1"), 1)):
         m = Modulus(base, e)
-        pr = closure_probe(t, m, 6)
+        pr = closure_probe(t, base, e, 6)
         d = base.degree()
         order = (3**d - 1) * 3 ** (d * (e - 1))
         exp = pow(3, math.factorial(6), order)
@@ -957,14 +974,85 @@ def test_closure_probe_matches_direct_powering(F3):
 def test_closure_probe_monotone_in_precision(F3):
     t = RatFunc.t(F3)
     for base in (pl(F3, "T+1"), pl(F3, "T^2+1")):
-        indices = [closure_probe(t, Modulus(base, e), 6).stable_index for e in (1, 2, 3)]
+        indices = [closure_probe(t, base, e, 6).stable_index for e in (1, 2, 3)]
         assert indices == sorted(indices)
 
 
 def test_closure_probe_rejects_pole(F3):
     with pytest.raises(ValueError):
-        closure_probe(el(F3, "1/(T+1)"), Modulus(pl(F3, "T+1"), 1), 3)
+        closure_probe(el(F3, "1/(T+1)"), pl(F3, "T+1"), 1, 3)
     with pytest.raises(ValueError):
-        closure_probe(el(F3, "T+1"), Modulus(pl(F3, "T+1"), 1), 3)
+        closure_probe(el(F3, "T+1"), pl(F3, "T+1"), 1, 3)
     with pytest.raises(ValueError):
-        closure_probe(RatFunc.t(F3), Modulus(pl(F3, "T+1"), 1), 0)
+        closure_probe(RatFunc.t(F3), pl(F3, "T+1"), 1, 0)
+
+
+_BATTERY_FIELDS = (
+    ("--p", "2"),
+    ("--p", "3"),
+    ("--p", "5"),
+    ("--p", "2", "--s", "2", "--modulus", "T^2+T+1"),
+    ("--p", "3", "--s", "2", "--modulus", "T^2+1"),
+)
+
+
+def _skolem_probe_battery(skolems=150, probes=25):
+    """Seeded skolem and probe command lines over GF(2), GF(3), GF(5),
+    GF(4) and GF(9): skolem with 1-2 generators, a quarter of them
+    fractions, and 1-3 coefficients, half of them fractions, rhs 0 or 1,
+    --deg-bound 2 and --e-bound 1 to 3; probe with --e 1 to 3 at a base of
+    degree 1 or 2 (reducible ones are refused); and the probe's own checks
+    of n_max, its charge and its exponent."""
+    rng = random.Random("skolem and probe reports")
+
+    def poly(q, degree):
+        coeffs = [rng.randrange(q) for _ in range(degree)] + [rng.randrange(1, q)]
+        return "+".join(f"{c}*T^{i}" for i, c in enumerate(coeffs) if c)
+
+    def element(q, fraction):
+        num = poly(q, rng.randrange(3))
+        return f"({num})/({poly(q, rng.randrange(1, 3))})" if fraction else num
+
+    def field():
+        flags = rng.choice(_BATTERY_FIELDS)
+        return flags, int(flags[1]) ** (2 if len(flags) > 2 else 1)
+
+    battery = []
+    for _ in range(skolems):
+        flags, q = field()
+        gens = [element(q, rng.random() < 0.25) for _ in range(rng.randint(1, 2))]
+        b = [element(q, rng.random() < 0.5) for _ in range(rng.randint(1, 3))]
+        battery.append([
+            "skolem", *flags, "--gens", ",".join(gens), "--b", ",".join(b),
+            "--rhs", str(rng.randrange(2)), "--deg-bound", "2", "--e-bound", str(rng.randint(1, 3)),
+        ])
+    for _ in range(probes):
+        flags, q = field()
+        battery.append([
+            "probe", *flags, "--g", element(q, rng.random() < 0.5),
+            "--base", poly(q, rng.randint(1, 2)), "--e", str(rng.randint(1, 3)), "--n-max", "4",
+        ])
+    fixed = ("--n-max", "0"), ("--n-max", "100001"), ("--e", "400"), ("--e", "0")
+    battery += [["probe", "--p", "3", "--g", "T", "--base", "T^2+1", *flags] for flags in fixed]
+    return battery
+
+
+# sha256 of the exit code, stdout and stderr of each line of the battery,
+# pinned before b_M entered the search as its reciprocal and before the
+# probe checked its own bounds and base; a change that alters these
+# reports on purpose updates it and says why
+SKOLEM_PROBE_BATTERY_SHA256 = "096f32e84f8da02bb6abf8f97c4470bc6a33ab08d33690532575b0d4cdbe9d2a"
+
+
+def test_skolem_and_probe_reports_are_pinned():
+    digest = hashlib.sha256()
+    codes = Counter()
+    for argv in _skolem_probe_battery():
+        out, err = io.StringIO(), io.StringIO()
+        code = run_cli(argv, stdout=out, stderr=err)
+        codes[argv[0], code] += 1
+        digest.update(f"{code}\n{out.getvalue()}{err.getvalue()}".encode())
+    # obstructions and none-found scans; stabilized probes and refused ones
+    assert {("skolem", 0), ("skolem", 2), ("probe", 0), ("probe", 3), ("probe", 4)} <= set(codes)
+    assert not any(code == 1 for _, code in codes)
+    assert digest.hexdigest() == SKOLEM_PROBE_BATTERY_SHA256

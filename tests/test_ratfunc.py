@@ -152,8 +152,9 @@ def test_divisor_keys_are_sorted_monic_irreducibles(F2):
 def route(x: RatFunc, m: Modulus) -> Poly:
     """x modulo m.poly by the residue route of localprobe: the unit test at
     m.base, the reduction modulo m.poly at e >= 2 and the quotient step."""
-    (pair,) = localprobe._modulus_residues(x.field, m, (x,), "element")
-    return Poly(x.field, tuple(localprobe._quotient(x.field, pair, m.poly.coeffs)))
+    pairs = localprobe._modulus_residues(x.field, m, (x,), "element")
+    (residue,), _ = localprobe._quotients(x.field, pairs, m.poly.coeffs)
+    return Poly(x.field, tuple(residue))
 
 
 def test_reduce_mod_examples(F2, F3):
